@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import AdmissibilityError, ConstraintViolationError, UnsupportedModelError
 from .models import StationaryModel, chart_L, chart_partials, chart_partials_gap
@@ -36,9 +35,11 @@ from .paths import (
     energy_integral,
     field_segment_data,
     lift_spatial_variation,
+    linearized_charge,
     linearized_charge_coeffs,
     require_on_constraint,
     segment_geometry,
+    unwrap_periodic,
 )
 
 
@@ -92,6 +93,17 @@ def kappa_admissible_bound(model: StationaryModel) -> Optional[float]:
     return 0.0 if model.homogeneous else None
 
 
+def require_admissible(kappa: float, bound: Optional[float]):
+    """Raise AdmissibilityError when kappa exceeds the bound beyond round-off.
+
+    A bound of None means none is known, and every kappa passes.
+    """
+    if bound is not None and kappa > bound + 1e-12 * (1.0 + abs(bound)):
+        raise AdmissibilityError(
+            f"kappa={kappa:g} exceeds admissible bound {bound:.17g}"
+        )
+
+
 def arrival_times(
     model: StationaryModel,
     path: DiscretePath,
@@ -110,11 +122,9 @@ def arrival_times(
     """
     if check_constraint:
         require_on_constraint(model, path)
-    bound = kappa_bound if kappa_bound is not None else kappa_admissible_bound(model)
-    if bound is not None and kappa > bound + 1e-12 * (1.0 + abs(bound)):
-        raise AdmissibilityError(
-            f"kappa={kappa:g} exceeds the admissible bound {bound:g}"
-        )
+    require_admissible(
+        kappa, kappa_bound if kappa_bound is not None else kappa_admissible_bound(model)
+    )
     q_bar = Q_functional(model, path)
     e_val = energy_integral(model, path)
     s_sq = q_bar * q_bar + 2.0 * (e_val - kappa)
@@ -176,13 +186,7 @@ def _directional_value(path, delta, P, V, w):
 
 
 def _require_tangent(model, path, delta):
-    a, b = linearized_charge_coeffs(model, path)
-    dmid_y, _, dvel_y, dvel_t = field_segment_data(path, delta)
-    h = (
-        np.einsum("ij,ij->i", a, dmid_y)
-        + np.einsum("ij,ij->i", b, dvel_y)
-        - dvel_t
-    )
+    h = linearized_charge(model, path, delta)
     scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
     if float(np.max(np.abs(h - np.mean(h)))) > 1e-7 * scale:
         raise ConstraintViolationError(
@@ -261,15 +265,19 @@ def _lift_adjoint(model, path, g_t):
 
 
 def _h1_solve(path, g_red):
-    """Solve the tridiagonal H1 stiffness system on interior tent coefficients."""
+    """Solve the H1 stiffness system n * tridiag(-1, 2, -1) u = g on the interior.
+
+    With u_0 = u_n = 0 and the differences d_i = u_i - u_{i-1} (i = 1..n),
+    row i reads n * (d_i - d_{i+1}) = g_i, so d_i = d_1 - G_i / n with
+    G_i = sum_{k<i} g_k over interior rows (G_1 = 0).  The boundary
+    condition sum_i d_i = u_n - u_0 = 0 fixes d_1 = mean(G) / n, hence
+    d_i = (mean(G) - G_i) / n and u = cumsum(d): two cumulative sums, O(n).
+    """
     n = path.segments
-    if n < 2:
-        return np.zeros_like(g_red)
-    ab = np.zeros((2, n - 1))
-    ab[0, 1:] = -n
-    ab[1, :] = 2.0 * n
+    G = np.zeros((n,) + g_red.shape[1:])
+    np.cumsum(g_red[1:n], axis=0, out=G[1:])
     u = np.zeros_like(g_red)
-    u[1:n] = solveh_banded(ab, g_red[1:n])
+    np.cumsum((np.mean(G, axis=0) - G[:-1]) / n, axis=0, out=u[1:n])
     return u
 
 
@@ -338,12 +346,9 @@ def randers_arrival(model: StationaryModel, spatial_nodes, periods=None) -> floa
         )
     y = np.asarray(spatial_nodes, dtype=float)
     n = y.shape[0] - 1
-    dy = np.diff(y, axis=0)
-    periods = periods if periods is not None else model.periods
-    if periods:
-        for j, p in enumerate(periods):
-            if p:
-                dy[:, j] -= p * np.round(dy[:, j] / p)
+    dy = unwrap_periodic(
+        np.diff(y, axis=0), periods if periods is not None else model.periods
+    )
     mid = y[:-1] + 0.5 * dy
     vel = dy * n
     om = model.omega(mid, vel)

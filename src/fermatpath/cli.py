@@ -6,8 +6,9 @@ plot-ready CSV (17-significant-digit decimals, comma delimited, mandatory
 header) plus structured-text records with path sidecar files.  Identical
 scenario and seed produce byte-identical CSV.
 
-Exit codes: 0 success, 2 parse error, 3 validation failure, 4 no converged
-record.
+Exit codes: 0 success, 2 parse error, 3 validation failure (including a
+model that evaluates to a non-finite value outside the per-seed descent),
+4 no converged record.
 """
 from __future__ import annotations
 
@@ -15,12 +16,13 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ScenarioError
+from .arrival import require_admissible
+from .errors import AdmissibilityError, ModelEvaluationError, ScenarioError
 from .models import (
     Point,
     StationaryModel,
@@ -30,7 +32,14 @@ from .models import (
     validate_assumptions,
 )
 from .paths import save_path
-from .solve import SolutionRecord, SolverOptions, multi_start, record_to_json
+from .solve import (
+    SolutionRecord,
+    SolverOptions,
+    _fmt,
+    _json_text,
+    multi_start,
+    record_to_json,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,10 +60,6 @@ class Scenario:
     region: tuple[tuple[float, float], ...]
     samples: int
     out_dir: str
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -102,19 +107,18 @@ def parse_scenario(
     if not kappas:
         raise ScenarioError(f"{path}: kappa list is empty")
 
-    opts = SolverOptions(
-        max_iters=cp.getint("solver", "max_iters", fallback=5000),
-        grad_tol=cp.getfloat("solver", "grad_tol", fallback=1e-7),
-        armijo_c=cp.getfloat("solver", "armijo_c", fallback=1e-4),
-        backtrack_ratio=cp.getfloat("solver", "backtrack_ratio", fallback=0.5),
-        initial_step=cp.getfloat("solver", "initial_step", fallback=1.0),
-        N=cp.getint("solver", "segments", fallback=200),
-        rng_seed=cp.getint("solver", "rng_seed", fallback=0),
-    )
+    # Only the keys present are passed; SolverOptions supplies the defaults.
+    solver = {}
+    for f in fields(SolverOptions):
+        key = "segments" if f.name == "N" else f.name
+        if cp.has_option("solver", key):
+            get = cp.getint if isinstance(f.default, int) else cp.getfloat
+            solver[f.name] = get("solver", key)
     if segments is not None:
-        opts = replace(opts, N=segments)
+        solver["N"] = segments
     if rng_seed is not None:
-        opts = replace(opts, rng_seed=rng_seed)
+        solver["rng_seed"] = rng_seed
+    opts = SolverOptions(**solver)
 
     seeds: list[object] = []
     if cp.has_option("seeds", "windings"):
@@ -174,34 +178,19 @@ def _run_validation(scen: Scenario) -> tuple[ValidationReport, list[str]]:
         problems.append("growth/lower-bound checks failed on samples")
     if not report.qk_check:
         problems.append("charge of the symmetry field is not -1")
-    tol = 1e-12
     for kappa in scen.kappas:
-        if kappa > report.kappa_admissible_bound + tol * (
-            1.0 + abs(report.kappa_admissible_bound)
-        ):
-            problems.append(
-                f"kappa={kappa:g} exceeds admissible bound "
-                f"{report.kappa_admissible_bound:.17g}"
-            )
+        try:
+            require_admissible(kappa, report.kappa_admissible_bound)
+        except AdmissibilityError as exc:
+            problems.append(str(exc))
     return report, problems
 
 
 def _write_validation(scen: Scenario, report: ValidationReport):
     os.makedirs(scen.out_dir, exist_ok=True)
     out = os.path.join(scen.out_dir, "validation.json")
-    d = report.as_dict()
     with open(out, "w") as fh:
-        fh.write("{\n")
-        rows = []
-        for key, value in d.items():
-            if isinstance(value, bool):
-                rows.append(f'  "{key}": {str(value).lower()}')
-            elif isinstance(value, float):
-                rows.append(f'  "{key}": {_fmt(value)}')
-            else:
-                rows.append(f'  "{key}": {value}')
-        fh.write(",\n".join(rows))
-        fh.write("\n}\n")
+        fh.write(_json_text(report.as_dict()))
     return out
 
 
@@ -287,8 +276,6 @@ def cmd_solve(scen: Scenario, quiet: bool = False) -> int:
 
 
 def cmd_sweep(scen: Scenario, quiet: bool = False) -> int:
-    if not scen.kappas:
-        raise ScenarioError("sweep needs a non-empty kappa list")
     code = cmd_validate(scen, quiet=True)
     if code != EXIT_OK:
         return code
@@ -369,6 +356,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ModelEvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

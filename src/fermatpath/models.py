@@ -133,54 +133,21 @@ def _zeros_base(y):
     return np.zeros(np.asarray(y).shape[0])
 
 
-def _fd_grad_y(f: FiberEval) -> FiberEval:
-    """Central finite differences of f(y, nu) in y, step 1e-5*(1+|coord|)."""
+def _central_diff(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """Central differences of the batched f in each column of x.
 
-    def grad(y, nu):
-        y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        for j in range(y.shape[1]):
-            h = FD_REL_STEP * (1.0 + np.abs(y[:, j]))
-            yp = y.copy()
-            ym = y.copy()
-            yp[:, j] += h
-            ym[:, j] -= h
-            out[:, j] = (f(yp, nu) - f(ym, nu)) / (2.0 * h)
-        return out
-
-    return grad
-
-
-def _fd_grad_nu(f: FiberEval) -> FiberEval:
-    def grad(y, nu):
-        nu = np.asarray(nu, dtype=float)
-        out = np.empty_like(nu)
-        for j in range(nu.shape[1]):
-            h = FD_REL_STEP * (1.0 + np.abs(nu[:, j]))
-            np_ = nu.copy()
-            nm = nu.copy()
-            np_[:, j] += h
-            nm[:, j] -= h
-            out[:, j] = (f(y, np_) - f(y, nm)) / (2.0 * h)
-        return out
-
-    return grad
-
-
-def _fd_grad_base(f: BaseEval) -> BaseEval:
-    def grad(y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        for j in range(y.shape[1]):
-            h = FD_REL_STEP * (1.0 + np.abs(y[:, j]))
-            yp = y.copy()
-            ym = y.copy()
-            yp[:, j] += h
-            ym[:, j] -= h
-            out[:, j] = (f(yp) - f(ym)) / (2.0 * h)
-        return out
-
-    return grad
+    The step is FD_REL_STEP * (1 + |x|) per entry, relative away from zero.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):
+        h = FD_REL_STEP * (1.0 + np.abs(x[:, j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[:, j] += h
+        xm[:, j] -= h
+        out[:, j] = (f(xp) - f(xm)) / (2.0 * h)
+    return out
 
 
 def build_model(
@@ -207,15 +174,23 @@ def build_model(
     if d_offset is None:
         d_offset = _zeros_base
         dd_dy = _zeros_grad
+    if dL0_dy is None:
+        dL0_dy = lambda y, nu: _central_diff(lambda yy: L0(yy, nu), y)
+    if dL0_dnu is None:
+        dL0_dnu = lambda y, nu: _central_diff(lambda nn: L0(y, nn), nu)
+    if domega_dy is None:
+        domega_dy = lambda y, nu: _central_diff(lambda yy: omega(yy, nu), y)
+    if dd_dy is None:
+        dd_dy = lambda y: _central_diff(d_offset, y)
     return StationaryModel(
         dim=int(dim),
         L0=L0,
-        dL0_dy=dL0_dy if dL0_dy is not None else _fd_grad_y(L0),
-        dL0_dnu=dL0_dnu if dL0_dnu is not None else _fd_grad_nu(L0),
+        dL0_dy=dL0_dy,
+        dL0_dnu=dL0_dnu,
         omega=omega,
-        domega_dy=domega_dy if domega_dy is not None else _fd_grad_y(omega),
+        domega_dy=domega_dy,
         d_offset=d_offset,
-        dd_dy=dd_dy if dd_dy is not None else _fd_grad_base(d_offset),
+        dd_dy=dd_dy,
         homogeneous=bool(homogeneous),
         periods=tuple(float(p) for p in periods) if periods is not None else None,
         linear_charge=linear,
@@ -280,13 +255,17 @@ def omega_coeffs(model, y) -> np.ndarray:
     """Coefficient covectors w(y) with omega_y(nu) = w(y) . nu, shape (n, m).
 
     omega is linear in nu by assumption, so evaluating on basis vectors
-    recovers the coefficients exactly.
+    recovers the coefficients exactly.  One n-row call per basis vector
+    avoids building an (n*m)-row batch.
     """
     y = np.asarray(y, dtype=float)
-    n, m = y.shape
-    yy = np.repeat(y, m, axis=0)
-    basis = np.tile(np.eye(m), (n, 1))
-    return model.omega(yy, basis).reshape(n, m)
+    w = np.empty_like(y)
+    e = np.zeros_like(y)
+    for j in range(y.shape[1]):
+        e[:, j] = 1.0
+        w[:, j] = model.omega(y, e)
+        e[:, j] = 0.0
+    return w
 
 
 def _dE0_partials(model, y, nu):
@@ -295,8 +274,10 @@ def _dE0_partials(model, y, nu):
         return model.dL0_dy(y, nu), model.dL0_dnu(y, nu)
     if model.dE0_dy is not None and model.dE0_dnu is not None:
         return model.dE0_dy(y, nu), model.dE0_dnu(y, nu)
-    f = lambda yy, nn: chart_E0(model, yy, nn)
-    return _fd_grad_y(f)(y, nu), _fd_grad_nu(f)(y, nu)
+    return (
+        _central_diff(lambda yy: chart_E0(model, yy, nu), y),
+        _central_diff(lambda nn: chart_E0(model, y, nn), nu),
+    )
 
 
 def chart_partials(model, y, nu, tau, kind: str):

@@ -112,12 +112,17 @@ class NoetherProfile:
 # segment geometry
 # ---------------------------------------------------------------------------
 
-def _unwrapped_dy(path: DiscretePath) -> np.ndarray:
-    dy = np.diff(path.y, axis=0)
-    if path.periods:
-        for j, p in enumerate(path.periods):
+def unwrap_periodic(dy, periods) -> np.ndarray:
+    """Nearest representative of slice displacements modulo the periods.
+
+    `dy` holds displacements along its last axis; a zero period marks an
+    aperiodic coordinate, which passes through unchanged.
+    """
+    if periods:
+        dy = np.array(dy, dtype=float)
+        for j, p in enumerate(periods):
             if p:
-                dy[:, j] -= p * np.round(dy[:, j] / p)
+                dy[..., j] -= p * np.round(dy[..., j] / p)
     return dy
 
 
@@ -129,7 +134,7 @@ def segment_geometry(path: DiscretePath):
     and the midpoint sits on the corresponding unwrapped segment.
     """
     n = path.segments
-    dy = _unwrapped_dy(path)
+    dy = unwrap_periodic(np.diff(path.y, axis=0), path.periods)
     mid_y = path.y[:-1] + 0.5 * dy
     mid_t = 0.5 * (path.t[:-1] + path.t[1:])
     vel_y = dy * n
@@ -237,6 +242,23 @@ def linearized_charge_coeffs(model: StationaryModel, path: DiscretePath):
     return a, b
 
 
+def linearized_charge(
+    model: StationaryModel, path: DiscretePath, delta: TangentField
+) -> np.ndarray:
+    """Per-segment first-order change h of the charge under the variation delta.
+
+    The variation is tangent to the constraint manifold exactly when h is
+    constant across segments.
+    """
+    a, b = linearized_charge_coeffs(model, path)
+    dmid_y, _, dvel_y, dvel_t = field_segment_data(path, delta)
+    return (
+        np.einsum("ij,ij->i", a, dmid_y)
+        + np.einsum("ij,ij->i", b, dvel_y)
+        - dvel_t
+    )
+
+
 def tangent_split(
     model: StationaryModel, path: DiscretePath, delta: TangentField
 ):
@@ -249,13 +271,7 @@ def tangent_split(
     """
     require_on_constraint(model, path)
     n = path.segments
-    a, w = linearized_charge_coeffs(model, path)
-    dmid_y, _, dvel_y, dvel_t = field_segment_data(path, delta)
-    h = (
-        np.einsum("ij,ij->i", a, dmid_y)
-        + np.einsum("ij,ij->i", w, dvel_y)
-        - dvel_t
-    )
+    h = linearized_charge(model, path, delta)
     c = float(np.mean(h))
     mu = np.empty_like(path.t)
     mu[0] = 0.0
@@ -344,12 +360,11 @@ def winding(path: DiscretePath) -> tuple[int, ...]:
     w = [0] * path.dim
     if not path.periods:
         return tuple(w)
-    total = np.sum(_unwrapped_dy(path), axis=0)
+    total = np.sum(unwrap_periodic(np.diff(path.y, axis=0), path.periods), axis=0)
+    base = unwrap_periodic(path.y[-1] - path.y[0], path.periods)
     for j, p in enumerate(path.periods):
         if p:
-            raw = path.y[-1, j] - path.y[0, j]
-            base = raw - p * np.round(raw / p)
-            w[j] = int(np.round((total[j] - base) / p))
+            w[j] = int(np.round((total[j] - base[j]) / p))
     return tuple(w)
 
 
@@ -357,7 +372,8 @@ def resample(path: DiscretePath, n_segments: int) -> DiscretePath:
     """Linear resample of the unwrapped lift onto a new uniform grid."""
     s_old = np.linspace(0.0, 1.0, path.segments + 1)
     s_new = np.linspace(0.0, 1.0, n_segments + 1)
-    lift = np.vstack([path.y[0], path.y[0] + np.cumsum(_unwrapped_dy(path), axis=0)])
+    dy = unwrap_periodic(np.diff(path.y, axis=0), path.periods)
+    lift = np.vstack([path.y[0], path.y[0] + np.cumsum(dy, axis=0)])
     y = np.stack([np.interp(s_new, s_old, lift[:, j]) for j in range(path.dim)], axis=1)
     t = np.interp(s_new, s_old, path.t)
     return DiscretePath(y, t, path.periods)

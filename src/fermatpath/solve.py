@@ -28,8 +28,9 @@ from .arrival import (
     arrival_gradient,
     arrival_times,
     kappa_admissible_bound,
+    require_admissible,
 )
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, ModelEvaluationError
 from .models import Point, StationaryModel, chart_E, chart_partials
 from .paths import (
     DiscretePath,
@@ -39,6 +40,7 @@ from .paths import (
     resample,
     segment_geometry,
     straight_path,
+    unwrap_periodic,
     winding,
 )
 
@@ -107,7 +109,25 @@ class SolutionRecord:
 
 
 def _fmt(x) -> str:
+    """17 significant digits: enough for every double to round-trip."""
     return format(float(x), ".17g")
+
+
+def _json_text(d: dict) -> str:
+    """One "key": value line per entry; floats via _fmt, so they round-trip."""
+    parts = []
+    for key, value in d.items():
+        if isinstance(value, bool):
+            parts.append(f'"{key}": {str(value).lower()}')
+        elif isinstance(value, float):
+            parts.append(f'"{key}": {_fmt(value)}')
+        elif isinstance(value, int):
+            parts.append(f'"{key}": {value}')
+        elif isinstance(value, list):
+            parts.append(f'"{key}": [%s]' % ", ".join(str(v) for v in value))
+        else:
+            parts.append(f'"{key}": {json.dumps(value)}')
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
 def record_to_json(
@@ -122,19 +142,7 @@ def record_to_json(
         d["path_file"] = path_file
     if geodesic_file:
         d["geodesic_file"] = geodesic_file
-    parts = []
-    for key, value in d.items():
-        if isinstance(value, bool):
-            parts.append(f'"{key}": {str(value).lower()}')
-        elif isinstance(value, float):
-            parts.append(f'"{key}": {_fmt(value)}')
-        elif isinstance(value, int):
-            parts.append(f'"{key}": {value}')
-        elif isinstance(value, list):
-            parts.append(f'"{key}": [%s]' % ", ".join(str(v) for v in value))
-        else:
-            parts.append(f'"{key}": {json.dumps(value)}')
-    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+    return _json_text(d)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +235,7 @@ def seed_path(
 # ---------------------------------------------------------------------------
 
 def _check_endpoints(model, p, q):
-    dy = q.y - p.y
-    if model.periods:
-        dy = dy.copy()
-        for j, per in enumerate(model.periods):
-            if per:
-                dy[j] -= per * np.round(dy[j] / per)
-    if np.linalg.norm(dy) < 1e-12:
+    if np.linalg.norm(unwrap_periodic(q.y - p.y, model.periods)) < 1e-12:
         raise ValueError(
             "endpoints lie on the same flow line: the slice positions coincide"
         )
@@ -265,8 +267,7 @@ def minimize_arrival(
     q = q if isinstance(q, Point) else Point(*q)
     _check_endpoints(model, p, q)
     bound = kappa_bound if kappa_bound is not None else kappa_admissible_bound(model)
-    if bound is not None and kappa > bound + 1e-12 * (1.0 + abs(bound)):
-        raise AdmissibilityError(f"kappa={kappa:g} exceeds admissible bound {bound:g}")
+    require_admissible(kappa, bound)
     if rng is None:
         rng = np.random.default_rng(opts.rng_seed)
 
@@ -361,7 +362,8 @@ def multi_start(
 
     Records are merged when they share the winding class and their arrival
     times agree within `merge_tol` (the one with the smaller stationarity
-    residual is kept).  Per-seed failures are logged, not fatal.
+    residual is kept).  Per-seed failures, including a model that evaluates
+    to a non-finite value, are logged, not fatal.
     """
     opts = opts or SolverOptions()
     records: list[SolutionRecord] = []
@@ -372,7 +374,7 @@ def multi_start(
                 model, p, q, kappa, spec, opts,
                 branch=branch, kappa_bound=kappa_bound, rng=rng,
             )
-        except (AdmissibilityError, ValueError) as exc:
+        except (ValueError, ModelEvaluationError) as exc:
             log.warning("seed %r failed: %s", spec, exc)
             continue
         records.append(rec)

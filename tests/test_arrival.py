@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
-from fermatpath.arrival import arrival_gradient
+from fermatpath.arrival import _h1_solve, arrival_gradient
 
 from conftest import endpoints_for, smooth_field, smooth_path
 
@@ -187,6 +187,23 @@ def test_gradient_field_is_tangent_and_consistent():
     # dt along the gradient field equals the squared dual norm
     val = fp.dt_plus(model, z, -0.2, g.field)
     assert val == pytest.approx(g.norm**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000])
+@pytest.mark.parametrize("cols", [None, 2])
+def test_h1_solve_matches_dense_solve(n, cols):
+    rng = np.random.default_rng(n)
+    shape = (n + 1,) if cols is None else (n + 1, cols)
+    g = rng.standard_normal(shape)
+    g[0] = g[-1] = 0.0
+    A = n * (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1))
+    path = fp.straight_path(fp.Point([0.0], 0.0), fp.Point([1.0], 0.0), n)
+    u = _h1_solve(path, g)
+    assert u.shape == g.shape
+    assert np.all(u[0] == 0.0) and np.all(u[-1] == 0.0)
+    expected = np.linalg.solve(A, g[1:n])
+    atol = 1e-12 * np.max(np.abs(expected))
+    assert np.allclose(u[1:n], expected, rtol=1e-10, atol=atol)
 
 
 # ---------------------------------------------------------------------------

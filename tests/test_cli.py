@@ -1,7 +1,11 @@
 """Command-line front end: scenario parsing, exit codes, output files,
 determinism, and sidecar round-trips."""
+import json
 import math
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from fermatpath.cli import (
     main,
     parse_scenario,
 )
+from fermatpath.solve import multi_start
 
 
 FLAT_SCENARIO = """\
@@ -130,6 +135,24 @@ def test_validate_offset_fiber_bound(tmp_path):
     out = os.path.join(tmp_path, "out")
     # bound is -3, kappa -2 is inadmissible
     assert main(["validate", f, "--out", out, "--quiet"]) == EXIT_VALIDATION
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_model_exits_3(tmp_path, capsys):
+    # 1e308 * y1^8 overflows on the sampled region (|y1| > 1.08)
+    model = write_scenario(
+        tmp_path,
+        "[model]\ndim = 2\nL0 = 0.5 nu1^2 + 0.5 nu2^2 + 1e308 y1^8\n",
+        name="overflow.ini",
+    )
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nfile = {model}\n[endpoints]\np_y = 0 0\nq_y = 1 0\n"
+        "[problem]\nkappa = -1\n",
+    )
+    out = os.path.join(tmp_path, "out")
+    assert main(["validate", f, "--out", out, "--quiet"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: non-finite")
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +280,51 @@ def test_quiet_suppresses_stdout(tmp_path, capsys):
     f = flat_scenario(tmp_path)
     main(["solve", f, "--out", os.path.join(tmp_path, "o"), "--quiet"])
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# structured output and dependencies
+# ---------------------------------------------------------------------------
+
+def test_json_outputs_layout_and_round_trip(tmp_path):
+    f = flat_scenario(tmp_path)
+    out = os.path.join(tmp_path, "out")
+    assert main(["solve", f, "--out", out, "--quiet"]) == EXIT_OK
+    scen = parse_scenario(f)
+    report = fp.validate_assumptions(
+        scen.model, scen.region, scen.samples, scen.opts.rng_seed
+    )
+    rec = multi_start(scen.model, scen.p, scen.q, 0.0, scen.seeds, scen.opts)[0]
+    expected = {
+        "validation.json": report.as_dict(),
+        "record_000.json": dict(
+            rec.as_dict(), path_file="path_000.txt", geodesic_file="geodesic_000.txt"
+        ),
+    }
+    for name, values in expected.items():
+        text = open(os.path.join(out, name)).read()
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+        body = lines[1:-1]
+        assert all(re.fullmatch(r'  "\w+": \S.*', line) for line in body)
+        assert all(line.endswith(",") for line in body[:-1])
+        assert not body[-1].endswith(",")
+        assert "True" not in text and "False" not in text
+        assert "true" in text
+        # == on floats: every value round-trips bit-exactly
+        assert json.loads(text) == values
+
+
+def test_cli_import_needs_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, fermatpath.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -116,6 +116,30 @@ def test_multi_start_collects_seed_failures():
     assert len(records) == 1
 
 
+def test_multi_start_logs_model_evaluation_failure(caplog):
+    # L0 is infinite for y1 > 0.5, which every path from P0 to (1, 0) crosses
+    model = fp.build_model(
+        2,
+        L0=lambda y, nu: 0.5 * np.einsum("ij,ij->i", nu, nu)
+        + np.where(y[:, 0] > 0.5, np.inf, 0.0),
+        homogeneous=True,
+    )
+    q = fp.Point([1.0, 0.0], 0.0)
+    with caplog.at_level("WARNING", logger="fermatpath.solve"):
+        records = fp.multi_start(model, P0, q, 0.0, seeds=[0, "random"])
+    assert records == []
+    assert sum("failed" in r.getMessage() for r in caplog.records) == 2
+
+
+def test_two_segment_grid_converges():
+    model = fp.get_model("randers-rot(0.3)")
+    rec = fp.minimize_arrival(
+        model, P0, fp.Point([1.0, 0.7], 0.2), -0.5, opts=fp.SolverOptions(N=2)
+    )
+    assert rec.converged
+    assert rec.z_star.segments == 2
+
+
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
