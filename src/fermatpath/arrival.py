@@ -17,6 +17,15 @@ charge is affine).
 All variational quantities are midpoint-rule discretizations over segments,
 shared between the directional derivatives, the descent gradient, and the
 criticality residual so that algebraic identities survive in floating point.
+
+Every function here evaluates the model at most once per path: it turns
+its path into a `PathState` (paths.path_state; a state from project_to_N
+passes through as is) and reads the geometry, omega, Q_bar, E_val and the
+constraint deviation from it.  `arrival_gradient` additionally evaluates
+domega_dy, the omega coefficients, the E0 partials and dd_dy once each and
+hands them to the arrival partials, the lift adjoint and the tangent split;
+they are local to that one call and are dropped when it returns, so a state
+never holds (N, m) partials.
 """
 from __future__ import annotations
 
@@ -27,16 +36,22 @@ from typing import Optional
 import numpy as np
 
 from .errors import AdmissibilityError, ConstraintViolationError, UnsupportedModelError
-from .models import StationaryModel, chart_L, chart_partials, chart_partials_gap
+from .models import (
+    StationaryModel,
+    chart_L,
+    chart_partials,
+    chart_partials_gap,
+    omega_coeffs,
+)
 from .paths import (
     DiscretePath,
     TangentField,
     action,
-    energy_integral,
     field_segment_data,
     lift_spatial_variation,
     linearized_charge,
     linearized_charge_coeffs,
+    path_state,
     require_on_constraint,
     segment_geometry,
     unwrap_periodic,
@@ -78,8 +93,7 @@ def Q_functional(model: StationaryModel, path: DiscretePath) -> float:
     Equals the constant charge for linear-charge paths on the constraint
     manifold; stays meaningful (as the integral) in the affine case.
     """
-    mid_y, _, vel_y, vel_t = segment_geometry(path)
-    return float(np.sum(model.omega(mid_y, vel_y) - vel_t) / path.segments)
+    return path_state(model, path).Q_bar
 
 
 def D_functional(model: StationaryModel, path: DiscretePath) -> float:
@@ -120,13 +134,14 @@ def arrival_times(
     discriminant beyond the floor means kappa is inadmissible or the path
     degenerates onto a flow line.
     """
+    state = path_state(model, path)
     if check_constraint:
-        require_on_constraint(model, path)
+        require_on_constraint(model, state)
     require_admissible(
         kappa, kappa_bound if kappa_bound is not None else kappa_admissible_bound(model)
     )
-    q_bar = Q_functional(model, path)
-    e_val = energy_integral(model, path)
+    q_bar = state.Q_bar
+    e_val = state.E_val
     s_sq = q_bar * q_bar + 2.0 * (e_val - kappa)
     eps = 1e-12 * (1.0 + abs(e_val))
     if s_sq < -eps:
@@ -167,12 +182,15 @@ def H_functional(model: StationaryModel, path: DiscretePath, t: float) -> float:
 # discrete first variations
 # ---------------------------------------------------------------------------
 
-def _functional_partials(model, path, kind):
-    """Per-segment partials (P, V, w) of one of the base functionals."""
-    mid_y, _, vel_y, vel_t = segment_geometry(path)
+def _functional_partials(model, state, kind, **given):
+    """Per-segment partials (P, V, w) of one of the base functionals.
+
+    `given` passes values already evaluated at the state on to chart_partials.
+    """
+    args = (model, state.mid_y, state.vel_y, state.vel_t)
     if kind == "gap":  # partials of (E - L); exact zeros for Lorentz-Finsler
-        return chart_partials_gap(model, mid_y, vel_y, vel_t)
-    return chart_partials(model, mid_y, vel_y, vel_t, kind)
+        return chart_partials_gap(*args)
+    return chart_partials(*args, kind, **given)
 
 
 def _directional_value(path, delta, P, V, w):
@@ -195,15 +213,22 @@ def _require_tangent(model, path, delta):
         )
 
 
-def _arrival_partials(model, path, arr: ArrivalEvaluation, branch: str):
-    """Per-segment partials of t_plus or t_minus by the chain rule."""
+def _arrival_partials(model, state, arr: ArrivalEvaluation, branch: str,
+                      domega_dy=None, w=None):
+    """Per-segment partials of t_plus or t_minus by the chain rule.
+
+    `domega_dy` and `w` (omega coefficients) may be passed when already
+    evaluated at the state.
+    """
     if not arr.branch_valid:
         raise AdmissibilityError("arrival branch degenerate: discriminant at the floor")
     sign = 1.0 if branch == "plus" else -1.0
     coef_q = 1.0 + sign * arr.Q_bar / arr.S
     coef_e = sign / arr.S
-    PQ, VQ, wQ = _functional_partials(model, path, "Q")
-    PE, VE, wE = _functional_partials(model, path, "E")
+    PQ, VQ, wQ = _functional_partials(model, state, "Q", domega_dy=domega_dy, w=w)
+    PE, VE, wE = _functional_partials(
+        model, state, "E", omega=state.omega, domega_dy=domega_dy, w=w
+    )
     return (
         coef_q * PQ + coef_e * PE,
         coef_q * VQ + coef_e * VE,
@@ -211,19 +236,21 @@ def _arrival_partials(model, path, arr: ArrivalEvaluation, branch: str):
     )
 
 
+def _directional_arrival(model, path, kappa, delta, branch):
+    state = path_state(model, path)
+    arr = arrival_times(model, state, kappa)
+    _require_tangent(model, state, delta)
+    P, V, w = _arrival_partials(model, state, arr, branch)
+    return _directional_value(state, delta, P, V, w)
+
+
 def dt_plus(model, path, kappa, delta: TangentField) -> float:
     """Directional derivative of t_plus along a constraint-tangent variation."""
-    arr = arrival_times(model, path, kappa)
-    _require_tangent(model, path, delta)
-    P, V, w = _arrival_partials(model, path, arr, "plus")
-    return _directional_value(path, delta, P, V, w)
+    return _directional_arrival(model, path, kappa, delta, "plus")
 
 
 def dt_minus(model, path, kappa, delta: TangentField) -> float:
-    arr = arrival_times(model, path, kappa)
-    _require_tangent(model, path, delta)
-    P, V, w = _arrival_partials(model, path, arr, "minus")
-    return _directional_value(path, delta, P, V, w)
+    return _directional_arrival(model, path, kappa, delta, "minus")
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +271,16 @@ def _assemble_nodal(path, P, V, w):
     return g_y, g_t
 
 
-def _lift_adjoint(model, path, g_t):
+def _lift_adjoint(path, g_t, coeffs):
     """Pull a t-nodal gradient back through the constraint lift.
 
     The lift sends a spatial variation to the unique t-profile keeping the
     linearized charge constant; its adjoint turns the t-part of a gradient
     into an equivalent spatial-segment functional, assembled nodally.
+    `coeffs` is (A, B) of linearized_charge_coeffs at the path.
     """
     n = path.segments
-    a, b = linearized_charge_coeffs(model, path)
+    a, b = coeffs
     # G_i = sum of g_t over nodes past segment i; H recenters and rescales.
     g_int = g_t[1:n]
     G = np.zeros(n)
@@ -281,27 +309,39 @@ def _h1_solve(path, g_red):
     return u
 
 
-def _restricted_gradient(model, path, P, V, w) -> FunctionalGradient:
+def _restricted_gradient(model, state, P, V, w, coeffs=None) -> FunctionalGradient:
     """H1 representer of a functional restricted to the constraint tangent space.
 
     Assembles the nodal gradient, reduces the t-part onto the spatial
     coordinates through the lift adjoint, preconditions with the tridiagonal
     H1 solve, and lifts the result back to a constraint-tangent field.  The
-    returned norm is the dual norm of the restricted functional.
+    returned norm is the dual norm of the restricted functional.  `coeffs`
+    is (A, B) of linearized_charge_coeffs, computed here when not given.
     """
-    g_y, g_t = _assemble_nodal(path, P, V, w)
-    g_red = g_y + _lift_adjoint(model, path, g_t)
-    u = _h1_solve(path, g_red)
+    if coeffs is None:
+        coeffs = linearized_charge_coeffs(model, state)
+    g_y, g_t = _assemble_nodal(state, P, V, w)
+    g_red = g_y + _lift_adjoint(state, g_t, coeffs)
+    u = _h1_solve(state, g_red)
     norm_sq = float(np.sum(g_red * u))
-    field = lift_spatial_variation(model, path, u)
+    field = lift_spatial_variation(model, state, u, coeffs)
     return FunctionalGradient(field=field, norm=math.sqrt(max(norm_sq, 0.0)))
 
 
 def arrival_gradient(model, path, kappa, branch: str = "plus") -> FunctionalGradient:
-    """Descent gradient of the arrival time on the constraint manifold."""
-    arr = arrival_times(model, path, kappa)
-    P, V, w = _arrival_partials(model, path, arr, branch)
-    return _restricted_gradient(model, path, P, V, w)
+    """Descent gradient of the arrival time on the constraint manifold.
+
+    domega_dy and the omega coefficients are evaluated once here and shared
+    by the arrival partials, the lift adjoint and the tangent split.
+    """
+    state = path_state(model, path)
+    arr = arrival_times(model, state, kappa)
+    domega_dy = model.domega_dy(state.mid_y, state.vel_y)
+    w = omega_coeffs(model, state.mid_y)
+    P, V, wt = _arrival_partials(model, state, arr, branch, domega_dy, w)
+    coeffs = linearized_charge_coeffs(model, state, domega_dy, w)
+    del domega_dy, w  # coeffs keeps what the lift needs; free the rest early
+    return _restricted_gradient(model, state, P, V, wt, coeffs)
 
 
 def criticality_residual(model, path, kappa, branch: str = "plus") -> float:
@@ -313,10 +353,11 @@ def criticality_residual(model, path, kappa, branch: str = "plus") -> float:
     gap contributes exact zeros, so the residual reduces to the plain
     gradient norm of the arrival time.
     """
-    arr = arrival_times(model, path, kappa)
-    P, V, w = _arrival_partials(model, path, arr, branch)
-    Pg, Vg, wg = _functional_partials(model, path, "gap")
-    PD, VD, wD = _functional_partials(model, path, "D")
+    state = path_state(model, path)
+    arr = arrival_times(model, state, kappa)
+    P, V, w = _arrival_partials(model, state, arr, branch)
+    Pg, Vg, wg = _functional_partials(model, state, "gap")
+    PD, VD, wD = _functional_partials(model, state, "D")
     if branch == "plus":
         # residual = dt_plus - (dE - dL - t_plus * dD) / S
         cg, cd = -1.0 / arr.S, arr.t_plus / arr.S
@@ -324,7 +365,7 @@ def criticality_residual(model, path, kappa, branch: str = "plus") -> float:
         # residual = dt_minus - (dL - dE + t_minus * dD) / S
         cg, cd = 1.0 / arr.S, -arr.t_minus / arr.S
     grad = _restricted_gradient(
-        model, path, P + cg * Pg + cd * PD, V + cg * Vg + cd * VD, w + cg * wg + cd * wD
+        model, state, P + cg * Pg + cd * PD, V + cg * Vg + cd * VD, w + cg * wg + cd * wD
     )
     return grad.norm
 

@@ -232,9 +232,13 @@ def chart_E0(model, y, nu):
     return np.einsum("ij,ij->i", model.dL0_dnu(y, nu), nu) - model.L0(y, nu)
 
 
-def chart_E(model, y, nu, tau, check=True):
-    """E = E0 + omega * tau - tau^2 / 2; the offset d never enters the energy."""
-    val = chart_E0(model, y, nu) + model.omega(y, nu) * tau - 0.5 * tau * tau
+def chart_E(model, y, nu, tau, check=True, *, omega=None):
+    """E = E0 + omega * tau - tau^2 / 2; the offset d never enters the energy.
+
+    `omega` may pass the already evaluated omega(y, nu).
+    """
+    om = model.omega(y, nu) if omega is None else omega
+    val = chart_E0(model, y, nu) + om * tau - 0.5 * tau * tau
     return _check_finite(val, model, y, nu, tau, "energy value") if check else val
 
 
@@ -280,33 +284,33 @@ def _dE0_partials(model, y, nu):
     )
 
 
-def chart_partials(model, y, nu, tau, kind: str):
+def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, w=None):
     """Per-point partial derivatives (P, V, w) of a chart quantity.
 
     P = d/dy (shape (n, m)), V = d/dnu (shape (n, m)), w = d/dtau (shape (n,)),
     for kind in {"L", "E", "Q", "D"}.  Nothing depends on the t coordinate.
+    Values already evaluated at (y, nu) may be passed and are used as given:
+    `omega` = omega(y, nu), `domega_dy` = domega_dy(y, nu) and
+    `w` = omega_coeffs(y).
     """
     y = np.asarray(y, dtype=float)
     nu = np.asarray(nu, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if kind == "Q":
-        return model.domega_dy(y, nu), omega_coeffs(model, y), -np.ones_like(tau)
     if kind == "D":
         return model.dd_dy(y), np.zeros_like(nu), np.zeros_like(tau)
+    if kind not in ("Q", "E", "L"):
+        raise ValueError(f"unknown partials kind {kind!r}")
+    dom = model.domega_dy(y, nu) if domega_dy is None else domega_dy
+    coeffs = omega_coeffs(model, y) if w is None else w
+    if kind == "Q":
+        return dom, coeffs, -np.ones_like(tau)
+    om = model.omega(y, nu) if omega is None else omega
     if kind == "E":
         dE0y, dE0n = _dE0_partials(model, y, nu)
-        w = model.omega(y, nu) - tau
-        P = dE0y + tau[:, None] * model.domega_dy(y, nu)
-        V = dE0n + tau[:, None] * omega_coeffs(model, y)
-        return P, V, w
-    if kind == "L":
-        w = model.omega(y, nu) + model.d_offset(y) - tau
-        P = model.dL0_dy(y, nu) + tau[:, None] * (
-            model.domega_dy(y, nu) + model.dd_dy(y)
-        )
-        V = model.dL0_dnu(y, nu) + tau[:, None] * omega_coeffs(model, y)
-        return P, V, w
-    raise ValueError(f"unknown partials kind {kind!r}")
+        return dE0y + tau[:, None] * dom, dE0n + tau[:, None] * coeffs, om - tau
+    P = model.dL0_dy(y, nu) + tau[:, None] * (dom + model.dd_dy(y))
+    V = model.dL0_dnu(y, nu) + tau[:, None] * coeffs
+    return P, V, om + model.d_offset(y) - tau
 
 
 def chart_partials_gap(model, y, nu, tau):
@@ -497,9 +501,12 @@ class Polynomial:
     def __init__(self, dim: int, terms: Sequence[Monomial]):
         self.dim = dim
         self.terms = tuple(t for t in terms if t.coef != 0.0)
+        self._gradients: dict[str, tuple["Polynomial", ...]] = {}
 
     def __call__(self, y, nu=None):
         y = np.asarray(y, dtype=float)
+        if nu is not None:
+            nu = np.asarray(nu, dtype=float)
         n = y.shape[0]
         out = np.zeros(n)
         for t in self.terms:
@@ -508,10 +515,9 @@ class Polynomial:
                 if p:
                     v = v * y[:, j] ** p
             if nu is not None:
-                nu_ = np.asarray(nu, dtype=float)
                 for j, p in enumerate(t.nu_pow):
                     if p:
-                        v = v * nu_[:, j] ** p
+                        v = v * nu[:, j] ** p
             out += v
         return out
 
@@ -541,10 +547,13 @@ class Polynomial:
         )
 
     def grad_eval(self, var: str, y, nu=None) -> np.ndarray:
+        """Gradient in y or nu; the derivative polynomials are built once."""
+        if var not in self._gradients:
+            self._gradients[var] = tuple(self.deriv(var, j) for j in range(self.dim))
         y = np.asarray(y, dtype=float)
         out = np.zeros((y.shape[0], self.dim))
-        for j in range(self.dim):
-            out[:, j] = self.deriv(var, j)(y, nu)
+        for j, dp in enumerate(self._gradients[var]):
+            out[:, j] = dp(y, nu)
         return out
 
     def is_homogeneous_degree2(self) -> bool:

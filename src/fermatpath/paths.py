@@ -10,6 +10,16 @@ term because nothing depends on t).
 
 Paths and fields are value-like records; every operation returns a new
 record, so concurrent multi-start workers never share mutable state.
+
+A `PathState` is a path together with one evaluation of a model on it: the
+segment geometry, the one-form values, the charge and energy quadratures
+and the constraint deviation.  `project_to_N` returns one, so every
+consumer of a projected path (arrival times, constraint check, tangent
+split, lift) reads these values instead of evaluating the model again.  A
+plain `DiscretePath` passed to a consumer is evaluated once on entry
+(`path_state`).  Derivatives of the charge are not part of the state: they
+are computed per gradient and passed explicitly (see
+`linearized_charge_coeffs`).
 """
 from __future__ import annotations
 
@@ -107,6 +117,64 @@ class NoetherProfile:
     mean: float
     max_deviation: float
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> "NoetherProfile":
+        mean = float(np.mean(values))
+        return cls(values, mean, float(np.max(np.abs(values - mean))))
+
+    @property
+    def scaled_deviation(self) -> float:
+        """Max deviation over the constraint tolerance; <= 1 means on-manifold."""
+        return self.max_deviation / (CONSTRAINT_RTOL * (1.0 + abs(self.mean)))
+
+
+class PathState(DiscretePath):
+    """A path with one evaluation of `model` on it; immutable like the path.
+
+    Holds the segment midpoints and velocities (`mid_y`, `vel_y`, `vel_t`),
+    the one-form values `omega` = omega(mid_y, vel_y), the quadratures
+    `Q_bar` (charge) and `E_val` (energy), and `constraint_dev`, the scaled
+    deviation of the charge profile.  The energy and charge profiles are
+    reduced to these numbers and not kept.  t_pm follow from Q_bar and E_val
+    in O(1), so no arrival evaluation is stored: it depends on kappa.
+
+    `geometry` = (mid_y, vel_y), `omega` and `d` may carry values already
+    computed on the same y-nodes and periods; they depend on nothing else,
+    so they are reused as they are.
+    """
+
+    def __init__(self, model, y, t, periods=None, *, geometry=None, omega=None, d=None):
+        super().__init__(y, t, periods)
+        n = self.segments
+        if geometry is None:
+            mid_y, _, vel_y, vel_t = segment_geometry(self)
+        else:
+            mid_y, vel_y = geometry
+            vel_t = np.diff(self.t) * n
+        om = model.omega(mid_y, vel_y) if omega is None else omega
+        d = model.d_offset(mid_y) if d is None else d
+        # Q_functional, energy_integral and the charge profile of noether_values
+        # (chart_N = omega - tau + d), from the values above.
+        fields = {
+            "model": model,
+            "mid_y": mid_y,
+            "vel_y": vel_y,
+            "vel_t": vel_t,
+            "omega": om,
+            "Q_bar": float(np.sum(om - vel_t) / n),
+            "E_val": float(np.sum(chart_E(model, mid_y, vel_y, vel_t, omega=om)) / n),
+            "constraint_dev": NoetherProfile.of(om - vel_t + d).scaled_deviation,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
+def path_state(model: StationaryModel, path: DiscretePath) -> PathState:
+    """`path` evaluated under `model`; a state of that same model is returned as is."""
+    if isinstance(path, PathState) and path.model is model:
+        return path
+    return PathState(model, path.y, path.t, path.periods)
+
 
 # ---------------------------------------------------------------------------
 # segment geometry
@@ -177,21 +245,17 @@ def action(model: StationaryModel, path: DiscretePath) -> float:
 
 
 def energy_integral(model: StationaryModel, path: DiscretePath) -> float:
-    mid_y, _, vel_y, vel_t = segment_geometry(path)
-    return float(np.sum(chart_E(model, mid_y, vel_y, vel_t)) / path.segments)
+    return path_state(model, path).E_val
 
 
 def noether_values(model: StationaryModel, path: DiscretePath) -> NoetherProfile:
     mid_y, _, vel_y, vel_t = segment_geometry(path)
-    values = chart_N(model, mid_y, vel_y, vel_t)
-    mean = float(np.mean(values))
-    return NoetherProfile(values, mean, float(np.max(np.abs(values - mean))))
+    return NoetherProfile.of(chart_N(model, mid_y, vel_y, vel_t))
 
 
 def constraint_deviation(model: StationaryModel, path: DiscretePath) -> float:
     """Charge deviation scaled by the constraint tolerance; <= 1 means on-manifold."""
-    prof = noether_values(model, path)
-    return prof.max_deviation / (CONSTRAINT_RTOL * (1.0 + abs(prof.mean)))
+    return path_state(model, path).constraint_dev
 
 
 def require_on_constraint(model: StationaryModel, path: DiscretePath):
@@ -207,7 +271,7 @@ def require_on_constraint(model: StationaryModel, path: DiscretePath):
 # constraint projection and tangent splitting
 # ---------------------------------------------------------------------------
 
-def project_to_N(model: StationaryModel, path: DiscretePath) -> DiscretePath:
+def project_to_N(model: StationaryModel, path: DiscretePath) -> PathState:
     """Replace the interior t-nodes so the charge profile is exactly constant.
 
     The y-nodes and both endpoint t-values are preserved bitwise.  With the
@@ -215,42 +279,55 @@ def project_to_N(model: StationaryModel, path: DiscretePath) -> DiscretePath:
     homogeneous term, so the projected profile is the closed form
     t_dot_i = omega_i + d_i - c with c fixed by the endpoint condition.
     The construction depends only on the y-data and the t-endpoints, which
-    makes the projection exactly idempotent.
+    makes the projection exactly idempotent.  The result is the state of the
+    projected path: omega and d depend on the y-nodes only, so the values
+    computed here serve it as well.
     """
     n = path.segments
     mid_y, _, vel_y, _ = segment_geometry(path)
-    r = model.omega(mid_y, vel_y) + model.d_offset(mid_y)
+    om = model.omega(mid_y, vel_y)
+    d = model.d_offset(mid_y)
+    r = om + d
     c = float(np.mean(r)) - (path.t[-1] - path.t[0])
     tdot = r - c
     t_new = np.empty_like(path.t)
     t_new[0] = path.t[0]
     t_new[1:] = path.t[0] + np.cumsum(tdot) / n
     t_new[-1] = path.t[-1]
-    return DiscretePath(path.y, t_new, path.periods)
+    return PathState(
+        model, path.y, t_new, path.periods, geometry=(mid_y, vel_y), omega=om, d=d
+    )
 
 
-def linearized_charge_coeffs(model: StationaryModel, path: DiscretePath):
+def linearized_charge_coeffs(
+    model: StationaryModel, path: DiscretePath, domega_dy=None, w=None
+):
     """Per-segment coefficients (A, B) of the linearized charge condition.
 
     A variation (dy, dt) changes the segment charge by
     A_i . dy_mid_i + B_i . dy_vel_i - dt_vel_i, with A the position
     sensitivity of omega + d and B the one-form coefficients of omega.
+    `domega_dy` and `w` (= omega_coeffs at the midpoints) may be passed when
+    already evaluated at this path; B is then `w` itself.
     """
-    mid_y, _, vel_y, _ = segment_geometry(path)
-    a = model.domega_dy(mid_y, vel_y) + model.dd_dy(mid_y)
-    b = omega_coeffs(model, mid_y)
+    state = path_state(model, path)
+    if domega_dy is None:
+        domega_dy = model.domega_dy(state.mid_y, state.vel_y)
+    a = domega_dy + model.dd_dy(state.mid_y)
+    b = omega_coeffs(model, state.mid_y) if w is None else w
     return a, b
 
 
 def linearized_charge(
-    model: StationaryModel, path: DiscretePath, delta: TangentField
+    model: StationaryModel, path: DiscretePath, delta: TangentField, coeffs=None
 ) -> np.ndarray:
     """Per-segment first-order change h of the charge under the variation delta.
 
     The variation is tangent to the constraint manifold exactly when h is
-    constant across segments.
+    constant across segments.  `coeffs` is (A, B) of linearized_charge_coeffs
+    at this path, computed here when not given.
     """
-    a, b = linearized_charge_coeffs(model, path)
+    a, b = coeffs if coeffs is not None else linearized_charge_coeffs(model, path)
     dmid_y, _, dvel_y, dvel_t = field_segment_data(path, delta)
     return (
         np.einsum("ij,ij->i", a, dmid_y)
@@ -260,20 +337,21 @@ def linearized_charge(
 
 
 def tangent_split(
-    model: StationaryModel, path: DiscretePath, delta: TangentField
+    model: StationaryModel, path: DiscretePath, delta: TangentField, coeffs=None
 ):
     """Split a variation into a constraint-tangent part and a symmetry part.
 
     Returns (xi, mu) with delta = xi + mu * K nodewise, mu vanishing at the
     endpoints, and xi satisfying the linearized constant-charge condition
     across segments.  The same cumulative construction as project_to_N
-    applies, on the linearized charge.
+    applies, on the linearized charge.  `coeffs` as in linearized_charge.
     """
-    require_on_constraint(model, path)
-    n = path.segments
-    h = linearized_charge(model, path, delta)
+    state = path_state(model, path)
+    require_on_constraint(model, state)
+    n = state.segments
+    h = linearized_charge(model, state, delta, coeffs)
     c = float(np.mean(h))
-    mu = np.empty_like(path.t)
+    mu = np.empty_like(state.t)
     mu[0] = 0.0
     mu[1:] = np.cumsum(c - h) / n
     mu[-1] = 0.0
@@ -282,15 +360,16 @@ def tangent_split(
 
 
 def lift_spatial_variation(
-    model: StationaryModel, path: DiscretePath, dy: np.ndarray
+    model: StationaryModel, path: DiscretePath, dy: np.ndarray, coeffs=None
 ) -> TangentField:
     """Unique constraint-tangent field over a spatial nodal variation.
 
     The constraint manifold is a graph over the spatial nodes, so every
-    interior spatial variation lifts to exactly one tangent field.
+    interior spatial variation lifts to exactly one tangent field.  `coeffs`
+    as in linearized_charge.
     """
     field = TangentField(dy, np.zeros(dy.shape[0]))
-    xi, _ = tangent_split(model, path, field)
+    xi, _ = tangent_split(model, path, field, coeffs)
     return xi
 
 

@@ -7,6 +7,14 @@ to the constraint tangent space, steps are accepted under an Armijo
 sufficient-decrease rule, and every trial point is re-projected, so the
 constraint holds to machine precision along the whole iteration.
 
+One model evaluation per iterate: `project_to_N` returns a `PathState`
+(the path with its geometry, omega values, charge and energy quadratures
+and constraint deviation), which the Armijo test reads through
+`arrival_times` and the next gradient reads through `arrival_gradient`.
+A candidate the line search rejects is dropped with its state; the
+derivatives of the accepted iterate live only inside one
+`arrival_gradient` call.  Records keep the plain path, not its state.
+
 Multi-start wraps the descent with homotopy-class seeding (extra wraps of
 the straight lift on cylinders, smooth random perturbations otherwise),
 deduplicates converged records by arrival time and winding, and sorts by
@@ -241,6 +249,66 @@ def _check_endpoints(model, p, q):
         )
 
 
+def _descend(model, path, kappa, opts, branch, bound):
+    """Armijo-backtracked projected descent from a projected path.
+
+    Returns (path, arrival, iters, converged) with the final iterate as a
+    plain DiscretePath: the states of the iterates end with this call.
+    """
+    sign = 1.0 if branch == "plus" else -1.0
+
+    def objective(arr: ArrivalEvaluation) -> float:
+        return arr.t_plus if branch == "plus" else -arr.t_minus
+
+    arr = arrival_times(model, path, kappa, kappa_bound=bound, check_constraint=False)
+    f_val = objective(arr)
+    converged = False
+    iters = 0
+    trial = opts.initial_step
+    stagnant = 0
+    for iters in range(1, opts.max_iters + 1):
+        grad = arrival_gradient(model, path, kappa, branch)
+        if grad.norm <= opts.grad_tol:
+            converged = True
+            iters -= 1
+            break
+        slope = grad.norm * grad.norm
+        step = trial
+        accepted = False
+        for _ in range(60):
+            y_new = path.y - sign * step * grad.field.y
+            cand = project_to_N(model, DiscretePath(y_new, path.t, path.periods))
+            try:
+                arr_new = arrival_times(
+                    model, cand, kappa, kappa_bound=bound, check_constraint=False
+                )
+            except AdmissibilityError:
+                step *= opts.backtrack_ratio
+                continue
+            f_new = objective(arr_new)
+            # Armijo test.  c, step and slope are >= 0, so an accepted f_new
+            # is <= f_val exactly: the objective never increases.
+            if f_new <= f_val - opts.armijo_c * step * slope:
+                accepted = True
+                break
+            step *= opts.backtrack_ratio
+        if not accepted:
+            log.warning("line search stalled at iteration %d (|grad|=%.3g)", iters, grad.norm)
+            break
+        # Stop once accepted steps no longer move the objective at double
+        # precision; further iterations cannot make progress.
+        stagnant = stagnant + 1 if f_val - f_new <= 1e-16 * (1.0 + abs(f_val)) else 0
+        path, arr, f_val = cand, arr_new, f_new
+        trial = min(opts.initial_step, step / opts.backtrack_ratio)
+        if stagnant >= 50:
+            log.warning(
+                "objective stagnant at double precision after %d iterations "
+                "(|grad|=%.3g)", iters, grad.norm,
+            )
+            break
+    return DiscretePath(path.y, path.t, path.periods), arr, iters, converged
+
+
 def minimize_arrival(
     model: StationaryModel,
     p: Point,
@@ -271,61 +339,14 @@ def minimize_arrival(
     if rng is None:
         rng = np.random.default_rng(opts.rng_seed)
 
-    sign = 1.0 if branch == "plus" else -1.0
-
-    def objective(arr: ArrivalEvaluation) -> float:
-        return arr.t_plus if branch == "plus" else -arr.t_minus
-
-    path = seed_path(model, p, q, opts.N, 0 if init is None else init, rng)
     seed_label = (
         "path" if isinstance(init, DiscretePath)
         else str(init) if init is not None else "0"
     )
-    arr = arrival_times(model, path, kappa, kappa_bound=bound, check_constraint=False)
-    f_val = objective(arr)
-    converged = False
-    iters = 0
-    trial = opts.initial_step
-    stagnant = 0
-    for iters in range(1, opts.max_iters + 1):
-        grad = arrival_gradient(model, path, kappa, branch)
-        if grad.norm <= opts.grad_tol:
-            converged = True
-            iters -= 1
-            break
-        slope = grad.norm * grad.norm
-        step = trial
-        accepted = False
-        for _ in range(60):
-            y_new = path.y - sign * step * grad.field.y
-            cand = project_to_N(model, DiscretePath(y_new, path.t, path.periods))
-            try:
-                arr_new = arrival_times(
-                    model, cand, kappa, kappa_bound=bound, check_constraint=False
-                )
-            except AdmissibilityError:
-                step *= opts.backtrack_ratio
-                continue
-            f_new = objective(arr_new)
-            if f_new <= f_val - opts.armijo_c * step * slope:
-                accepted = True
-                break
-            step *= opts.backtrack_ratio
-        if not accepted:
-            log.warning("line search stalled at iteration %d (|grad|=%.3g)", iters, grad.norm)
-            break
-        assert f_new <= f_val + 1e-15 * (1.0 + abs(f_val)), "descent monotonicity broken"
-        # Stop once accepted steps no longer move the objective at double
-        # precision; further iterations cannot make progress.
-        stagnant = stagnant + 1 if f_val - f_new <= 1e-16 * (1.0 + abs(f_val)) else 0
-        path, arr, f_val = cand, arr_new, f_new
-        trial = min(opts.initial_step, step / opts.backtrack_ratio)
-        if stagnant >= 50:
-            log.warning(
-                "objective stagnant at double precision after %d iterations "
-                "(|grad|=%.3g)", iters, grad.norm,
-            )
-            break
+    path, arr, iters, converged = _descend(
+        model, seed_path(model, p, q, opts.N, 0 if init is None else init, rng),
+        kappa, opts, branch, bound,
+    )
 
     t_arr = arr.t_plus if branch == "plus" else arr.t_minus
     geo = apply_flow(path, t_arr)

@@ -8,8 +8,15 @@ import pytest
 
 import fermatpath as fp
 from fermatpath.arrival import _h1_solve, arrival_gradient
+from fermatpath.models import chart_E
+from fermatpath.paths import segment_geometry
 
-from conftest import endpoints_for, smooth_field, smooth_path
+from conftest import BUILTIN_SPECS, endpoints_for, smooth_field, smooth_path
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the rest of the suite needs only numpy and pytest
+    st = None
 
 
 FLAT = fp.get_model("flat")
@@ -310,3 +317,79 @@ def test_lightlike_lift_reproduces_optical_length(spec):
     z = fp.project_to_N(model, fp.DiscretePath(y, t_lift))
     arr = fp.arrival_times(model, z, 0.0)
     assert arr.t_plus == pytest.approx(length, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# evaluation state against a plain path
+# ---------------------------------------------------------------------------
+
+def _outcome(fn):
+    """A result, or the type and text of the error it raised."""
+    try:
+        return fn()
+    except (fp.AdmissibilityError, fp.ConstraintViolationError) as exc:
+        return (type(exc), str(exc))
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def _check_state_matches_plain_path(spec, n, seed, branch):
+    model = fp.get_model(spec)
+    rng = np.random.default_rng(seed)
+    p, q = endpoints_for(model)
+    state = smooth_path(model, p, q, n, rng)
+    plain = fp.DiscretePath(state.y, state.t, state.periods)
+    delta = smooth_field(model.dim, n, rng)
+    kappa = -0.5
+    # The cached numbers against direct evaluation of the model.
+    mid_y, _, vel_y, vel_t = segment_geometry(plain)
+    assert state.Q_bar == float(np.sum(model.omega(mid_y, vel_y) - vel_t) / n)
+    assert state.E_val == float(np.sum(chart_E(model, mid_y, vel_y, vel_t)) / n)
+    assert state.constraint_dev == fp.noether_values(model, plain).scaled_deviation
+    results = []
+    for z in (state, plain):
+        arr = _outcome(lambda: fp.arrival_times(model, z, kappa))
+        grad = _outcome(lambda: arrival_gradient(model, z, kappa, branch))
+        if isinstance(grad, fp.FunctionalGradient):
+            grad = (grad.norm, _bits(grad.field.y, grad.field.t))
+        xi, mu = fp.tangent_split(model, z, delta)
+        results.append((arr, grad, _bits(xi.y, xi.t, mu)))
+    assert results[0] == results[1]
+
+
+if st is not None:
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from(BUILTIN_SPECS),
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        branch=st.sampled_from(["plus", "minus"]),
+    )
+    def test_state_and_plain_path_agree_bitwise(spec, n, seed, branch):
+        """The state project_to_N returns and a fresh path with the same nodes
+        give bit-identical arrival times, gradients and tangent splits, and
+        the state's cached quadratures match direct evaluation."""
+        _check_state_matches_plain_path(spec, n, seed, branch)
+
+else:
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_state_and_plain_path_agree_bitwise():
+        pass
+
+
+def test_state_is_evaluated_afresh_under_another_model():
+    """A state carries the values of the model that built it; another model
+    evaluates the same nodes itself."""
+    randers = fp.get_model("randers-rot(0.3)")
+    rng = np.random.default_rng(40)
+    p, q = endpoints_for(FLAT)
+    state = smooth_path(FLAT, p, q, 50, rng)
+    plain = fp.DiscretePath(state.y, state.t, state.periods)
+    assert fp.Q_functional(FLAT, state) == fp.Q_functional(FLAT, plain)
+    assert fp.Q_functional(randers, state) == fp.Q_functional(randers, plain)
+    assert fp.Q_functional(randers, state) != fp.Q_functional(FLAT, state)
+    assert fp.energy_integral(randers, state) == fp.energy_integral(randers, plain)

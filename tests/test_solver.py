@@ -1,6 +1,9 @@
 """Descent solver: closed-form reproductions, multi-start and winding
-classes, certification residuals, branch consistency, and seeding."""
+classes, certification residuals, branch consistency, seeding, and the
+evaluator-call budget of one iteration."""
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -285,3 +288,43 @@ def test_affine_constant_offset_same_trajectory():
     wrapped = fp.minimize_arrival(fp.get_model("affine(flat, 2.0)"), P0, Q34, -0.5)
     assert wrapped.t_plus == pytest.approx(base.t_plus, abs=1e-9)
     assert np.allclose(wrapped.z_star.t, base.z_star.t, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# evaluation budget
+# ---------------------------------------------------------------------------
+
+def _counting(model):
+    """The model with each evaluator wrapped in a call counter."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    evaluators = {
+        f.name: counted(f.name, getattr(model, f.name))
+        for f in dataclasses.fields(model)
+        if callable(getattr(model, f.name))
+    }
+    return dataclasses.replace(model, **evaluators), calls
+
+
+@pytest.mark.parametrize(
+    "spec", ["randers-rot(0.3)", "affine-field(flat, 0.1 y1 + 0.05 y2^2)"]
+)
+def test_iteration_evaluator_call_budget(spec):
+    """Gradient plus line search evaluate the model at most 10 times per
+    iteration: the iterate's state is evaluated once, not per consumer."""
+    q = fp.Point([1.0, 0.7], 0.2)
+    totals = []
+    for max_iters in (3, 6):
+        model, calls = _counting(fp.get_model(spec))
+        opts = fp.SolverOptions(N=200, max_iters=max_iters)
+        rec = fp.minimize_arrival(model, P0, q, -0.5, opts=opts)
+        assert not rec.converged and rec.iters == max_iters
+        totals.append(sum(calls.values()))
+    assert (totals[1] - totals[0]) / 3 <= 10
