@@ -509,16 +509,21 @@ class Polynomial:
             nu = np.asarray(nu, dtype=float)
         n = y.shape[0]
         out = np.zeros(n)
+        # Each distinct column power is computed once per call; the terms
+        # multiply them in the same order as a term-by-term evaluation.
+        powers = {}
         for t in self.terms:
-            v = np.full(n, t.coef)
-            for j, p in enumerate(t.y_pow):
-                if p:
-                    v = v * y[:, j] ** p
-            if nu is not None:
-                for j, p in enumerate(t.nu_pow):
+            v = None
+            for var, x, pows in (("y", y, t.y_pow), ("nu", nu, t.nu_pow)):
+                if x is None:
+                    continue
+                for j, p in enumerate(pows):
                     if p:
-                        v = v * nu[:, j] ** p
-            out += v
+                        f = powers.get((var, j, p))
+                        if f is None:
+                            f = powers[var, j, p] = x[:, j] ** p
+                        v = t.coef * f if v is None else v * f
+            out += np.full(n, t.coef) if v is None else v
         return out
 
     def deriv(self, var: str, j: int) -> "Polynomial":

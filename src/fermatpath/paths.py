@@ -20,6 +20,12 @@ plain `DiscretePath` passed to a consumer is evaluated once on entry
 (`path_state`).  Derivatives of the charge are not part of the state: they
 are computed per gradient and passed explicitly (see
 `linearized_charge_coeffs`).
+
+Paths are stored as plain-text node tables, one row ``s y_1..y_m t`` per
+node with 17 significant digits, so `load_path` reads back the saved bits.
+`save_path` builds the table once and formats it in fixed blocks of rows,
+one `%`-format per block; its bytes are exactly those of formatting every
+value with ``"%.17g"``, row by row.
 """
 from __future__ import annotations
 
@@ -462,33 +468,47 @@ def resample(path: DiscretePath, n_segments: int) -> DiscretePath:
 # plain-text serialization
 # ---------------------------------------------------------------------------
 
+# Node rows formatted per write in `save_path`: large enough that the
+# per-block overhead vanishes, small enough that the formatted text of one
+# block stays at a few hundred kB.
+_SAVE_BLOCK_ROWS = 4096
+
+
 def save_path(path: DiscretePath, filename: str):
     """Write the node table: one row per node, columns s, y_1..y_m, t.
 
     Values are printed with 17 significant digits so the table round-trips
-    bit-exactly.
+    bit-exactly.  The table [i/n, y, t] is built once and written in blocks
+    of `_SAVE_BLOCK_ROWS` rows, each one `%`-format of a repeated row
+    template.  The bytes are those of formatting each value of each row
+    with ``"%.17g" % v``: ``np.arange(n + 1) / n`` equals ``i / n``
+    bitwise, and ``"%.17g"`` of a float64 equals that of the same Python
+    float.
     """
     n = path.segments
+    table = np.empty((n + 1, path.dim + 2))
+    table[:, 0] = np.arange(n + 1) / n
+    table[:, 1:-1] = path.y
+    table[:, -1] = path.t
+    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
     with open(filename, "w") as fh:
         if path.periods:
             fh.write("# periods %s\n" % " ".join("%.17g" % p for p in path.periods))
         fh.write("# s " + " ".join(f"y{j+1}" for j in range(path.dim)) + " t\n")
-        for i in range(n + 1):
-            row = [i / n, *path.y[i], path.t[i]]
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+        for start in range(0, n + 1, _SAVE_BLOCK_ROWS):
+            block = table[start:start + _SAVE_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def load_path(filename: str) -> DiscretePath:
+    """Read a node table written by `save_path`, bit-exactly."""
     periods = None
-    rows = []
     with open(filename) as fh:
-        for line in fh:
-            line = line.strip()
+        line = fh.readline()
+        while line.startswith("#"):
             if line.startswith("# periods"):
                 periods = [float(x) for x in line.split()[2:]]
-            elif not line or line.startswith("#"):
-                continue
-            else:
-                rows.append([float(x) for x in line.split()])
-    data = np.asarray(rows)
+            line = fh.readline()
+        fh.seek(0)
+        data = np.loadtxt(fh, comments="#", ndmin=2)
     return DiscretePath(data[:, 1:-1], data[:, -1], periods)

@@ -276,6 +276,8 @@ def _descend(model, path, kappa, opts, branch, bound):
         step = trial
         accepted = False
         for _ in range(60):
+            # A rejected trial's state ends before the next trial is built.
+            cand = arr_new = None
             y_new = path.y - sign * step * grad.field.y
             cand = project_to_N(model, DiscretePath(y_new, path.t, path.periods))
             try:

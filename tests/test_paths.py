@@ -1,5 +1,6 @@
 """Discrete paths: quadrature, constraint projection, tangent splitting,
 the flow map, and serialization."""
+import configparser
 import math
 import os
 
@@ -7,12 +8,16 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
+from fermatpath.models import parse_polynomial
 from fermatpath.paths import constraint_deviation, segment_geometry
 
 from conftest import endpoints_for, smooth_field, smooth_path
 
 
 FLAT = fp.get_model("flat")
+BENCH_POLYNOMIAL_MODEL = os.path.join(
+    os.path.dirname(__file__), os.pardir, "bench", "workloads", "polynomial.model.ini"
+)
 
 
 def grid(n):
@@ -315,6 +320,105 @@ def test_path_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(loaded.t, z.t)
     assert loaded.periods == z.periods
     assert fp.action(model, loaded) == fp.action(model, z)
+
+
+def _save_path_per_row(path, filename):
+    """Reference writer: one `"%.17g"` format per value, one write per row."""
+    n = path.segments
+    with open(filename, "w") as fh:
+        if path.periods:
+            fh.write("# periods %s\n" % " ".join("%.17g" % p for p in path.periods))
+        fh.write("# s " + " ".join(f"y{j+1}" for j in range(path.dim)) + " t\n")
+        for i in range(n + 1):
+            row = [i / n, *path.y[i], path.t[i]]
+            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+
+
+# Values whose 17-digit text is easy to get wrong: signed zero, the smallest
+# subnormal, the largest finite double and large negative magnitudes.
+_EXTREME_NODES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  -3.3e200, -123456789.125, -5e-324)
+
+
+def _path_with_extremes(model, n, rng):
+    p, q = endpoints_for(model)
+    z = smooth_path(model, p, q, n, rng)
+    y, t = z.y.copy(), z.t.copy()
+    k = min(len(_EXTREME_NODES), n + 1)
+    y[:k, 0] = _EXTREME_NODES[:k]
+    y[-k:, -1] = _EXTREME_NODES[:k]
+    t[1:k + 1] = _EXTREME_NODES[:min(k, n)]
+    return fp.DiscretePath(y, t, z.periods)
+
+
+@pytest.mark.parametrize("spec", ["cylinder(1)", "flat"])
+@pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 10_000])
+def test_save_path_bytes_match_per_row_writer(tmp_path, spec, n):
+    model = fp.get_model(spec)
+    z = _path_with_extremes(model, n, np.random.default_rng(n))
+    assert (z.periods is not None) == (spec == "cylinder(1)")
+    fp.save_path(z, os.path.join(tmp_path, "block.txt"))
+    _save_path_per_row(z, os.path.join(tmp_path, "row.txt"))
+    with open(os.path.join(tmp_path, "block.txt"), "rb") as fh:
+        block = fh.read()
+    with open(os.path.join(tmp_path, "row.txt"), "rb") as fh:
+        row = fh.read()
+    assert block == row
+
+
+def test_path_roundtrip_bit_exact_fine_grid(tmp_path):
+    model = fp.get_model("cylinder(1)")
+    z = _path_with_extremes(model, 50_000, np.random.default_rng(5))
+    fname = os.path.join(tmp_path, "path.txt")
+    fp.save_path(z, fname)
+    loaded = fp.load_path(fname)
+    assert np.array_equal(loaded.y.view(np.uint64), z.y.view(np.uint64))
+    assert np.array_equal(loaded.t.view(np.uint64), z.t.view(np.uint64))
+    assert loaded.periods == z.periods
+
+
+# ---------------------------------------------------------------------------
+# polynomial evaluation
+# ---------------------------------------------------------------------------
+
+def _naive_polynomial(poly, y, nu=None):
+    """Reference evaluation: every term from its coefficient, powers recomputed."""
+    n = y.shape[0]
+    out = np.zeros(n)
+    for t in poly.terms:
+        v = np.full(n, t.coef)
+        for j, p in enumerate(t.y_pow):
+            if p:
+                v = v * y[:, j] ** p
+        if nu is not None:
+            for j, p in enumerate(t.nu_pow):
+                if p:
+                    v = v * nu[:, j] ** p
+        out += v
+    return out
+
+
+def _bench_polynomials():
+    cp = configparser.ConfigParser()
+    cp.read(BENCH_POLYNOMIAL_MODEL)
+    dim = cp.getint("model", "dim")
+    L0 = parse_polynomial(cp.get("model", "L0"), dim)
+    polys = [L0, L0.energy(), parse_polynomial(cp.get("model", "omega"), dim)]
+    polys += [L0.deriv(var, j) for var in ("y", "nu") for j in range(dim)]
+    polys.append(parse_polynomial("1.5 - 0.7 y1 nu2^3 + 2 y2^2 + 0.25 nu1 y2^2 nu1", dim))
+    return polys
+
+
+def test_polynomial_matches_term_by_term_evaluation():
+    assert os.path.exists(BENCH_POLYNOMIAL_MODEL)
+    rng = np.random.default_rng(11)
+    y = 3.0 * rng.standard_normal((2000, 2))
+    nu = 3.0 * rng.standard_normal((2000, 2))
+    for poly in _bench_polynomials():
+        for args in ((y, nu), (y,)):
+            got = poly(*args)
+            want = _naive_polynomial(poly, *args)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_segment_geometry_shapes():
