@@ -4,19 +4,17 @@ The library discretizes curves between a point and a flow line of the
 symmetry field, restricts them to the constant-charge constraint manifold,
 and minimizes the arrival-time functional whose critical points are exactly
 the fixed-energy solutions of the Euler-Lagrange equations.
+
+The package root holds the entry points; the functionals, residuals and
+helpers behind them are imported from their modules (`fermatpath.arrival`,
+`fermatpath.models`, `fermatpath.paths`, `fermatpath.solve`).
 """
 
 from .arrival import (
     ArrivalEvaluation,
-    D_functional,
-    FunctionalGradient,
-    H_functional,
-    Q_functional,
     arrival_gradient,
     arrival_times,
     criticality_residual,
-    dt_minus,
-    dt_plus,
     randers_arrival,
 )
 from .errors import (
@@ -29,43 +27,22 @@ from .errors import (
 from .models import (
     Point,
     StationaryModel,
-    TangentVector,
-    ValidationReport,
     build_model,
-    eval_E,
-    eval_L,
-    eval_Lc,
-    eval_N,
-    eval_Q,
     get_model,
-    is_causal,
     load_custom_model,
-    shift_by_flow,
     validate_assumptions,
 )
 from .paths import (
     DiscretePath,
-    NoetherProfile,
-    TangentField,
-    action,
     apply_flow,
-    energy_integral,
-    h1_inner,
     load_path,
-    midpoint,
-    noether_values,
     project_to_N,
     save_path,
     straight_path,
-    tangent_split,
-    velocity,
-    winding,
 )
 from .solve import (
     SolutionRecord,
     SolverOptions,
-    conservation_check,
-    el_residual,
     minimize_arrival,
     multi_start,
 )
@@ -74,54 +51,27 @@ __all__ = [
     "AdmissibilityError",
     "ArrivalEvaluation",
     "ConstraintViolationError",
-    "D_functional",
     "DiscretePath",
-    "FunctionalGradient",
-    "H_functional",
     "ModelEvaluationError",
-    "NoetherProfile",
     "Point",
-    "Q_functional",
     "ScenarioError",
     "SolutionRecord",
     "SolverOptions",
     "StationaryModel",
-    "TangentField",
-    "TangentVector",
     "UnsupportedModelError",
-    "ValidationReport",
-    "action",
     "apply_flow",
     "arrival_gradient",
     "arrival_times",
     "build_model",
-    "conservation_check",
     "criticality_residual",
-    "dt_minus",
-    "dt_plus",
-    "el_residual",
-    "energy_integral",
-    "eval_E",
-    "eval_L",
-    "eval_Lc",
-    "eval_N",
-    "eval_Q",
     "get_model",
-    "h1_inner",
-    "is_causal",
     "load_custom_model",
     "load_path",
-    "midpoint",
     "minimize_arrival",
     "multi_start",
-    "noether_values",
     "project_to_N",
     "randers_arrival",
     "save_path",
-    "shift_by_flow",
     "straight_path",
-    "tangent_split",
     "validate_assumptions",
-    "velocity",
-    "winding",
 ]

@@ -119,27 +119,18 @@ def require_admissible(kappa: float, bound: Optional[float]):
 
 
 def arrival_times(
-    model: StationaryModel,
-    path: DiscretePath,
-    kappa: float,
-    *,
-    check_constraint: bool = True,
-    kappa_bound: Optional[float] = None,
+    model: StationaryModel, path: DiscretePath, kappa: float
 ) -> ArrivalEvaluation:
     """Solve E(F^t z) = kappa for the two flow parameters t.
 
     Requires the path to satisfy the constant-charge tolerance and kappa to
-    be admissible (checked against `kappa_bound` when supplied, against the
-    analytic bound for 2-homogeneous fibers, trusted otherwise).  A negative
-    discriminant beyond the floor means kappa is inadmissible or the path
-    degenerates onto a flow line.
+    be admissible (checked against the analytic bound for 2-homogeneous
+    fibers, trusted otherwise).  A negative discriminant beyond the floor
+    means kappa is inadmissible or the path degenerates onto a flow line.
     """
     state = path_state(model, path)
-    if check_constraint:
-        require_on_constraint(model, state)
-    require_admissible(
-        kappa, kappa_bound if kappa_bound is not None else kappa_admissible_bound(model)
-    )
+    require_on_constraint(model, state)
+    require_admissible(kappa, kappa_admissible_bound(model))
     q_bar = state.Q_bar
     e_val = state.E_val
     s_sq = q_bar * q_bar + 2.0 * (e_val - kappa)

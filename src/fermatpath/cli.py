@@ -1,14 +1,29 @@
 """Command-line front end: validate / solve / sweep over scenario files.
 
-A scenario is a flat key = value file with sections for the model, the
-endpoints, the energy level(s), solver options, and seeding.  Outputs are
-plot-ready CSV (17-significant-digit decimals, comma delimited, mandatory
-header) plus structured-text records with path sidecar files.  Identical
-scenario and seed produce byte-identical CSV.
+A scenario is a flat key = value file with these sections and keys:
 
-Exit codes: 0 success, 2 parse error, 3 validation failure (including a
-model that evaluates to a non-finite value outside the per-seed descent),
-4 no converged record.
+    [model]      spec (a built-in model, e.g. randers-rot(0.3)) or
+                 file (a polynomial model definition)
+    [endpoints]  p_y, q_y (slice coordinates); p_t, q_t (default 0)
+    [problem]    kappa (one or more energy levels); region ("lo hi"
+                 intervals, one per coordinate, separated by ";") and
+                 samples (at least 1) for the sampled assumption checks
+    [solver]     segments, max_iters, grad_tol, rng_seed
+    [seeds]      windings (extra wraps of the straight seed), random
+                 (number of perturbed seeds)
+    [output]     dir
+
+An unknown section or key is a parse error.  A relative `[model] file` is
+looked up next to the scenario file first, then in the working directory.
+
+Outputs are plot-ready CSV (17-significant-digit decimals, comma
+delimited, mandatory header) plus structured-text records with path sidecar
+files.  Identical scenario and seed produce byte-identical CSV.
+
+Exit codes: 0 success, 2 parse error (including an unknown section or key
+and a malformed value), 3 validation failure (including a model that
+evaluates to a non-finite value outside the per-seed descent), 4 no
+converged record.
 """
 from __future__ import annotations
 
@@ -48,6 +63,19 @@ EXIT_NO_CONVERGENCE = 4
 
 OUT_DIR_ENV = "FERMATPATH_OUT"
 
+# [solver] key -> SolverOptions field; SolverOptions alone holds the defaults.
+_SOLVER_KEYS = {
+    "segments" if f.name == "N" else f.name: f for f in fields(SolverOptions)
+}
+_SCENARIO_KEYS = {
+    "model": ("spec", "file"),
+    "endpoints": ("p_y", "p_t", "q_y", "q_t"),
+    "problem": ("kappa", "region", "samples"),
+    "solver": tuple(_SOLVER_KEYS),
+    "seeds": ("windings", "random"),
+    "output": ("dir",),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -84,13 +112,24 @@ def parse_scenario(
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
+    for section in cp.sections():
+        if section not in _SCENARIO_KEYS:
+            raise ScenarioError(f"{path}: unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _SCENARIO_KEYS[section]:
+                raise ScenarioError(f"{path}: unknown key [{section}] {key}")
+
     def need(section, key):
         if not cp.has_option(section, key):
             raise ScenarioError(f"{path}: missing [{section}] {key}")
         return cp.get(section, key)
 
     if cp.has_option("model", "file"):
-        model = load_custom_model(cp.get("model", "file"))
+        # A relative file is looked up next to the scenario first, then
+        # against the working directory.
+        name = cp.get("model", "file")
+        beside = os.path.join(os.path.dirname(path), name)
+        model = load_custom_model(beside if os.path.isfile(beside) else name)
     else:
         model = get_model(need("model", "spec"))
 
@@ -109,8 +148,7 @@ def parse_scenario(
 
     # Only the keys present are passed; SolverOptions supplies the defaults.
     solver = {}
-    for f in fields(SolverOptions):
-        key = "segments" if f.name == "N" else f.name
+    for key, f in _SOLVER_KEYS.items():
         if cp.has_option("solver", key):
             get = cp.getint if isinstance(f.default, int) else cp.getfloat
             solver[f.name] = get("solver", key)
@@ -132,12 +170,22 @@ def parse_scenario(
         pieces = cp.get("problem", "region").split(";")
         if len(pieces) != model.dim:
             raise ScenarioError(f"{path}: region needs {model.dim} intervals")
-        region = tuple((v[0], v[1]) for v in map(_parse_floats, pieces))
+        region = tuple(tuple(_parse_floats(piece)) for piece in pieces)
+        for piece, bounds in zip(pieces, region):
+            if len(bounds) != 2 or not bounds[0] <= bounds[1]:
+                raise ScenarioError(
+                    f"{path}: region interval {piece.strip()!r} is not 'lo hi' "
+                    "with lo <= hi"
+                )
     else:
         lo = np.minimum(p.y, q.y)
         hi = np.maximum(p.y, q.y)
         pad = 1.0 + 0.5 * float(np.linalg.norm(q.y - p.y))
         region = tuple((float(a - pad), float(b + pad)) for a, b in zip(lo, hi))
+
+    samples = cp.getint("problem", "samples", fallback=500)
+    if samples < 1:
+        raise ScenarioError(f"{path}: [problem] samples must be at least 1")
 
     out = out_dir or cp.get("output", "dir", fallback=None) or os.environ.get(
         OUT_DIR_ENV, "fermatpath-out"
@@ -150,7 +198,7 @@ def parse_scenario(
         seeds=tuple(seeds),
         opts=opts,
         region=region,
-        samples=cp.getint("problem", "samples", fallback=500),
+        samples=samples,
         out_dir=out,
     )
 

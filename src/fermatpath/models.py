@@ -436,10 +436,10 @@ def validate_assumptions(
 
     l_at_zero = chart_L(model, y, np.zeros((n, model.dim)), np.zeros(n))
     supL0_at_zero = float(np.max(l_at_zero))
-    kappa_bound = -supL0_at_zero + 0.0  # avoid negative zero
+    bound = -supL0_at_zero + 0.0  # avoid negative zero
 
     # Growth / lower-bound checks: finiteness of L_c and its partials on the
-    # samples, plus the pointwise bound E + Q^2/2 >= kappa_bound.
+    # samples, plus the pointwise bound E + Q^2/2 >= the kappa bound.
     nu1, tau1 = v1[:, :-1], v1[:, -1]
     lc = chart_Lc(model, y, nu1, tau1, check=False)
     PL, VL, wL = chart_partials(model, y, nu1, tau1, "L")
@@ -452,7 +452,7 @@ def validate_assumptions(
         and np.all(np.isfinite(PL))
         and np.all(np.isfinite(VL))
         and np.all(np.isfinite(wL))
-        and np.all(e_plus_half_q2 >= kappa_bound - 1e-9 * (1.0 + abs(kappa_bound)))
+        and np.all(e_plus_half_q2 >= bound - 1e-9 * (1.0 + abs(bound)))
     )
 
     x0 = Point(y[0], 0.0)
@@ -475,7 +475,7 @@ def validate_assumptions(
         convexity_margin=convexity_margin,
         growth_ok=growth_ok,
         supL0_at_zero=supL0_at_zero,
-        kappa_admissible_bound=kappa_bound,
+        kappa_admissible_bound=bound,
         cone_samples=cone_samples,
     )
 

@@ -31,13 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .arrival import (
-    ArrivalEvaluation,
-    arrival_gradient,
-    arrival_times,
-    kappa_admissible_bound,
-    require_admissible,
-)
+from .arrival import ArrivalEvaluation, arrival_gradient, arrival_times
 from .errors import AdmissibilityError, ModelEvaluationError
 from .models import Point, StationaryModel, chart_E, chart_partials
 from .paths import (
@@ -57,23 +51,25 @@ log = logging.getLogger(__name__)
 SeedSpec = Union[int, str, DiscretePath]
 
 
+# Line search: Armijo sufficient-decrease constant, backtracking ratio and
+# first trial step (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.1).
+SUFFICIENT_DECREASE = 1e-4
+STEP_SHRINK = 0.5
+FIRST_STEP = 1.0
+# Records of one winding class whose arrival times agree this closely merge.
+DUPLICATE_TOL = 1e-5
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 5000
     grad_tol: float = 1e-7
-    armijo_c: float = 1e-4
-    backtrack_ratio: float = 0.5
-    initial_step: float = 1.0
     N: int = 200
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.grad_tol <= 0 or self.initial_step <= 0:
-            raise ValueError("max_iters, grad_tol and initial_step must be positive")
-        if not 0.0 < self.backtrack_ratio < 1.0:
-            raise ValueError("backtrack_ratio must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
+        if self.max_iters <= 0 or self.grad_tol <= 0:
+            raise ValueError("max_iters and grad_tol must be positive")
         if self.N < 2:
             raise ValueError("need at least 2 segments")
 
@@ -249,7 +245,7 @@ def _check_endpoints(model, p, q):
         )
 
 
-def _descend(model, path, kappa, opts, branch, bound):
+def _descend(model, path, kappa, opts, branch):
     """Armijo-backtracked projected descent from a projected path.
 
     Returns (path, arrival, iters, converged) with the final iterate as a
@@ -260,11 +256,11 @@ def _descend(model, path, kappa, opts, branch, bound):
     def objective(arr: ArrivalEvaluation) -> float:
         return arr.t_plus if branch == "plus" else -arr.t_minus
 
-    arr = arrival_times(model, path, kappa, kappa_bound=bound, check_constraint=False)
+    arr = arrival_times(model, path, kappa)
     f_val = objective(arr)
     converged = False
     iters = 0
-    trial = opts.initial_step
+    trial = FIRST_STEP
     stagnant = 0
     for iters in range(1, opts.max_iters + 1):
         grad = arrival_gradient(model, path, kappa, branch)
@@ -281,19 +277,17 @@ def _descend(model, path, kappa, opts, branch, bound):
             y_new = path.y - sign * step * grad.field.y
             cand = project_to_N(model, DiscretePath(y_new, path.t, path.periods))
             try:
-                arr_new = arrival_times(
-                    model, cand, kappa, kappa_bound=bound, check_constraint=False
-                )
+                arr_new = arrival_times(model, cand, kappa)
             except AdmissibilityError:
-                step *= opts.backtrack_ratio
+                step *= STEP_SHRINK
                 continue
             f_new = objective(arr_new)
-            # Armijo test.  c, step and slope are >= 0, so an accepted f_new
-            # is <= f_val exactly: the objective never increases.
-            if f_new <= f_val - opts.armijo_c * step * slope:
+            # Armijo test.  The constant, step and slope are >= 0, so an
+            # accepted f_new is <= f_val exactly: the objective never increases.
+            if f_new <= f_val - SUFFICIENT_DECREASE * step * slope:
                 accepted = True
                 break
-            step *= opts.backtrack_ratio
+            step *= STEP_SHRINK
         if not accepted:
             log.warning("line search stalled at iteration %d (|grad|=%.3g)", iters, grad.norm)
             break
@@ -301,7 +295,7 @@ def _descend(model, path, kappa, opts, branch, bound):
         # precision; further iterations cannot make progress.
         stagnant = stagnant + 1 if f_val - f_new <= 1e-16 * (1.0 + abs(f_val)) else 0
         path, arr, f_val = cand, arr_new, f_new
-        trial = min(opts.initial_step, step / opts.backtrack_ratio)
+        trial = min(FIRST_STEP, step / STEP_SHRINK)
         if stagnant >= 50:
             log.warning(
                 "objective stagnant at double precision after %d iterations "
@@ -320,7 +314,6 @@ def minimize_arrival(
     opts: Optional[SolverOptions] = None,
     *,
     branch: str = "plus",
-    kappa_bound: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> SolutionRecord:
     """Minimize the arrival time from p to the flow line through q.
@@ -336,8 +329,6 @@ def minimize_arrival(
     p = p if isinstance(p, Point) else Point(*p)
     q = q if isinstance(q, Point) else Point(*q)
     _check_endpoints(model, p, q)
-    bound = kappa_bound if kappa_bound is not None else kappa_admissible_bound(model)
-    require_admissible(kappa, bound)
     if rng is None:
         rng = np.random.default_rng(opts.rng_seed)
 
@@ -347,7 +338,7 @@ def minimize_arrival(
     )
     path, arr, iters, converged = _descend(
         model, seed_path(model, p, q, opts.N, 0 if init is None else init, rng),
-        kappa, opts, branch, bound,
+        kappa, opts, branch,
     )
 
     t_arr = arr.t_plus if branch == "plus" else arr.t_minus
@@ -378,13 +369,11 @@ def multi_start(
     opts: Optional[SolverOptions] = None,
     *,
     branch: str = "plus",
-    kappa_bound: Optional[float] = None,
-    merge_tol: float = 1e-5,
 ) -> list[SolutionRecord]:
     """Run the descent from every seed, deduplicate, and sort by arrival time.
 
     Records are merged when they share the winding class and their arrival
-    times agree within `merge_tol` (the one with the smaller stationarity
+    times agree within DUPLICATE_TOL (the one with the smaller stationarity
     residual is kept).  Per-seed failures, including a model that evaluates
     to a non-finite value, are logged, not fatal.
     """
@@ -395,7 +384,7 @@ def multi_start(
         try:
             rec = minimize_arrival(
                 model, p, q, kappa, spec, opts,
-                branch=branch, kappa_bound=kappa_bound, rng=rng,
+                branch=branch, rng=rng,
             )
         except (ValueError, ModelEvaluationError) as exc:
             log.warning("seed %r failed: %s", spec, exc)
@@ -409,7 +398,7 @@ def multi_start(
             (
                 m
                 for m in merged
-                if m.winding == rec.winding and abs(key(m) - key(rec)) <= merge_tol
+                if m.winding == rec.winding and abs(key(m) - key(rec)) <= DUPLICATE_TOL
             ),
             None,
         )

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
+from fermatpath.paths import TangentField
 
 
 BUILTIN_SPECS = [
@@ -44,7 +45,7 @@ def smooth_field(dim, n, rng, amp=0.5):
             dy[:, j] += amp / k * rng.standard_normal() * np.sin(k * np.pi * s)
     for k in range(1, 4):
         dt += amp / k * rng.standard_normal() * np.sin(k * np.pi * s)
-    return fp.TangentField(dy, dt)
+    return TangentField(dy, dt)
 
 
 def endpoints_for(model, displacement=1.0):

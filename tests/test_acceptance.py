@@ -20,8 +20,14 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
-from fermatpath.arrival import arrival_gradient
+from fermatpath.arrival import (
+    D_functional,
+    Q_functional,
+    arrival_gradient,
+    dt_plus,
+)
 from fermatpath.cli import EXIT_VALIDATION, main
+from fermatpath.paths import action, energy_integral, tangent_split
 
 from conftest import BUILTIN_SPECS, endpoints_for, smooth_field, smooth_path
 
@@ -143,22 +149,22 @@ def test_acceptance_05_identity_suite():
                 1e-10 * scale
             )
             zt = fp.apply_flow(z, t)
-            act0 = fp.action(model, z)
-            n_bar = fp.Q_functional(model, z) + fp.D_functional(model, z)
-            q_bar = fp.Q_functional(model, z)
+            act0 = action(model, z)
+            n_bar = Q_functional(model, z) + D_functional(model, z)
+            q_bar = Q_functional(model, z)
             e_val = arr.E_val
             e3 = abs(
-                fp.action(model, zt) - act0 - t * n_bar + 0.5 * t * t
+                action(model, zt) - act0 - t * n_bar + 0.5 * t * t
             ) / (1e-9 * (1.0 + abs(act0)))
             e4 = abs(
-                fp.energy_integral(model, zt) - e_val - t * q_bar + 0.5 * t * t
+                energy_integral(model, zt) - e_val - t * q_bar + 0.5 * t * t
             ) / (1e-9 * (1.0 + abs(e_val)))
-            e5 = abs(fp.Q_functional(model, zt) - (q_bar - t)) / 1e-9
+            e5 = abs(Q_functional(model, zt) - (q_bar - t)) / 1e-9
             e6 = abs(
-                fp.energy_integral(model, fp.apply_flow(z, arr.t_plus)) - kappa
+                energy_integral(model, fp.apply_flow(z, arr.t_plus)) - kappa
             ) / (1e-8 * (1.0 + abs(kappa)))
             e7 = abs(
-                fp.energy_integral(model, fp.apply_flow(z, arr.t_minus)) - kappa
+                energy_integral(model, fp.apply_flow(z, arr.t_minus)) - kappa
             ) / (1e-8 * (1.0 + abs(kappa)))
             worst = max(worst, e1, e2, e3, e4, e5, e6, e7)
             draws += 1
@@ -182,8 +188,8 @@ def test_acceptance_06_gradient_oracle():
         for _ in range(100):
             z = smooth_path(model, p, q, 60, rng)
             delta = smooth_field(model.dim, 60, rng)
-            xi, _ = fp.tangent_split(model, z, delta)
-            an = fp.dt_plus(model, z, kappa, xi)
+            xi, _ = tangent_split(model, z, delta)
+            an = dt_plus(model, z, kappa, xi)
 
             def t_of(side):
                 moved = fp.DiscretePath(

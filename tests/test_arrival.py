@@ -7,9 +7,25 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
-from fermatpath.arrival import _h1_solve, arrival_gradient
+from fermatpath.arrival import (
+    D_functional,
+    FunctionalGradient,
+    H_functional,
+    Q_functional,
+    _h1_solve,
+    arrival_gradient,
+    dt_minus,
+    dt_plus,
+)
 from fermatpath.models import chart_E
-from fermatpath.paths import segment_geometry
+from fermatpath.paths import (
+    TangentField,
+    action,
+    energy_integral,
+    noether_values,
+    segment_geometry,
+    tangent_split,
+)
 
 from conftest import BUILTIN_SPECS, endpoints_for, smooth_field, smooth_path
 
@@ -33,18 +49,18 @@ def straight(p, q, n=100):
 
 def test_D_functional_zero_for_linear():
     z = straight(([0, 0], 0.0), ([3, 4], 0.0))
-    assert fp.D_functional(FLAT, z) == 0.0
+    assert D_functional(FLAT, z) == 0.0
 
 
 def test_D_functional_constant_offset():
     model = fp.get_model("affine(flat, 2.5)")
     z = straight(([0, 0], 0.0), ([3, 4], 0.0))
-    assert fp.D_functional(model, z) == pytest.approx(2.5, rel=1e-14)
+    assert D_functional(model, z) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_Q_functional_straight_time():
     z = straight(([0, 0], 0.0), ([3, 4], 1.0))
-    assert fp.Q_functional(FLAT, z) == pytest.approx(-1.0, rel=1e-13)
+    assert Q_functional(FLAT, z) == pytest.approx(-1.0, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +114,7 @@ def test_defining_property(builtin_model):
     for kappa in (0.0, -1.0):
         arr = fp.arrival_times(builtin_model, z, kappa)
         for t in (arr.t_plus, arr.t_minus):
-            e = fp.energy_integral(builtin_model, fp.apply_flow(z, t))
+            e = energy_integral(builtin_model, fp.apply_flow(z, t))
             assert abs(e - kappa) < 1e-8 * (1.0 + abs(kappa))
 
 
@@ -108,12 +124,12 @@ def test_defining_property(builtin_model):
 
 def test_H_at_zero_is_action():
     z = straight(([0, 0], 0.0), ([3, 4], 0.0))
-    assert fp.H_functional(FLAT, z, 0.0) == fp.action(FLAT, z)
+    assert H_functional(FLAT, z, 0.0) == action(FLAT, z)
 
 
 def test_H_flat_lightlike_shift():
     z = straight(([0, 0], 0.0), ([3, 4], 0.0))
-    assert fp.H_functional(FLAT, z, 5.0) == pytest.approx(0.0, abs=1e-12)
+    assert H_functional(FLAT, z, 5.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_H_affine_two_route(builtin_model):
@@ -122,10 +138,10 @@ def test_H_affine_two_route(builtin_model):
     rng = np.random.default_rng(22)
     p, q = endpoints_for(builtin_model)
     z = smooth_path(builtin_model, p, q, 40, rng)
-    nbar = fp.Q_functional(builtin_model, z) + fp.D_functional(builtin_model, z)
+    nbar = Q_functional(builtin_model, z) + D_functional(builtin_model, z)
     for t in (-2.0, 0.7, 3.1):
-        direct = fp.H_functional(builtin_model, z, t)
-        split = fp.action(builtin_model, z) + t * nbar - 0.5 * t * t
+        direct = H_functional(builtin_model, z, t)
+        split = action(builtin_model, z) + t * nbar - 0.5 * t * t
         assert direct == pytest.approx(split, rel=1e-10)
 
 
@@ -135,15 +151,15 @@ def test_H_affine_two_route(builtin_model):
 
 def test_dt_zero_variation():
     z = straight(([0, 0], 0.0), ([3, 4], 0.0))
-    zero = fp.TangentField(np.zeros_like(z.y), np.zeros_like(z.t))
-    assert fp.dt_plus(FLAT, z, 0.0, zero) == 0.0
+    zero = TangentField(np.zeros_like(z.y), np.zeros_like(z.t))
+    assert dt_plus(FLAT, z, 0.0, zero) == 0.0
 
 
 def test_dt_vanishes_on_flat_minimizer():
     rng = np.random.default_rng(23)
     z = straight(([0, 0], 0.0), ([3, 4], 0.0), 80)
-    xi, _ = fp.tangent_split(FLAT, z, smooth_field(2, 80, rng))
-    assert abs(fp.dt_plus(FLAT, z, 0.0, xi)) < 1e-6
+    xi, _ = tangent_split(FLAT, z, smooth_field(2, 80, rng))
+    assert abs(dt_plus(FLAT, z, 0.0, xi)) < 1e-6
 
 
 def test_dt_requires_tangent_variation():
@@ -153,7 +169,7 @@ def test_dt_requires_tangent_variation():
     z = smooth_path(model, p, q, 40, rng)
     delta = smooth_field(2, 40, rng)  # not split: generically not tangent
     with pytest.raises(fp.ConstraintViolationError):
-        fp.dt_plus(model, z, 0.0, delta)
+        dt_plus(model, z, 0.0, delta)
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
@@ -161,11 +177,11 @@ def test_dt_matches_projected_finite_differences(builtin_model, branch):
     rng = np.random.default_rng(25)
     p, q = endpoints_for(builtin_model)
     kappa = -0.4
-    dt_fn = fp.dt_plus if branch == "plus" else fp.dt_minus
+    dt_fn = dt_plus if branch == "plus" else dt_minus
     for _ in range(5):
         z = smooth_path(builtin_model, p, q, 60, rng)
         delta = smooth_field(builtin_model.dim, 60, rng)
-        xi, _ = fp.tangent_split(builtin_model, z, delta)
+        xi, _ = tangent_split(builtin_model, z, delta)
         an = dt_fn(builtin_model, z, kappa, xi)
         h = 1e-5
 
@@ -189,10 +205,10 @@ def test_gradient_field_is_tangent_and_consistent():
     z = smooth_path(model, p, q, 50, rng)
     g = arrival_gradient(model, z, -0.2, "plus")
     # the field is its own split (already tangent)
-    xi, mu = fp.tangent_split(model, z, g.field)
+    xi, mu = tangent_split(model, z, g.field)
     assert np.allclose(mu, 0.0, atol=1e-12)
     # dt along the gradient field equals the squared dual norm
-    val = fp.dt_plus(model, z, -0.2, g.field)
+    val = dt_plus(model, z, -0.2, g.field)
     assert val == pytest.approx(g.norm**2, rel=1e-12)
 
 
@@ -347,14 +363,14 @@ def _check_state_matches_plain_path(spec, n, seed, branch):
     mid_y, _, vel_y, vel_t = segment_geometry(plain)
     assert state.Q_bar == float(np.sum(model.omega(mid_y, vel_y) - vel_t) / n)
     assert state.E_val == float(np.sum(chart_E(model, mid_y, vel_y, vel_t)) / n)
-    assert state.constraint_dev == fp.noether_values(model, plain).scaled_deviation
+    assert state.constraint_dev == noether_values(model, plain).scaled_deviation
     results = []
     for z in (state, plain):
         arr = _outcome(lambda: fp.arrival_times(model, z, kappa))
         grad = _outcome(lambda: arrival_gradient(model, z, kappa, branch))
-        if isinstance(grad, fp.FunctionalGradient):
+        if isinstance(grad, FunctionalGradient):
             grad = (grad.norm, _bits(grad.field.y, grad.field.t))
-        xi, mu = fp.tangent_split(model, z, delta)
+        xi, mu = tangent_split(model, z, delta)
         results.append((arr, grad, _bits(xi.y, xi.t, mu)))
     assert results[0] == results[1]
 
@@ -389,7 +405,7 @@ def test_state_is_evaluated_afresh_under_another_model():
     p, q = endpoints_for(FLAT)
     state = smooth_path(FLAT, p, q, 50, rng)
     plain = fp.DiscretePath(state.y, state.t, state.periods)
-    assert fp.Q_functional(FLAT, state) == fp.Q_functional(FLAT, plain)
-    assert fp.Q_functional(randers, state) == fp.Q_functional(randers, plain)
-    assert fp.Q_functional(randers, state) != fp.Q_functional(FLAT, state)
-    assert fp.energy_integral(randers, state) == fp.energy_integral(randers, plain)
+    assert Q_functional(FLAT, state) == Q_functional(FLAT, plain)
+    assert Q_functional(randers, state) == Q_functional(randers, plain)
+    assert Q_functional(randers, state) != Q_functional(FLAT, state)
+    assert energy_integral(randers, state) == energy_integral(randers, plain)

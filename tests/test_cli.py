@@ -19,6 +19,7 @@ from fermatpath.cli import (
     main,
     parse_scenario,
 )
+from fermatpath.paths import energy_integral
 from fermatpath.solve import multi_start
 
 
@@ -46,6 +47,11 @@ def write_scenario(tmp_path, text, name="scenario.ini"):
     with open(f, "w") as fh:
         fh.write(text)
     return f
+
+
+def read_file(*parts, mode="r"):
+    with open(os.path.join(*parts), mode) as fh:
+        return fh.read()
 
 
 def flat_scenario(tmp_path, kappa="0", segments=100, **kw):
@@ -98,6 +104,73 @@ def test_parse_empty_kappa_exits_2(tmp_path):
         "[problem]\nkappa =\n",
     )
     assert main(["sweep", f]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("solver", "segmnts = 7"),
+        ("solver", "grad_tl = 1e-2"),
+        ("seeds", "windngs = 3"),
+        ("solver", "armijo_c = 1e-4"),
+        ("solver", "backtrack_ratio = 0.5"),
+        ("solver", "initial_step = 1"),
+    ],
+)
+def test_unknown_key_exits_2(tmp_path, capsys, section, line):
+    # FLAT_SCENARIO ends in its [solver] section.
+    extra = f"{line}\n" if section == "solver" else f"[{section}]\n{line}\n"
+    f = write_scenario(tmp_path, FLAT_SCENARIO.format(kappa="0", segments=10) + extra)
+    assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    key = line.split(" =")[0]
+    assert capsys.readouterr().err == f"error: {f}: unknown key [{section}] {key}\n"
+
+
+def test_unknown_section_exits_2(tmp_path, capsys):
+    f = write_scenario(
+        tmp_path, FLAT_SCENARIO.format(kappa="0", segments=10) + "[sovler]\nN = 7\n"
+    )
+    assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {f}: unknown section [sovler]\n"
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        ("region = -1 4; 2", "region interval '2'"),
+        ("region = -1 4 5; 0 1", "region interval '-1 4 5'"),
+        ("region = 1 -1; 0 1", "region interval '1 -1'"),
+        ("samples = 0", "samples must be at least 1"),
+    ],
+)
+def test_malformed_problem_exits_2(tmp_path, capsys, problem, message):
+    text = FLAT_SCENARIO.format(kappa="0", segments=10).replace(
+        "kappa = 0\n", f"kappa = 0\n{problem}\n"
+    )
+    f = write_scenario(tmp_path, text)
+    assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: ") and message in err
+
+
+def test_model_file_resolved_next_to_scenario(tmp_path, monkeypatch):
+    """Run from another directory: a relative [model] file names a file
+    beside the scenario, not in the working directory."""
+    scen_dir = os.path.join(tmp_path, "scenarios")
+    os.makedirs(scen_dir)
+    write_scenario(
+        scen_dir, "[model]\ndim = 2\nL0 = 0.5 nu1^2 + 0.5 nu2^2\n", name="m.ini"
+    )
+    write_scenario(
+        scen_dir,
+        "[model]\nfile = m.ini\n[endpoints]\np_y = 0 0\nq_y = 3 4\n"
+        "[problem]\nkappa = 0\n[solver]\nsegments = 20\n",
+    )
+    monkeypatch.chdir(tmp_path)
+    out = os.path.join(tmp_path, "out")
+    assert main(["solve", "scenarios/scenario.ini", "--out", out, "--quiet"]) == EXIT_OK
+    t_plus = float(read_file(out, "summary.csv").splitlines()[1].split(",")[1])
+    assert t_plus == pytest.approx(5.0, abs=1e-6)
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):
@@ -165,19 +238,19 @@ def test_solve_flat_writes_outputs(tmp_path, capsys):
     assert main(["solve", f, "--out", out]) == EXIT_OK
     captured = capsys.readouterr().out
     assert "t_plus" in captured
-    summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+    summary = read_file(out, "summary.csv").splitlines()
     assert summary[0] == "branch,t_plus,winding,el_residual,energy_dev,noether_dev,iters"
     assert len(summary) == 2
     t_plus = float(summary[1].split(",")[1])
     assert t_plus == pytest.approx(5.0, abs=1e-6)
-    rec = open(os.path.join(out, "record_000.json")).read()
+    rec = read_file(out, "record_000.json")
     assert '"path_file": "path_000.txt"' in rec
     z = fp.load_path(os.path.join(out, "path_000.txt"))
     geo = fp.load_path(os.path.join(out, "geodesic_000.txt"))
     model = fp.get_model("flat")
     arr = fp.arrival_times(model, z, 0.0)
     assert arr.t_plus == t_plus  # sidecar reproduces the reported value
-    assert fp.energy_integral(model, geo) == pytest.approx(0.0, abs=1e-10)
+    assert energy_integral(model, geo) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_solve_rejects_kappa_list(tmp_path):
@@ -201,7 +274,7 @@ def test_solve_cylinder_multiplicity(tmp_path):
     f = write_scenario(tmp_path, text)
     out = os.path.join(tmp_path, "out")
     assert main(["solve", f, "--out", out, "--quiet"]) == EXIT_OK
-    rows = open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+    rows = read_file(out, "summary.csv").splitlines()[1:]
     assert len(rows) >= 3
     times = [float(r.split(",")[1]) for r in rows]
     assert times == sorted(times)
@@ -218,8 +291,8 @@ def test_solve_affine_zero_matches_flat(tmp_path):
     )
     f2 = write_scenario(tmp_path, text, name="affine.ini")
     assert main(["solve", f2, "--out", out_aff, "--quiet"]) == EXIT_OK
-    r1 = open(os.path.join(out_flat, "summary.csv")).read().splitlines()[1]
-    r2 = open(os.path.join(out_aff, "summary.csv")).read().splitlines()[1]
+    r1 = read_file(out_flat, "summary.csv").splitlines()[1]
+    r2 = read_file(out_aff, "summary.csv").splitlines()[1]
     t1, t2 = float(r1.split(",")[1]), float(r2.split(",")[1])
     assert abs(t1 - t2) < 1e-9
 
@@ -245,8 +318,8 @@ def test_solve_deterministic_csv(tmp_path):
     out2 = os.path.join(tmp_path, "two")
     assert main(["solve", f, "--out", out1, "--quiet"]) == EXIT_OK
     assert main(["solve", f, "--out", out2, "--quiet"]) == EXIT_OK
-    b1 = open(os.path.join(out1, "summary.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "summary.csv"), "rb").read()
+    b1 = read_file(out1, "summary.csv", mode="rb")
+    b2 = read_file(out2, "summary.csv", mode="rb")
     assert b1 == b2
 
 
@@ -258,7 +331,7 @@ def test_sweep_flat_kappa_values(tmp_path):
     f = flat_scenario(tmp_path, kappa="0 -0.5 -2")
     out = os.path.join(tmp_path, "out")
     assert main(["sweep", f, "--out", out, "--quiet"]) == EXIT_OK
-    rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    rows = read_file(out, "sweep.csv").splitlines()
     assert rows[0].startswith("kappa,branch,t_plus")
     got = {float(r.split(",")[0]): float(r.split(",")[2]) for r in rows[1:]}
     assert got[0.0] == pytest.approx(5.0, abs=1e-6)
@@ -272,7 +345,7 @@ def test_sweep_single_kappa_degenerates_to_solve(tmp_path):
     f = flat_scenario(tmp_path)
     out = os.path.join(tmp_path, "out")
     assert main(["sweep", f, "--out", out, "--quiet"]) == EXIT_OK
-    rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    rows = read_file(out, "sweep.csv").splitlines()
     assert len(rows) == 2
 
 
@@ -302,7 +375,7 @@ def test_json_outputs_layout_and_round_trip(tmp_path):
         ),
     }
     for name, values in expected.items():
-        text = open(os.path.join(out, name)).read()
+        text = read_file(out, name)
         lines = text.splitlines()
         assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
         body = lines[1:-1]

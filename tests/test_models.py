@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
-from fermatpath.models import chart_partials, omega_coeffs
+from fermatpath.models import (
+    TangentVector,
+    chart_partials,
+    eval_E,
+    eval_L,
+    eval_Lc,
+    eval_N,
+    eval_Q,
+    is_causal,
+    omega_coeffs,
+    shift_by_flow,
+)
 
 from conftest import endpoints_for
 
@@ -17,7 +28,7 @@ ORIGIN = fp.Point([0.0, 0.0], 0.0)
 
 
 def vec(nu, tau):
-    return fp.TangentVector(nu, tau)
+    return TangentVector(nu, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -25,27 +36,27 @@ def vec(nu, tau):
 # ---------------------------------------------------------------------------
 
 def test_eval_L_flat_fiber_term():
-    assert fp.eval_L(FLAT, ORIGIN, vec([3, 4], 0.0)) == 12.5
+    assert eval_L(FLAT, ORIGIN, vec([3, 4], 0.0)) == 12.5
 
 
 def test_eval_L_flat_pure_time():
-    assert fp.eval_L(FLAT, ORIGIN, vec([0, 0], 2.0)) == -2.0
+    assert eval_L(FLAT, ORIGIN, vec([0, 0], 2.0)) == -2.0
 
 
 def test_eval_L_randers_hand_value():
     # 1/2 + 0.5 - 1/2
-    assert fp.eval_L(RANDERS, ORIGIN, vec([1, 0], 1.0)) == pytest.approx(0.5, abs=1e-15)
+    assert eval_L(RANDERS, ORIGIN, vec([1, 0], 1.0)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_eval_E_flat_homogeneous_shortcut():
-    assert fp.eval_E(FLAT, ORIGIN, vec([3, 4], 0.0)) == 12.5
+    assert eval_E(FLAT, ORIGIN, vec([3, 4], 0.0)) == 12.5
 
 
 def test_eval_E_zero_velocity_is_minus_L0():
     model = fp.load_custom_model("tests/data/offset_fiber.ini")
     x = fp.Point([0.3, -0.2], 0.0)
-    e0 = fp.eval_E(model, x, vec([0, 0], 0.0))
-    l0 = fp.eval_L(model, x, vec([0, 0], 0.0))
+    e0 = eval_E(model, x, vec([0, 0], 0.0))
+    l0 = eval_L(model, x, vec([0, 0], 0.0))
     assert e0 == pytest.approx(-l0, rel=1e-12)
 
 
@@ -53,28 +64,28 @@ def test_eval_E_ignores_offset():
     base = RANDERS
     affine = fp.get_model("affine(randers-const(0.5,0), 7.0)")
     v = vec([0.4, -1.1], 0.8)
-    assert fp.eval_E(affine, ORIGIN, v) == fp.eval_E(base, ORIGIN, v)
+    assert eval_E(affine, ORIGIN, v) == eval_E(base, ORIGIN, v)
 
 
 def test_eval_Q_zero_spatial():
-    assert fp.eval_Q(FLAT, ORIGIN, vec([0, 0], 1.7)) == -1.7
+    assert eval_Q(FLAT, ORIGIN, vec([0, 0], 1.7)) == -1.7
 
 
 def test_Q_of_symmetry_field_is_minus_one(builtin_model):
     x = fp.Point(np.full(builtin_model.dim, 0.3), 0.0)
     k = vec(np.zeros(builtin_model.dim), 1.0)
-    assert fp.eval_Q(builtin_model, x, k) == -1.0
+    assert eval_Q(builtin_model, x, k) == -1.0
 
 
 def test_eval_N_affine_hand_value():
     model = fp.get_model("affine(randers-const(0.5,0), 2.0)")
-    assert fp.eval_N(model, ORIGIN, vec([1, 0], 0.0)) == 2.5
+    assert eval_N(model, ORIGIN, vec([1, 0], 0.0)) == 2.5
 
 
 def test_eval_Lc_examples():
-    assert fp.eval_Lc(FLAT, ORIGIN, vec([0, 0], 1.0)) == 0.5
-    assert fp.eval_Lc(FLAT, ORIGIN, vec([1, 0], 0.0)) == 0.5
-    assert fp.eval_Lc(RANDERS, ORIGIN, vec([1, 0], 1.0)) == pytest.approx(0.75, abs=1e-15)
+    assert eval_Lc(FLAT, ORIGIN, vec([0, 0], 1.0)) == 0.5
+    assert eval_Lc(FLAT, ORIGIN, vec([1, 0], 0.0)) == 0.5
+    assert eval_Lc(RANDERS, ORIGIN, vec([1, 0], 1.0)) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_q_linearity(builtin_model):
@@ -85,8 +96,8 @@ def test_q_linearity(builtin_model):
         x = fp.Point(y, 0.0)
         n1, n2 = rng.standard_normal(m), rng.standard_normal(m)
         a, b = rng.standard_normal(2)
-        lhs = fp.eval_Q(builtin_model, x, vec(a * n1 + b * n2, 0.0))
-        rhs = a * fp.eval_Q(builtin_model, x, vec(n1, 0.0)) + b * fp.eval_Q(
+        lhs = eval_Q(builtin_model, x, vec(a * n1 + b * n2, 0.0))
+        rhs = a * eval_Q(builtin_model, x, vec(n1, 0.0)) + b * eval_Q(
             builtin_model, x, vec(n2, 0.0)
         )
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -114,8 +125,8 @@ def test_action_equals_energy_pointwise_for_lorentz_finsler(builtin_model):
     for _ in range(25):
         x = fp.Point(rng.standard_normal(m), rng.standard_normal())
         v = vec(rng.standard_normal(m), rng.standard_normal())
-        lv = fp.eval_L(builtin_model, x, v)
-        ev = fp.eval_E(builtin_model, x, v)
+        lv = eval_L(builtin_model, x, v)
+        ev = eval_E(builtin_model, x, v)
         assert abs(lv - ev) <= 1e-10 * (1.0 + abs(ev))
 
 
@@ -125,18 +136,18 @@ def test_action_equals_energy_pointwise_for_lorentz_finsler(builtin_model):
 
 def test_shift_identity_at_zero():
     v = vec([1.0, 2.0], 3.0)
-    w = fp.shift_by_flow(v, 0.0)
+    w = shift_by_flow(v, 0.0)
     assert np.array_equal(w.nu, v.nu) and w.tau == v.tau
 
 
 def test_shift_flat_energy_value():
-    shifted = fp.shift_by_flow(vec([0, 0], 0.0), 1.0)
-    assert fp.eval_E(FLAT, ORIGIN, shifted) == -0.5
+    shifted = shift_by_flow(vec([0, 0], 0.0), 1.0)
+    assert eval_E(FLAT, ORIGIN, shifted) == -0.5
 
 
 def test_shift_randers_action_value():
-    shifted = fp.shift_by_flow(vec([1, 0], 0.0), 2.0)
-    assert fp.eval_L(RANDERS, ORIGIN, shifted) == pytest.approx(-0.5, abs=1e-15)
+    shifted = shift_by_flow(vec([1, 0], 0.0), 2.0)
+    assert eval_L(RANDERS, ORIGIN, shifted) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_flow_shift_identities(builtin_model):
@@ -148,13 +159,13 @@ def test_flow_shift_identities(builtin_model):
         x = fp.Point(rng.standard_normal(m), rng.standard_normal())
         v = vec(rng.standard_normal(m), rng.standard_normal())
         t = float(rng.standard_normal())
-        shifted = fp.shift_by_flow(v, t)
-        e0 = fp.eval_E(builtin_model, x, v)
-        q0 = fp.eval_Q(builtin_model, x, v)
-        n0 = fp.eval_N(builtin_model, x, v)
-        e1 = fp.eval_E(builtin_model, x, shifted)
-        l1 = fp.eval_L(builtin_model, x, shifted)
-        l0 = fp.eval_L(builtin_model, x, v)
+        shifted = shift_by_flow(v, t)
+        e0 = eval_E(builtin_model, x, v)
+        q0 = eval_Q(builtin_model, x, v)
+        n0 = eval_N(builtin_model, x, v)
+        e1 = eval_E(builtin_model, x, shifted)
+        l1 = eval_L(builtin_model, x, shifted)
+        l0 = eval_L(builtin_model, x, v)
         assert abs(e1 - e0 - t * q0 + 0.5 * t * t) < 1e-10 * (1.0 + abs(e1))
         assert abs(l1 - l0 - t * n0 + 0.5 * t * t) < 1e-10 * (1.0 + abs(l1))
 
@@ -164,18 +175,18 @@ def test_flow_shift_identities(builtin_model):
 # ---------------------------------------------------------------------------
 
 def test_is_causal_flat_boundary_and_below():
-    assert fp.is_causal(FLAT, ORIGIN, vec([1, 0], 1.0))
-    assert not fp.is_causal(FLAT, ORIGIN, vec([1, 0], 0.5))
+    assert is_causal(FLAT, ORIGIN, vec([1, 0], 1.0))
+    assert not is_causal(FLAT, ORIGIN, vec([1, 0], 0.5))
 
 
 def test_is_causal_randers_value():
-    assert fp.is_causal(RANDERS, ORIGIN, vec([1, 0], 2.0))
+    assert is_causal(RANDERS, ORIGIN, vec([1, 0], 2.0))
 
 
 def test_is_causal_rejects_non_homogeneous():
     model = fp.load_custom_model("tests/data/offset_fiber.ini")
     with pytest.raises(fp.UnsupportedModelError):
-        fp.is_causal(model, fp.Point([0, 0], 0.0), vec([1, 0], 5.0))
+        is_causal(model, fp.Point([0, 0], 0.0), vec([1, 0], 5.0))
 
 
 def test_cone_consistency(builtin_model):
@@ -193,10 +204,10 @@ def test_cone_consistency(builtin_model):
         l0 = float(builtin_model.L0(x.y[None, :], nu[None, :])[0])
         tau = om + math.sqrt(om * om + 2 * l0) + abs(rng.standard_normal())
         v = vec(nu, tau)
-        assert fp.is_causal(builtin_model, x, v)
+        assert is_causal(builtin_model, x, v)
         vsq = float(nu @ nu) + tau * tau
-        assert fp.eval_L(builtin_model, x, v) <= 1e-12 * (1.0 + vsq)
-        assert fp.eval_Q(builtin_model, x, v) <= 1e-12
+        assert eval_L(builtin_model, x, v) <= 1e-12 * (1.0 + vsq)
+        assert eval_Q(builtin_model, x, v) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +369,7 @@ def test_custom_model_file_roundtrip():
     assert not model.homogeneous
     x = fp.Point([0.0, 0.0], 0.0)
     # L0 = 1/2 |nu|^2 + 3 at zero velocity
-    assert fp.eval_L(model, x, fp.TangentVector([0, 0], 0.0)) == 3.0
+    assert eval_L(model, x, TangentVector([0, 0], 0.0)) == 3.0
 
 
 def test_polynomial_parser_rejects_garbage():
@@ -373,7 +384,7 @@ def test_non_finite_evaluator_raises():
         homogeneous=False,
     )
     with pytest.raises(fp.ModelEvaluationError):
-        fp.eval_L(model, fp.Point([2.0], 0.0), fp.TangentVector([1.0], 0.0))
+        eval_L(model, fp.Point([2.0], 0.0), TangentVector([1.0], 0.0))
 
 
 def test_endpoints_helper_sanity(builtin_model):

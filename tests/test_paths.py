@@ -9,7 +9,19 @@ import pytest
 
 import fermatpath as fp
 from fermatpath.models import parse_polynomial
-from fermatpath.paths import constraint_deviation, segment_geometry
+from fermatpath.paths import (
+    TangentField,
+    action,
+    constraint_deviation,
+    energy_integral,
+    h1_inner,
+    midpoint,
+    noether_values,
+    segment_geometry,
+    tangent_split,
+    velocity,
+    winding,
+)
 
 from conftest import endpoints_for, smooth_field, smooth_path
 
@@ -30,33 +42,33 @@ def grid(n):
 
 def test_velocity_difference_quotient():
     z = fp.DiscretePath([[0.0], [1.0], [2.0]], [0.0, 0.0, 0.0])
-    v = fp.velocity(z, 1)
+    v = velocity(z, 1)
     assert v.nu[0] == 2.0 and v.tau == 0.0
 
 
 def test_velocity_constant_interior():
     z = fp.DiscretePath([[0.0], [0.0], [1.0]], [0.0, 0.0, 0.0])
-    assert fp.velocity(z, 1).nu[0] == 0.0
+    assert velocity(z, 1).nu[0] == 0.0
 
 
 def test_velocity_cylinder_unwrap():
     period = 2 * math.pi
     z = fp.DiscretePath([[0.0, 6.2], [0.0, 0.1]], [0.0, 0.0], periods=(0.0, period))
-    v = fp.velocity(z, 1)
+    v = velocity(z, 1)
     assert v.nu[1] == pytest.approx(0.1 - 6.2 + period, rel=1e-12)
 
 
 def test_velocity_index_errors():
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 1], 0.0), 4)
     with pytest.raises(IndexError):
-        fp.velocity(z, 0)
+        velocity(z, 0)
     with pytest.raises(IndexError):
-        fp.midpoint(z, 5)
+        midpoint(z, 5)
 
 
 def test_midpoint_average():
     z = fp.DiscretePath([[0.0, 0.0], [1.0, 2.0]], [0.0, 4.0])
-    mid = fp.midpoint(z, 1)
+    mid = midpoint(z, 1)
     assert np.allclose(mid.y, [0.5, 1.0]) and mid.t == 2.0
 
 
@@ -68,16 +80,16 @@ def test_midpoint_average():
 def test_action_flat_straight_exact(n):
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([3, 4], 0.0), n)
     # constant integrand: exact up to node rounding (bitwise on dyadic grids)
-    assert fp.action(FLAT, z) == pytest.approx(12.5, rel=1e-14)
-    assert fp.energy_integral(FLAT, z) == pytest.approx(12.5, rel=1e-14)
+    assert action(FLAT, z) == pytest.approx(12.5, rel=1e-14)
+    assert energy_integral(FLAT, z) == pytest.approx(12.5, rel=1e-14)
     if n & (n - 1) == 0:
-        assert fp.action(FLAT, z) == 12.5
+        assert action(FLAT, z) == 12.5
 
 
 def test_action_time_only_path():
     p = fp.Point([0.5, 0.5], 0.0)
     z = fp.DiscretePath(np.tile(p.y, (11, 1)), grid(10) * 3.0)
-    assert fp.action(FLAT, z) == pytest.approx(-4.5, rel=1e-14)
+    assert action(FLAT, z) == pytest.approx(-4.5, rel=1e-14)
 
 
 def test_quadrature_second_order():
@@ -89,9 +101,9 @@ def test_quadrature_second_order():
         return fp.DiscretePath(y, s**3)
 
     model = fp.get_model("randers-rot(0.3)")
-    ref = fp.action(model, nodes(51200))
-    e100 = abs(fp.action(model, nodes(100)) - ref)
-    e200 = abs(fp.action(model, nodes(200)) - ref)
+    ref = action(model, nodes(51200))
+    e100 = abs(action(model, nodes(100)) - ref)
+    e200 = abs(action(model, nodes(200)) - ref)
     assert math.log2(e100 / e200) >= 1.9
 
 
@@ -101,7 +113,7 @@ def test_quadrature_second_order():
 
 def test_noether_straight_flat_zero():
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([3, 4], 0.0), 50)
-    prof = fp.noether_values(FLAT, z)
+    prof = noether_values(FLAT, z)
     assert prof.mean == 0.0 and prof.max_deviation == 0.0
 
 
@@ -109,7 +121,7 @@ def test_noether_quadratic_time_profile():
     n = 10
     s = grid(n)
     z = fp.DiscretePath(np.stack([s, np.zeros(n + 1)], axis=1), s**2)
-    prof = fp.noether_values(FLAT, z)
+    prof = noether_values(FLAT, z)
     mids = 0.5 * (s[:-1] + s[1:])
     assert np.allclose(prof.values, -2 * mids, rtol=1e-12)
     assert prof.max_deviation > 0.1
@@ -121,7 +133,7 @@ def test_project_quadratic_profile_becomes_linear():
     z = fp.DiscretePath(np.stack([s, np.zeros(n + 1)], axis=1), s**2)
     proj = fp.project_to_N(FLAT, z)
     assert np.allclose(proj.t, s, atol=1e-14)
-    prof = fp.noether_values(FLAT, proj)
+    prof = noether_values(FLAT, proj)
     assert prof.max_deviation < 1e-12
     assert prof.mean == pytest.approx(-1.0, rel=1e-12)
 
@@ -146,7 +158,7 @@ def test_project_preserves_y_and_endpoints_bitwise():
     proj = fp.project_to_N(model, z)
     assert proj.y is not y and np.array_equal(proj.y, y)
     assert proj.t[0] == t[0] and proj.t[-1] == t[-1]
-    assert fp.noether_values(model, proj).max_deviation < 1e-12
+    assert noether_values(model, proj).max_deviation < 1e-12
 
 
 def test_project_randers_rot_circular_path():
@@ -156,7 +168,7 @@ def test_project_randers_rot_circular_path():
     y = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     z = fp.DiscretePath(y, np.zeros(n + 1))
     proj = fp.project_to_N(model, z)
-    assert fp.noether_values(model, proj).max_deviation < 1e-12
+    assert noether_values(model, proj).max_deviation < 1e-12
     assert np.array_equal(proj.y, z.y)
 
 
@@ -170,7 +182,7 @@ def test_split_recombination_exact():
     p, q = endpoints_for(model)
     z = smooth_path(model, p, q, 60, rng)
     delta = smooth_field(2, 60, rng)
-    xi, mu = fp.tangent_split(model, z, delta)
+    xi, mu = tangent_split(model, z, delta)
     assert mu[0] == 0.0 and mu[-1] == 0.0
     err = max(
         float(np.max(np.abs(xi.y - delta.y))),
@@ -185,8 +197,8 @@ def test_split_of_symmetry_direction_field():
     n = 40
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 0], 0.0), n)
     bump = np.sin(np.pi * grid(n))
-    delta = fp.TangentField(np.zeros((n + 1, 2)), bump)
-    xi, mu = fp.tangent_split(FLAT, z, delta)
+    delta = TangentField(np.zeros((n + 1, 2)), bump)
+    xi, mu = tangent_split(FLAT, z, delta)
     assert np.allclose(xi.t, 0.0, atol=1e-14)
     assert np.allclose(xi.y, 0.0)
     assert np.allclose(mu, delta.t, atol=1e-14)
@@ -197,8 +209,8 @@ def test_split_tangent_field_passes_through():
     model = fp.get_model("randers-rot(0.3)")
     p, q = endpoints_for(model)
     z = smooth_path(model, p, q, 60, rng)
-    xi, _ = fp.tangent_split(model, z, smooth_field(2, 60, rng))
-    xi2, mu2 = fp.tangent_split(model, z, xi)
+    xi, _ = tangent_split(model, z, smooth_field(2, 60, rng))
+    xi2, mu2 = tangent_split(model, z, xi)
     assert np.allclose(mu2, 0.0, atol=1e-12)
     assert np.allclose(xi2.t, xi.t, atol=1e-12)
 
@@ -208,7 +220,7 @@ def test_split_requires_constrained_path():
     s = grid(n)
     z = fp.DiscretePath(np.stack([s, s], axis=1), s**2)  # nonconstant charge
     with pytest.raises(fp.ConstraintViolationError):
-        fp.tangent_split(FLAT, z, fp.TangentField(np.zeros((n + 1, 2)), np.zeros(n + 1)))
+        tangent_split(FLAT, z, TangentField(np.zeros((n + 1, 2)), np.zeros(n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +229,14 @@ def test_split_requires_constrained_path():
 
 def test_h1_inner_zero():
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 0], 0.0), 2)
-    zero = fp.TangentField(np.zeros((3, 2)), np.zeros(3))
-    assert fp.h1_inner(z, zero, zero) == 0.0
+    zero = TangentField(np.zeros((3, 2)), np.zeros(3))
+    assert h1_inner(z, zero, zero) == 0.0
 
 
 def test_h1_inner_tent():
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 0], 0.0), 2)
-    tent = fp.TangentField(np.array([[0.0, 0], [1.0, 0], [0.0, 0]]), np.zeros(3))
-    assert fp.h1_inner(z, tent, tent) == 4.0
+    tent = TangentField(np.array([[0.0, 0], [1.0, 0], [0.0, 0]]), np.zeros(3))
+    assert h1_inner(z, tent, tent) == 4.0
 
 
 def test_h1_inner_bilinear():
@@ -234,11 +246,11 @@ def test_h1_inner_bilinear():
     d1 = smooth_field(2, n, rng)
     d2 = smooth_field(2, n, rng)
     a = 2.75
-    scaled = fp.TangentField(a * d1.y, a * d1.t)
-    assert fp.h1_inner(z, scaled, d2) == pytest.approx(
-        a * fp.h1_inner(z, d1, d2), rel=1e-13
+    scaled = TangentField(a * d1.y, a * d1.t)
+    assert h1_inner(z, scaled, d2) == pytest.approx(
+        a * h1_inner(z, d1, d2), rel=1e-13
     )
-    assert fp.h1_inner(z, d1, d2) == pytest.approx(fp.h1_inner(z, d2, d1), rel=1e-13)
+    assert h1_inner(z, d1, d2) == pytest.approx(h1_inner(z, d2, d1), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +262,7 @@ def test_apply_flow_identity_and_endpoint():
     assert np.array_equal(fp.apply_flow(z, 0.0).t, z.t)
     moved = fp.apply_flow(z, 5.0)
     assert moved.t[-1] == 5.0
-    prof = fp.noether_values(FLAT, moved)
+    prof = noether_values(FLAT, moved)
     assert prof.mean == pytest.approx(-5.0, rel=1e-13)
     assert prof.max_deviation < 1e-12
 
@@ -275,13 +287,13 @@ def test_discrete_shift_laws(builtin_model):
     rng = np.random.default_rng(16)
     p, q = endpoints_for(builtin_model)
     z = smooth_path(builtin_model, p, q, 64, rng)
-    qbar = fp.noether_values(builtin_model, z).mean
-    e0 = fp.energy_integral(builtin_model, z)
+    qbar = noether_values(builtin_model, z).mean
+    e0 = energy_integral(builtin_model, z)
     for t in (-1.3, 0.4, 2.0):
         zt = fp.apply_flow(z, t)
-        e1 = fp.energy_integral(builtin_model, zt)
+        e1 = energy_integral(builtin_model, zt)
         assert abs(e1 - e0 - t * qbar + 0.5 * t * t) < 1e-9 * (1.0 + abs(e0))
-        q1 = fp.noether_values(builtin_model, zt).mean
+        q1 = noether_values(builtin_model, zt).mean
         assert abs(q1 - (qbar - t)) < 1e-12
 
 
@@ -300,12 +312,12 @@ def test_winding_of_wrapped_lift():
     q = fp.Point([1, 1], 0.0)
     for k in (-2, 0, 3):
         z = fp.straight_path(p, q, 50, model.periods, extra_wraps=[0, k])
-        assert fp.winding(z) == (0, k)
+        assert winding(z) == (0, k)
 
 
 def test_winding_trivial_on_euclidean():
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 1], 0.0), 10)
-    assert fp.winding(z) == (0, 0)
+    assert winding(z) == (0, 0)
 
 
 def test_path_roundtrip_bit_exact(tmp_path):
@@ -319,7 +331,7 @@ def test_path_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(loaded.y, z.y)
     assert np.array_equal(loaded.t, z.t)
     assert loaded.periods == z.periods
-    assert fp.action(model, loaded) == fp.action(model, z)
+    assert action(model, loaded) == action(model, z)
 
 
 def _save_path_per_row(path, filename):
