@@ -74,6 +74,11 @@ class ArrivalEvaluation:
     kappa: float
     branch_valid: bool
 
+    def time(self, sigma: float) -> float:
+        """The arrival time of the branch with sign sigma (branch_sign):
+        Q_bar + sigma * S, bitwise t_plus for +1.0 and t_minus for -1.0."""
+        return self.Q_bar + sigma * self.S
+
 
 @dataclass(frozen=True)
 class FunctionalGradient:
@@ -100,6 +105,16 @@ def D_functional(model: StationaryModel, path: DiscretePath) -> float:
     """Quadrature of the charge offset d along the path."""
     mid_y, _, _, _ = segment_geometry(path)
     return float(np.sum(model.d_offset(mid_y)) / path.segments)
+
+
+def branch_sign(branch: str) -> float:
+    """The sign sigma of an arrival branch: +1.0 for "plus", -1.0 for "minus".
+
+    Any other value raises ValueError.
+    """
+    if branch not in ("plus", "minus"):
+        raise ValueError(f"branch must be 'plus' or 'minus', not {branch!r}")
+    return 1.0 if branch == "plus" else -1.0
 
 
 def kappa_admissible_bound(model: StationaryModel) -> Optional[float]:
@@ -204,18 +219,17 @@ def _require_tangent(model, path, delta):
         )
 
 
-def _arrival_partials(model, state, arr: ArrivalEvaluation, branch: str,
+def _arrival_partials(model, state, arr: ArrivalEvaluation, sigma: float,
                       domega_dy=None, w=None):
-    """Per-segment partials of t_plus or t_minus by the chain rule.
+    """Per-segment partials of the arrival time of sign sigma by the chain rule.
 
     `domega_dy` and `w` (omega coefficients) may be passed when already
     evaluated at the state.
     """
     if not arr.branch_valid:
         raise AdmissibilityError("arrival branch degenerate: discriminant at the floor")
-    sign = 1.0 if branch == "plus" else -1.0
-    coef_q = 1.0 + sign * arr.Q_bar / arr.S
-    coef_e = sign / arr.S
+    coef_q = 1.0 + sigma * arr.Q_bar / arr.S
+    coef_e = sigma / arr.S
     PQ, VQ, wQ = _functional_partials(model, state, "Q", domega_dy=domega_dy, w=w)
     PE, VE, wE = _functional_partials(
         model, state, "E", omega=state.omega, domega_dy=domega_dy, w=w
@@ -227,21 +241,21 @@ def _arrival_partials(model, state, arr: ArrivalEvaluation, branch: str,
     )
 
 
-def _directional_arrival(model, path, kappa, delta, branch):
+def _directional_arrival(model, path, kappa, delta, sigma):
     state = path_state(model, path)
     arr = arrival_times(model, state, kappa)
     _require_tangent(model, state, delta)
-    P, V, w = _arrival_partials(model, state, arr, branch)
+    P, V, w = _arrival_partials(model, state, arr, sigma)
     return _directional_value(state, delta, P, V, w)
 
 
 def dt_plus(model, path, kappa, delta: TangentField) -> float:
     """Directional derivative of t_plus along a constraint-tangent variation."""
-    return _directional_arrival(model, path, kappa, delta, "plus")
+    return _directional_arrival(model, path, kappa, delta, 1.0)
 
 
 def dt_minus(model, path, kappa, delta: TangentField) -> float:
-    return _directional_arrival(model, path, kappa, delta, "minus")
+    return _directional_arrival(model, path, kappa, delta, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +339,12 @@ def arrival_gradient(model, path, kappa, branch: str = "plus") -> FunctionalGrad
     domega_dy and the omega coefficients are evaluated once here and shared
     by the arrival partials, the lift adjoint and the tangent split.
     """
+    sigma = branch_sign(branch)
     state = path_state(model, path)
     arr = arrival_times(model, state, kappa)
     domega_dy = model.domega_dy(state.mid_y, state.vel_y)
     w = omega_coeffs(model, state.mid_y)
-    P, V, wt = _arrival_partials(model, state, arr, branch, domega_dy, w)
+    P, V, wt = _arrival_partials(model, state, arr, sigma, domega_dy, w)
     coeffs = linearized_charge_coeffs(model, state, domega_dy, w)
     del domega_dy, w  # coeffs keeps what the lift needs; free the rest early
     return _restricted_gradient(model, state, P, V, wt, coeffs)
@@ -344,17 +359,14 @@ def criticality_residual(model, path, kappa, branch: str = "plus") -> float:
     gap contributes exact zeros, so the residual reduces to the plain
     gradient norm of the arrival time.
     """
+    sigma = branch_sign(branch)
     state = path_state(model, path)
     arr = arrival_times(model, state, kappa)
-    P, V, w = _arrival_partials(model, state, arr, branch)
+    P, V, w = _arrival_partials(model, state, arr, sigma)
     Pg, Vg, wg = _functional_partials(model, state, "gap")
     PD, VD, wD = _functional_partials(model, state, "D")
-    if branch == "plus":
-        # residual = dt_plus - (dE - dL - t_plus * dD) / S
-        cg, cd = -1.0 / arr.S, arr.t_plus / arr.S
-    else:
-        # residual = dt_minus - (dL - dE + t_minus * dD) / S
-        cg, cd = 1.0 / arr.S, -arr.t_minus / arr.S
+    # residual = dt_sigma - sigma * (dE - dL - t_sigma * dD) / S
+    cg, cd = -sigma / arr.S, sigma * arr.time(sigma) / arr.S
     grad = _restricted_gradient(
         model, state, P + cg * Pg + cd * PD, V + cg * Vg + cd * VD, w + cg * wg + cd * wD
     )

@@ -14,7 +14,10 @@ A scenario is a flat key = value file with these sections and keys:
     [output]     dir
 
 An unknown section or key is a parse error.  A relative `[model] file` is
-looked up next to the scenario file first, then in the working directory.
+looked up next to the scenario file first, then in the working directory;
+models.load_custom_model describes the model file, which is read the same
+strict way.  '#' starts a comment anywhere on a line; ';' starts one only
+at the start of a line, because it also separates the region intervals.
 
 Outputs are plot-ready CSV (17-significant-digit decimals, comma
 delimited, mandatory header) plus structured-text records with path sidecar
@@ -28,7 +31,6 @@ converged record.
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -44,6 +46,7 @@ from .models import (
     ValidationReport,
     get_model,
     load_custom_model,
+    read_ini,
     validate_assumptions,
 )
 from .paths import save_path
@@ -105,19 +108,7 @@ def parse_scenario(
     rng_seed: Optional[int] = None,
 ) -> Scenario:
     """Read a scenario file; command-line overrides win over file values."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        if not cp.read(path):
-            raise ScenarioError(f"cannot read scenario file {path!r}")
-    except configparser.Error as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-    for section in cp.sections():
-        if section not in _SCENARIO_KEYS:
-            raise ScenarioError(f"{path}: unknown section [{section}]")
-        for key in cp.options(section):
-            if key not in _SCENARIO_KEYS[section]:
-                raise ScenarioError(f"{path}: unknown key [{section}] {key}")
+    cp = read_ini(path, _SCENARIO_KEYS, "scenario file")
 
     def need(section, key):
         if not cp.has_option(section, key):

@@ -18,6 +18,7 @@ to share across concurrent workers.
 """
 from __future__ import annotations
 
+import configparser
 import math
 import re
 from dataclasses import dataclass, replace
@@ -120,17 +121,12 @@ class ValidationReport:
 # construction helpers
 # ---------------------------------------------------------------------------
 
-def _zeros_fiber(y, nu):
+def _zeros(y, nu=None):
     return np.zeros(np.asarray(y).shape[0])
 
 
 def _zeros_grad(y, nu=None):
-    y = np.asarray(y)
-    return np.zeros_like(y)
-
-
-def _zeros_base(y):
-    return np.zeros(np.asarray(y).shape[0])
+    return np.zeros_like(np.asarray(y))
 
 
 def _central_diff(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
@@ -169,10 +165,10 @@ def build_model(
     """Assemble a model, filling absent derivatives with central differences."""
     linear = d_offset is None
     if omega is None:
-        omega = _zeros_fiber
+        omega = _zeros
         domega_dy = _zeros_grad
     if d_offset is None:
-        d_offset = _zeros_base
+        d_offset = _zeros
         dd_dy = _zeros_grad
     if dL0_dy is None:
         dL0_dy = lambda y, nu: _central_diff(lambda yy: L0(yy, nu), y)
@@ -484,7 +480,8 @@ def validate_assumptions(
 # polynomial models
 # ---------------------------------------------------------------------------
 
-_TERM_SPLIT = re.compile(r"(?=[+-])")
+# A sign starts a new term unless it is an exponent's sign (1e-3, 2.5E+1).
+_TERM_SPLIT = re.compile(r"(?<![eE])(?=[+-])")
 _FACTOR = re.compile(r"^(y|nu)(\d+)(?:\^(\d+))?$")
 
 
@@ -615,15 +612,19 @@ def polynomial_model(
     d_poly: Optional[Polynomial] = None,
     *,
     periods: Optional[Sequence[float]] = None,
-    homogeneous: Optional[bool] = None,
     name: str = "",
 ) -> StationaryModel:
+    """A model with polynomial L0, omega and d and exact derivatives.
+
+    The model is marked 2-homogeneous when every L0 term has degree 2 in
+    nu, so it is never marked so wrongly.  An L0 with like terms that cancel
+    (say + 3 - 3) is marked inhomogeneous; the general E0 path is exact for
+    it all the same.
+    """
     if omega_poly is not None and omega_poly.max_nu_degree() > 1:
         raise ScenarioError("omega must be linear in nu")
     if d_poly is not None and d_poly.max_nu_degree() > 0:
         raise ScenarioError("d must not depend on nu")
-    if homogeneous is None:
-        homogeneous = L0_poly.is_homogeneous_degree2()
     E0 = L0_poly.energy()
     has_d = d_poly is not None and len(d_poly.terms) > 0
     return build_model(
@@ -637,7 +638,7 @@ def polynomial_model(
         dd_dy=(lambda y: d_poly.grad_eval("y", y)) if has_d else None,
         dE0_dy=lambda y, nu: E0.grad_eval("y", y, nu),
         dE0_dnu=lambda y, nu: E0.grad_eval("nu", y, nu),
-        homogeneous=homogeneous,
+        homogeneous=L0_poly.is_homogeneous_degree2(),
         periods=periods,
         name=name,
     )
@@ -743,61 +744,90 @@ def _split_args(argtext: str) -> list[str]:
     return parts
 
 
+# Registry head -> (fewest, most) arguments.
+_ARITY = {"flat": (0, 1), "randers-const": (1, math.inf), "randers-rot": (1, 1),
+          "cylinder": (1, 1), "affine": (2, 2), "affine-field": (2, math.inf)}
+
+
 def get_model(spec: str) -> StationaryModel:
     """Resolve a registry spec string to a model.
 
     Supported: flat, flat(m), randers-const(b1,..,bm), randers-rot(b),
-    cylinder(R), affine(base, c0), affine-field(base, <d polynomial>),
-    custom(<definition file>).
+    cylinder(R), affine(base, c0), affine-field(base, <d polynomial>).
+    A polynomial model file loads through load_custom_model instead.  An
+    unknown head or a wrong number of arguments raises ScenarioError.
     """
     spec = spec.strip()
     m = re.match(r"^([a-zA-Z-]+)\s*(?:\((.*)\))?$", spec, re.S)
     if not m:
         raise ScenarioError(f"cannot parse model spec {spec!r}")
     head, argtext = m.group(1), m.group(2) or ""
+    if head not in _ARITY:
+        raise ScenarioError(f"unknown model {head!r}")
     args = _split_args(argtext)
+    lo, hi = _ARITY[head]
+    if not lo <= len(args) <= hi:
+        raise ScenarioError(f"{head} does not take {len(args)} arguments: {spec!r}")
     try:
         if head == "flat":
             return flat_model(int(args[0]) if args else 2)
         if head == "randers-const":
-            if not args:
-                raise ScenarioError("randers-const needs drift components")
             return randers_const_model([float(a) for a in args])
         if head == "randers-rot":
             return randers_rot_model(float(args[0]))
         if head == "cylinder":
             return cylinder_model(float(args[0]))
+        base = get_model(args[0])
         if head == "affine":
-            base = get_model(args[0])
             c0 = float(args[1])
             d = Polynomial(base.dim, [Monomial(c0, (0,) * base.dim, (0,) * base.dim)])
             return affine_model(base, d, name=f"affine({base.name},{c0:g})")
-        if head == "affine-field":
-            base = get_model(args[0])
-            d = parse_polynomial(",".join(args[1:]), base.dim)
-            return affine_model(base, d, name=f"affine-field({base.name})")
-        if head == "custom":
-            return load_custom_model(argtext.strip())
-    except (IndexError, ValueError) as exc:
+        d = parse_polynomial(",".join(args[1:]), base.dim)
+        return affine_model(base, d, name=f"affine-field({base.name})")
+    except ValueError as exc:
         raise ScenarioError(f"bad arguments in model spec {spec!r}: {exc}") from exc
-    raise ScenarioError(f"unknown model {head!r}")
+
+
+def read_ini(path: str, keys: dict, what: str) -> configparser.ConfigParser:
+    """Read a strict key = value file: scenarios and model definitions alike.
+
+    `keys` maps each allowed section to its allowed keys, lower-case (keys
+    are case-insensitive).  A file that cannot be read or parsed, an unknown
+    section and an unknown key each raise ScenarioError; `what` names the
+    kind of file in the "cannot read" message.  '#' starts a comment anywhere
+    on a line; ';' starts one only at the start of a line, because it also
+    separates values such as region intervals.
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        if not cp.read(path):
+            raise ScenarioError(f"cannot read {what} {path!r}")
+    except configparser.Error as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    for section in cp.sections():
+        if section not in keys:
+            raise ScenarioError(f"{path}: unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in keys[section]:
+                raise ScenarioError(f"{path}: unknown key [{section}] {key}")
+    return cp
+
+
+# Model definition files: one [model] section with these keys.
+_MODEL_KEYS = {"model": ("dim", "l0", "omega", "d", "topology")}
 
 
 def load_custom_model(path: str) -> StationaryModel:
-    """Load a model from a key = value definition file.
+    """Load a polynomial model from a key = value definition file.
 
-    Recognized keys: dim (required), L0 (required), omega, d, topology
-    ("euclidean" or space-separated per-coordinate periods), homogeneous
-    (optional; inferred from the L0 terms when absent).
+    The file holds one [model] section with the keys dim (required), L0
+    (required), omega, d (polynomials in y1..ym and nu1..num, default 0) and
+    topology ("euclidean" or space-separated per-coordinate periods).  Any
+    other section or key is a ScenarioError, so the command line exits 2.
+    Whether L0 is 2-homogeneous is read off its terms (polynomial_model).
     """
-    import configparser
-
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ScenarioError(f"cannot read model definition {path!r}")
-    section = cp.sections()[0] if cp.sections() else configparser.DEFAULTSECT
-    sec = cp[section]
+    cp = read_ini(path, _MODEL_KEYS, "model definition")
+    sec = cp["model"] if cp.has_section("model") else {}
     try:
         dim = int(sec["dim"])
         L0 = parse_polynomial(sec["L0"], dim)
@@ -811,13 +841,10 @@ def load_custom_model(path: str) -> StationaryModel:
         periods = [float(x) for x in topo.replace("cylinder", "").strip("() ").split()]
         if len(periods) != dim:
             raise ScenarioError(f"topology needs {dim} periods, got {len(periods)}")
-    homogeneous = None
-    if "homogeneous" in sec:
-        homogeneous = sec.getboolean("homogeneous")
     return polynomial_model(
         dim, L0,
         omega_poly=omega if omega.terms else None,
         d_poly=d if d.terms else None,
-        periods=periods, homogeneous=homogeneous,
+        periods=periods,
         name=f"custom({path})",
     )

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .arrival import ArrivalEvaluation, arrival_gradient, arrival_times
+from .arrival import ArrivalEvaluation, arrival_gradient, arrival_times, branch_sign
 from .errors import AdmissibilityError, ModelEvaluationError
 from .models import Point, StationaryModel, chart_E, chart_partials
 from .paths import (
@@ -186,11 +186,10 @@ def conservation_check(model: StationaryModel, geodesic: DiscretePath, kappa: fl
 # seeding
 # ---------------------------------------------------------------------------
 
-def _perturbed_path(p, q, n, periods, rng, amplitude=None):
+def _perturbed_path(p, q, n, periods, rng):
     """Straight lift plus a low-order random Fourier bump (endpoints fixed)."""
     base = straight_path(p, q, n, periods)
-    diam = float(np.linalg.norm(q.y - p.y)) or 1.0
-    amp = amplitude if amplitude is not None else 0.25 * diam
+    amp = 0.25 * (float(np.linalg.norm(q.y - p.y)) or 1.0)
     s = np.arange(n + 1) / n
     y = base.y.copy()
     for j in range(y.shape[1]):
@@ -251,13 +250,9 @@ def _descend(model, path, kappa, opts, branch):
     Returns (path, arrival, iters, converged) with the final iterate as a
     plain DiscretePath: the states of the iterates end with this call.
     """
-    sign = 1.0 if branch == "plus" else -1.0
-
-    def objective(arr: ArrivalEvaluation) -> float:
-        return arr.t_plus if branch == "plus" else -arr.t_minus
-
+    sigma = branch_sign(branch)  # the objective is sigma * t_sigma
     arr = arrival_times(model, path, kappa)
-    f_val = objective(arr)
+    f_val = sigma * arr.time(sigma)
     converged = False
     iters = 0
     trial = FIRST_STEP
@@ -274,14 +269,14 @@ def _descend(model, path, kappa, opts, branch):
         for _ in range(60):
             # A rejected trial's state ends before the next trial is built.
             cand = arr_new = None
-            y_new = path.y - sign * step * grad.field.y
+            y_new = path.y - sigma * step * grad.field.y
             cand = project_to_N(model, DiscretePath(y_new, path.t, path.periods))
             try:
                 arr_new = arrival_times(model, cand, kappa)
             except AdmissibilityError:
                 step *= STEP_SHRINK
                 continue
-            f_new = objective(arr_new)
+            f_new = sigma * arr_new.time(sigma)
             # Armijo test.  The constant, step and slope are >= 0, so an
             # accepted f_new is <= f_val exactly: the objective never increases.
             if f_new <= f_val - SUFFICIENT_DECREASE * step * slope:
@@ -320,11 +315,13 @@ def minimize_arrival(
 
     Armijo-backtracked projected gradient descent with the H1 metric.  The
     "plus" branch minimizes the future arrival t_plus; "minus" maximizes
-    t_minus (the latest past arrival of the time-reversed problem).  The
-    accepted objective sequence is nonincreasing by construction.  Returns a
-    record with the reconstructed trajectory and certification residuals;
-    non-convergence within max_iters is reported, never clamped.
+    t_minus (the latest past arrival of the time-reversed problem); any
+    other branch raises ValueError.  The accepted objective sequence is
+    nonincreasing by construction.  Returns a record with the reconstructed
+    trajectory and certification residuals; non-convergence within
+    max_iters is reported, never clamped.
     """
+    sigma = branch_sign(branch)
     opts = opts or SolverOptions()
     p = p if isinstance(p, Point) else Point(*p)
     q = q if isinstance(q, Point) else Point(*q)
@@ -341,8 +338,7 @@ def minimize_arrival(
         kappa, opts, branch,
     )
 
-    t_arr = arr.t_plus if branch == "plus" else arr.t_minus
-    geo = apply_flow(path, t_arr)
+    geo = apply_flow(path, arr.time(sigma))
     res = el_residual(model, geo)
     energy_dev, noether_dev = conservation_check(model, geo, kappa)
     return SolutionRecord(
@@ -375,8 +371,10 @@ def multi_start(
     Records are merged when they share the winding class and their arrival
     times agree within DUPLICATE_TOL (the one with the smaller stationarity
     residual is kept).  Per-seed failures, including a model that evaluates
-    to a non-finite value, are logged, not fatal.
+    to a non-finite value, are logged, not fatal; a bad branch raises
+    ValueError before any seed runs.
     """
+    sigma = branch_sign(branch)
     opts = opts or SolverOptions()
     records: list[SolutionRecord] = []
     for idx, spec in enumerate(seeds):
@@ -390,7 +388,7 @@ def multi_start(
             log.warning("seed %r failed: %s", spec, exc)
             continue
         records.append(rec)
-    key = (lambda r: r.t_plus) if branch == "plus" else (lambda r: -r.t_minus)
+    key = lambda r: sigma * r.arrival.time(sigma)
     records.sort(key=lambda r: (key(r), r.el_residual))
     merged: list[SolutionRecord] = []
     for rec in records:

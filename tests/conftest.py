@@ -1,10 +1,16 @@
 """Shared builders for the test suite."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fermatpath as fp
 from fermatpath.paths import TangentField
 
+
+# Test data, looked up next to this file so the suite runs from any directory.
+DATA = Path(__file__).parent / "data"
+OFFSET_FIBER = str(DATA / "offset_fiber.ini")
 
 BUILTIN_SPECS = [
     "flat",

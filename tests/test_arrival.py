@@ -14,6 +14,7 @@ from fermatpath.arrival import (
     Q_functional,
     _h1_solve,
     arrival_gradient,
+    branch_sign,
     dt_minus,
     dt_plus,
 )
@@ -27,7 +28,7 @@ from fermatpath.paths import (
     tangent_split,
 )
 
-from conftest import BUILTIN_SPECS, endpoints_for, smooth_field, smooth_path
+from conftest import BUILTIN_SPECS, OFFSET_FIBER, endpoints_for, smooth_field, smooth_path
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -278,6 +279,15 @@ def test_randers_arrival_flat_is_length():
     assert fp.randers_arrival(FLAT, nodes) == pytest.approx(5.0, rel=1e-14)
 
 
+def test_arrival_time_of_sign_is_the_branch_bitwise(builtin_model):
+    p, q = endpoints_for(builtin_model)
+    path = smooth_path(builtin_model, p, q, 40, np.random.default_rng(3))
+    arr = fp.arrival_times(builtin_model, path, -0.5)
+    for branch, t in (("plus", arr.t_plus), ("minus", arr.t_minus)):
+        got = arr.time(branch_sign(branch))
+        assert np.float64(got).view(np.uint64) == np.float64(t).view(np.uint64)
+
+
 def test_randers_arrival_drift_asymmetry():
     forward = fp.randers_arrival(RANDERS, np.array([[0.0, 0.0], [1.0, 0.0]]))
     backward = fp.randers_arrival(RANDERS, np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -288,7 +298,7 @@ def test_randers_arrival_drift_asymmetry():
 def test_randers_arrival_rejects_affine_and_inhomogeneous():
     with pytest.raises(fp.UnsupportedModelError):
         fp.randers_arrival(fp.get_model("affine(flat, 1.0)"), np.zeros((2, 2)))
-    model = fp.load_custom_model("tests/data/offset_fiber.ini")
+    model = fp.load_custom_model(OFFSET_FIBER)
     with pytest.raises(fp.UnsupportedModelError):
         fp.randers_arrival(model, np.zeros((2, 2)))
 

@@ -22,6 +22,8 @@ from fermatpath.cli import (
 from fermatpath.paths import energy_integral
 from fermatpath.solve import multi_start
 
+from conftest import OFFSET_FIBER
+
 
 FLAT_SCENARIO = """\
 [model]
@@ -153,6 +155,31 @@ def test_malformed_problem_exits_2(tmp_path, capsys, problem, message):
     assert err.startswith(f"error: {f}: ") and message in err
 
 
+def test_semicolon_is_a_comment_only_at_line_start(tmp_path):
+    """';' after a space separates region intervals; '#' starts an inline
+    comment; a line starting with ';' is a comment."""
+    text = FLAT_SCENARIO.format(kappa="0", segments=10).replace(
+        "kappa = 0\n", "kappa = 0  # level\n; a comment line\nregion = -1 4 ; 0 5\n"
+    )
+    scen = parse_scenario(write_scenario(tmp_path, text))
+    assert scen.region == ((-1.0, 4.0), (0.0, 5.0))
+    assert scen.kappas == (0.0,)
+
+
+def test_model_file_unknown_key_exits_2(tmp_path, capsys):
+    model = write_scenario(
+        tmp_path, "[model]\ndim = 2\nL0 = 0.5 nu1^2 + 0.5 nu2^2 + 3\nomgea = 0.2 nu1\n",
+        name="m.ini",
+    )
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nfile = {model}\n[endpoints]\np_y = 0 0\nq_y = 1 0\n"
+        "[problem]\nkappa = -4\n",
+    )
+    assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {model}: unknown key [model] omgea\n"
+
+
 def test_model_file_resolved_next_to_scenario(tmp_path, monkeypatch):
     """Run from another directory: a relative [model] file names a file
     beside the scenario, not in the working directory."""
@@ -200,7 +227,7 @@ def test_validate_rejects_positive_kappa(tmp_path, capsys):
 
 def test_validate_offset_fiber_bound(tmp_path):
     text = (
-        "[model]\nfile = tests/data/offset_fiber.ini\n"
+        f"[model]\nfile = {OFFSET_FIBER}\n"
         "[endpoints]\np_y = 0 0\nq_y = 1 0\n"
         "[problem]\nkappa = -2\n"
     )

@@ -1,5 +1,6 @@
 """Pointwise model evaluation: chart formulas, flow-shift identities,
 charge linearity, causal cone, sampled assumption checks, and the registry."""
+import inspect
 import math
 
 import numpy as np
@@ -16,10 +17,11 @@ from fermatpath.models import (
     eval_Q,
     is_causal,
     omega_coeffs,
+    polynomial_model,
     shift_by_flow,
 )
 
-from conftest import endpoints_for
+from conftest import OFFSET_FIBER, endpoints_for
 
 
 FLAT = fp.get_model("flat")
@@ -53,7 +55,7 @@ def test_eval_E_flat_homogeneous_shortcut():
 
 
 def test_eval_E_zero_velocity_is_minus_L0():
-    model = fp.load_custom_model("tests/data/offset_fiber.ini")
+    model = fp.load_custom_model(OFFSET_FIBER)
     x = fp.Point([0.3, -0.2], 0.0)
     e0 = eval_E(model, x, vec([0, 0], 0.0))
     l0 = eval_L(model, x, vec([0, 0], 0.0))
@@ -184,7 +186,7 @@ def test_is_causal_randers_value():
 
 
 def test_is_causal_rejects_non_homogeneous():
-    model = fp.load_custom_model("tests/data/offset_fiber.ini")
+    model = fp.load_custom_model(OFFSET_FIBER)
     with pytest.raises(fp.UnsupportedModelError):
         is_causal(model, fp.Point([0, 0], 0.0), vec([1, 0], 5.0))
 
@@ -311,7 +313,7 @@ def test_validate_randers_margin_positive():
 
 
 def test_validate_offset_fiber_bound():
-    model = fp.load_custom_model("tests/data/offset_fiber.ini")
+    model = fp.load_custom_model(OFFSET_FIBER)
     rep = fp.validate_assumptions(model, [(-1, 1), (-1, 1)], 300, rng_seed=2)
     assert rep.supL0_at_zero == pytest.approx(3.0, rel=1e-12)
     assert rep.kappa_admissible_bound == pytest.approx(-3.0, rel=1e-12)
@@ -348,6 +350,20 @@ def test_registry_rejects_unknown():
         fp.get_model("schwarzschild")
 
 
+@pytest.mark.parametrize(
+    "spec", ["randers-rot(0.3, 9)", "cylinder(1, 2)", "flat(2, 7)", "affine(flat, 2, 5)"]
+)
+def test_registry_rejects_extra_arguments(spec):
+    with pytest.raises(fp.ScenarioError, match="does not take"):
+        fp.get_model(spec)
+
+
+def test_registry_has_no_custom_head():
+    """A model file is named one way: load_custom_model or [model] file."""
+    with pytest.raises(fp.ScenarioError, match="unknown model 'custom'"):
+        fp.get_model(f"custom({OFFSET_FIBER})")
+
+
 def test_cylinder_periods():
     model = fp.get_model("cylinder(1)")
     assert model.periods == (0.0, 2 * math.pi)
@@ -364,12 +380,39 @@ def test_affine_field_offset_values():
 
 
 def test_custom_model_file_roundtrip():
-    model = fp.load_custom_model("tests/data/offset_fiber.ini")
+    model = fp.load_custom_model(OFFSET_FIBER)
     assert model.dim == 2
     assert not model.homogeneous
     x = fp.Point([0.0, 0.0], 0.0)
     # L0 = 1/2 |nu|^2 + 3 at zero velocity
     assert eval_L(model, x, TangentVector([0, 0], 0.0)) == 3.0
+
+
+def write_model(tmp_path, body):
+    f = tmp_path / "model.ini"
+    f.write_text(body)
+    return str(f)
+
+
+def test_homogeneity_is_read_off_L0(tmp_path):
+    assert "homogeneous" not in inspect.signature(polynomial_model).parameters
+    f = write_model(tmp_path, "[model]\ndim = 2\nL0 = 0.5 nu1^2 + 0.5 nu2^2 + 0.1 y1 nu1 nu2\n")
+    assert fp.load_custom_model(f).homogeneous
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("homogeneous = true\n", "unknown key [model] homogeneous"),
+        ("omgea = 0.2 nu1\n", "unknown key [model] omgea"),
+        ("[fiber]\nomega = 0.2 nu1\n", "unknown section [fiber]"),
+    ],
+)
+def test_model_file_rejects_unknown_keys(tmp_path, extra, message):
+    f = write_model(tmp_path, "[model]\ndim = 2\nL0 = 0.5 nu1^2 + 0.5 nu2^2 + 3\n" + extra)
+    with pytest.raises(fp.ScenarioError) as info:
+        fp.load_custom_model(f)
+    assert str(info.value) == f"{f}: {message}"
 
 
 def test_polynomial_parser_rejects_garbage():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
-from fermatpath.models import parse_polynomial
+from fermatpath.models import Monomial, parse_polynomial
 from fermatpath.paths import (
     TangentField,
     action,
@@ -431,6 +431,30 @@ def test_polynomial_matches_term_by_term_evaluation():
             got = poly(*args)
             want = _naive_polynomial(poly, *args)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_polynomial_coefficients_in_scientific_notation():
+    """An exponent's sign does not start a new term."""
+    poly = parse_polynomial("1e-3 nu1^2 - 2.5E+1 y1 + 3e2", 2)
+    assert poly.terms == (
+        Monomial(1e-3, (0, 0), (2, 0)),
+        Monomial(-25.0, (1, 0), (0, 0)),
+        Monomial(300.0, (0, 0), (0, 0)),
+    )
+    # The bench model, free of exponents, parses to the same terms as before.
+    cp = configparser.ConfigParser()
+    cp.read(BENCH_POLYNOMIAL_MODEL)
+    assert parse_polynomial(cp.get("model", "L0"), 2).terms == (
+        Monomial(0.5, (0, 0), (2, 0)),
+        Monomial(0.5, (0, 0), (0, 2)),
+        Monomial(0.15, (2, 0), (0, 2)),
+        Monomial(0.1, (0, 1), (1, 1)),
+        Monomial(0.05, (1, 1), (2, 0)),
+    )
+    assert parse_polynomial(cp.get("model", "omega"), 2).terms == (
+        Monomial(0.3, (1, 0), (0, 1)),
+        Monomial(-0.2, (0, 1), (1, 0)),
+    )
 
 
 def test_segment_geometry_shapes():

@@ -246,6 +246,22 @@ def test_minus_branch_reverses_plus():
     assert rev2.arrival.t_minus == pytest.approx(-fwd2.t_plus, abs=1e-8)
 
 
+@pytest.mark.parametrize("branch", ["Plus", "MINUS", "minus ", ""])
+def test_bad_branch_raises_in_every_entry_point(branch):
+    """A misspelled branch is an error, not a silent run of the other one."""
+    path = seed_path(FLAT, P0, Q34, 20)
+    calls = (
+        lambda: fp.minimize_arrival(FLAT, P0, Q34, 0.0, branch=branch),
+        # Raised before the per-seed try, not logged as failed seeds.
+        lambda: fp.multi_start(FLAT, P0, Q34, 0.0, [0, "random"], branch=branch),
+        lambda: fp.arrival_gradient(FLAT, path, 0.0, branch),
+        lambda: fp.criticality_residual(FLAT, path, 0.0, branch),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="branch must be 'plus' or 'minus'"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # seeding
 # ---------------------------------------------------------------------------
