@@ -26,6 +26,12 @@ domega_dy, the omega coefficients, the E0 partials and dd_dy once each and
 hands them to the arrival partials, the lift adjoint and the tangent split;
 they are local to that one call and are dropped when it returns, so a state
 never holds (N, m) partials.
+
+Per gradient, `_restricted_gradient` does this work and no more: the
+spatial nodal assembly of the partials; the lift adjoint, which reads the
+t-part of the nodal gradient at the interior nodes only and assembles only
+a spatial part; the H1 solve (two cumulative sums); and the lift of the
+result, which copies it once and shares that copy with the returned field.
 """
 from __future__ import annotations
 
@@ -200,7 +206,7 @@ def _functional_partials(model, state, kind, **given):
 
 
 def _directional_value(path, delta, P, V, w):
-    dmid_y, _, dvel_y, dvel_t = field_segment_data(path, delta)
+    dmid_y, dvel_y, dvel_t = field_segment_data(path, delta)
     total = (
         np.einsum("ij,ij->i", P, dmid_y)
         + np.einsum("ij,ij->i", V, dvel_y)
@@ -262,24 +268,23 @@ def dt_minus(model, path, kappa, delta: TangentField) -> float:
 # H1-preconditioned gradients on the constraint tangent space
 # ---------------------------------------------------------------------------
 
-def _assemble_nodal(path, P, V, w):
-    """Nodal gradient of a functional given per-segment partials.
+def _assemble_y(path, P, V):
+    """Spatial nodal gradient of a functional given per-segment partials.
 
     Segment i couples nodes i and i+1 through the midpoint average and the
     difference quotient; endpoints stay zero (fixed boundary conditions).
     """
     n = path.segments
-    g_y = np.zeros_like(path.y)
-    g_t = np.zeros_like(path.t)
+    g_y = np.zeros(path.y.shape)
     g_y[1:n] = (P[:-1] + P[1:]) / (2.0 * n) + (V[:-1] - V[1:])
-    g_t[1:n] = w[:-1] - w[1:]
-    return g_y, g_t
+    return g_y
 
 
-def _lift_adjoint(path, g_t, coeffs):
-    """Pull a t-nodal gradient back through the constraint lift.
+def _lift_adjoint(path, g_int, coeffs):
+    """Pull the t-part of a nodal gradient back through the constraint lift.
 
-    The lift sends a spatial variation to the unique t-profile keeping the
+    `g_int` holds the t-gradient at the interior nodes 1..n-1.  The lift
+    sends a spatial variation to the unique t-profile keeping the
     linearized charge constant; its adjoint turns the t-part of a gradient
     into an equivalent spatial-segment functional, assembled nodally.
     `coeffs` is (A, B) of linearized_charge_coeffs at the path.
@@ -287,14 +292,12 @@ def _lift_adjoint(path, g_t, coeffs):
     n = path.segments
     a, b = coeffs
     # G_i = sum of g_t over nodes past segment i; H recenters and rescales.
-    g_int = g_t[1:n]
     G = np.zeros(n)
-    G[:-1] = np.cumsum(g_int[::-1])[::-1]
-    H = (G - np.mean(G)) / n
-    Pp = (n * H)[:, None] * a
-    Vp = (n * H)[:, None] * b
-    g_y, _ = _assemble_nodal(path, Pp, Vp, np.zeros(n))
-    return g_y
+    G[:-1] = g_int[::-1].cumsum()[::-1]
+    # np.add.reduce / n is np.mean, bit for bit.
+    H = (G - np.add.reduce(G) / n) / n
+    nH = (n * H)[:, None]
+    return _assemble_y(path, nH * a, nH * b)
 
 
 def _h1_solve(path, g_red):
@@ -308,9 +311,9 @@ def _h1_solve(path, g_red):
     """
     n = path.segments
     G = np.zeros((n,) + g_red.shape[1:])
-    np.cumsum(g_red[1:n], axis=0, out=G[1:])
-    u = np.zeros_like(g_red)
-    np.cumsum((np.mean(G, axis=0) - G[:-1]) / n, axis=0, out=u[1:n])
+    g_red[1:n].cumsum(axis=0, out=G[1:])
+    u = np.zeros(g_red.shape)
+    ((np.add.reduce(G, axis=0) / n - G[:-1]) / n).cumsum(axis=0, out=u[1:n])
     return u
 
 
@@ -325,10 +328,11 @@ def _restricted_gradient(model, state, P, V, w, coeffs=None) -> FunctionalGradie
     """
     if coeffs is None:
         coeffs = linearized_charge_coeffs(model, state)
-    g_y, g_t = _assemble_nodal(state, P, V, w)
-    g_red = g_y + _lift_adjoint(state, g_t, coeffs)
+    # The t-part of the nodal gradient, w_{i-1} - w_i, is needed only at the
+    # interior nodes, where the lift adjoint reads it.
+    g_red = _assemble_y(state, P, V) + _lift_adjoint(state, w[:-1] - w[1:], coeffs)
     u = _h1_solve(state, g_red)
-    norm_sq = float(np.sum(g_red * u))
+    norm_sq = float(np.add.reduce(g_red * u, axis=None))
     field = lift_spatial_variation(model, state, u, coeffs)
     return FunctionalGradient(field=field, norm=math.sqrt(max(norm_sq, 0.0)))
 

@@ -10,7 +10,7 @@ A scenario is a flat key = value file with these sections and keys:
                  samples (at least 1) for the sampled assumption checks
     [solver]     segments, max_iters, grad_tol, rng_seed
     [seeds]      windings (extra wraps of the straight seed), random
-                 (number of perturbed seeds)
+                 (number of perturbed seeds, at least 0)
     [output]     dir
 
 An unknown section or key is a parse error.  A relative `[model] file` is
@@ -153,6 +153,8 @@ def parse_scenario(
     if cp.has_option("seeds", "windings"):
         seeds.extend(int(k) for k in cp.get("seeds", "windings").replace(",", " ").split())
     n_random = cp.getint("seeds", "random", fallback=0)
+    if n_random < 0:
+        raise ScenarioError(f"{path}: [seeds] random must be at least 0")
     seeds.extend(["random"] * n_random)
     if not seeds:
         seeds = [0]

@@ -162,7 +162,12 @@ def build_model(
     periods: Optional[Sequence[float]] = None,
     name: str = "",
 ) -> StationaryModel:
-    """Assemble a model, filling absent derivatives with central differences."""
+    """Assemble a model, filling absent derivatives with central differences.
+
+    A slice dimension below 1 raises ValueError.
+    """
+    if dim < 1:
+        raise ValueError(f"model dimension must be at least 1, not {dim}")
     linear = d_offset is None
     if omega is None:
         omega = _zeros
@@ -202,7 +207,7 @@ def build_model(
 
 def _check_finite(values: np.ndarray, model: StationaryModel, y, nu, tau, what: str):
     values = np.asarray(values)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(values)))[0])
         raise ModelEvaluationError(
             f"non-finite {what} from model {model.name or '<anonymous>'}",
@@ -260,7 +265,7 @@ def omega_coeffs(model, y) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     w = np.empty_like(y)
-    e = np.zeros_like(y)
+    e = np.zeros(y.shape)
     for j in range(y.shape[1]):
         e[:, j] = 1.0
         w[:, j] = model.omega(y, e)

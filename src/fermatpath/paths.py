@@ -21,6 +21,15 @@ plain `DiscretePath` passed to a consumer is evaluated once on entry
 are computed per gradient and passed explicitly (see
 `linearized_charge_coeffs`).
 
+A `DiscretePath` copies and checks its nodes once, when it is built.  A
+state shares the y-array (and periods) of the path it evaluates or
+projects instead of copying it again; `project_to_N` checks only the new
+t-nodes it computes.  The per-iteration kernels call ufuncs and array
+methods directly (np.add.reduce(x) / n for np.mean, a[1:] - a[:-1] for
+np.diff, x.cumsum() for np.cumsum), which are the same operations in the
+same order as the numpy wrappers, so every value is bitwise what the
+wrappers give.
+
 Paths are stored as plain-text node tables, one row ``s y_1..y_m t`` per
 node with 17 significant digits, so `load_path` reads back the saved bits.
 `save_path` builds the table once and formats it in fixed blocks of rows,
@@ -68,7 +77,7 @@ class DiscretePath:
         t = np.array(t, dtype=float)
         if y.ndim != 2 or t.ndim != 1 or y.shape[0] != t.shape[0] or y.shape[0] < 2:
             raise ValueError("path needs matching (N+1, m) y-nodes and (N+1,) t-nodes")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(t))):
+        if not (np.isfinite(y).all() and np.isfinite(t).all()):
             raise ValueError("path nodes must be finite")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "t", t)
@@ -114,6 +123,15 @@ class TangentField:
     def zero(cls, path: DiscretePath) -> "TangentField":
         return cls(np.zeros_like(path.y), np.zeros_like(path.t))
 
+    @classmethod
+    def _own(cls, y, t) -> "TangentField":
+        """A field over arrays the caller gives up, with endpoints already
+        +0.0: nothing is copied or reset."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "y", y)
+        object.__setattr__(field, "t", t)
+        return field
+
 
 @dataclass(frozen=True)
 class NoetherProfile:
@@ -125,8 +143,9 @@ class NoetherProfile:
 
     @classmethod
     def of(cls, values: np.ndarray) -> "NoetherProfile":
-        mean = float(np.mean(values))
-        return cls(values, mean, float(np.max(np.abs(values - mean))))
+        mean = float(np.add.reduce(values, axis=None) / values.size)
+        dev = np.maximum.reduce(np.abs(values - mean), axis=None)
+        return cls(values, mean, float(dev))
 
     @property
     def scaled_deviation(self) -> float:
@@ -144,42 +163,57 @@ class PathState(DiscretePath):
     reduced to these numbers and not kept.  t_pm follow from Q_bar and E_val
     in O(1), so no arrival evaluation is stored: it depends on kappa.
 
+    The state shares the y-nodes and periods of `path`, which a
+    `DiscretePath` already holds as a private, checked copy; nothing is
+    copied.  `t` replaces the t-nodes of `path` (project_to_N passes its
+    new ones) and is the only array checked for finiteness here.
     `geometry` = (mid_y, vel_y), `omega` and `d` may carry values already
     computed on the same y-nodes and periods; they depend on nothing else,
     so they are reused as they are.
     """
 
-    def __init__(self, model, y, t, periods=None, *, geometry=None, omega=None, d=None):
-        super().__init__(y, t, periods)
+    def __init__(self, model, path, t=None, *, geometry=None, omega=None, d=None):
+        if t is None:
+            t = path.t
+        elif not np.isfinite(t).all():
+            raise ValueError("path nodes must be finite")
+        object.__setattr__(self, "y", path.y)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "periods", path.periods)
         n = self.segments
         if geometry is None:
             mid_y, _, vel_y, vel_t = segment_geometry(self)
         else:
             mid_y, vel_y = geometry
-            vel_t = np.diff(self.t) * n
+            vel_t = (t[1:] - t[:-1]) * n
         om = model.omega(mid_y, vel_y) if omega is None else omega
         d = model.d_offset(mid_y) if d is None else d
         # Q_functional, energy_integral and the charge profile of noether_values
         # (chart_N = omega - tau + d), from the values above.
+        q = om - vel_t
+        energy = chart_E(model, mid_y, vel_y, vel_t, omega=om)
         fields = {
             "model": model,
             "mid_y": mid_y,
             "vel_y": vel_y,
             "vel_t": vel_t,
             "omega": om,
-            "Q_bar": float(np.sum(om - vel_t) / n),
-            "E_val": float(np.sum(chart_E(model, mid_y, vel_y, vel_t, omega=om)) / n),
-            "constraint_dev": NoetherProfile.of(om - vel_t + d).scaled_deviation,
+            "Q_bar": float(np.add.reduce(q) / n),
+            "E_val": float(np.add.reduce(energy) / n),
+            "constraint_dev": NoetherProfile.of(q + d).scaled_deviation,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
 
 def path_state(model: StationaryModel, path: DiscretePath) -> PathState:
-    """`path` evaluated under `model`; a state of that same model is returned as is."""
+    """`path` evaluated under `model`; a state of that same model is returned as is.
+
+    A new state shares the arrays of `path`.
+    """
     if isinstance(path, PathState) and path.model is model:
         return path
-    return PathState(model, path.y, path.t, path.periods)
+    return PathState(model, path)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +230,7 @@ def unwrap_periodic(dy, periods) -> np.ndarray:
         dy = np.array(dy, dtype=float)
         for j, p in enumerate(periods):
             if p:
-                dy[..., j] -= p * np.round(dy[..., j] / p)
+                dy[..., j] -= p * (dy[..., j] / p).round()
     return dy
 
 
@@ -207,12 +241,13 @@ def segment_geometry(path: DiscretePath):
     (N,).  Periodic coordinates use the nearest-representative difference,
     and the midpoint sits on the corresponding unwrapped segment.
     """
-    n = path.segments
-    dy = unwrap_periodic(np.diff(path.y, axis=0), path.periods)
-    mid_y = path.y[:-1] + 0.5 * dy
-    mid_t = 0.5 * (path.t[:-1] + path.t[1:])
+    y, t = path.y, path.t
+    n = y.shape[0] - 1
+    dy = unwrap_periodic(y[1:] - y[:-1], path.periods)
+    mid_y = y[:-1] + 0.5 * dy
+    mid_t = 0.5 * (t[:-1] + t[1:])
     vel_y = dy * n
-    vel_t = np.diff(path.t) * n
+    vel_t = (t[1:] - t[:-1]) * n
     return mid_y, mid_t, vel_y, vel_t
 
 
@@ -232,13 +267,17 @@ def midpoint(path: DiscretePath, i: int) -> Point:
 
 
 def field_segment_data(path: DiscretePath, delta: TangentField):
-    """Midpoint values and difference quotients of a nodal field."""
+    """Spatial midpoint values and difference quotients of a nodal field.
+
+    Returns (mid_y, vel_y, vel_t): nothing depends on the t coordinate, so
+    the t-midpoints are never needed.
+    """
     n = path.segments
-    mid_y = 0.5 * (delta.y[:-1] + delta.y[1:])
-    mid_t = 0.5 * (delta.t[:-1] + delta.t[1:])
-    vel_y = np.diff(delta.y, axis=0) * n
-    vel_t = np.diff(delta.t) * n
-    return mid_y, mid_t, vel_y, vel_t
+    dy, dt = delta.y, delta.t
+    mid_y = 0.5 * (dy[:-1] + dy[1:])
+    vel_y = (dy[1:] - dy[:-1]) * n
+    vel_t = (dt[1:] - dt[:-1]) * n
+    return mid_y, vel_y, vel_t
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +326,23 @@ def project_to_N(model: StationaryModel, path: DiscretePath) -> PathState:
     The construction depends only on the y-data and the t-endpoints, which
     makes the projection exactly idempotent.  The result is the state of the
     projected path: omega and d depend on the y-nodes only, so the values
-    computed here serve it as well.
+    computed here serve it as well.  The state shares the y-nodes of `path`
+    (already a checked copy) and checks only its new t-nodes, which are
+    non-finite exactly when omega or d is somewhere on the path.
     """
     n = path.segments
+    t = path.t
     mid_y, _, vel_y, _ = segment_geometry(path)
     om = model.omega(mid_y, vel_y)
     d = model.d_offset(mid_y)
     r = om + d
-    c = float(np.mean(r)) - (path.t[-1] - path.t[0])
+    c = float(np.add.reduce(r) / n) - (t[-1] - t[0])
     tdot = r - c
-    t_new = np.empty_like(path.t)
-    t_new[0] = path.t[0]
-    t_new[1:] = path.t[0] + np.cumsum(tdot) / n
-    t_new[-1] = path.t[-1]
-    return PathState(
-        model, path.y, t_new, path.periods, geometry=(mid_y, vel_y), omega=om, d=d
-    )
+    t_new = np.empty_like(t)
+    t_new[0] = t[0]
+    t_new[1:] = t[0] + tdot.cumsum() / n
+    t_new[-1] = t[-1]
+    return PathState(model, path, t_new, geometry=(mid_y, vel_y), omega=om, d=d)
 
 
 def linearized_charge_coeffs(
@@ -334,7 +374,7 @@ def linearized_charge(
     at this path, computed here when not given.
     """
     a, b = coeffs if coeffs is not None else linearized_charge_coeffs(model, path)
-    dmid_y, _, dvel_y, dvel_t = field_segment_data(path, delta)
+    dmid_y, dvel_y, dvel_t = field_segment_data(path, delta)
     return (
         np.einsum("ij,ij->i", a, dmid_y)
         + np.einsum("ij,ij->i", b, dvel_y)
@@ -356,12 +396,14 @@ def tangent_split(
     require_on_constraint(model, state)
     n = state.segments
     h = linearized_charge(model, state, delta, coeffs)
-    c = float(np.mean(h))
+    c = float(np.add.reduce(h) / n)
     mu = np.empty_like(state.t)
     mu[0] = 0.0
-    mu[1:] = np.cumsum(c - h) / n
+    mu[1:] = (c - h).cumsum() / n
     mu[-1] = 0.0
-    xi = TangentField(delta.y, delta.t - mu)
+    # delta.y and delta.t have +0.0 endpoints and mu does too, so xi shares
+    # delta.y and owns delta.t - mu as they are.
+    xi = TangentField._own(delta.y, delta.t - mu)
     return xi, mu
 
 
@@ -372,7 +414,8 @@ def lift_spatial_variation(
 
     The constraint manifold is a graph over the spatial nodes, so every
     interior spatial variation lifts to exactly one tangent field.  `coeffs`
-    as in linearized_charge.
+    as in linearized_charge.  `dy` is copied once; the lifted field shares
+    that copy.
     """
     field = TangentField(dy, np.zeros(dy.shape[0]))
     xi, _ = tangent_split(model, path, field, coeffs)

@@ -14,6 +14,8 @@ and constraint deviation), which the Armijo test reads through
 A candidate the line search rejects is dropped with its state; the
 derivatives of the accepted iterate live only inside one
 `arrival_gradient` call.  Records keep the plain path, not its state.
+Each line-search trial copies and checks its y-nodes once, when its
+`DiscretePath` is built; the projected state shares that array.
 
 Multi-start wraps the descent with homotopy-class seeding (extra wraps of
 the straight lift on cylinders, smooth random perturbations otherwise),

@@ -155,6 +155,38 @@ def test_malformed_problem_exits_2(tmp_path, capsys, problem, message):
     assert err.startswith(f"error: {f}: ") and message in err
 
 
+def test_negative_random_seed_count_exits_2(tmp_path, capsys):
+    f = write_scenario(
+        tmp_path, FLAT_SCENARIO.format(kappa="0", segments=10) + "[seeds]\nrandom = -2\n"
+    )
+    assert main(["solve", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {f}: [seeds] random must be at least 0\n"
+
+
+@pytest.mark.parametrize("spec", ["flat(0)", "flat(-1)"])
+def test_model_dimension_below_one_exits_2(tmp_path, capsys, spec):
+    text = FLAT_SCENARIO.format(kappa="0", segments=10).replace("spec = flat", f"spec = {spec}")
+    f = write_scenario(tmp_path, text)
+    assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad arguments in model spec")
+    assert "model dimension must be at least 1" in err
+
+
+@pytest.mark.parametrize("L0", ["3", "0.5 nu1^2"])
+def test_model_file_dimension_zero_exits_2(tmp_path, capsys, L0):
+    model = write_scenario(tmp_path, f"[model]\ndim = 0\nL0 = {L0}\n", name="m.ini")
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nfile = {model}\n[endpoints]\np_y =\nq_y =\n[problem]\nkappa = -4\n",
+    )
+    assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if L0 == "3":  # nu1 is out of range before the dimension is checked
+        assert err == "error: model dimension must be at least 1, not 0\n"
+
+
 def test_semicolon_is_a_comment_only_at_line_start(tmp_path):
     """';' after a space separates region intervals; '#' starts an inline
     comment; a line starting with ';' is a comment."""

@@ -1,0 +1,297 @@
+"""Per-iteration kernels against their plain numpy formulas, bit for bit.
+
+`segment_geometry`, `project_to_N`, `_h1_solve`, `_restricted_gradient`
+and `arrival_gradient` call ufuncs and array methods directly (np.add.reduce / n for np.mean,
+a[1:] - a[:-1] for np.diff, x.cumsum() for np.cumsum), and a projected
+state shares the y-nodes of its path.  The references below spell each
+kernel out with np.diff, np.mean, np.sum and np.cumsum and copy every
+array, and must agree to the last bit, signed zeros included.  The
+projection must still reject non-finite nodes.
+"""
+import math
+
+import numpy as np
+import pytest
+
+import fermatpath as fp
+from fermatpath.arrival import (
+    _arrival_partials,
+    _h1_solve,
+    _restricted_gradient,
+    arrival_gradient,
+    arrival_times,
+    branch_sign,
+)
+from fermatpath.models import chart_E, omega_coeffs
+from fermatpath.paths import (
+    CONSTRAINT_RTOL,
+    linearized_charge_coeffs,
+    path_state,
+    segment_geometry,
+)
+
+from conftest import BUILTIN_SPECS, endpoints_for
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the rest of the suite needs only numpy and pytest
+    st = None
+
+
+def bits(*arrays):
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas
+# ---------------------------------------------------------------------------
+
+def ref_unwrap(dy, periods):
+    dy = np.array(dy, dtype=float)
+    for j, p in enumerate(periods or ()):
+        if p:
+            dy[..., j] -= p * np.round(dy[..., j] / p)
+    return dy
+
+
+def ref_segment_geometry(y, t, periods):
+    n = y.shape[0] - 1
+    dy = ref_unwrap(np.diff(y, axis=0), periods)
+    mid_y = y[:-1] + 0.5 * dy
+    mid_t = 0.5 * (t[:-1] + t[1:])
+    return mid_y, mid_t, dy * n, np.diff(t) * n
+
+
+def ref_project(model, y, t, periods):
+    """t-nodes, Q_bar, E_val and constraint deviation of the projected path."""
+    n = y.shape[0] - 1
+    mid_y, _, vel_y, _ = ref_segment_geometry(y, t, periods)
+    om = model.omega(mid_y, vel_y)
+    d = model.d_offset(mid_y)
+    r = om + d
+    c = float(np.mean(r)) - (t[-1] - t[0])
+    t_new = np.empty_like(t)
+    t_new[0] = t[0]
+    t_new[1:] = t[0] + np.cumsum(r - c) / n
+    t_new[-1] = t[-1]
+    vel_t = np.diff(t_new) * n
+    q_bar = float(np.sum(om - vel_t) / n)
+    e_val = float(np.sum(chart_E(model, mid_y, vel_y, vel_t, omega=om)) / n)
+    profile = om - vel_t + d
+    mean = float(np.mean(profile))
+    dev = float(np.max(np.abs(profile - mean)))
+    scaled = dev / (CONSTRAINT_RTOL * (1.0 + abs(mean)))
+    state = dict(mid_y=mid_y, vel_y=vel_y, vel_t=vel_t, omega=om)
+    return t_new, q_bar, e_val, scaled, state
+
+
+def ref_h1_solve(g):
+    n = g.shape[0] - 1
+    G = np.zeros((n,) + g.shape[1:])
+    np.cumsum(g[1:n], axis=0, out=G[1:])
+    u = np.zeros_like(g)
+    np.cumsum((np.mean(G, axis=0) - G[:-1]) / n, axis=0, out=u[1:n])
+    return u
+
+
+def ref_assemble(n, shape, P, V):
+    g = np.zeros(shape)
+    g[1:n] = (P[:-1] + P[1:]) / (2.0 * n) + (V[:-1] - V[1:])
+    return g
+
+
+def ref_restricted_gradient(y, P, V, wt, a, b):
+    """(norm, field.y, field.t) as the full nodal assembly computes them."""
+    n = y.shape[0] - 1
+    g_y = ref_assemble(n, y.shape, P, V)
+    g_t = np.zeros(n + 1)
+    g_t[1:n] = wt[:-1] - wt[1:]
+    # lift adjoint, assembled with a zero t-part
+    G = np.zeros(n)
+    G[:-1] = np.cumsum(g_t[1:n][::-1])[::-1]
+    H = (G - np.mean(G)) / n
+    g_red = g_y + ref_assemble(n, y.shape, (n * H)[:, None] * a, (n * H)[:, None] * b)
+    u = ref_h1_solve(g_red)
+    norm = math.sqrt(max(float(np.sum(g_red * u)), 0.0))
+    # lift of u: tangent split of the field (u, 0)
+    dy = np.array(u)
+    dy[0] = dy[-1] = 0.0
+    dt = np.zeros(n + 1)
+    dmid_y = 0.5 * (dy[:-1] + dy[1:])
+    h = (
+        np.einsum("ij,ij->i", a, dmid_y)
+        + np.einsum("ij,ij->i", b, np.diff(dy, axis=0) * n)
+        - np.diff(dt) * n
+    )
+    mu = np.empty(n + 1)
+    mu[0] = 0.0
+    mu[1:] = np.cumsum(float(np.mean(h)) - h) / n
+    mu[-1] = 0.0
+    xi_t = dt - mu
+    xi_t[0] = xi_t[-1] = 0.0
+    return norm, np.array(dy), xi_t
+
+
+def ref_arrival_gradient(model, y, state, arr, sigma):
+    mid_y, vel_y = state["mid_y"], state["vel_y"]
+    domega_dy = model.domega_dy(mid_y, vel_y)
+    w = omega_coeffs(model, mid_y)
+    P, V, wt = _arrival_partials(model, type("State", (), state), arr, sigma, domega_dy, w)
+    return ref_restricted_gradient(y, P, V, wt, domega_dy + model.dd_dy(mid_y), w)
+
+
+# ---------------------------------------------------------------------------
+# bitwise agreement
+# ---------------------------------------------------------------------------
+
+def random_nodes(model, n, rng):
+    """Endpoint-fixed nodes: straight lift, Fourier bumps and node noise of a
+    random scale (large enough on a cylinder to wrap segments)."""
+    p, q = endpoints_for(model)
+    s = np.arange(n + 1) / n
+    y = p.y[None, :] + s[:, None] * (q.y - p.y)[None, :]
+    for j in range(model.dim):
+        for k in range(1, 4):
+            y[:, j] += 0.3 / k * rng.standard_normal() * np.sin(k * np.pi * s)
+    scale = rng.choice([0.0, 1e-3, 0.5, 5.0])
+    y[1:-1] += scale * rng.standard_normal((n - 1, model.dim))
+    t = p.t + s * (q.t - p.t) + 0.3 * rng.standard_normal(n + 1)
+    t[0], t[-1] = p.t, q.t
+    if rng.random() < 0.25:
+        y[1:-1, 0] = -0.0  # signed zeros on the nodes
+    return y, t
+
+
+def check_kernels_match_references(spec, n, seed):
+    model = fp.get_model(spec)
+    rng = np.random.default_rng(seed)
+    y, t = random_nodes(model, n, rng)
+    path = fp.DiscretePath(y, t, model.periods)
+
+    assert bits(*segment_geometry(path)) == bits(*ref_segment_geometry(y, t, model.periods))
+
+    t_new, q_bar, e_val, dev, state = ref_project(model, y, t, model.periods)
+    proj = fp.project_to_N(model, path)
+    assert bits(proj.y, proj.t) == bits(y, t_new)
+    assert bits(proj.Q_bar, proj.E_val, proj.constraint_dev) == bits(q_bar, e_val, dev)
+
+    for shape in ((n + 1,), (n + 1, model.dim)):
+        g = rng.standard_normal(shape)
+        g[0] = g[-1] = 0.0
+        assert bits(_h1_solve(path, g)) == bits(ref_h1_solve(g))
+
+    if dev > 1.0:  # off the constraint manifold at round-off: no gradient
+        return
+    # Admissible for every model, with a discriminant well above its floor.
+    kappa = -1.0 - abs(e_val)
+    arr = arrival_times(model, proj, kappa)
+    for branch in ("plus", "minus"):
+        grad = arrival_gradient(model, proj, kappa, branch)
+        norm, ref_y, ref_t = ref_arrival_gradient(model, y, state, arr, branch_sign(branch))
+        assert bits(grad.norm, grad.field.y, grad.field.t) == bits(norm, ref_y, ref_t)
+        # A fresh plain path with the same nodes gives the same bits too.
+        plain = fp.DiscretePath(proj.y, proj.t, proj.periods)
+        again = arrival_gradient(model, plain, kappa, branch)
+        assert bits(again.norm, again.field.y, again.field.t) == bits(norm, ref_y, ref_t)
+
+    # On a projected path the t-part of the arrival gradient nearly cancels,
+    # so random partials drive the lift adjoint with O(1) values.
+    m = model.dim
+    P, V, wt = rng.standard_normal((n, m)), rng.standard_normal((n, m)), rng.standard_normal(n)
+    coeffs = linearized_charge_coeffs(model, proj)
+    grad = _restricted_gradient(model, proj, P, V, wt, coeffs)
+    norm, ref_y, ref_t = ref_restricted_gradient(y, P, V, wt, *coeffs)
+    assert bits(grad.norm, grad.field.y, grad.field.t) == bits(norm, ref_y, ref_t)
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+@pytest.mark.parametrize("n", [2, 3, 200])
+def test_kernels_match_references_fixed(spec, n):
+    check_kernels_match_references(spec, n, 17 * n)
+
+
+if st is not None:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(BUILTIN_SPECS),
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_match_references(spec, n, seed):
+        """segment_geometry, project_to_N, _h1_solve, _restricted_gradient
+        and arrival_gradient agree bitwise with their references."""
+        check_kernels_match_references(spec, n, seed)
+
+else:
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_kernels_match_references():
+        pass
+
+
+# ---------------------------------------------------------------------------
+# the leaner projection keeps its checks
+# ---------------------------------------------------------------------------
+
+P = fp.Point([0.0, 0.0], 0.0)
+Q = fp.Point([1.0, 0.7], 0.2)
+
+
+def drift_with_hole(bad):
+    """randers-rot(0.3) whose omega is NaN where bad(y) holds."""
+    def omega(y, nu):
+        value = 0.3 * (-y[:, 1] * nu[:, 0] + y[:, 0] * nu[:, 1])
+        return np.where(bad(y), np.nan, value)
+
+    def L0(y, nu):
+        return 0.5 * np.einsum("ij,ij->i", nu, nu)
+
+    return fp.build_model(2, L0, omega=omega, homogeneous=True, name="holed")
+
+
+def test_projection_rejects_non_finite_omega():
+    model = drift_with_hole(lambda y: y[:, 0] > 0.5)
+    with pytest.raises(ValueError, match="path nodes must be finite"):
+        fp.project_to_N(model, fp.straight_path(P, Q, 10))
+    with pytest.raises(ValueError, match="path nodes must be finite"):
+        fp.minimize_arrival(model, P, Q, -0.5)
+
+
+def test_line_search_trial_rejects_non_finite_omega():
+    """The straight seed lies where omega is finite; the descent bends the
+    path to one side of it, where omega is NaN, so a trial's projection
+    raises."""
+    model = drift_with_hole(lambda y: y[:, 1] - 0.7 * y[:, 0] > 0.01)
+    seed = fp.project_to_N(model, fp.straight_path(P, Q, 20))
+    assert np.isfinite(seed.t).all()
+    with pytest.raises(ValueError, match="path nodes must be finite"):
+        fp.minimize_arrival(model, P, Q, -0.5, opts=fp.SolverOptions(N=20))
+    # Without the hole the same descent converges.
+    rot = fp.get_model("randers-rot(0.3)")
+    assert fp.minimize_arrival(rot, P, Q, -0.5, opts=fp.SolverOptions(N=20)).converged
+
+
+@pytest.mark.parametrize("where", ["y", "t"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_path_with_non_finite_node_is_rejected(where, value):
+    y = np.array([[0.0, 0.0], [0.5, 0.3], [1.0, 0.7]])
+    t = np.array([0.0, 0.1, 0.2])
+    if where == "y":
+        y[1, 1] = value
+    else:
+        t[1] = value
+    with pytest.raises(ValueError, match="path nodes must be finite"):
+        fp.DiscretePath(y, t)
+
+
+def test_projected_state_shares_its_y_nodes():
+    """A state shares the checked y-array of the path it projects; the path
+    itself holds a private copy of its inputs."""
+    model = fp.get_model("randers-rot(0.3)")
+    y = np.array([[0.0, 0.0], [0.5, 0.3], [1.0, 0.7]])
+    path = fp.DiscretePath(y, [0.0, 0.1, 0.2])
+    assert path.y is not y
+    state = fp.project_to_N(model, path)
+    assert state.y is path.y and state.periods == path.periods
+    assert path_state(model, path).y is path.y

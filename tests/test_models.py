@@ -364,6 +364,20 @@ def test_registry_has_no_custom_head():
         fp.get_model(f"custom({OFFSET_FIBER})")
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_model_dimension_must_be_positive(dim):
+    with pytest.raises(ValueError, match="model dimension must be at least 1"):
+        fp.build_model(dim, L0=lambda y, nu: np.zeros(len(y)))
+    with pytest.raises(fp.ScenarioError, match="model dimension must be at least 1"):
+        fp.get_model(f"flat({dim})")
+
+
+def test_model_file_dimension_zero_is_rejected(tmp_path):
+    f = write_model(tmp_path, "[model]\ndim = 0\nL0 = 3\n")
+    with pytest.raises(ValueError, match="model dimension must be at least 1, not 0"):
+        fp.load_custom_model(f)
+
+
 def test_cylinder_periods():
     model = fp.get_model("cylinder(1)")
     assert model.periods == (0.0, 2 * math.pi)
