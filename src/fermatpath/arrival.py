@@ -14,18 +14,27 @@ that relates the arrival-time differential to the difference between the
 energy and action variations (plus an offset-functional correction when the
 charge is affine).
 
-All variational quantities are midpoint-rule discretizations over segments,
-shared between the directional derivatives, the descent gradient, and the
-criticality residual so that algebraic identities survive in floating point.
+All variational quantities are midpoint-rule discretizations over segments.
+The arrival one-form is assembled in one place, `_arrival_form`: the
+per-segment partials (P, V, w) of t_pm and the linearized-charge
+coefficients (A, B) at the path.  `arrival_gradient` returns its H1
+representer; `criticality_residual` takes the representer of the same form
+with the gap and offset terms added, theta = dt_pm - sigma * (dE - dL -
+t_pm dD) / S, and returns its dual norm; `dt_plus`/`dt_minus` pair it with
+a variation (paths.segment_pairing).  For a 2-homogeneous L with linear
+charge the added terms are exact zeros, so theta = dt bit for bit: the
+equation is dt = 0, Fermat's principle in a stationary spacetime (Perlick,
+Class. Quantum Grav. 7 (1990) 1319).
 
 Every function here evaluates the model at most once per path: it turns
 its path into a `PathState` (paths.path_state; a state from project_to_N
 passes through as is) and reads the geometry, omega, Q_bar, E_val and the
-constraint deviation from it.  `arrival_gradient` additionally evaluates
-domega_dy, the omega coefficients, the E0 partials and dd_dy once each and
-hands them to the arrival partials, the lift adjoint and the tangent split;
-they are local to that one call and are dropped when it returns, so a state
-never holds (N, m) partials.
+constraint deviation from it.  `_arrival_form` additionally evaluates
+domega_dy, the omega coefficients, the E0 partials and dd_dy once each;
+they are local to one call and are dropped when it returns, so a state
+never holds (N, m) partials.  The criticality terms add the partials of the
+gap E - L and of the offset functional D, which for a model that is not
+Lorentz-Finsler evaluate the model again.
 
 Per gradient, `_restricted_gradient` does this work and no more: the
 spatial nodal assembly of the partials; the lift adjoint, which reads the
@@ -53,13 +62,13 @@ from .paths import (
     DiscretePath,
     TangentField,
     action,
-    field_segment_data,
     lift_spatial_variation,
     linearized_charge,
     linearized_charge_coeffs,
     path_state,
     require_on_constraint,
     segment_geometry,
+    segment_pairing,
     unwrap_periodic,
 )
 
@@ -194,52 +203,18 @@ def H_functional(model: StationaryModel, path: DiscretePath, t: float) -> float:
 # discrete first variations
 # ---------------------------------------------------------------------------
 
-def _functional_partials(model, state, kind, **given):
-    """Per-segment partials (P, V, w) of one of the base functionals.
-
-    `given` passes values already evaluated at the state on to chart_partials.
-    """
-    args = (model, state.mid_y, state.vel_y, state.vel_t)
-    if kind == "gap":  # partials of (E - L); exact zeros for Lorentz-Finsler
-        return chart_partials_gap(*args)
-    return chart_partials(*args, kind, **given)
-
-
-def _directional_value(path, delta, P, V, w):
-    dmid_y, dvel_y, dvel_t = field_segment_data(path, delta)
-    total = (
-        np.einsum("ij,ij->i", P, dmid_y)
-        + np.einsum("ij,ij->i", V, dvel_y)
-        + w * dvel_t
-    )
-    return float(np.sum(total) / path.segments)
-
-
-def _require_tangent(model, path, delta):
-    h = linearized_charge(model, path, delta)
-    scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
-    if float(np.max(np.abs(h - np.mean(h)))) > 1e-7 * scale:
-        raise ConstraintViolationError(
-            "variation is not tangent to the constraint manifold; "
-            "pass it through tangent_split first"
-        )
-
-
-def _arrival_partials(model, state, arr: ArrivalEvaluation, sigma: float,
-                      domega_dy=None, w=None):
+def _arrival_partials(model, state, arr: ArrivalEvaluation, sigma: float, domega_dy, w):
     """Per-segment partials of the arrival time of sign sigma by the chain rule.
 
-    `domega_dy` and `w` (omega coefficients) may be passed when already
-    evaluated at the state.
+    `domega_dy` and `w` (omega coefficients) are those evaluated at the state.
     """
     if not arr.branch_valid:
         raise AdmissibilityError("arrival branch degenerate: discriminant at the floor")
     coef_q = 1.0 + sigma * arr.Q_bar / arr.S
     coef_e = sigma / arr.S
-    PQ, VQ, wQ = _functional_partials(model, state, "Q", domega_dy=domega_dy, w=w)
-    PE, VE, wE = _functional_partials(
-        model, state, "E", omega=state.omega, domega_dy=domega_dy, w=w
-    )
+    args = (model, state.mid_y, state.vel_y, state.vel_t)
+    PQ, VQ, wQ = chart_partials(*args, "Q", domega_dy=domega_dy, w=w)
+    PE, VE, wE = chart_partials(*args, "E", omega=state.omega, domega_dy=domega_dy, w=w)
     return (
         coef_q * PQ + coef_e * PE,
         coef_q * VQ + coef_e * VE,
@@ -247,12 +222,42 @@ def _arrival_partials(model, state, arr: ArrivalEvaluation, sigma: float,
     )
 
 
-def _directional_arrival(model, path, kappa, delta, sigma):
+def _arrival_form(model, path, kappa, sigma: float, critical: bool = False):
+    """The arrival one-form of sign sigma at a path: (state, (P, V, w), (A, B)).
+
+    (P, V, w) are the per-segment partials of t_sigma and (A, B) the
+    linearized-charge coefficients at the state.  domega_dy and the omega
+    coefficients are evaluated once and serve both.  With `critical` the
+    partials are those of the criticality defect instead,
+    dt_sigma - sigma * (dE - dL - t_sigma * dD) / S.  For Lorentz-Finsler
+    models the partials of the gap E - L and of the offset functional D are
+    exact zeros, so the defect has the dual norm of dt_sigma bit for bit.
+    """
     state = path_state(model, path)
     arr = arrival_times(model, state, kappa)
-    _require_tangent(model, state, delta)
-    P, V, w = _arrival_partials(model, state, arr, sigma)
-    return _directional_value(state, delta, P, V, w)
+    domega_dy = model.domega_dy(state.mid_y, state.vel_y)
+    w = omega_coeffs(model, state.mid_y)
+    P, V, wt = _arrival_partials(model, state, arr, sigma, domega_dy, w)
+    coeffs = linearized_charge_coeffs(model, state, domega_dy, w)
+    if critical:
+        args = (model, state.mid_y, state.vel_y, state.vel_t)
+        Pg, Vg, wg = chart_partials_gap(*args)
+        PD, VD, wD = chart_partials(*args, "D")
+        cg, cd = -sigma / arr.S, sigma * arr.time(sigma) / arr.S
+        P, V, wt = P + cg * Pg + cd * PD, V + cg * Vg + cd * VD, wt + cg * wg + cd * wD
+    return state, (P, V, wt), coeffs
+
+
+def _directional_arrival(model, path, kappa, delta, sigma):
+    state, (P, V, w), coeffs = _arrival_form(model, path, kappa, sigma)
+    h = linearized_charge(model, state, delta, coeffs)
+    scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
+    if float(np.max(np.abs(h - np.mean(h)))) > 1e-7 * scale:
+        raise ConstraintViolationError(
+            "variation is not tangent to the constraint manifold; "
+            "pass it through tangent_split first"
+        )
+    return float(np.sum(segment_pairing(state, delta, P, V, w)) / state.segments)
 
 
 def dt_plus(model, path, kappa, delta: TangentField) -> float:
@@ -317,17 +322,15 @@ def _h1_solve(path, g_red):
     return u
 
 
-def _restricted_gradient(model, state, P, V, w, coeffs=None) -> FunctionalGradient:
+def _restricted_gradient(model, state, P, V, w, coeffs) -> FunctionalGradient:
     """H1 representer of a functional restricted to the constraint tangent space.
 
     Assembles the nodal gradient, reduces the t-part onto the spatial
     coordinates through the lift adjoint, preconditions with the tridiagonal
     H1 solve, and lifts the result back to a constraint-tangent field.  The
     returned norm is the dual norm of the restricted functional.  `coeffs`
-    is (A, B) of linearized_charge_coeffs, computed here when not given.
+    is (A, B) of linearized_charge_coeffs at the state.
     """
-    if coeffs is None:
-        coeffs = linearized_charge_coeffs(model, state)
     # The t-part of the nodal gradient, w_{i-1} - w_i, is needed only at the
     # interior nodes, where the lift adjoint reads it.
     g_red = _assemble_y(state, P, V) + _lift_adjoint(state, w[:-1] - w[1:], coeffs)
@@ -338,20 +341,10 @@ def _restricted_gradient(model, state, P, V, w, coeffs=None) -> FunctionalGradie
 
 
 def arrival_gradient(model, path, kappa, branch: str = "plus") -> FunctionalGradient:
-    """Descent gradient of the arrival time on the constraint manifold.
-
-    domega_dy and the omega coefficients are evaluated once here and shared
-    by the arrival partials, the lift adjoint and the tangent split.
-    """
-    sigma = branch_sign(branch)
-    state = path_state(model, path)
-    arr = arrival_times(model, state, kappa)
-    domega_dy = model.domega_dy(state.mid_y, state.vel_y)
-    w = omega_coeffs(model, state.mid_y)
-    P, V, wt = _arrival_partials(model, state, arr, sigma, domega_dy, w)
-    coeffs = linearized_charge_coeffs(model, state, domega_dy, w)
-    del domega_dy, w  # coeffs keeps what the lift needs; free the rest early
-    return _restricted_gradient(model, state, P, V, wt, coeffs)
+    """Descent gradient of the arrival time on the constraint manifold: the
+    H1 representer of the arrival one-form."""
+    state, partials, coeffs = _arrival_form(model, path, kappa, branch_sign(branch))
+    return _restricted_gradient(model, state, *partials, coeffs)
 
 
 def criticality_residual(model, path, kappa, branch: str = "plus") -> float:
@@ -360,21 +353,13 @@ def criticality_residual(model, path, kappa, branch: str = "plus") -> float:
     Measures dt_pm minus its characterization through the energy/action
     variation gap (with the arrival-weighted offset correction in the affine
     case) over the constraint tangent space.  For Lorentz-Finsler models the
-    gap contributes exact zeros, so the residual reduces to the plain
-    gradient norm of the arrival time.
+    gap contributes exact zeros, so the residual equals the gradient norm of
+    the arrival time bit for bit.
     """
-    sigma = branch_sign(branch)
-    state = path_state(model, path)
-    arr = arrival_times(model, state, kappa)
-    P, V, w = _arrival_partials(model, state, arr, sigma)
-    Pg, Vg, wg = _functional_partials(model, state, "gap")
-    PD, VD, wD = _functional_partials(model, state, "D")
-    # residual = dt_sigma - sigma * (dE - dL - t_sigma * dD) / S
-    cg, cd = -sigma / arr.S, sigma * arr.time(sigma) / arr.S
-    grad = _restricted_gradient(
-        model, state, P + cg * Pg + cd * PD, V + cg * Vg + cd * VD, w + cg * wg + cd * wD
+    state, partials, coeffs = _arrival_form(
+        model, path, kappa, branch_sign(branch), critical=True
     )
-    return grad.norm
+    return _restricted_gradient(model, state, *partials, coeffs).norm
 
 
 # ---------------------------------------------------------------------------

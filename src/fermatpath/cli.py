@@ -31,6 +31,7 @@ converged record.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -93,11 +94,15 @@ class Scenario:
     out_dir: str
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, key: str) -> list[float]:
+    """The numbers of a list value; nan or +-inf is an error naming `key`."""
     try:
-        return [float(x) for x in text.replace(",", " ").split()]
+        values = [float(x) for x in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ScenarioError(f"cannot parse number list {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ScenarioError(f"{key} must hold finite numbers, not {text!r}")
+    return values
 
 
 def parse_scenario(
@@ -124,16 +129,20 @@ def parse_scenario(
     else:
         model = get_model(need("model", "spec"))
 
-    p_y = _parse_floats(need("endpoints", "p_y"))
-    q_y = _parse_floats(need("endpoints", "q_y"))
+    p_y = _parse_floats(need("endpoints", "p_y"), f"{path}: [endpoints] p_y")
+    q_y = _parse_floats(need("endpoints", "q_y"), f"{path}: [endpoints] q_y")
     if len(p_y) != model.dim or len(q_y) != model.dim:
         raise ScenarioError(
             f"{path}: endpoint dimension mismatch (model dim {model.dim})"
         )
-    p = Point(p_y, cp.getfloat("endpoints", "p_t", fallback=0.0))
-    q = Point(q_y, cp.getfloat("endpoints", "q_t", fallback=0.0))
+    p_t, q_t = (cp.getfloat("endpoints", key, fallback=0.0) for key in ("p_t", "q_t"))
+    for key, value in (("p_t", p_t), ("q_t", q_t)):
+        if not math.isfinite(value):
+            raise ScenarioError(f"{path}: [endpoints] {key} must be finite, not {value}")
+    p = Point(p_y, p_t)
+    q = Point(q_y, q_t)
 
-    kappas = tuple(_parse_floats(need("problem", "kappa")))
+    kappas = tuple(_parse_floats(need("problem", "kappa"), f"{path}: [problem] kappa"))
     if not kappas:
         raise ScenarioError(f"{path}: kappa list is empty")
 
@@ -163,7 +172,9 @@ def parse_scenario(
         pieces = cp.get("problem", "region").split(";")
         if len(pieces) != model.dim:
             raise ScenarioError(f"{path}: region needs {model.dim} intervals")
-        region = tuple(tuple(_parse_floats(piece)) for piece in pieces)
+        region = tuple(
+            tuple(_parse_floats(piece, f"{path}: [problem] region")) for piece in pieces
+        )
         for piece, bounds in zip(pieces, region):
             if len(bounds) != 2 or not bounds[0] <= bounds[1]:
                 raise ScenarioError(

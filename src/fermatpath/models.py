@@ -126,7 +126,7 @@ def _zeros(y, nu=None):
 
 
 def _zeros_grad(y, nu=None):
-    return np.zeros_like(np.asarray(y))
+    return np.zeros(y.shape)
 
 
 def _central_diff(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
@@ -658,7 +658,7 @@ def _flat_parts(dim):
         return 0.5 * np.einsum("ij,ij->i", nu, nu)
 
     def dL0_dy(y, nu):
-        return np.zeros_like(np.asarray(y, dtype=float))
+        return np.zeros(y.shape)
 
     def dL0_dnu(y, nu):
         return np.asarray(nu, dtype=float).copy()
@@ -684,7 +684,7 @@ def randers_const_model(b: Sequence[float], name=None) -> StationaryModel:
         omega=lambda y, nu: np.asarray(nu) @ b,
         dL0_dy=dL0_dy,
         dL0_dnu=dL0_dnu,
-        domega_dy=lambda y, nu: np.zeros_like(np.asarray(y, dtype=float)),
+        domega_dy=lambda y, nu: np.zeros(y.shape),
         homogeneous=True,
         name=name or "randers-const(%s)" % ",".join("%g" % x for x in b),
     )

@@ -6,14 +6,22 @@ constant-charge constraint is enforced by eliminating the interior t-nodes:
 in adapted coordinates the charge reads N = omega(y_dot) + d(y) - t_dot per
 segment, so prescribing a constant value and integrating t_dot cumulatively
 is an exact, closed-form projection (the constraint ODE has no homogeneous
-term because nothing depends on t).
+term because nothing depends on t).  One cumulative construction
+(`_cumulative_nodes`) integrates a per-segment rate less its mean into
+nodes with pinned endpoints: `project_to_N` applies it to omega + d, and
+`tangent_split` to the negated linearized charge of a variation.  One
+per-segment pairing of a nodal field with per-segment coefficients
+(`segment_pairing`) gives both the linearized charge and the integrand of
+a directional derivative.
 
 Paths and fields are value-like records; every operation returns a new
 record, so concurrent multi-start workers never share mutable state.
 
 A `PathState` is a path together with one evaluation of a model on it: the
 segment geometry, the one-form values, the charge and energy quadratures
-and the constraint deviation.  `project_to_N` returns one, so every
+and the constraint deviation.  It has one constructor, which takes every
+value; `path_state` and `project_to_N` evaluate them.  `project_to_N`
+returns a state, so every
 consumer of a projected path (arrival times, constraint check, tangent
 split, lift) reads these values instead of evaluating the model again.  A
 plain `DiscretePath` passed to a consumer is evaluated once on entry
@@ -120,10 +128,6 @@ class TangentField:
         object.__setattr__(self, "t", t)
 
     @classmethod
-    def zero(cls, path: DiscretePath) -> "TangentField":
-        return cls(np.zeros_like(path.y), np.zeros_like(path.t))
-
-    @classmethod
     def _own(cls, y, t) -> "TangentField":
         """A field over arrays the caller gives up, with endpoints already
         +0.0: nothing is copied or reset."""
@@ -163,41 +167,30 @@ class PathState(DiscretePath):
     reduced to these numbers and not kept.  t_pm follow from Q_bar and E_val
     in O(1), so no arrival evaluation is stored: it depends on kappa.
 
+    Built by `path_state` and `project_to_N`, which pass every value: the
+    t-nodes `t` (those of `path`, or the projected ones), `mid_y` and `vel_y`
+    of the y-nodes, and `omega` and `d` = d_offset(mid_y) evaluated there.
     The state shares the y-nodes and periods of `path`, which a
     `DiscretePath` already holds as a private, checked copy; nothing is
-    copied.  `t` replaces the t-nodes of `path` (project_to_N passes its
-    new ones) and is the only array checked for finiteness here.
-    `geometry` = (mid_y, vel_y), `omega` and `d` may carry values already
-    computed on the same y-nodes and periods; they depend on nothing else,
-    so they are reused as they are.
+    copied or checked here.
     """
 
-    def __init__(self, model, path, t=None, *, geometry=None, omega=None, d=None):
-        if t is None:
-            t = path.t
-        elif not np.isfinite(t).all():
-            raise ValueError("path nodes must be finite")
+    def __init__(self, model, path, t, mid_y, vel_y, omega, d):
         object.__setattr__(self, "y", path.y)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "periods", path.periods)
         n = self.segments
-        if geometry is None:
-            mid_y, _, vel_y, vel_t = segment_geometry(self)
-        else:
-            mid_y, vel_y = geometry
-            vel_t = (t[1:] - t[:-1]) * n
-        om = model.omega(mid_y, vel_y) if omega is None else omega
-        d = model.d_offset(mid_y) if d is None else d
+        vel_t = (t[1:] - t[:-1]) * n
         # Q_functional, energy_integral and the charge profile of noether_values
         # (chart_N = omega - tau + d), from the values above.
-        q = om - vel_t
-        energy = chart_E(model, mid_y, vel_y, vel_t, omega=om)
+        q = omega - vel_t
+        energy = chart_E(model, mid_y, vel_y, vel_t, omega=omega)
         fields = {
             "model": model,
             "mid_y": mid_y,
             "vel_y": vel_y,
             "vel_t": vel_t,
-            "omega": om,
+            "omega": omega,
             "Q_bar": float(np.add.reduce(q) / n),
             "E_val": float(np.add.reduce(energy) / n),
             "constraint_dev": NoetherProfile.of(q + d).scaled_deviation,
@@ -213,7 +206,9 @@ def path_state(model: StationaryModel, path: DiscretePath) -> PathState:
     """
     if isinstance(path, PathState) and path.model is model:
         return path
-    return PathState(model, path)
+    mid_y, _, vel_y, _ = segment_geometry(path)
+    omega = model.omega(mid_y, vel_y)
+    return PathState(model, path, path.t, mid_y, vel_y, omega, model.d_offset(mid_y))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +218,12 @@ def path_state(model: StationaryModel, path: DiscretePath) -> PathState:
 def unwrap_periodic(dy, periods) -> np.ndarray:
     """Nearest representative of slice displacements modulo the periods.
 
-    `dy` holds displacements along its last axis; a zero period marks an
-    aperiodic coordinate, which passes through unchanged.
+    `dy` is a float array of displacements along its last axis, reduced in
+    place and returned; every caller passes a fresh difference array.  A
+    zero period marks an aperiodic coordinate, which passes through
+    unchanged.
     """
     if periods:
-        dy = np.array(dy, dtype=float)
         for j, p in enumerate(periods):
             if p:
                 dy[..., j] -= p * (dy[..., j] / p).round()
@@ -266,18 +262,22 @@ def midpoint(path: DiscretePath, i: int) -> Point:
     return Point(mid_y[i - 1], mid_t[i - 1])
 
 
-def field_segment_data(path: DiscretePath, delta: TangentField):
-    """Spatial midpoint values and difference quotients of a nodal field.
+def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndarray:
+    """Per-segment pairing P . dmid_y + V . dvel_y + w * dvel_t of a nodal field.
 
-    Returns (mid_y, vel_y, vel_t): nothing depends on the t coordinate, so
-    the t-midpoints are never needed.
+    (dmid_y, dvel_y, dvel_t) are the spatial midpoint values and difference
+    quotients of `delta`; nothing depends on the t coordinate, so its
+    midpoints are never needed.  With per-segment partials (P, V, w) of a
+    functional this is the integrand of its directional derivative; with
+    the charge coefficients (A, B) and w = -1 it is the linearized charge.
     """
     n = path.segments
     dy, dt = delta.y, delta.t
     mid_y = 0.5 * (dy[:-1] + dy[1:])
     vel_y = (dy[1:] - dy[:-1]) * n
     vel_t = (dt[1:] - dt[:-1]) * n
-    return mid_y, vel_y, vel_t
+    vel_t *= w  # in place: w = -1 then costs no (N,) temporary
+    return np.einsum("ij,ij->i", P, mid_y) + np.einsum("ij,ij->i", V, vel_y) + vel_t
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +316,23 @@ def require_on_constraint(model: StationaryModel, path: DiscretePath):
 # constraint projection and tangent splitting
 # ---------------------------------------------------------------------------
 
+def _cumulative_nodes(rate, first, last) -> np.ndarray:
+    """Nodes x_0 = first, x_i = first + sum_{k<i} (rate_k - c) / n, x_n = last.
+
+    c = mean(rate) - (last - first) makes the increments (rate_k - c) / n
+    add up to last - first, so x_n = last in exact arithmetic; it is set to
+    `last` so that it holds bitwise.  The last sum is written into the
+    result, not into a temporary that is then copied.
+    """
+    n = rate.shape[0]
+    c = float(np.add.reduce(rate) / n) - (last - first)
+    x = np.empty(n + 1)
+    x[0] = first
+    np.add(first, (rate - c).cumsum() / n, out=x[1:])
+    x[-1] = last
+    return x
+
+
 def project_to_N(model: StationaryModel, path: DiscretePath) -> PathState:
     """Replace the interior t-nodes so the charge profile is exactly constant.
 
@@ -327,22 +344,16 @@ def project_to_N(model: StationaryModel, path: DiscretePath) -> PathState:
     makes the projection exactly idempotent.  The result is the state of the
     projected path: omega and d depend on the y-nodes only, so the values
     computed here serve it as well.  The state shares the y-nodes of `path`
-    (already a checked copy) and checks only its new t-nodes, which are
+    (already a checked copy); only the new t-nodes are checked, which are
     non-finite exactly when omega or d is somewhere on the path.
     """
-    n = path.segments
-    t = path.t
     mid_y, _, vel_y, _ = segment_geometry(path)
     om = model.omega(mid_y, vel_y)
     d = model.d_offset(mid_y)
-    r = om + d
-    c = float(np.add.reduce(r) / n) - (t[-1] - t[0])
-    tdot = r - c
-    t_new = np.empty_like(t)
-    t_new[0] = t[0]
-    t_new[1:] = t[0] + tdot.cumsum() / n
-    t_new[-1] = t[-1]
-    return PathState(model, path, t_new, geometry=(mid_y, vel_y), omega=om, d=d)
+    t = _cumulative_nodes(om + d, path.t[0], path.t[-1])
+    if not np.isfinite(t).all():
+        raise ValueError("path nodes must be finite")
+    return PathState(model, path, t, mid_y, vel_y, om, d)
 
 
 def linearized_charge_coeffs(
@@ -374,12 +385,7 @@ def linearized_charge(
     at this path, computed here when not given.
     """
     a, b = coeffs if coeffs is not None else linearized_charge_coeffs(model, path)
-    dmid_y, dvel_y, dvel_t = field_segment_data(path, delta)
-    return (
-        np.einsum("ij,ij->i", a, dmid_y)
-        + np.einsum("ij,ij->i", b, dvel_y)
-        - dvel_t
-    )
+    return segment_pairing(path, delta, a, b, -1.0)
 
 
 def tangent_split(
@@ -389,18 +395,13 @@ def tangent_split(
 
     Returns (xi, mu) with delta = xi + mu * K nodewise, mu vanishing at the
     endpoints, and xi satisfying the linearized constant-charge condition
-    across segments.  The same cumulative construction as project_to_N
-    applies, on the linearized charge.  `coeffs` as in linearized_charge.
+    across segments: mu is the cumulative construction of project_to_N on
+    the rate -h, h the linearized charge.  `coeffs` as in linearized_charge.
     """
     state = path_state(model, path)
     require_on_constraint(model, state)
-    n = state.segments
     h = linearized_charge(model, state, delta, coeffs)
-    c = float(np.add.reduce(h) / n)
-    mu = np.empty_like(state.t)
-    mu[0] = 0.0
-    mu[1:] = (c - h).cumsum() / n
-    mu[-1] = 0.0
+    mu = _cumulative_nodes(np.negative(h, out=h), 0.0, 0.0)
     # delta.y and delta.t have +0.0 endpoints and mu does too, so xi shares
     # delta.y and owns delta.t - mu as they are.
     xi = TangentField._own(delta.y, delta.t - mu)
@@ -423,22 +424,8 @@ def lift_spatial_variation(
 
 
 # ---------------------------------------------------------------------------
-# inner product and flow map
+# flow map
 # ---------------------------------------------------------------------------
-
-def h1_inner(path: DiscretePath, d1: TangentField, d2: TangentField) -> float:
-    """First-derivative inner product sum_i <d1_dot, d2_dot> / N.
-
-    Symmetric and positive definite on endpoint-vanishing fields; used as
-    the preconditioner metric for gradient descent.
-    """
-    n = path.segments
-    a_y = np.diff(d1.y, axis=0)
-    b_y = np.diff(d2.y, axis=0)
-    a_t = np.diff(d1.t)
-    b_t = np.diff(d2.t)
-    return float(n * (np.sum(a_y * b_y) + np.sum(a_t * b_t)))
-
 
 def apply_flow(path: DiscretePath, t: float) -> DiscretePath:
     """Carry the path along the symmetry flow: node i moves by t * s_i in t.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -70,10 +71,12 @@ class SolverOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.grad_tol <= 0:
-            raise ValueError("max_iters and grad_tol must be positive")
+        if self.max_iters <= 0 or not 0 < self.grad_tol < math.inf:
+            raise ValueError("max_iters and grad_tol must be positive and finite")
         if self.N < 2:
             raise ValueError("need at least 2 segments")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be at least 0, not {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ One test per criterion, each printing a pass/fail line:
 import math
 import os
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -130,13 +131,17 @@ def test_acceptance_04_cylinder_multiplicity():
     report("criterion 4: cylinder winding multiplicity", ok, " ".join(detail))
 
 
+# Random inputs are seeded from a CRC-32 of a per-test key: Python salts
+# str hashes per process, so hash() would draw other inputs on every run.
+
+
 def test_acceptance_05_identity_suite():
     t0 = time.perf_counter()
     draws = 0
     worst = 0.0
     for spec in BUILTIN_SPECS:
         model = fp.get_model(spec)
-        rng = np.random.default_rng(abs(hash(spec)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()))
         p, q = endpoints_for(model)
         for _ in range(170):
             z = smooth_path(model, p, q, 24, rng)
@@ -182,7 +187,7 @@ def test_acceptance_06_gradient_oracle():
     worst = 0.0
     for spec in BUILTIN_SPECS:
         model = fp.get_model(spec)
-        rng = np.random.default_rng(abs(hash(("grad", spec))) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(f"grad {spec}".encode()))
         p, q = endpoints_for(model)
         kappa = -0.4
         for _ in range(100):
@@ -210,7 +215,7 @@ def test_acceptance_07_homogeneous_reduction():
     worst = 0.0
     for spec in ("flat", "randers-const(0.5,0)", "randers-rot(0.3)", "cylinder(1)"):
         model = fp.get_model(spec)
-        rng = np.random.default_rng(abs(hash(("crit", spec))) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(f"crit {spec}".encode()))
         p, q = endpoints_for(model)
         for branch in ("plus", "minus"):
             for _ in range(10):

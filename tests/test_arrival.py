@@ -1,7 +1,9 @@
 """Arrival-time functionals: root identities, the defining flow property,
 directional derivatives against finite differences, criticality residuals,
 and the optical arrival length."""
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,6 +175,21 @@ def test_dt_requires_tangent_variation():
         dt_plus(model, z, 0.0, delta)
 
 
+@pytest.mark.parametrize("dt_fn", [dt_plus, dt_minus])
+def test_dt_checks_the_branch_before_tangency(dt_fn):
+    """At kappa = E + Q^2 / 2 the discriminant is at its floor: the arrival
+    form refuses the degenerate branch before the variation is looked at."""
+    model = fp.load_custom_model(OFFSET_FIBER)  # no analytic kappa bound
+    rng = np.random.default_rng(24)
+    p, q = endpoints_for(model)
+    z = smooth_path(model, p, q, 40, rng)
+    kappa = z.E_val + 0.5 * z.Q_bar * z.Q_bar
+    assert not fp.arrival_times(model, z, kappa).branch_valid
+    delta = smooth_field(2, 40, rng)  # not tangent either
+    with pytest.raises(fp.AdmissibilityError, match="branch degenerate"):
+        dt_fn(model, z, kappa, delta)
+
+
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_dt_matches_projected_finite_differences(builtin_model, branch):
     rng = np.random.default_rng(25)
@@ -235,15 +252,74 @@ def test_h1_solve_matches_dense_solve(n, cols):
 # ---------------------------------------------------------------------------
 
 def test_residual_equals_gradient_norm_for_lorentz_finsler():
-    model = fp.get_model("randers-rot(0.3)")
+    """theta = dt: the gap and offset partials are exact zeros, so the
+    criticality residual is the arrival gradient's norm to the last bit."""
+    models = [fp.get_model(s) for s in BUILTIN_SPECS]
+    models = [m for m in models if m.homogeneous and m.linear_charge]
+    assert len(models) == 4
     rng = np.random.default_rng(27)
+    for model in models:
+        p, q = endpoints_for(model)
+        for branch in ("plus", "minus"):
+            for n in (3, 40):
+                z = smooth_path(model, p, q, n, rng)
+                res = fp.criticality_residual(model, z, -0.3, branch)
+                norm = arrival_gradient(model, z, -0.3, branch).norm
+                assert res == norm, (model.name, branch, n)
+                assert res > 0.0
+
+
+def counting(model):
+    """`model` with every evaluator wrapped in a call counter."""
+    calls = Counter()
+
+    def wrap(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    names = ("L0", "dL0_dy", "dL0_dnu", "omega", "domega_dy", "d_offset", "dd_dy",
+             "dE0_dy", "dE0_dnu")
+    wrapped = {k: wrap(k, getattr(model, k)) for k in names if getattr(model, k)}
+    return dataclasses.replace(model, **wrapped), calls
+
+
+# One evaluation of the arrival form: domega_dy, omega once per basis vector
+# (the omega coefficients), the E0 partials dL0_dy and dL0_dnu of a
+# 2-homogeneous fiber, and dd_dy for the charge coefficients.
+ONE_FORM = {"domega_dy": 1, "omega": 2, "dL0_dy": 1, "dL0_dnu": 1, "dd_dy": 1}
+
+
+@pytest.mark.parametrize(
+    "spec, residual",
+    [
+        # The form plus dd_dy of the offset partials; the gap is exact zeros.
+        ("randers-rot(0.3)", {**ONE_FORM, "dd_dy": 2}),
+        # The gap's E and L partials evaluate their own domega_dy, omega
+        # coefficients and fiber partials, and L needs d_offset and dd_dy.
+        ("affine-field(flat, 0.3 y1)",
+         {"domega_dy": 3, "omega": 8, "dL0_dy": 3, "dL0_dnu": 3, "dd_dy": 3,
+          "d_offset": 1}),
+    ],
+)
+def test_one_form_evaluates_the_model_once(spec, residual):
+    """The gradient, dt and the criticality residual assemble one arrival
+    form, and a state passes its own evaluation through: each call makes
+    the evaluator calls of one form and no more."""
+    model, calls = counting(fp.get_model(spec))
     p, q = endpoints_for(model)
-    for branch in ("plus", "minus"):
-        z = smooth_path(model, p, q, 40, rng)
-        res = fp.criticality_residual(model, z, -0.3, branch)
-        norm = arrival_gradient(model, z, -0.3, branch).norm
-        assert abs(res - norm) < 1e-12
-        assert res > 0.0
+    z = smooth_path(model, p, q, 200, np.random.default_rng(31))
+    field = arrival_gradient(model, z, -0.5).field
+    for fn, budget in (
+        (lambda: arrival_gradient(model, z, -0.5), ONE_FORM),
+        (lambda: dt_plus(model, z, -0.5, field), ONE_FORM),
+        (lambda: dt_minus(model, z, -0.5, field), ONE_FORM),
+        (lambda: fp.criticality_residual(model, z, -0.5), residual),
+    ):
+        calls.clear()
+        fn()
+        assert dict(calls) == budget
 
 
 def test_residual_constant_offset_matches_linear_formula():

@@ -163,6 +163,46 @@ def test_negative_random_seed_count_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {f}: [seeds] random must be at least 0\n"
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("kappa = 0", "kappa = nan", "[problem] kappa"),
+        ("kappa = 0", "kappa = -inf", "[problem] kappa"),
+        ("kappa = 0", "kappa = -1 inf", "[problem] kappa"),
+        ("p_t = 0", "p_t = inf", "[endpoints] p_t"),
+        ("q_t = 0", "q_t = nan", "[endpoints] q_t"),
+        ("p_y = 0 0", "p_y = nan 0", "[endpoints] p_y"),
+        ("q_y = 3 4", "q_y = 3 -inf", "[endpoints] q_y"),
+        ("kappa = 0", "kappa = 0\nregion = -inf 1; 0 1", "[problem] region"),
+        ("kappa = 0", "kappa = 0\nregion = -1 1; 0 nan", "[problem] region"),
+    ],
+)
+def test_non_finite_scenario_number_exits_2(tmp_path, capsys, old, new, key):
+    text = FLAT_SCENARIO.format(kappa="0", segments=10).replace(old, new)
+    f = write_scenario(tmp_path, text)
+    assert main(["solve", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: {key} must ")
+    assert not os.path.exists(os.path.join(tmp_path, "o"))
+
+
+@pytest.mark.parametrize(
+    "line, args, message",
+    [
+        ("grad_tol = inf", [], "grad_tol must be positive and finite"),
+        ("grad_tol = nan", [], "grad_tol must be positive and finite"),
+        ("", ["--seed", "-1"], "rng_seed must be at least 0"),
+    ],
+)
+def test_bad_solver_option_exits_2(tmp_path, capsys, line, args, message):
+    text = FLAT_SCENARIO.format(kappa="0", segments=10) + line + "\n"
+    f = write_scenario(tmp_path, text)
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out] + args) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("spec", ["flat(0)", "flat(-1)"])
 def test_model_dimension_below_one_exits_2(tmp_path, capsys, spec):
     text = FLAT_SCENARIO.format(kappa="0", segments=10).replace("spec = flat", f"spec = {spec}")

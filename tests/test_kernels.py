@@ -1,7 +1,7 @@
 """Per-iteration kernels against their plain numpy formulas, bit for bit.
 
-`segment_geometry`, `project_to_N`, `_h1_solve`, `_restricted_gradient`
-and `arrival_gradient` call ufuncs and array methods directly (np.add.reduce / n for np.mean,
+`segment_geometry`, `project_to_N`, `_h1_solve`, `_restricted_gradient`,
+`arrival_gradient`, `dt_plus`/`dt_minus` and `tangent_split` call ufuncs and array methods directly (np.add.reduce / n for np.mean,
 a[1:] - a[:-1] for np.diff, x.cumsum() for np.cumsum), and a projected
 state shares the y-nodes of its path.  The references below spell each
 kernel out with np.diff, np.mean, np.sum and np.cumsum and copy every
@@ -21,13 +21,17 @@ from fermatpath.arrival import (
     arrival_gradient,
     arrival_times,
     branch_sign,
+    dt_minus,
+    dt_plus,
 )
 from fermatpath.models import chart_E, omega_coeffs
 from fermatpath.paths import (
     CONSTRAINT_RTOL,
+    TangentField,
     linearized_charge_coeffs,
     path_state,
     segment_geometry,
+    tangent_split,
 )
 
 from conftest import BUILTIN_SPECS, endpoints_for
@@ -132,6 +136,31 @@ def ref_restricted_gradient(y, P, V, wt, a, b):
     return norm, np.array(dy), xi_t
 
 
+def ref_tangent_split(n, a, b, dy, dt):
+    """(xi.y, xi.t, mu) of the tangent split of the field (dy, dt)."""
+    dmid_y = 0.5 * (dy[:-1] + dy[1:])
+    h = (
+        np.einsum("ij,ij->i", a, dmid_y)
+        + np.einsum("ij,ij->i", b, np.diff(dy, axis=0) * n)
+        - np.diff(dt) * n
+    )
+    mu = np.empty(n + 1)
+    mu[0] = 0.0
+    mu[1:] = np.cumsum(float(np.mean(h)) - h) / n
+    mu[-1] = 0.0
+    return np.array(dy), dt - mu, mu
+
+
+def ref_dt(n, P, V, wt, dy, dt):
+    dmid_y = 0.5 * (dy[:-1] + dy[1:])
+    total = (
+        np.einsum("ij,ij->i", P, dmid_y)
+        + np.einsum("ij,ij->i", V, np.diff(dy, axis=0) * n)
+        + wt * (np.diff(dt) * n)
+    )
+    return float(np.sum(total) / n)
+
+
 def ref_arrival_gradient(model, y, state, arr, sigma):
     mid_y, vel_y = state["mid_y"], state["vel_y"]
     domega_dy = model.domega_dy(mid_y, vel_y)
@@ -185,20 +214,40 @@ def check_kernels_match_references(spec, n, seed):
     # Admissible for every model, with a discriminant well above its floor.
     kappa = -1.0 - abs(e_val)
     arr = arrival_times(model, proj, kappa)
+    coeffs = linearized_charge_coeffs(model, proj)
     for branch in ("plus", "minus"):
         grad = arrival_gradient(model, proj, kappa, branch)
         norm, ref_y, ref_t = ref_arrival_gradient(model, y, state, arr, branch_sign(branch))
         assert bits(grad.norm, grad.field.y, grad.field.t) == bits(norm, ref_y, ref_t)
+        # dt along the gradient field pairs the same partials with it.
+        mid_y, vel_y = state["mid_y"], state["vel_y"]
+        partials = _arrival_partials(
+            model, proj, arr, branch_sign(branch),
+            model.domega_dy(mid_y, vel_y), omega_coeffs(model, mid_y),
+        )
+        dt_fn = dt_plus if branch == "plus" else dt_minus
+        assert bits(dt_fn(model, proj, kappa, grad.field)) == bits(
+            ref_dt(n, *partials, grad.field.y, grad.field.t)
+        )
         # A fresh plain path with the same nodes gives the same bits too.
         plain = fp.DiscretePath(proj.y, proj.t, proj.periods)
         again = arrival_gradient(model, plain, kappa, branch)
         assert bits(again.norm, again.field.y, again.field.t) == bits(norm, ref_y, ref_t)
 
+    # The tangent split, on a random field and on fields of signed zeros.
+    m = model.dim
+    fields = [(rng.standard_normal((n + 1, m)), rng.standard_normal(n + 1))]
+    for sign in (1.0, -1.0):
+        fields.append((sign * np.zeros((n + 1, m)), sign * np.zeros(n + 1)))
+    for dy, dt in fields:
+        dy[0] = dy[-1] = 0.0
+        dt[0] = dt[-1] = 0.0
+        xi, mu = tangent_split(model, proj, TangentField(dy, dt))
+        assert bits(xi.y, xi.t, mu) == bits(*ref_tangent_split(n, *coeffs, dy, dt))
+
     # On a projected path the t-part of the arrival gradient nearly cancels,
     # so random partials drive the lift adjoint with O(1) values.
-    m = model.dim
     P, V, wt = rng.standard_normal((n, m)), rng.standard_normal((n, m)), rng.standard_normal(n)
-    coeffs = linearized_charge_coeffs(model, proj)
     grad = _restricted_gradient(model, proj, P, V, wt, coeffs)
     norm, ref_y, ref_t = ref_restricted_gradient(y, P, V, wt, *coeffs)
     assert bits(grad.norm, grad.field.y, grad.field.t) == bits(norm, ref_y, ref_t)

@@ -14,7 +14,6 @@ from fermatpath.paths import (
     action,
     constraint_deviation,
     energy_integral,
-    h1_inner,
     midpoint,
     noether_values,
     segment_geometry,
@@ -221,36 +220,6 @@ def test_split_requires_constrained_path():
     z = fp.DiscretePath(np.stack([s, s], axis=1), s**2)  # nonconstant charge
     with pytest.raises(fp.ConstraintViolationError):
         tangent_split(FLAT, z, TangentField(np.zeros((n + 1, 2)), np.zeros(n + 1)))
-
-
-# ---------------------------------------------------------------------------
-# H1 inner product
-# ---------------------------------------------------------------------------
-
-def test_h1_inner_zero():
-    z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 0], 0.0), 2)
-    zero = TangentField(np.zeros((3, 2)), np.zeros(3))
-    assert h1_inner(z, zero, zero) == 0.0
-
-
-def test_h1_inner_tent():
-    z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 0], 0.0), 2)
-    tent = TangentField(np.array([[0.0, 0], [1.0, 0], [0.0, 0]]), np.zeros(3))
-    assert h1_inner(z, tent, tent) == 4.0
-
-
-def test_h1_inner_bilinear():
-    rng = np.random.default_rng(14)
-    n = 16
-    z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 0], 0.0), n)
-    d1 = smooth_field(2, n, rng)
-    d2 = smooth_field(2, n, rng)
-    a = 2.75
-    scaled = TangentField(a * d1.y, a * d1.t)
-    assert h1_inner(z, scaled, d2) == pytest.approx(
-        a * h1_inner(z, d1, d2), rel=1e-13
-    )
-    assert h1_inner(z, d1, d2) == pytest.approx(h1_inner(z, d2, d1), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

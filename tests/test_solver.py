@@ -288,6 +288,20 @@ def test_solver_options_validation():
         fp.SolverOptions(max_iters=0)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"grad_tol": math.inf}, "grad_tol must be positive and finite"),
+        ({"grad_tol": math.nan}, "grad_tol must be positive and finite"),
+        ({"grad_tol": -1e-7}, "grad_tol must be positive and finite"),
+        ({"rng_seed": -1}, "rng_seed must be at least 0"),
+    ],
+)
+def test_solver_options_reject_non_finite_tolerance_and_negative_seed(kw, message):
+    with pytest.raises(ValueError, match=message):
+        fp.SolverOptions(**kw)
+
+
 # ---------------------------------------------------------------------------
 # descent exits
 # ---------------------------------------------------------------------------
