@@ -33,14 +33,28 @@ constraint deviation from it.  `_arrival_form` additionally evaluates
 domega_dy, the omega coefficients, the E0 partials and dd_dy once each;
 they are local to one call and are dropped when it returns, so a state
 never holds (N, m) partials.  The criticality terms add the partials of the
-gap E - L and of the offset functional D, which for a model that is not
-Lorentz-Finsler evaluate the model again.
+gap E - L and of the offset functional D.  The gap takes the E partials,
+omega, domega_dy and the omega coefficients of the same form; for a model
+that is not Lorentz-Finsler only its L partials evaluate the fiber
+partials, d and dd_dy again.
 
 Per gradient, `_restricted_gradient` does this work and no more: the
 spatial nodal assembly of the partials; the lift adjoint, which reads the
 t-part of the nodal gradient at the interior nodes only and assembles only
 a spatial part; the H1 solve (two cumulative sums); and the lift of the
 result, which copies it once and shares that copy with the returned field.
+
+The kernels write into their own results: each intermediate is computed
+into an array the kernel has made (with `out=` or an in-place operator)
+instead of into a new temporary, and an array is overwritten only when
+nothing reads it afterwards.  Arrays a caller passes in, and the values a
+model's evaluators return, are never written.  Each kernel performs the
+same operations in the same order as the plain expression it replaces,
+with the operands of a sum or product at most swapped, which IEEE
+arithmetic leaves unchanged, so every value keeps its bits, signed zeros
+included (tests/test_kernels.py holds the expressions as references).
+This keeps the fine-grid heap steady: fewer (N, m) temporaries are made
+and freed per gradient.
 """
 from __future__ import annotations
 
@@ -203,23 +217,18 @@ def H_functional(model: StationaryModel, path: DiscretePath, t: float) -> float:
 # discrete first variations
 # ---------------------------------------------------------------------------
 
-def _arrival_partials(model, state, arr: ArrivalEvaluation, sigma: float, domega_dy, w):
-    """Per-segment partials of the arrival time of sign sigma by the chain rule.
-
-    `domega_dy` and `w` (omega coefficients) are those evaluated at the state.
+def _arrival_partials(arr: ArrivalEvaluation, sigma: float, Q, E):
+    """Per-segment partials of the arrival time of sign sigma by the chain rule,
+    coef_q * Q + coef_e * E from the partials Q of the charge and E of the
+    energy.  The sums are written over E, which the caller gives up; Q
+    holds the caller's domega_dy and omega coefficients and is only read.
     """
-    if not arr.branch_valid:
-        raise AdmissibilityError("arrival branch degenerate: discriminant at the floor")
     coef_q = 1.0 + sigma * arr.Q_bar / arr.S
     coef_e = sigma / arr.S
-    args = (model, state.mid_y, state.vel_y, state.vel_t)
-    PQ, VQ, wQ = chart_partials(*args, "Q", domega_dy=domega_dy, w=w)
-    PE, VE, wE = chart_partials(*args, "E", omega=state.omega, domega_dy=domega_dy, w=w)
-    return (
-        coef_q * PQ + coef_e * PE,
-        coef_q * VQ + coef_e * VE,
-        coef_q * wQ + coef_e * wE,
-    )
+    for q_part, e_part in zip(Q, E):
+        e_part *= coef_e
+        e_part += coef_q * q_part
+    return E
 
 
 def _arrival_form(model, path, kappa, sigma: float, critical: bool = False):
@@ -229,22 +238,33 @@ def _arrival_form(model, path, kappa, sigma: float, critical: bool = False):
     linearized-charge coefficients at the state.  domega_dy and the omega
     coefficients are evaluated once and serve both.  With `critical` the
     partials are those of the criticality defect instead,
-    dt_sigma - sigma * (dE - dL - t_sigma * dD) / S.  For Lorentz-Finsler
-    models the partials of the gap E - L and of the offset functional D are
-    exact zeros, so the defect has the dual norm of dt_sigma bit for bit.
+    dt_sigma - sigma * (dE - dL - t_sigma * dD) / S, whose gap E - L takes
+    the E partials, omega, domega_dy and the omega coefficients of the same
+    form.  For Lorentz-Finsler models the partials of the gap and of the
+    offset functional D are exact zeros, so the defect has the dual norm of
+    dt_sigma bit for bit.
     """
     state = path_state(model, path)
     arr = arrival_times(model, state, kappa)
-    domega_dy = model.domega_dy(state.mid_y, state.vel_y)
-    w = omega_coeffs(model, state.mid_y)
-    P, V, wt = _arrival_partials(model, state, arr, sigma, domega_dy, w)
-    coeffs = linearized_charge_coeffs(model, state, domega_dy, w)
+    if not arr.branch_valid:
+        raise AdmissibilityError("arrival branch degenerate: discriminant at the floor")
+    args = (model, state.mid_y, state.vel_y, state.vel_t)
+    given = {
+        "omega": state.omega,
+        "domega_dy": model.domega_dy(state.mid_y, state.vel_y),
+        "w": omega_coeffs(model, state.mid_y),
+    }
+    E = chart_partials(*args, "E", **given)
+    gap = chart_partials_gap(*args, E, **given) if critical else None
+    P, V, wt = _arrival_partials(arr, sigma, chart_partials(*args, "Q", **given), E)
+    coeffs = linearized_charge_coeffs(model, state, given["domega_dy"], given["w"])
     if critical:
-        args = (model, state.mid_y, state.vel_y, state.vel_t)
-        Pg, Vg, wg = chart_partials_gap(*args)
-        PD, VD, wD = chart_partials(*args, "D")
+        # P + cg * gap + cd * D, in that order, over P and the gap.
         cg, cd = -sigma / arr.S, sigma * arr.time(sigma) / arr.S
-        P, V, wt = P + cg * Pg + cd * PD, V + cg * Vg + cd * VD, wt + cg * wg + cd * wD
+        for part, g_part, d_part in zip((P, V, wt), gap, chart_partials(*args, "D")):
+            g_part *= cg
+            part += g_part
+            part += cd * d_part
     return state, (P, V, wt), coeffs
 
 
@@ -273,15 +293,24 @@ def dt_minus(model, path, kappa, delta: TangentField) -> float:
 # H1-preconditioned gradients on the constraint tangent space
 # ---------------------------------------------------------------------------
 
-def _assemble_y(path, P, V):
+def _assemble_y(path, P, V, weight=None):
     """Spatial nodal gradient of a functional given per-segment partials.
 
     Segment i couples nodes i and i+1 through the midpoint average and the
     difference quotient; endpoints stay zero (fixed boundary conditions).
+    With an (N, 1) `weight` the partials are weight * P and weight * V,
+    formed one after the other in one buffer.
     """
     n = path.segments
     g_y = np.zeros(path.y.shape)
-    g_y[1:n] = (P[:-1] + P[1:]) / (2.0 * n) + (V[:-1] - V[1:])
+    inner = g_y[1:n]
+    if weight is not None:
+        P = np.multiply(weight, P)
+    np.add(P[:-1], P[1:], out=inner)
+    inner /= 2.0 * n
+    if weight is not None:
+        V = np.multiply(weight, V, out=P)
+    inner += np.subtract(V[:-1], V[1:])
     return g_y
 
 
@@ -296,13 +325,16 @@ def _lift_adjoint(path, g_int, coeffs):
     """
     n = path.segments
     a, b = coeffs
-    # G_i = sum of g_t over nodes past segment i; H recenters and rescales.
+    # G_i = sum of g_t over nodes past segment i; H = (G - mean(G)) / n
+    # recenters and rescales, and n * H weights the coefficients.  All three
+    # are written over G.
     G = np.zeros(n)
-    G[:-1] = g_int[::-1].cumsum()[::-1]
+    g_int[::-1].cumsum(out=G[:-1][::-1])
     # np.add.reduce / n is np.mean, bit for bit.
-    H = (G - np.add.reduce(G) / n) / n
-    nH = (n * H)[:, None]
-    return _assemble_y(path, nH * a, nH * b)
+    G -= np.add.reduce(G) / n
+    G /= n
+    G *= n
+    return _assemble_y(path, a, b, G[:, None])
 
 
 def _h1_solve(path, g_red):
@@ -317,8 +349,12 @@ def _h1_solve(path, g_red):
     n = path.segments
     G = np.zeros((n,) + g_red.shape[1:])
     g_red[1:n].cumsum(axis=0, out=G[1:])
+    # (mean(G) - G_i) / n over the G_i it replaces, then summed into u.
+    d = G[:-1]
+    np.subtract(np.add.reduce(G, axis=0) / n, d, out=d)
+    d /= n
     u = np.zeros(g_red.shape)
-    ((np.add.reduce(G, axis=0) / n - G[:-1]) / n).cumsum(axis=0, out=u[1:n])
+    d.cumsum(axis=0, out=u[1:n])
     return u
 
 
@@ -333,9 +369,11 @@ def _restricted_gradient(model, state, P, V, w, coeffs) -> FunctionalGradient:
     """
     # The t-part of the nodal gradient, w_{i-1} - w_i, is needed only at the
     # interior nodes, where the lift adjoint reads it.
-    g_red = _assemble_y(state, P, V) + _lift_adjoint(state, w[:-1] - w[1:], coeffs)
+    g_red = _assemble_y(state, P, V)
+    g_red += _lift_adjoint(state, np.subtract(w[:-1], w[1:]), coeffs)
     u = _h1_solve(state, g_red)
-    norm_sq = float(np.add.reduce(g_red * u, axis=None))
+    g_red *= u  # g_red is needed past the solve only for the norm
+    norm_sq = float(np.add.reduce(g_red, axis=None))
     field = lift_spatial_variation(model, state, u, coeffs)
     return FunctionalGradient(field=field, norm=math.sqrt(max(norm_sq, 0.0)))
 

@@ -95,14 +95,30 @@ class Scenario:
 
 
 def _parse_floats(text: str, key: str) -> list[float]:
-    """The numbers of a list value; nan or +-inf is an error naming `key`."""
+    """The numbers of a list value; a malformed number, nan or +-inf is an
+    error naming `key` (the file, section and key)."""
     try:
         values = [float(x) for x in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ScenarioError(f"cannot parse number list {text!r}: {exc}") from exc
+        raise ScenarioError(f"{key}: cannot parse number list {text!r}: {exc}") from exc
     if not all(map(math.isfinite, values)):
         raise ScenarioError(f"{key} must hold finite numbers, not {text!r}")
     return values
+
+
+def _parse_scalar(cp, path: str, section: str, key: str, kind, fallback=None):
+    """[section] key converted by `kind` (int or float), or `fallback` when
+    absent; a malformed value is an error naming the file, section and key."""
+    if not cp.has_option(section, key):
+        return fallback
+    text = cp.get(section, key)
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ScenarioError(
+            f"{path}: [{section}] {key} must be {what}, not {text!r}"
+        ) from None
 
 
 def parse_scenario(
@@ -135,7 +151,9 @@ def parse_scenario(
         raise ScenarioError(
             f"{path}: endpoint dimension mismatch (model dim {model.dim})"
         )
-    p_t, q_t = (cp.getfloat("endpoints", key, fallback=0.0) for key in ("p_t", "q_t"))
+    p_t, q_t = (
+        _parse_scalar(cp, path, "endpoints", key, float, 0.0) for key in ("p_t", "q_t")
+    )
     for key, value in (("p_t", p_t), ("q_t", q_t)):
         if not math.isfinite(value):
             raise ScenarioError(f"{path}: [endpoints] {key} must be finite, not {value}")
@@ -150,8 +168,8 @@ def parse_scenario(
     solver = {}
     for key, f in _SOLVER_KEYS.items():
         if cp.has_option("solver", key):
-            get = cp.getint if isinstance(f.default, int) else cp.getfloat
-            solver[f.name] = get("solver", key)
+            kind = int if isinstance(f.default, int) else float
+            solver[f.name] = _parse_scalar(cp, path, "solver", key, kind)
     if segments is not None:
         solver["N"] = segments
     if rng_seed is not None:
@@ -160,8 +178,14 @@ def parse_scenario(
 
     seeds: list[object] = []
     if cp.has_option("seeds", "windings"):
-        seeds.extend(int(k) for k in cp.get("seeds", "windings").replace(",", " ").split())
-    n_random = cp.getint("seeds", "random", fallback=0)
+        text = cp.get("seeds", "windings")
+        try:
+            seeds.extend(int(k) for k in text.replace(",", " ").split())
+        except ValueError:
+            raise ScenarioError(
+                f"{path}: [seeds] windings must hold integers, not {text!r}"
+            ) from None
+    n_random = _parse_scalar(cp, path, "seeds", "random", int, 0)
     if n_random < 0:
         raise ScenarioError(f"{path}: [seeds] random must be at least 0")
     seeds.extend(["random"] * n_random)
@@ -187,7 +211,7 @@ def parse_scenario(
         pad = 1.0 + 0.5 * float(np.linalg.norm(q.y - p.y))
         region = tuple((float(a - pad), float(b + pad)) for a, b in zip(lo, hi))
 
-    samples = cp.getint("problem", "samples", fallback=500)
+    samples = _parse_scalar(cp, path, "problem", "samples", int, 500)
     if samples < 1:
         raise ScenarioError(f"{path}: [problem] samples must be at least 1")
 
@@ -314,8 +338,10 @@ def cmd_solve(scen: Scenario, quiet: bool = False) -> int:
     for i, rec in enumerate(records):
         path_file = f"path_{i:03d}.txt"
         geo_file = f"geodesic_{i:03d}.txt"
-        save_path(rec.z_star, os.path.join(scen.out_dir, path_file))
-        save_path(rec.geodesic, os.path.join(scen.out_dir, geo_file))
+        save_path(
+            rec.z_star, os.path.join(scen.out_dir, path_file),
+            (rec.geodesic, os.path.join(scen.out_dir, geo_file)),
+        )
         with open(os.path.join(scen.out_dir, f"record_{i:03d}.json"), "w") as fh:
             fh.write(record_to_json(rec, path_file, geo_file))
         rows.append(_summary_row(rec))

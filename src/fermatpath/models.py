@@ -238,8 +238,12 @@ def chart_E(model, y, nu, tau, check=True, *, omega=None):
 
     `omega` may pass the already evaluated omega(y, nu).
     """
+    e0 = chart_E0(model, y, nu)
     om = model.omega(y, nu) if omega is None else omega
-    val = chart_E0(model, y, nu) + om * tau - 0.5 * tau * tau
+    # e0 + om * tau - 0.5 * tau * tau, summed in that order over om * tau
+    val = np.multiply(om, tau)
+    val += e0
+    val -= np.multiply(0.5, tau) * tau
     return _check_finite(val, model, y, nu, tau, "energy value") if check else val
 
 
@@ -292,7 +296,11 @@ def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, 
     for kind in {"L", "E", "Q", "D"}.  Nothing depends on the t coordinate.
     Values already evaluated at (y, nu) may be passed and are used as given:
     `omega` = omega(y, nu), `domega_dy` = domega_dy(y, nu) and
-    `w` = omega_coeffs(y).
+    `w` = omega_coeffs(y).  The P and V of kind "Q" are domega_dy and the
+    omega coefficients themselves, as evaluated or given; every other
+    returned array is the call's own.  Each sum is written over one of its
+    own terms, with the operations of the formula in its order, so the bits
+    are those of the formula.
     """
     y = np.asarray(y, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -306,28 +314,47 @@ def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, 
     if kind == "Q":
         return dom, coeffs, -np.ones_like(tau)
     om = model.omega(y, nu) if omega is None else omega
+    tau_col = tau[:, None]
     if kind == "E":
+        # dE0y + tau * dom, dE0n + tau * coeffs, om - tau
         dE0y, dE0n = _dE0_partials(model, y, nu)
-        return dE0y + tau[:, None] * dom, dE0n + tau[:, None] * coeffs, om - tau
-    P = model.dL0_dy(y, nu) + tau[:, None] * (dom + model.dd_dy(y))
-    V = model.dL0_dnu(y, nu) + tau[:, None] * coeffs
-    return P, V, om + model.d_offset(y) - tau
+        P = np.multiply(tau_col, dom)
+        P += dE0y
+        V = np.multiply(tau_col, coeffs)
+        V += dE0n
+        return P, V, np.subtract(om, tau)
+    # dL0_dy + tau * (dom + dd), dL0_dnu + tau * coeffs, om + d - tau
+    dL0y = model.dL0_dy(y, nu)
+    P = np.add(dom, model.dd_dy(y))
+    P *= tau_col
+    P += dL0y
+    V = np.multiply(tau_col, coeffs)
+    V += model.dL0_dnu(y, nu)
+    w_part = np.add(om, model.d_offset(y))
+    w_part -= tau
+    return P, V, w_part
 
 
-def chart_partials_gap(model, y, nu, tau):
-    """Partials of (E - L).
+def chart_partials_gap(model, y, nu, tau, E, *, omega, domega_dy, w):
+    """Partials of (E - L), new arrays.
 
-    For a 2-homogeneous fiber with linear charge the gap vanishes
-    identically; exact zeros are returned so that downstream identities
-    (action variation equals energy variation) hold to the last bit.
+    `E` holds the partials (P, V, w) of kind "E" at (y, nu, tau), and
+    `omega`, `domega_dy` and `w` the values chart_partials takes, all
+    evaluated there; only the L partials are evaluated here.  For a
+    2-homogeneous fiber with linear charge the gap vanishes identically;
+    exact zeros are returned so that downstream identities (action
+    variation equals energy variation) hold to the last bit.
     """
     nu = np.asarray(nu, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if model.homogeneous and model.linear_charge:
         return np.zeros_like(nu), np.zeros_like(nu), np.zeros_like(tau)
-    PE, VE, wE = chart_partials(model, y, nu, tau, "E")
-    PL, VL, wL = chart_partials(model, y, nu, tau, "L")
-    return PE - PL, VE - VL, wE - wL
+    L = chart_partials(
+        model, y, nu, tau, "L", omega=omega, domega_dy=domega_dy, w=w
+    )
+    for e_part, l_part in zip(E, L):
+        np.subtract(e_part, l_part, out=l_part)
+    return L
 
 
 # ---------------------------------------------------------------------------

@@ -32,20 +32,27 @@ are computed per gradient and passed explicitly (see
 A `DiscretePath` copies and checks its nodes once, when it is built.  A
 state shares the y-array (and periods) of the path it evaluates or
 projects instead of copying it again; `project_to_N` checks only the new
-t-nodes it computes.  The per-iteration kernels call ufuncs and array
-methods directly (np.add.reduce(x) / n for np.mean, a[1:] - a[:-1] for
-np.diff, x.cumsum() for np.cumsum), which are the same operations in the
-same order as the numpy wrappers, so every value is bitwise what the
-wrappers give.
+t-nodes it computes, and evaluates only the spatial half of the segment
+geometry, which is all that omega and d need.  The per-iteration kernels
+call ufuncs and array methods directly (np.add.reduce(x) / n for np.mean,
+a[1:] - a[:-1] for np.diff, x.cumsum() for np.cumsum), which are the same
+operations in the same order as the numpy wrappers, and write into their
+own results with `out=` and in-place operators rather than into new
+temporaries; they never write an array a caller passed in.  The same
+operations in the same order, with the operands of a sum or product at
+most swapped, give the same bits, so every value is bitwise what the plain
+expressions give.
 
 Paths are stored as plain-text node tables, one row ``s y_1..y_m t`` per
 node with 17 significant digits, so `load_path` reads back the saved bits.
-`save_path` builds the table once and formats it in fixed blocks of rows,
-one `%`-format per block; its bytes are exactly those of formatting every
-value with ``"%.17g"``, row by row.
+`save_path` formats the table in fixed blocks of rows, the s and y columns
+once into a template with a hole for t, which each path sharing those
+columns fills with its own t; its bytes are exactly those of formatting
+every value with ``"%.17g"``, row by row.
 """
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -180,10 +187,12 @@ class PathState(DiscretePath):
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "periods", path.periods)
         n = self.segments
-        vel_t = (t[1:] - t[:-1]) * n
+        vel_t = _segment_rate(t, n)
         # Q_functional, energy_integral and the charge profile of noether_values
         # (chart_N = omega - tau + d), from the values above.
-        q = omega - vel_t
+        q = np.subtract(omega, vel_t)
+        q_bar = float(np.add.reduce(q) / n)
+        q += d
         energy = chart_E(model, mid_y, vel_y, vel_t, omega=omega)
         fields = {
             "model": model,
@@ -191,9 +200,9 @@ class PathState(DiscretePath):
             "vel_y": vel_y,
             "vel_t": vel_t,
             "omega": omega,
-            "Q_bar": float(np.add.reduce(q) / n),
+            "Q_bar": q_bar,
             "E_val": float(np.add.reduce(energy) / n),
-            "constraint_dev": NoetherProfile.of(q + d).scaled_deviation,
+            "constraint_dev": NoetherProfile.of(q).scaled_deviation,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -206,7 +215,7 @@ def path_state(model: StationaryModel, path: DiscretePath) -> PathState:
     """
     if isinstance(path, PathState) and path.model is model:
         return path
-    mid_y, _, vel_y, _ = segment_geometry(path)
+    mid_y, vel_y = _spatial_geometry(path)
     omega = model.omega(mid_y, vel_y)
     return PathState(model, path, path.t, mid_y, vel_y, omega, model.d_offset(mid_y))
 
@@ -230,6 +239,24 @@ def unwrap_periodic(dy, periods) -> np.ndarray:
     return dy
 
 
+def _spatial_geometry(path: DiscretePath):
+    """(mid_y, vel_y) of segment_geometry: the spatial half, which is all
+    that a model evaluation of the y-nodes needs."""
+    y = path.y
+    dy = unwrap_periodic(y[1:] - y[:-1], path.periods)
+    mid_y = np.multiply(dy, 0.5)
+    mid_y += y[:-1]
+    dy *= y.shape[0] - 1
+    return mid_y, dy
+
+
+def _segment_rate(t, n) -> np.ndarray:
+    """Difference quotients (t[1:] - t[:-1]) * n of nodal values."""
+    rate = np.subtract(t[1:], t[:-1])
+    rate *= n
+    return rate
+
+
 def segment_geometry(path: DiscretePath):
     """Midpoints and velocities for all segments.
 
@@ -237,14 +264,11 @@ def segment_geometry(path: DiscretePath):
     (N,).  Periodic coordinates use the nearest-representative difference,
     and the midpoint sits on the corresponding unwrapped segment.
     """
-    y, t = path.y, path.t
-    n = y.shape[0] - 1
-    dy = unwrap_periodic(y[1:] - y[:-1], path.periods)
-    mid_y = y[:-1] + 0.5 * dy
-    mid_t = 0.5 * (t[:-1] + t[1:])
-    vel_y = dy * n
-    vel_t = (t[1:] - t[:-1]) * n
-    return mid_y, mid_t, vel_y, vel_t
+    t = path.t
+    mid_y, vel_y = _spatial_geometry(path)
+    mid_t = np.add(t[:-1], t[1:])
+    mid_t *= 0.5
+    return mid_y, mid_t, vel_y, _segment_rate(t, path.segments)
 
 
 def velocity(path: DiscretePath, i: int) -> TangentVector:
@@ -272,12 +296,18 @@ def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndar
     the charge coefficients (A, B) and w = -1 it is the linearized charge.
     """
     n = path.segments
-    dy, dt = delta.y, delta.t
-    mid_y = 0.5 * (dy[:-1] + dy[1:])
-    vel_y = (dy[1:] - dy[:-1]) * n
-    vel_t = (dt[1:] - dt[:-1]) * n
-    vel_t *= w  # in place: w = -1 then costs no (N,) temporary
-    return np.einsum("ij,ij->i", P, mid_y) + np.einsum("ij,ij->i", V, vel_y) + vel_t
+    dy = delta.y
+    # One (N, m) buffer holds the midpoint values, then the quotients.
+    buf = np.add(dy[:-1], dy[1:])
+    buf *= 0.5
+    h = np.einsum("ij,ij->i", P, buf)
+    np.subtract(dy[1:], dy[:-1], out=buf)
+    buf *= n
+    h += np.einsum("ij,ij->i", V, buf)
+    vel_t = _segment_rate(delta.t, n)
+    vel_t *= w  # w = -1 then costs no (N,) temporary
+    h += vel_t
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +351,18 @@ def _cumulative_nodes(rate, first, last) -> np.ndarray:
 
     c = mean(rate) - (last - first) makes the increments (rate_k - c) / n
     add up to last - first, so x_n = last in exact arithmetic; it is set to
-    `last` so that it holds bitwise.  The last sum is written into the
-    result, not into a temporary that is then copied.
+    `last` so that it holds bitwise.  Every step, the cumulative sum
+    included, is written into the result: no (N,) temporary is made.
     """
     n = rate.shape[0]
     c = float(np.add.reduce(rate) / n) - (last - first)
     x = np.empty(n + 1)
     x[0] = first
-    np.add(first, (rate - c).cumsum() / n, out=x[1:])
+    tail = x[1:]
+    np.subtract(rate, c, out=tail)
+    tail.cumsum(out=tail)
+    tail /= n
+    tail += first
     x[-1] = last
     return x
 
@@ -347,7 +381,7 @@ def project_to_N(model: StationaryModel, path: DiscretePath) -> PathState:
     (already a checked copy); only the new t-nodes are checked, which are
     non-finite exactly when omega or d is somewhere on the path.
     """
-    mid_y, _, vel_y, _ = segment_geometry(path)
+    mid_y, vel_y = _spatial_geometry(path)
     om = model.omega(mid_y, vel_y)
     d = model.d_offset(mid_y)
     t = _cumulative_nodes(om + d, path.t[0], path.t[-1])
@@ -398,14 +432,19 @@ def tangent_split(
     across segments: mu is the cumulative construction of project_to_N on
     the rate -h, h the linearized charge.  `coeffs` as in linearized_charge.
     """
-    state = path_state(model, path)
-    require_on_constraint(model, state)
-    h = linearized_charge(model, state, delta, coeffs)
-    mu = _cumulative_nodes(np.negative(h, out=h), 0.0, 0.0)
+    mu = _symmetry_part(model, path, delta, coeffs)
     # delta.y and delta.t have +0.0 endpoints and mu does too, so xi shares
     # delta.y and owns delta.t - mu as they are.
     xi = TangentField._own(delta.y, delta.t - mu)
     return xi, mu
+
+
+def _symmetry_part(model, path, delta, coeffs) -> np.ndarray:
+    """mu of tangent_split: the cumulative construction on the rate -h."""
+    state = path_state(model, path)
+    require_on_constraint(model, state)
+    h = linearized_charge(model, state, delta, coeffs)
+    return _cumulative_nodes(np.negative(h, out=h), 0.0, 0.0)
 
 
 def lift_spatial_variation(
@@ -416,11 +455,14 @@ def lift_spatial_variation(
     The constraint manifold is a graph over the spatial nodes, so every
     interior spatial variation lifts to exactly one tangent field.  `coeffs`
     as in linearized_charge.  `dy` is copied once; the lifted field shares
-    that copy.
+    that copy.  Its t-part is tangent_split's 0.0 - mu, written over mu.
     """
-    field = TangentField(dy, np.zeros(dy.shape[0]))
-    xi, _ = tangent_split(model, path, field, coeffs)
-    return xi
+    y = np.array(dy, dtype=float)
+    y[0] = 0.0
+    y[-1] = 0.0
+    zero = np.zeros(y.shape[0])
+    mu = _symmetry_part(model, path, TangentField._own(y, zero), coeffs)
+    return TangentField._own(y, np.subtract(zero, mu, out=mu))
 
 
 # ---------------------------------------------------------------------------
@@ -504,30 +546,53 @@ def resample(path: DiscretePath, n_segments: int) -> DiscretePath:
 _SAVE_BLOCK_ROWS = 4096
 
 
-def save_path(path: DiscretePath, filename: str):
+def save_path(path: DiscretePath, filename: str, *also):
     """Write the node table: one row per node, columns s, y_1..y_m, t.
 
     Values are printed with 17 significant digits so the table round-trips
-    bit-exactly.  The table [i/n, y, t] is built once and written in blocks
-    of `_SAVE_BLOCK_ROWS` rows, each one `%`-format of a repeated row
-    template.  The bytes are those of formatting each value of each row
-    with ``"%.17g" % v``: ``np.arange(n + 1) / n`` equals ``i / n``
-    bitwise, and ``"%.17g"`` of a float64 equals that of the same Python
-    float.
+    bit-exactly.  Each further argument is a (path, filename) pair written
+    the same way in the same pass; its y-nodes (bit for bit) and periods
+    must be those of `path`, as those of a record's geodesic are, or
+    ValueError is raised before any file is opened.
+
+    The columns [i/n, y] are built once and written in blocks of
+    `_SAVE_BLOCK_ROWS` rows, in two stages.  The first formats the s and y
+    values of a block once into a row template that leaves a ``%.17g``
+    hole for t; the second fills the holes with each path's t-values, one
+    `%`-format per block and file.  A formatted number holds no ``%``, so
+    the template's only holes are those for t.  The bytes of each file are
+    those of formatting each value of each row with ``"%.17g" % v``:
+    ``np.arange(n + 1) / n`` equals ``i / n`` bitwise, and ``"%.17g"`` of a
+    float64 equals that of the same Python float.
     """
+    for other, name in also:
+        if (
+            other.periods != path.periods
+            or other.y.shape != path.y.shape
+            or other.y.tobytes() != path.y.tobytes()
+        ):
+            raise ValueError(
+                f"{name}: y-nodes and periods differ from those of {filename}"
+            )
     n = path.segments
-    table = np.empty((n + 1, path.dim + 2))
-    table[:, 0] = np.arange(n + 1) / n
-    table[:, 1:-1] = path.y
-    table[:, -1] = path.t
-    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(filename, "w") as fh:
-        if path.periods:
-            fh.write("# periods %s\n" % " ".join("%.17g" % p for p in path.periods))
-        fh.write("# s " + " ".join(f"y{j+1}" for j in range(path.dim)) + " t\n")
+    sy = np.empty((n + 1, path.dim + 1))
+    sy[:, 0] = np.arange(n + 1) / n
+    sy[:, 1:] = path.y
+    row = "%.17g " * sy.shape[1] + "%%.17g\n"
+    header = "# s " + " ".join(f"y{j+1}" for j in range(path.dim)) + " t\n"
+    if path.periods:
+        header = "# periods %s\n" % " ".join("%.17g" % p for p in path.periods) + header
+    with ExitStack() as stack:
+        files = [(p.t, stack.enter_context(open(name, "w")))
+                 for p, name in ((path, filename),) + also]
+        for _, fh in files:
+            fh.write(header)
         for start in range(0, n + 1, _SAVE_BLOCK_ROWS):
-            block = table[start:start + _SAVE_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            stop = start + _SAVE_BLOCK_ROWS
+            block = sy[start:stop]
+            template = (row * block.shape[0]) % tuple(block.ravel().tolist())
+            for t, fh in files:
+                fh.write(template % tuple(t[start:stop].tolist()))
 
 
 def load_path(filename: str) -> DiscretePath:

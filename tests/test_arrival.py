@@ -296,11 +296,11 @@ ONE_FORM = {"domega_dy": 1, "omega": 2, "dL0_dy": 1, "dL0_dnu": 1, "dd_dy": 1}
     [
         # The form plus dd_dy of the offset partials; the gap is exact zeros.
         ("randers-rot(0.3)", {**ONE_FORM, "dd_dy": 2}),
-        # The gap's E and L partials evaluate their own domega_dy, omega
-        # coefficients and fiber partials, and L needs d_offset and dd_dy.
+        # The gap takes the form's E partials, omega, domega_dy and omega
+        # coefficients; its L partials add the fiber partials, d_offset and
+        # dd_dy, and the offset partials a third dd_dy.
         ("affine-field(flat, 0.3 y1)",
-         {"domega_dy": 3, "omega": 8, "dL0_dy": 3, "dL0_dnu": 3, "dd_dy": 3,
-          "d_offset": 1}),
+         {**ONE_FORM, "dL0_dy": 2, "dL0_dnu": 2, "dd_dy": 3, "d_offset": 1}),
     ],
 )
 def test_one_form_evaluates_the_model_once(spec, residual):

@@ -187,6 +187,37 @@ def test_non_finite_scenario_number_exits_2(tmp_path, capsys, old, new, key):
 
 
 @pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("p_t = 0", "p_t = 1 2", "[endpoints] p_t"),
+        ("q_t = 0", "q_t = soon", "[endpoints] q_t"),
+        ("p_y = 0 0", "p_y = 0 x", "[endpoints] p_y"),
+        ("kappa = 0", "kappa = -1 zero", "[problem] kappa"),
+        ("kappa = 0", "kappa = 0\nregion = -1 1; 0 one", "[problem] region"),
+        ("kappa = 0", "kappa = 0\nsamples = many", "[problem] samples"),
+        ("segments = 10", "segments = ten", "[solver] segments"),
+        ("segments = 10", "segments = 10\nmax_iters = 1.5", "[solver] max_iters"),
+        ("segments = 10", "segments = 10\ngrad_tol = tiny", "[solver] grad_tol"),
+        ("rng_seed = 7", "rng_seed = seven", "[solver] rng_seed"),
+        ("rng_seed = 7", "rng_seed = 7\n[seeds]\nrandom = x", "[seeds] random"),
+        ("rng_seed = 7", "rng_seed = 7\n[seeds]\nwindings = 0 a", "[seeds] windings"),
+    ],
+)
+def test_malformed_scenario_value_names_its_key(tmp_path, capsys, old, new, key):
+    """A value that does not parse exits 2 with a message that names the
+    file, the section and the key, and writes nothing."""
+    text = FLAT_SCENARIO.format(kappa="0", segments=10).replace(old, new)
+    assert text != FLAT_SCENARIO.format(kappa="0", segments=10)
+    f = write_scenario(tmp_path, text)
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: {key}")
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
     "line, args, message",
     [
         ("grad_tol = inf", [], "grad_tol must be positive and finite"),

@@ -1,36 +1,54 @@
 """Per-iteration kernels against their plain numpy formulas, bit for bit.
 
-`segment_geometry`, `project_to_N`, `_h1_solve`, `_restricted_gradient`,
-`arrival_gradient`, `dt_plus`/`dt_minus` and `tangent_split` call ufuncs and array methods directly (np.add.reduce / n for np.mean,
-a[1:] - a[:-1] for np.diff, x.cumsum() for np.cumsum), and a projected
-state shares the y-nodes of its path.  The references below spell each
-kernel out with np.diff, np.mean, np.sum and np.cumsum and copy every
-array, and must agree to the last bit, signed zeros included.  The
-projection must still reject non-finite nodes.
+The kernels of `paths`, `arrival` and `models` call ufuncs and array
+methods directly (np.add.reduce / n for np.mean, a[1:] - a[:-1] for
+np.diff, x.cumsum() for np.cumsum) and write into their own results with
+`out=` and in-place operators; a projected state shares the y-nodes of its
+path.  The references below are the plain expressions: they spell each
+kernel out with np.diff, np.mean, np.sum and np.cumsum, build every
+intermediate as a new array and copy every input, and the kernels must
+agree with them to the last bit, signed zeros included.  The projection
+must still reject non-finite nodes, and the in-place kernels must keep the
+peak allocation of one gradient and one projection below what the
+expression forms needed.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fermatpath as fp
 from fermatpath.arrival import (
-    _arrival_partials,
+    _assemble_y,
     _h1_solve,
+    _lift_adjoint,
     _restricted_gradient,
     arrival_gradient,
     arrival_times,
     branch_sign,
+    criticality_residual,
     dt_minus,
     dt_plus,
 )
-from fermatpath.models import chart_E, omega_coeffs
+from fermatpath.models import (
+    _dE0_partials,
+    chart_E,
+    chart_E0,
+    chart_partials,
+    omega_coeffs,
+    parse_polynomial,
+    polynomial_model,
+)
 from fermatpath.paths import (
     CONSTRAINT_RTOL,
     TangentField,
+    _cumulative_nodes,
+    lift_spatial_variation,
     linearized_charge_coeffs,
     path_state,
     segment_geometry,
+    segment_pairing,
     tangent_split,
 )
 
@@ -44,6 +62,31 @@ except ImportError:  # the rest of the suite needs only numpy and pytest
 
 def bits(*arrays):
     return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+# L0 = |nu|^2 / 2 + 3 - 0.3 y1^2 with omega = 0.2 nu1: not 2-homogeneous, so
+# its criticality defect has a gap E - L that is not zero.
+POTENTIAL = polynomial_model(
+    2,
+    parse_polynomial("0.5 nu1^2 + 0.5 nu2^2 + 3 - 0.3 y1^2", 2),
+    parse_polynomial("0.2 nu1", 2),
+    name="potential",
+)
+# The built-in models, a y-dependent offset d and the potential model.
+KERNEL_SPECS = BUILTIN_SPECS + ["affine-field(flat, 0.3 y1)", "potential"]
+
+
+def model_for(spec):
+    return POTENTIAL if spec == "potential" else fp.get_model(spec)
+
+
+def signed_zero_fields(rng, shape):
+    """Arrays of +0.0, of -0.0, and of random values mixed with both zeros."""
+    mixed = rng.standard_normal(shape)
+    pick = rng.integers(0, 3, shape)
+    mixed[pick == 1] = 0.0
+    mixed[pick == 2] = -0.0
+    return [np.zeros(shape), -np.zeros(shape), mixed]
 
 
 # ---------------------------------------------------------------------------
@@ -66,21 +109,41 @@ def ref_segment_geometry(y, t, periods):
     return mid_y, mid_t, dy * n, np.diff(t) * n
 
 
+def ref_cumulative_nodes(rate, first, last):
+    n = rate.shape[0]
+    c = float(np.mean(rate)) - (last - first)
+    x = np.empty(n + 1)
+    x[0] = first
+    x[1:] = first + np.cumsum(rate - c) / n
+    x[-1] = last
+    return x
+
+
+def ref_chart_E(model, y, nu, tau, om):
+    return chart_E0(model, y, nu) + om * tau - 0.5 * tau * tau
+
+
+def ref_chart_partials(model, y, nu, tau, kind, om, dom, coeffs):
+    if kind == "Q":
+        return dom, coeffs, -np.ones_like(tau)
+    if kind == "E":
+        dE0y, dE0n = _dE0_partials(model, y, nu)
+        return dE0y + tau[:, None] * dom, dE0n + tau[:, None] * coeffs, om - tau
+    P = model.dL0_dy(y, nu) + tau[:, None] * (dom + model.dd_dy(y))
+    V = model.dL0_dnu(y, nu) + tau[:, None] * coeffs
+    return P, V, om + model.d_offset(y) - tau
+
+
 def ref_project(model, y, t, periods):
     """t-nodes, Q_bar, E_val and constraint deviation of the projected path."""
     n = y.shape[0] - 1
     mid_y, _, vel_y, _ = ref_segment_geometry(y, t, periods)
     om = model.omega(mid_y, vel_y)
     d = model.d_offset(mid_y)
-    r = om + d
-    c = float(np.mean(r)) - (t[-1] - t[0])
-    t_new = np.empty_like(t)
-    t_new[0] = t[0]
-    t_new[1:] = t[0] + np.cumsum(r - c) / n
-    t_new[-1] = t[-1]
+    t_new = ref_cumulative_nodes(om + d, t[0], t[-1])
     vel_t = np.diff(t_new) * n
     q_bar = float(np.sum(om - vel_t) / n)
-    e_val = float(np.sum(chart_E(model, mid_y, vel_y, vel_t, omega=om)) / n)
+    e_val = float(np.sum(ref_chart_E(model, mid_y, vel_y, vel_t, om)) / n)
     profile = om - vel_t + d
     mean = float(np.mean(profile))
     dev = float(np.max(np.abs(profile - mean)))
@@ -104,6 +167,22 @@ def ref_assemble(n, shape, P, V):
     return g
 
 
+def ref_lift_adjoint(n, shape, g_int, a, b):
+    G = np.zeros(n)
+    G[:-1] = np.cumsum(g_int[::-1])[::-1]
+    H = (G - np.mean(G)) / n
+    return ref_assemble(n, shape, (n * H)[:, None] * a, (n * H)[:, None] * b)
+
+
+def ref_segment_pairing(n, P, V, w, dy, dt):
+    dmid_y = 0.5 * (dy[:-1] + dy[1:])
+    return (
+        np.einsum("ij,ij->i", P, dmid_y)
+        + np.einsum("ij,ij->i", V, np.diff(dy, axis=0) * n)
+        + (np.diff(dt) * n) * w
+    )
+
+
 def ref_restricted_gradient(y, P, V, wt, a, b):
     """(norm, field.y, field.t) as the full nodal assembly computes them."""
     n = y.shape[0] - 1
@@ -111,10 +190,7 @@ def ref_restricted_gradient(y, P, V, wt, a, b):
     g_t = np.zeros(n + 1)
     g_t[1:n] = wt[:-1] - wt[1:]
     # lift adjoint, assembled with a zero t-part
-    G = np.zeros(n)
-    G[:-1] = np.cumsum(g_t[1:n][::-1])[::-1]
-    H = (G - np.mean(G)) / n
-    g_red = g_y + ref_assemble(n, y.shape, (n * H)[:, None] * a, (n * H)[:, None] * b)
+    g_red = g_y + ref_lift_adjoint(n, y.shape, g_t[1:n], a, b)
     u = ref_h1_solve(g_red)
     norm = math.sqrt(max(float(np.sum(g_red * u)), 0.0))
     # lift of u: tangent split of the field (u, 0)
@@ -161,12 +237,33 @@ def ref_dt(n, P, V, wt, dy, dt):
     return float(np.sum(total) / n)
 
 
-def ref_arrival_gradient(model, y, state, arr, sigma):
-    mid_y, vel_y = state["mid_y"], state["vel_y"]
-    domega_dy = model.domega_dy(mid_y, vel_y)
+def ref_arrival_form(model, state, arr, sigma, critical=False):
+    """((P, V, wt), (A, B)) of the arrival form, from freshly evaluated
+    partials; with `critical`, those of the criticality defect."""
+    mid_y, vel_y, vel_t, om = (state[k] for k in ("mid_y", "vel_y", "vel_t", "omega"))
+    dom = model.domega_dy(mid_y, vel_y)
     w = omega_coeffs(model, mid_y)
-    P, V, wt = _arrival_partials(model, type("State", (), state), arr, sigma, domega_dy, w)
-    return ref_restricted_gradient(y, P, V, wt, domega_dy + model.dd_dy(mid_y), w)
+    args = (model, mid_y, vel_y, vel_t)
+    PQ, VQ, wQ = ref_chart_partials(*args, "Q", om, dom, w)
+    PE, VE, wE = ref_chart_partials(*args, "E", om, dom, w)
+    coef_q = 1.0 + sigma * arr.Q_bar / arr.S
+    coef_e = sigma / arr.S
+    P, V, wt = coef_q * PQ + coef_e * PE, coef_q * VQ + coef_e * VE, coef_q * wQ + coef_e * wE
+    if critical:
+        if model.homogeneous and model.linear_charge:
+            Pg, Vg, wg = np.zeros_like(vel_y), np.zeros_like(vel_y), np.zeros_like(vel_t)
+        else:
+            PL, VL, wL = ref_chart_partials(*args, "L", om, dom, w)
+            Pg, Vg, wg = PE - PL, VE - VL, wE - wL
+        PD, VD, wD = model.dd_dy(mid_y), np.zeros_like(vel_y), np.zeros_like(vel_t)
+        cg, cd = -sigma / arr.S, sigma * arr.time(sigma) / arr.S
+        P, V, wt = P + cg * Pg + cd * PD, V + cg * Vg + cd * VD, wt + cg * wg + cd * wD
+    return (P, V, wt), (dom + model.dd_dy(mid_y), w)
+
+
+def ref_arrival_gradient(model, y, state, arr, sigma):
+    (P, V, wt), (a, b) = ref_arrival_form(model, state, arr, sigma)
+    return ref_restricted_gradient(y, P, V, wt, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +289,7 @@ def random_nodes(model, n, rng):
 
 
 def check_kernels_match_references(spec, n, seed):
-    model = fp.get_model(spec)
+    model = model_for(spec)
     rng = np.random.default_rng(seed)
     y, t = random_nodes(model, n, rng)
     path = fp.DiscretePath(y, t, model.periods)
@@ -220,11 +317,7 @@ def check_kernels_match_references(spec, n, seed):
         norm, ref_y, ref_t = ref_arrival_gradient(model, y, state, arr, branch_sign(branch))
         assert bits(grad.norm, grad.field.y, grad.field.t) == bits(norm, ref_y, ref_t)
         # dt along the gradient field pairs the same partials with it.
-        mid_y, vel_y = state["mid_y"], state["vel_y"]
-        partials = _arrival_partials(
-            model, proj, arr, branch_sign(branch),
-            model.domega_dy(mid_y, vel_y), omega_coeffs(model, mid_y),
-        )
+        partials, _ = ref_arrival_form(model, state, arr, branch_sign(branch))
         dt_fn = dt_plus if branch == "plus" else dt_minus
         assert bits(dt_fn(model, proj, kappa, grad.field)) == bits(
             ref_dt(n, *partials, grad.field.y, grad.field.t)
@@ -252,8 +345,71 @@ def check_kernels_match_references(spec, n, seed):
     norm, ref_y, ref_t = ref_restricted_gradient(y, P, V, wt, *coeffs)
     assert bits(grad.norm, grad.field.y, grad.field.t) == bits(norm, ref_y, ref_t)
 
+    # The criticality defect: the same form plus the gap and offset partials,
+    # the gap from the form's own E partials.
+    for branch in ("plus", "minus"):
+        (P, V, wt), (a, b) = ref_arrival_form(
+            model, state, arr, branch_sign(branch), critical=True
+        )
+        assert bits(criticality_residual(model, proj, kappa, branch)) == bits(
+            ref_restricted_gradient(y, P, V, wt, a, b)[0]
+        )
 
-@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+    # The chart kernels at the state, evaluating omega, domega_dy and the
+    # omega coefficients themselves or taking them as given.
+    mid_y, vel_y, vel_t, om = (state[k] for k in ("mid_y", "vel_y", "vel_t", "omega"))
+    dom, w = model.domega_dy(mid_y, vel_y), omega_coeffs(model, mid_y)
+    assert bits(chart_E(model, mid_y, vel_y, vel_t)) == bits(
+        ref_chart_E(model, mid_y, vel_y, vel_t, om)
+    )
+    for kind in ("Q", "E", "L"):
+        ref = ref_chart_partials(model, mid_y, vel_y, vel_t, kind, om, dom, w)
+        assert bits(*chart_partials(model, mid_y, vel_y, vel_t, kind)) == bits(*ref)
+        given = chart_partials(
+            model, mid_y, vel_y, vel_t, kind, omega=om, domega_dy=dom, w=w
+        )
+        assert bits(*given) == bits(*ref)
+
+    # The low-level kernels on fields of signed zeros and on random values
+    # mixed with zeros of both signs.
+    a, b = coeffs
+    for zy, zs, zn, zv in zip(
+        signed_zero_fields(rng, (n, m)),
+        signed_zero_fields(rng, (n,)),
+        signed_zero_fields(rng, (n + 1, m)),
+        signed_zero_fields(rng, (n + 1,)),
+    ):
+        assert bits(_assemble_y(proj, zy, zy[::-1])) == bits(
+            ref_assemble(n, y.shape, zy, zy[::-1])
+        )
+        assert bits(_assemble_y(proj, a, b, zs[:, None])) == bits(
+            ref_assemble(n, y.shape, zs[:, None] * a, zs[:, None] * b)
+        )
+        assert bits(_lift_adjoint(proj, zs[:-1], coeffs)) == bits(
+            ref_lift_adjoint(n, y.shape, zs[:-1], a, b)
+        )
+        for g in (zn, zv):
+            g = g.copy()
+            g[0] = g[-1] = 0.0
+            assert bits(_h1_solve(proj, g)) == bits(ref_h1_solve(g))
+        for first, last in ((0.0, 0.0), (-0.0, -0.0), (zv[0], zv[-1])):
+            assert bits(_cumulative_nodes(zs, first, last)) == bits(
+                ref_cumulative_nodes(zs.copy(), first, last)
+            )
+        field = TangentField(zn, zv)
+        for weight in (-1.0, zs):
+            assert bits(segment_pairing(proj, field, zy, zy[::-1], weight)) == bits(
+                ref_segment_pairing(n, zy, zy[::-1], weight, field.y, field.t)
+            )
+        lifted = lift_spatial_variation(model, proj, zn, coeffs)
+        dy = zn.copy()
+        dy[0] = dy[-1] = 0.0
+        assert bits(lifted.y, lifted.t) == bits(
+            *ref_tangent_split(n, a, b, dy, np.zeros(n + 1))[:2]
+        )
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
 @pytest.mark.parametrize("n", [2, 3, 200])
 def test_kernels_match_references_fixed(spec, n):
     check_kernels_match_references(spec, n, 17 * n)
@@ -263,13 +419,12 @@ if st is not None:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        spec=st.sampled_from(BUILTIN_SPECS),
+        spec=st.sampled_from(KERNEL_SPECS),
         n=st.integers(2, 300),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_kernels_match_references(spec, n, seed):
-        """segment_geometry, project_to_N, _h1_solve, _restricted_gradient
-        and arrival_gradient agree bitwise with their references."""
+        """Every kernel agrees bitwise with its reference on random nodes."""
         check_kernels_match_references(spec, n, seed)
 
 else:
@@ -277,6 +432,40 @@ else:
     @pytest.mark.skip(reason="needs hypothesis")
     def test_kernels_match_references():
         pass
+
+
+# ---------------------------------------------------------------------------
+# peak allocation on the fine grid
+# ---------------------------------------------------------------------------
+
+def _peak_bytes(fn):
+    """Peak traced allocation of one call of fn beyond what was live before."""
+    fn()  # a first call settles one-time allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_fine_grid_peak_allocation():
+    """At N = 5e4 on randers-rot(0.3), the peak allocation of one projection
+    and of one gradient counts (N, 2) arrays: the expression forms of the
+    kernels peaked at 7 and 12.5 of them, the in-place kernels at 6 and 10."""
+    n = 50_000
+    model = fp.get_model("randers-rot(0.3)")
+    p, q = fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.7], 0.2)
+    s = np.arange(n + 1) / n
+    y = p.y[None, :] + s[:, None] * (q.y - p.y)[None, :]
+    y[:, 0] += 0.2 * np.sin(np.pi * s)
+    y[:, 1] -= 0.1 * np.sin(2 * np.pi * s)
+    path = fp.DiscretePath(y, p.t + s * (q.t - p.t))
+    state = fp.project_to_N(model, path)
+    unit = n * 2 * 8
+    assert _peak_bytes(lambda: fp.project_to_N(model, path)) < 6.5 * unit
+    assert _peak_bytes(lambda: arrival_gradient(model, state, -0.5)) < 11 * unit
 
 
 # ---------------------------------------------------------------------------

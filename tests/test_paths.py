@@ -16,6 +16,7 @@ from fermatpath.paths import (
     energy_integral,
     midpoint,
     noether_values,
+    resample,
     segment_geometry,
     tangent_split,
     velocity,
@@ -345,6 +346,64 @@ def test_save_path_bytes_match_per_row_writer(tmp_path, spec, n):
     with open(os.path.join(tmp_path, "row.txt"), "rb") as fh:
         row = fh.read()
     assert block == row
+
+
+@pytest.mark.parametrize("spec", ["cylinder(1)", "flat"])
+@pytest.mark.parametrize("n", [4095, 4096, 4097])
+def test_save_path_pair_bytes_match_two_calls(tmp_path, spec, n):
+    """One call with a (geodesic, file) pair writes each file's bytes as a
+    call of its own does, with and without periods, across block edges."""
+    model = fp.get_model(spec)
+    z = _path_with_extremes(model, n, np.random.default_rng(n))
+    geo = fp.apply_flow(z, 1.2345)
+    names = [os.path.join(tmp_path, f) for f in ("p1.txt", "g1.txt", "p2.txt", "g2.txt")]
+    fp.save_path(z, names[0], (geo, names[1]))
+    fp.save_path(z, names[2])
+    fp.save_path(geo, names[3])
+    pair, single = [read_bytes(f) for f in names[:2]], [read_bytes(f) for f in names[2:]]
+    assert pair == single
+    assert pair[0] != pair[1]  # the t columns differ
+    _save_path_per_row(geo, os.path.join(tmp_path, "row.txt"))
+    assert pair[1] == read_bytes(os.path.join(tmp_path, "row.txt"))
+
+
+def read_bytes(filename):
+    with open(filename, "rb") as fh:
+        return fh.read()
+
+
+def _mismatch(z, case):
+    """A path whose y-nodes or periods differ from those of z, bits included."""
+    if case == "other periods":
+        return fp.DiscretePath(z.y, z.t, (0.0, 1.0) if z.periods is None else None)
+    if case == "other grid":
+        return resample(z, z.segments + 1)
+    y = z.y.copy()
+    if case == "one y-node one ulp off":
+        y[1, 0] = np.nextafter(y[1, 0], np.inf)
+    else:  # a zero of the other sign
+        assert y[0, 0] == 0.0 and math.copysign(1.0, y[0, 0]) < 0
+        y[0, 0] = 0.0
+    return fp.DiscretePath(y, z.t, z.periods)
+
+
+@pytest.mark.parametrize("spec", ["cylinder(1)", "flat"])
+@pytest.mark.parametrize(
+    "case", ["one y-node one ulp off", "a zero of the other sign", "other periods", "other grid"]
+)
+def test_save_path_pair_rejects_other_y_nodes(tmp_path, spec, case):
+    """A pair whose y-nodes or periods are not those of the first path raises
+    before any file is opened."""
+    model = fp.get_model(spec)
+    z = smooth_path(model, *endpoints_for(model), 40, np.random.default_rng(3))
+    y = z.y.copy()
+    y[0, 0] = -0.0
+    z = fp.DiscretePath(y, z.t, z.periods)
+    other = _mismatch(z, case)
+    first, second = (os.path.join(tmp_path, f) for f in ("p.txt", "g.txt"))
+    with pytest.raises(ValueError, match="y-nodes and periods differ"):
+        fp.save_path(z, first, (other, second))
+    assert not os.path.exists(first) and not os.path.exists(second)
 
 
 def test_path_roundtrip_bit_exact_fine_grid(tmp_path):
