@@ -32,11 +32,14 @@ passes through as is) and reads the geometry, omega, Q_bar, E_val and the
 constraint deviation from it.  `_arrival_form` additionally evaluates
 domega_dy, the omega coefficients, the E0 partials and dd_dy once each;
 they are local to one call and are dropped when it returns, so a state
-never holds (N, m) partials.  The criticality terms add the partials of the
-gap E - L and of the offset functional D.  The gap takes the E partials,
-omega, domega_dy and the omega coefficients of the same form; for a model
-that is not Lorentz-Finsler only its L partials evaluate the fiber
-partials, d and dd_dy again.
+never holds (N, m) partials.  The partials of the charge Q = omega - tau
+are domega_dy, the omega coefficients and -1: `_arrival_partials` reads
+the first two as evaluated and subtracts the weight of the third.  The
+criticality terms add the partials of the gap E - L and of the offset
+functional D.  The gap takes the E partials, omega, domega_dy and the
+omega coefficients of the same form; for a model that is not
+Lorentz-Finsler only its L partials evaluate the fiber partials, d and
+dd_dy again.
 
 Per gradient, `_restricted_gradient` does this work and no more: the
 spatial nodal assembly of the partials; the lift adjoint, which reads the
@@ -75,7 +78,7 @@ from .models import (
 from .paths import (
     DiscretePath,
     TangentField,
-    action,
+    _spatial_geometry,
     lift_spatial_variation,
     linearized_charge,
     linearized_charge_coeffs,
@@ -83,7 +86,6 @@ from .paths import (
     require_on_constraint,
     segment_geometry,
     segment_pairing,
-    unwrap_periodic,
 )
 
 
@@ -198,36 +200,32 @@ def arrival_times(
 def H_functional(model: StationaryModel, path: DiscretePath, t: float) -> float:
     """Action of the path with velocities shifted by t along the symmetry field.
 
-    Cross-checked against the exact splitting H = action + t * Nbar - t^2/2
-    (Nbar the charge quadrature; equal to Qbar for linear-charge models).
+    It splits exactly as H = action + t * Nbar - t^2/2, Nbar the charge
+    quadrature plus D_functional (equal to Qbar for linear-charge models).
     """
     mid_y, _, vel_y, vel_t = segment_geometry(path)
-    t = float(t)
-    value = float(np.sum(chart_L(model, mid_y, vel_y, vel_t + t)) / path.segments)
-    n_bar = Q_functional(model, path) + D_functional(model, path)
-    split = action(model, path) + t * n_bar - 0.5 * t * t
-    if abs(value - split) > 1e-10 * (1.0 + abs(value)):
-        raise RuntimeError(
-            f"flow-shift splitting identity violated: {value!r} vs {split!r}"
-        )
-    return value
+    return float(np.sum(chart_L(model, mid_y, vel_y, vel_t + float(t))) / path.segments)
 
 
 # ---------------------------------------------------------------------------
 # discrete first variations
 # ---------------------------------------------------------------------------
 
-def _arrival_partials(arr: ArrivalEvaluation, sigma: float, Q, E):
+def _arrival_partials(arr: ArrivalEvaluation, sigma: float, domega_dy, w, E):
     """Per-segment partials of the arrival time of sign sigma by the chain rule,
-    coef_q * Q + coef_e * E from the partials Q of the charge and E of the
-    energy.  The sums are written over E, which the caller gives up; Q
-    holds the caller's domega_dy and omega coefficients and is only read.
+    coef_q * dQ + coef_e * E from the partials dQ = (domega_dy, w, -1) of the
+    charge and E of the energy.  The sums are written over E, which the
+    caller gives up; domega_dy and the omega coefficients w are only read.
+    The tau-part subtracts coef_q, which is adding coef_q * -1 bit for bit.
     """
     coef_q = 1.0 + sigma * arr.Q_bar / arr.S
     coef_e = sigma / arr.S
-    for q_part, e_part in zip(Q, E):
+    P, V, wt = E
+    for e_part, q_part in ((P, domega_dy), (V, w)):
         e_part *= coef_e
         e_part += coef_q * q_part
+    wt *= coef_e
+    wt -= coef_q
     return E
 
 
@@ -256,7 +254,7 @@ def _arrival_form(model, path, kappa, sigma: float, critical: bool = False):
     }
     E = chart_partials(*args, "E", **given)
     gap = chart_partials_gap(*args, E, **given) if critical else None
-    P, V, wt = _arrival_partials(arr, sigma, chart_partials(*args, "Q", **given), E)
+    P, V, wt = _arrival_partials(arr, sigma, given["domega_dy"], given["w"], E)
     coeffs = linearized_charge_coeffs(model, state, given["domega_dy"], given["w"])
     if critical:
         # P + cg * gap + cd * D, in that order, over P and the gap.
@@ -415,15 +413,13 @@ def randers_arrival(model: StationaryModel, spatial_nodes, periods=None) -> floa
         raise UnsupportedModelError(
             "optical arrival length needs a 2-homogeneous fiber and linear charge"
         )
-    y = np.asarray(spatial_nodes, dtype=float)
-    n = y.shape[0] - 1
-    dy = unwrap_periodic(
-        np.diff(y, axis=0), periods if periods is not None else model.periods
+    path = DiscretePath(
+        spatial_nodes, np.zeros(len(spatial_nodes)),
+        periods if periods is not None else model.periods,
     )
-    mid = y[:-1] + 0.5 * dy
-    vel = dy * n
+    mid, vel = _spatial_geometry(path)
     om = model.omega(mid, vel)
     rad = om * om + 2.0 * model.L0(mid, vel)
     if np.any(rad < 0.0):
         raise UnsupportedModelError("optical metric undefined: negative radicand")
-    return float(np.sum(om + np.sqrt(rad)) / n)
+    return float(np.sum(om + np.sqrt(rad)) / path.segments)

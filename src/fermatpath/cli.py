@@ -23,10 +23,17 @@ Outputs are plot-ready CSV (17-significant-digit decimals, comma
 delimited, mandatory header) plus structured-text records with path sidecar
 files.  Identical scenario and seed produce byte-identical CSV.
 
-Exit codes: 0 success, 2 parse error (including an unknown section or key
-and a malformed value), 3 validation failure (including a model that
-evaluates to a non-finite value outside the per-seed descent), 4 no
-converged record.
+Exit codes:
+
+    0  success
+    2  parse error: an unknown section or key, or a malformed or
+       out-of-range value of the scenario or of its model file (a
+       non-finite number or period, a [solver] value SolverOptions
+       refuses, endpoints on one flow line); the message of a bad value
+       names the file, the section and the key
+    3  validation failure, including a model that evaluates to a
+       non-finite value outside the per-seed descent
+    4  no converged record
 """
 from __future__ import annotations
 
@@ -45,6 +52,8 @@ from .models import (
     Point,
     StationaryModel,
     ValidationReport,
+    _parse_floats,
+    _parse_scalar,
     get_model,
     load_custom_model,
     read_ini,
@@ -54,6 +63,7 @@ from .paths import save_path
 from .solve import (
     SolutionRecord,
     SolverOptions,
+    _check_endpoints,
     _fmt,
     _json_text,
     multi_start,
@@ -94,33 +104,6 @@ class Scenario:
     out_dir: str
 
 
-def _parse_floats(text: str, key: str) -> list[float]:
-    """The numbers of a list value; a malformed number, nan or +-inf is an
-    error naming `key` (the file, section and key)."""
-    try:
-        values = [float(x) for x in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: cannot parse number list {text!r}: {exc}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ScenarioError(f"{key} must hold finite numbers, not {text!r}")
-    return values
-
-
-def _parse_scalar(cp, path: str, section: str, key: str, kind, fallback=None):
-    """[section] key converted by `kind` (int or float), or `fallback` when
-    absent; a malformed value is an error naming the file, section and key."""
-    if not cp.has_option(section, key):
-        return fallback
-    text = cp.get(section, key)
-    try:
-        return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ScenarioError(
-            f"{path}: [{section}] {key} must be {what}, not {text!r}"
-        ) from None
-
-
 def parse_scenario(
     path: str,
     *,
@@ -159,17 +142,25 @@ def parse_scenario(
             raise ScenarioError(f"{path}: [endpoints] {key} must be finite, not {value}")
     p = Point(p_y, p_t)
     q = Point(q_y, q_t)
+    try:
+        _check_endpoints(model, p, q)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: [endpoints] q_y: {exc}") from None
 
     kappas = tuple(_parse_floats(need("problem", "kappa"), f"{path}: [problem] kappa"))
     if not kappas:
         raise ScenarioError(f"{path}: kappa list is empty")
 
-    # Only the keys present are passed; SolverOptions supplies the defaults.
+    # Only the keys present are passed; SolverOptions supplies the defaults
+    # and alone checks the ranges, each file key on its own.
     solver = {}
     for key, f in _SOLVER_KEYS.items():
         if cp.has_option("solver", key):
             kind = int if isinstance(f.default, int) else float
-            solver[f.name] = _parse_scalar(cp, path, "solver", key, kind)
+            solver[f.name] = _parse_scalar(
+                cp, path, "solver", key, kind,
+                check=lambda value, name=f.name: SolverOptions(**{name: value}),
+            )
     if segments is not None:
         solver["N"] = segments
     if rng_seed is not None:

@@ -15,13 +15,21 @@ All model evaluators are batched: they accept arrays of shape (n, m) for
 positions and fiber vectors and return shape (n,) scalars or (n, m)
 gradients.  Evaluators are pure and models are immutable, so they are safe
 to share across concurrent workers.
+
+A model carries every derivative the chart layer reads: the partials of
+L0, omega, d and the fiber energy E0.  `build_model` settles the source of
+each once, when the model is built (given, central differences, or for E0
+of a 2-homogeneous fiber the L0 partials), so `chart_partials` only calls
+them.  Scenario and model files share one strict reader (`read_ini`) and
+one way of reading values, whose errors name the file, the section and
+the key.
 """
 from __future__ import annotations
 
 import configparser
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,6 +71,11 @@ class TangentVector:
 class StationaryModel:
     """Evaluator bundle for a stationary Lagrangian in adapted coordinates.
 
+    Every evaluator is set, the derivatives included: `build_model` settles
+    where each one comes from when the model is built, so no caller picks a
+    source at evaluation time.  `dE0_dy` and `dE0_dnu` are the partials of
+    the fiber energy E0 = dL0_dnu . nu - L0 (chart_E0).
+
     `homogeneous` means L0 is positively 2-homogeneous in nu, which makes
     E0 = L0 and enables the action = energy shortcut.  `linear_charge` is
     true when the offset d vanishes identically; operations restricted to
@@ -79,14 +92,12 @@ class StationaryModel:
     domega_dy: FiberEval
     d_offset: BaseEval
     dd_dy: BaseEval
+    dE0_dy: FiberEval
+    dE0_dnu: FiberEval
     homogeneous: bool = False
     periods: Optional[tuple[float, ...]] = None
     linear_charge: bool = True
     name: str = ""
-    # Optional analytic partials of E0 = dL0_dnu . nu - L0 for models that
-    # are not 2-homogeneous; central finite differences otherwise.
-    dE0_dy: Optional[FiberEval] = None
-    dE0_dnu: Optional[FiberEval] = None
 
     @property
     def topology(self) -> str:
@@ -107,14 +118,7 @@ class ValidationReport:
     cone_samples: int
 
     def as_dict(self) -> dict:
-        return {
-            "qk_check": self.qk_check,
-            "convexity_margin": self.convexity_margin,
-            "growth_ok": self.growth_ok,
-            "supL0_at_zero": self.supL0_at_zero,
-            "kappa_admissible_bound": self.kappa_admissible_bound,
-            "cone_samples": self.cone_samples,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +150,11 @@ def _central_diff(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     return out
 
 
+def _check_dim(dim: int):
+    if dim < 1:
+        raise ValueError(f"model dimension must be at least 1, not {dim}")
+
+
 def build_model(
     dim: int,
     L0: FiberEval,
@@ -162,12 +171,16 @@ def build_model(
     periods: Optional[Sequence[float]] = None,
     name: str = "",
 ) -> StationaryModel:
-    """Assemble a model, filling absent derivatives with central differences.
+    """Assemble a model and settle the source of each of its derivatives.
 
-    A slice dimension below 1 raises ValueError.
+    An absent omega or d is identically zero, with zero derivatives.  Each
+    derivative that is given is used as given, and each that is absent is
+    the central difference of its function (`_central_diff`).  The E0
+    partials of a 2-homogeneous fiber are dL0_dy and dL0_dnu themselves,
+    since E0 = L0 there; given `dE0_dy`/`dE0_dnu` are then not used.  A
+    slice dimension below 1 raises ValueError.
     """
-    if dim < 1:
-        raise ValueError(f"model dimension must be at least 1, not {dim}")
+    _check_dim(dim)
     linear = d_offset is None
     if omega is None:
         omega = _zeros
@@ -183,7 +196,14 @@ def build_model(
         domega_dy = lambda y, nu: _central_diff(lambda yy: omega(yy, nu), y)
     if dd_dy is None:
         dd_dy = lambda y: _central_diff(d_offset, y)
-    return StationaryModel(
+    if homogeneous:
+        dE0_dy, dE0_dnu = dL0_dy, dL0_dnu
+    # The differences of E0 read the model built below (chart_E0).
+    if dE0_dy is None:
+        dE0_dy = lambda y, nu: _central_diff(lambda yy: chart_E0(model, yy, nu), y)
+    if dE0_dnu is None:
+        dE0_dnu = lambda y, nu: _central_diff(lambda nn: chart_E0(model, y, nn), nu)
+    model = StationaryModel(
         dim=int(dim),
         L0=L0,
         dL0_dy=dL0_dy,
@@ -192,13 +212,14 @@ def build_model(
         domega_dy=domega_dy,
         d_offset=d_offset,
         dd_dy=dd_dy,
+        dE0_dy=dE0_dy,
+        dE0_dnu=dE0_dnu,
         homogeneous=bool(homogeneous),
         periods=tuple(float(p) for p in periods) if periods is not None else None,
         linear_charge=linear,
         name=name,
-        dE0_dy=dE0_dy,
-        dE0_dnu=dE0_dnu,
     )
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -277,51 +298,38 @@ def omega_coeffs(model, y) -> np.ndarray:
     return w
 
 
-def _dE0_partials(model, y, nu):
-    """Partials of E0 in (y, nu); analytic when available, else central FD."""
-    if model.homogeneous:
-        return model.dL0_dy(y, nu), model.dL0_dnu(y, nu)
-    if model.dE0_dy is not None and model.dE0_dnu is not None:
-        return model.dE0_dy(y, nu), model.dE0_dnu(y, nu)
-    return (
-        _central_diff(lambda yy: chart_E0(model, yy, nu), y),
-        _central_diff(lambda nn: chart_E0(model, y, nn), nu),
-    )
-
-
 def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, w=None):
     """Per-point partial derivatives (P, V, w) of a chart quantity.
 
-    P = d/dy (shape (n, m)), V = d/dnu (shape (n, m)), w = d/dtau (shape (n,)),
-    for kind in {"L", "E", "Q", "D"}.  Nothing depends on the t coordinate.
-    Values already evaluated at (y, nu) may be passed and are used as given:
-    `omega` = omega(y, nu), `domega_dy` = domega_dy(y, nu) and
-    `w` = omega_coeffs(y).  The P and V of kind "Q" are domega_dy and the
-    omega coefficients themselves, as evaluated or given; every other
-    returned array is the call's own.  Each sum is written over one of its
-    own terms, with the operations of the formula in its order, so the bits
-    are those of the formula.
+    P = d/dy (shape (n, m)), V = d/dnu (shape (n, m)), w = d/dtau (shape (n,))
+    of the Lagrangian L (kind "L"), the energy E (kind "E") or the charge
+    offset d (kind "D"); nothing depends on the t coordinate.  They read the
+    model's derivatives as `build_model` settled them; E takes the E0
+    partials dE0_dy and dE0_dnu.  The partials of the charge Q = omega - tau
+    are domega_dy, the omega coefficients and -1, which callers use
+    directly.  Values already evaluated at (y, nu) may be passed and are used
+    as given: `omega` = omega(y, nu), `domega_dy` = domega_dy(y, nu) and
+    `w` = omega_coeffs(y).  Every returned array is the call's own.  Each
+    sum is written over one of its own terms, with the operations of the
+    formula in its order, so the bits are those of the formula.
     """
     y = np.asarray(y, dtype=float)
     nu = np.asarray(nu, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if kind == "D":
         return model.dd_dy(y), np.zeros_like(nu), np.zeros_like(tau)
-    if kind not in ("Q", "E", "L"):
+    if kind not in ("E", "L"):
         raise ValueError(f"unknown partials kind {kind!r}")
     dom = model.domega_dy(y, nu) if domega_dy is None else domega_dy
     coeffs = omega_coeffs(model, y) if w is None else w
-    if kind == "Q":
-        return dom, coeffs, -np.ones_like(tau)
     om = model.omega(y, nu) if omega is None else omega
     tau_col = tau[:, None]
     if kind == "E":
-        # dE0y + tau * dom, dE0n + tau * coeffs, om - tau
-        dE0y, dE0n = _dE0_partials(model, y, nu)
+        # dE0_dy + tau * dom, dE0_dnu + tau * coeffs, om - tau
         P = np.multiply(tau_col, dom)
-        P += dE0y
+        P += model.dE0_dy(y, nu)
         V = np.multiply(tau_col, coeffs)
-        V += dE0n
+        V += model.dE0_dnu(y, nu)
         return P, V, np.subtract(om, tau)
     # dL0_dy + tau * (dom + dd), dL0_dnu + tau * coeffs, om + d - tau
     dL0y = model.dL0_dy(y, nu)
@@ -845,6 +853,41 @@ def read_ini(path: str, keys: dict, what: str) -> configparser.ConfigParser:
     return cp
 
 
+def _parse_floats(text: str, key: str) -> list[float]:
+    """The numbers of a list value; a malformed number, nan or +-inf is an
+    error naming `key` (the file, section and key)."""
+    try:
+        values = [float(x) for x in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: cannot parse number list {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ScenarioError(f"{key} must hold finite numbers, not {text!r}")
+    return values
+
+
+def _parse_scalar(cp, path: str, section: str, key: str, kind, fallback=None, check=None):
+    """[section] key converted by `kind` (int or float), or `fallback` when
+    absent.  A malformed value, and a value for which `check` raises
+    ValueError (the owner of its range), is an error naming the file, the
+    section and the key."""
+    if not cp.has_option(section, key):
+        return fallback
+    text = cp.get(section, key)
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ScenarioError(
+            f"{path}: [{section}] {key} must be {what}, not {text!r}"
+        ) from None
+    if check is not None:
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: [{section}] {key}: {exc}") from None
+    return value
+
+
 # Model definition files: one [model] section with these keys.
 _MODEL_KEYS = {"model": ("dim", "l0", "omega", "d", "topology")}
 
@@ -855,24 +898,32 @@ def load_custom_model(path: str) -> StationaryModel:
     The file holds one [model] section with the keys dim (required), L0
     (required), omega, d (polynomials in y1..ym and nu1..num, default 0) and
     topology ("euclidean" or space-separated per-coordinate periods).  Any
-    other section or key is a ScenarioError, so the command line exits 2.
-    Whether L0 is 2-homogeneous is read off its terms (polynomial_model).
+    other section or key, a missing required key, and a malformed value (a
+    dim that is not an integer of at least 1, a polynomial that does not
+    parse, a period that is not a finite number) is a ScenarioError, so the
+    command line exits 2; a bad value's message names the file, the section
+    and the key.  Whether L0 is 2-homogeneous is read off its terms
+    (polynomial_model).
     """
     cp = read_ini(path, _MODEL_KEYS, "model definition")
-    sec = cp["model"] if cp.has_section("model") else {}
-    try:
-        dim = int(sec["dim"])
-        L0 = parse_polynomial(sec["L0"], dim)
-    except KeyError as exc:
-        raise ScenarioError(f"model definition {path!r} missing key {exc}") from exc
-    omega = parse_polynomial(sec.get("omega", "0"), dim)
-    d = parse_polynomial(sec.get("d", "0"), dim)
+    for key in ("dim", "L0"):
+        if not cp.has_option("model", key):
+            raise ScenarioError(f"model definition {path!r} missing key {key!r}")
+    dim = _parse_scalar(cp, path, "model", "dim", int, check=_check_dim)
+    polys = []
+    for key in ("L0", "omega", "d"):
+        try:
+            polys.append(parse_polynomial(cp.get("model", key, fallback="0"), dim))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}: [model] {key}: {exc}") from None
+    L0, omega, d = polys
     periods = None
-    topo = sec.get("topology", "euclidean").strip()
+    topo = cp.get("model", "topology", fallback="euclidean").strip()
     if topo and topo != "euclidean":
-        periods = [float(x) for x in topo.replace("cylinder", "").strip("() ").split()]
+        key = f"{path}: [model] topology"
+        periods = _parse_floats(topo.replace("cylinder", "").strip("() "), key)
         if len(periods) != dim:
-            raise ScenarioError(f"topology needs {dim} periods, got {len(periods)}")
+            raise ScenarioError(f"{key} needs {dim} periods, got {len(periods)}")
     return polynomial_model(
         dim, L0,
         omega_poly=omega if omega.terms else None,

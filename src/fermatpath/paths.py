@@ -108,14 +108,6 @@ class DiscretePath:
     def dim(self) -> int:
         return self.y.shape[1]
 
-    @property
-    def p(self) -> Point:
-        return Point(self.y[0], self.t[0])
-
-    @property
-    def q(self) -> Point:
-        return Point(self.y[-1], self.t[-1])
-
 
 @dataclass(frozen=True)
 class TangentField:

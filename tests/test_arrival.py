@@ -190,6 +190,17 @@ def test_dt_checks_the_branch_before_tangency(dt_fn):
         dt_fn(model, z, kappa, delta)
 
 
+def test_arrival_times_reject_a_negative_discriminant():
+    """Past kappa = E + Q^2 / 2 the quadratic has no real root: a model
+    without an analytic bound admits kappa, and the path is refused."""
+    model = fp.load_custom_model(OFFSET_FIBER)
+    p, q = endpoints_for(model)
+    z = smooth_path(model, p, q, 40, np.random.default_rng(24))
+    kappa = z.E_val + 0.5 * z.Q_bar * z.Q_bar + 1.0
+    with pytest.raises(fp.AdmissibilityError, match="negative discriminant -2"):
+        fp.arrival_times(model, z, kappa)
+
+
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_dt_matches_projected_finite_differences(builtin_model, branch):
     rng = np.random.default_rng(25)
@@ -286,9 +297,10 @@ def counting(model):
 
 
 # One evaluation of the arrival form: domega_dy, omega once per basis vector
-# (the omega coefficients), the E0 partials dL0_dy and dL0_dnu of a
-# 2-homogeneous fiber, and dd_dy for the charge coefficients.
-ONE_FORM = {"domega_dy": 1, "omega": 2, "dL0_dy": 1, "dL0_dnu": 1, "dd_dy": 1}
+# (the omega coefficients), the E0 partials (for a 2-homogeneous fiber the
+# functions dL0_dy and dL0_dnu, called as the model's dE0_dy and dE0_dnu),
+# and dd_dy for the charge coefficients.
+ONE_FORM = {"domega_dy": 1, "omega": 2, "dE0_dy": 1, "dE0_dnu": 1, "dd_dy": 1}
 
 
 @pytest.mark.parametrize(
@@ -300,7 +312,7 @@ ONE_FORM = {"domega_dy": 1, "omega": 2, "dL0_dy": 1, "dL0_dnu": 1, "dd_dy": 1}
         # coefficients; its L partials add the fiber partials, d_offset and
         # dd_dy, and the offset partials a third dd_dy.
         ("affine-field(flat, 0.3 y1)",
-         {**ONE_FORM, "dL0_dy": 2, "dL0_dnu": 2, "dd_dy": 3, "d_offset": 1}),
+         {**ONE_FORM, "dL0_dy": 1, "dL0_dnu": 1, "dd_dy": 3, "d_offset": 1}),
     ],
 )
 def test_one_form_evaluates_the_model_once(spec, residual):

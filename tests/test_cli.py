@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
+from fermatpath import cli
 from fermatpath.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -253,9 +254,7 @@ def test_model_file_dimension_zero_exits_2(tmp_path, capsys, L0):
     )
     assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    if L0 == "3":  # nu1 is out of range before the dimension is checked
-        assert err == "error: model dimension must be at least 1, not 0\n"
+    assert err == f"error: {model}: [model] dim: model dimension must be at least 1, not 0\n"
 
 
 def test_semicolon_is_a_comment_only_at_line_start(tmp_path):
@@ -326,6 +325,98 @@ def test_validate_rejects_positive_kappa(tmp_path, capsys):
     out = os.path.join(tmp_path, "out")
     assert main(["validate", f, "--out", out]) == EXIT_VALIDATION
     assert "exceeds admissible bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, key, message",
+    [
+        ("segments = 10", "segments = 10\nmax_iters = 0", "max_iters",
+         "max_iters and grad_tol must be positive and finite"),
+        ("segments = 10", "segments = 10\ngrad_tol = -1", "grad_tol",
+         "max_iters and grad_tol must be positive and finite"),
+        ("segments = 10", "segments = 1", "segments", "need at least 2 segments"),
+        ("rng_seed = 7", "rng_seed = -3", "rng_seed", "rng_seed must be at least 0, not -3"),
+    ],
+)
+def test_out_of_range_solver_value_names_its_key(tmp_path, capsys, old, new, key, message):
+    """A [solver] value that parses but is out of range exits 2 with the
+    range message of SolverOptions after the file, the section and the key."""
+    f = write_scenario(tmp_path, FLAT_SCENARIO.format(kappa="0", segments=10).replace(old, new))
+    out = os.path.join(tmp_path, "o")
+    assert main(["validate", f, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {f}: [solver] {key}: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--segments", "1"], "need at least 2 segments"),
+        (["--seed", "-1"], "rng_seed must be at least 0, not -1"),
+    ],
+)
+def test_out_of_range_flag_keeps_its_message(tmp_path, capsys, args, message):
+    f = flat_scenario(tmp_path, segments=10)
+    assert main(["validate", f, "--out", os.path.join(tmp_path, "o")] + args) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, p_y, q_y",
+    [
+        ("flat", "0.5 1", "0.5 1"),
+        ("cylinder(1)", "0 0", f"0 {2 * math.pi!r}"),
+        ("cylinder(1)", "1 -2", f"1 {-2 + 4 * math.pi!r}"),
+    ],
+)
+def test_endpoints_on_one_flow_line_exit_2(tmp_path, capsys, spec, p_y, q_y):
+    """Endpoints whose slice positions coincide (modulo the periods) are a
+    parse error of [endpoints] q_y, for validate as for solve."""
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nspec = {spec}\n[endpoints]\np_y = {p_y}\nq_y = {q_y}\n"
+        "[problem]\nkappa = -1\n",
+    )
+    for command in ("validate", "solve"):
+        out = os.path.join(tmp_path, "o")
+        assert main([command, f, "--out", out]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {f}: [endpoints] q_y: endpoints lie on the same flow line: "
+            "the slice positions coincide\n"
+        )
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("dim = two", "[model] dim must be an integer, not 'two'"),
+        ("dim = 2\ntopology = 1 x",
+         "[model] topology: cannot parse number list '1 x': "
+         "could not convert string to float: 'x'"),
+        ("dim = 2\ntopology = nan 0", "[model] topology must hold finite numbers, not 'nan 0'"),
+        ("dim = 2\ntopology = 0 inf", "[model] topology must hold finite numbers, not '0 inf'"),
+        ("dim = 2\ntopology = 1", "[model] topology needs 2 periods, got 1"),
+        ("dim = 2\nomega = 0.2 q1", "[model] omega: cannot parse factor 'q1' in '0.2 q1'"),
+        ("dim = 2\nd = y3", "[model] d: variable index out of range in term 'y3' (dim=2)"),
+    ],
+)
+def test_malformed_model_file_value_names_its_key(tmp_path, capsys, line, message):
+    """A model-file value that does not parse, or a non-finite period,
+    exits 2 at parse time with a message naming the file, the section and
+    the key; nothing runs and no warning is raised."""
+    model = write_scenario(
+        tmp_path, f"[model]\n{line}\nL0 = 0.5 nu1^2 + 0.5 nu2^2\n", name="m.ini"
+    )
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nfile = {model}\n[endpoints]\np_y = 0 0\nq_y = 1 0.5\n"
+        "[problem]\nkappa = -1\n[solver]\nsegments = 10\n",
+    )
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+    assert not os.path.exists(out)
 
 
 def test_validate_offset_fiber_bound(tmp_path):
@@ -469,6 +560,37 @@ def test_sweep_flat_kappa_values(tmp_path):
     assert got[-2.0] == pytest.approx(math.sqrt(29.0), abs=1e-6)
     # monotone: larger kappa, earlier arrival
     assert got[-2.0] > got[-0.5] > got[0.0]
+
+
+def test_sweep_no_convergence_exit_code(tmp_path, capsys):
+    """Two iterations are too few at every kappa: the sweep writes a CSV of
+    its header alone and exits 4."""
+    text = FLAT_SCENARIO.format(kappa="-1 -0.5", segments=40).replace(
+        "spec = flat", "spec = randers-rot(0.3)"
+    ).replace("q_y = 3 4", "q_y = 1 0.7") + "max_iters = 2\n"
+    f = write_scenario(tmp_path, text)
+    out = os.path.join(tmp_path, "out")
+    assert main(["sweep", f, "--out", out, "--quiet"]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "no seed converged for any kappa\n"
+    assert read_file(out, "sweep.csv").splitlines() == [
+        "kappa,branch,t_plus,winding,el_residual,energy_dev,noether_dev,iters"
+    ]
+
+
+def test_sweep_warns_when_arrival_grows_with_kappa(tmp_path, capsys, monkeypatch):
+    """Records whose arrival time grows with kappa are written and warned
+    about: each kappa here gets the records of the other one."""
+    solve_at = cli.multi_start
+    monkeypatch.setattr(
+        cli, "multi_start",
+        lambda model, p, q, kappa, *args: solve_at(model, p, q, -2.5 - kappa, *args),
+    )
+    f = flat_scenario(tmp_path, kappa="-2 -0.5", segments=20)
+    assert main(["sweep", f, "--out", os.path.join(tmp_path, "out"), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: arrival time not monotone in kappa for ('plus', (0, 0)): "
+        f"t(-0.5)={math.sqrt(29.0):.6g} > t(-2)={math.sqrt(26.0):.6g}\n"
+    )
 
 
 def test_sweep_single_kappa_degenerates_to_solve(tmp_path):

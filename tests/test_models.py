@@ -17,6 +17,7 @@ from fermatpath.models import (
     eval_Q,
     is_causal,
     omega_coeffs,
+    parse_polynomial,
     polynomial_model,
     shift_by_flow,
 )
@@ -253,6 +254,61 @@ def test_finite_difference_fallback_matches_analytic():
     nu = rng.standard_normal((10, 2))
     assert np.allclose(bare.dL0_dnu(y, nu), nu, rtol=1e-6, atol=1e-8)
     assert np.allclose(bare.dL0_dy(y, nu), 0.0, atol=1e-8)
+
+
+# Not 2-homogeneous, with a y-dependent fiber, one-form and offset.
+TWIN = {
+    "L0": "0.5 nu1^2 + 0.5 nu2^2 + 3 - 0.3 y1^2 + 0.1 y2 nu1^2",
+    "omega": "0.2 nu1 + 0.1 y2 nu2",
+    "d": "0.1 y1 + 0.05 y2^2",
+}
+
+
+def twin_models():
+    """A polynomial model with exact derivatives, and the same functions
+    given to build_model bare, so that every derivative is a central
+    difference: the E0 partials of an inhomogeneous fiber and dd_dy too."""
+    L0, omega, d = (parse_polynomial(TWIN[k], 2) for k in ("L0", "omega", "d"))
+    exact = polynomial_model(2, L0, omega, d)
+    bare = fp.build_model(2, L0, omega, lambda y: d(y))
+    return exact, bare
+
+
+def test_builtin_E0_partials_are_the_L0_partials(builtin_model):
+    """E0 = L0 for a 2-homogeneous fiber: its E0 partials are the L0 ones."""
+    assert builtin_model.homogeneous
+    assert builtin_model.dE0_dy is builtin_model.dL0_dy
+    assert builtin_model.dE0_dnu is builtin_model.dL0_dnu
+
+
+def test_finite_difference_partials_match_the_polynomial_twin():
+    """The bare E0 partials difference an E0 that holds the differenced
+    dL0_dnu, so they agree to about 1e-6, the others to about 1e-11."""
+    exact, bare = twin_models()
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal((20, 2))
+    nu = rng.standard_normal((20, 2))
+    tau = rng.standard_normal(20)
+    for name in ("dE0_dy", "dE0_dnu", "dL0_dy", "dL0_dnu", "domega_dy"):
+        assert np.allclose(
+            getattr(bare, name)(y, nu), getattr(exact, name)(y, nu), rtol=0, atol=1e-5
+        ), name
+    assert np.allclose(bare.dd_dy(y), exact.dd_dy(y), rtol=0, atol=1e-9)
+    for kind in ("E", "L", "D"):
+        for a, b in zip(chart_partials(bare, y, nu, tau, kind),
+                        chart_partials(exact, y, nu, tau, kind)):
+            assert np.allclose(a, b, rtol=0, atol=1e-5), kind
+
+
+def test_finite_difference_model_solves_like_the_polynomial_twin():
+    """The differences are noisy at about 1e-7 in the gradient, so the
+    descent stops at a looser tolerance; t_plus agrees all the same."""
+    exact, bare = twin_models()
+    p, q = fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.5], 0.0)
+    opts = fp.SolverOptions(N=40, grad_tol=1e-5)
+    got, want = (fp.minimize_arrival(m, p, q, -3.5, opts=opts) for m in (bare, exact))
+    assert got.converged and want.converged
+    assert got.t_plus == pytest.approx(want.t_plus, abs=1e-6)
 
 
 def test_chart_partials_against_finite_differences():

@@ -23,13 +23,10 @@ from fermatpath.paths import (
     winding,
 )
 
-from conftest import endpoints_for, smooth_field, smooth_path
+from conftest import BENCH_POLYNOMIAL_MODEL, endpoints_for, smooth_field, smooth_path
 
 
 FLAT = fp.get_model("flat")
-BENCH_POLYNOMIAL_MODEL = os.path.join(
-    os.path.dirname(__file__), os.pardir, "bench", "workloads", "polynomial.model.ini"
-)
 
 
 def grid(n):

@@ -2,6 +2,7 @@
 classes, certification residuals, branch consistency, seeding, and the
 evaluator-call budget of one iteration."""
 import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -326,6 +327,48 @@ def test_line_search_backtracks_and_converges(monkeypatch):
     trials = len(calls) - 1  # the first call evaluates the seed
     assert rec.converged
     assert trials > rec.iters  # one trial per accepted step, plus rejections
+
+
+def _inadmissible_trials(monkeypatch, trials):
+    """Make `solve.arrival_times` refuse the given trials (1 = the first;
+    call 0 evaluates the seed) as inadmissible."""
+    calls = itertools.count()
+    original = solve.arrival_times
+
+    def refusing(*args):
+        if next(calls) in trials:
+            raise fp.AdmissibilityError("refused trial")
+        return original(*args)
+
+    monkeypatch.setattr(solve, "arrival_times", refusing)
+
+
+def test_inadmissible_trial_is_shrunk(monkeypatch):
+    """A trial whose arrival times are refused is halved like a rejected
+    one: the descent reaches the minimizer of an undisturbed run."""
+    model = fp.get_model("randers-rot(0.3)")
+    opts = fp.SolverOptions(N=60)
+    plain = fp.minimize_arrival(model, P0, Q_OFF, -0.5, opts=opts)
+    _inadmissible_trials(monkeypatch, {1, 2})
+    rec = fp.minimize_arrival(model, P0, Q_OFF, -0.5, opts=opts)
+    assert rec.converged
+    assert rec.t_plus == pytest.approx(plain.t_plus, rel=1e-10)
+
+
+def test_line_search_stall_stops_unconverged(caplog, monkeypatch):
+    """When every trial of an iteration is refused, the line search stalls:
+    the descent stops there, unconverged, at the seed."""
+    model = fp.get_model("randers-rot(0.3)")
+    opts = fp.SolverOptions(N=60)
+    seed = solve.seed_path(model, P0, Q_OFF, 60)
+    _inadmissible_trials(monkeypatch, range(1, 61))
+    with caplog.at_level("WARNING", logger="fermatpath.solve"):
+        rec = fp.minimize_arrival(model, P0, Q_OFF, -0.5, opts=opts)
+    assert not rec.converged and rec.iters == 1
+    assert np.array_equal(rec.z_star.y, seed.y)
+    assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+        "line search stalled at iteration 1"
+    ]
 
 
 def test_descent_stops_when_stagnant(caplog):
