@@ -58,6 +58,17 @@ arithmetic leaves unchanged, so every value keeps its bits, signed zeros
 included (tests/test_kernels.py holds the expressions as references).
 This keeps the fine-grid heap steady: fewer (N, m) temporaries are made
 and freed per gradient.
+
+No kernel loops over m inside each row of an (N, m) array, which numpy
+does for a C-ordered array as N inner loops of m elements: row scalings
+(models._row_scale, in `_assemble_y`), row dots (models._row_dot, in
+paths.segment_pairing) and the column sum of `_h1_solve` (`_column_sum`)
+run down whole columns, with the bits of the plain expressions.  Two cases
+keep numpy's own form, because the columns would sum in another order: a
+row dot of m >= 3 columns is einsum's, and the column sum of m = 1 column
+is numpy's pairwise reduce.  On fewer than models._COLUMN_LOOP_MIN_ROWS
+rows, where one call per column costs more than numpy's row loops, all
+three are the plain expressions.
 """
 from __future__ import annotations
 
@@ -70,6 +81,8 @@ import numpy as np
 from .errors import AdmissibilityError, ConstraintViolationError, UnsupportedModelError
 from .models import (
     StationaryModel,
+    _COLUMN_LOOP_MIN_ROWS,
+    _row_scale,
     chart_L,
     chart_partials,
     chart_partials_gap,
@@ -296,18 +309,18 @@ def _assemble_y(path, P, V, weight=None):
 
     Segment i couples nodes i and i+1 through the midpoint average and the
     difference quotient; endpoints stay zero (fixed boundary conditions).
-    With an (N, 1) `weight` the partials are weight * P and weight * V,
-    formed one after the other in one buffer.
+    With an (N,) `weight` the partials are weight[:, None] * P and
+    weight[:, None] * V, formed one after the other in one buffer.
     """
     n = path.segments
     g_y = np.zeros(path.y.shape)
     inner = g_y[1:n]
     if weight is not None:
-        P = np.multiply(weight, P)
+        P = _row_scale(weight, P)
     np.add(P[:-1], P[1:], out=inner)
     inner /= 2.0 * n
     if weight is not None:
-        V = np.multiply(weight, V, out=P)
+        V = _row_scale(weight, V, out=P)
     inner += np.subtract(V[:-1], V[1:])
     return g_y
 
@@ -332,7 +345,26 @@ def _lift_adjoint(path, g_int, coeffs):
     G -= np.add.reduce(G) / n
     G /= n
     G *= n
-    return _assemble_y(path, a, b, G[:, None])
+    return _assemble_y(path, a, b, G)
+
+
+def _column_sum(G, scratch) -> np.ndarray:
+    """np.add.reduce(G, axis=0) as a new array, bit for bit, for (N,) or
+    (N, m) G.
+
+    For m >= 2 numpy's axis-0 reduce of a C-ordered array adds the rows one
+    by one to +0.0, N inner loops of m elements; a cumulative sum down the
+    columns, written into `scratch` (G's shape), adds them one by one too,
+    and its last row is the sum.  It starts from the first row instead of
+    +0.0, which differs only on a column of -0.0 alone: adding +0.0 turns
+    that sum into the reduce's +0.0 and leaves every other sum as it is.
+    For m = 1 and for (N,) G the reduce sums pairwise, and is called, as it
+    is on fewer than models._COLUMN_LOOP_MIN_ROWS rows.
+    """
+    if G.ndim == 1 or G.shape[1] == 1 or G.shape[0] < _COLUMN_LOOP_MIN_ROWS:
+        return np.add.reduce(G, axis=0)
+    G.cumsum(axis=0, out=scratch)
+    return np.add(scratch[-1], 0.0)
 
 
 def _h1_solve(path, g_red):
@@ -347,11 +379,16 @@ def _h1_solve(path, g_red):
     n = path.segments
     G = np.zeros((n,) + g_red.shape[1:])
     g_red[1:n].cumsum(axis=0, out=G[1:])
-    # (mean(G) - G_i) / n over the G_i it replaces, then summed into u.
-    d = G[:-1]
-    np.subtract(np.add.reduce(G, axis=0) / n, d, out=d)
-    d /= n
+    # Rows 1..n of u are the scratch of the column sum before they take
+    # the solution (u_n = 0 again); (mean(G) - G_i) / n is written over the
+    # G_i it replaces, then summed into u.
     u = np.zeros(g_red.shape)
+    mean = _column_sum(G, u[1:])
+    mean /= n
+    u[n] = 0.0
+    d = G[:-1]
+    np.subtract(mean, d, out=d)
+    d /= n
     d.cumsum(axis=0, out=u[1:n])
     return u
 

@@ -350,23 +350,24 @@ def cmd_sweep(scen: Scenario, quiet: bool = False) -> int:
         return code
     os.makedirs(scen.out_dir, exist_ok=True)
     rows = []
-    by_class: dict[tuple, list[tuple[float, float]]] = {}
+    # The smallest arrival time of each winding class at each kappa.
+    by_class: dict[tuple, dict[float, float]] = {}
     any_converged = False
     for kappa in sorted(scen.kappas):
         records = _solve_one_kappa(scen, kappa)
         any_converged = any_converged or bool(records)
         for rec in records:
             rows.append([_fmt(kappa)] + _summary_row(rec))
-            by_class.setdefault((rec.branch, rec.winding), []).append(
-                (kappa, rec.t_plus)
-            )
+            best = by_class.setdefault((rec.branch, rec.winding), {})
+            best[kappa] = min(rec.t_plus, best.get(kappa, math.inf))
     _write_summary(
         os.path.join(scen.out_dir, "sweep.csv"), rows, extra_header=("kappa",)
     )
     _emit(quiet, ",".join(("kappa",) + _SUMMARY_COLUMNS), *[",".join(r) for r in rows])
     # Larger kappa shrinks the discriminant, so arrival times must not grow.
-    for key, pairs in by_class.items():
-        pairs.sort()
+    # Records of one class at one kappa are not compared with each other.
+    for key, best in by_class.items():
+        pairs = sorted(best.items())
         for (k0, t0), (k1, t1) in zip(pairs, pairs[1:]):
             if t1 > t0 + 1e-6 * (1.0 + abs(t0)):
                 print(

@@ -223,6 +223,56 @@ def build_model(
 
 
 # ---------------------------------------------------------------------------
+# row-wise kernels
+# ---------------------------------------------------------------------------
+#
+# On an (N, m) C-ordered array, numpy broadcasts a row scaling s[:, None] * X
+# and an einsum row dot as N inner loops of m elements each.  These run
+# down whole columns instead, with the bits of the plain expressions, as
+# does the column sum of arrival._h1_solve.  On fewer rows than this, one
+# ufunc call per column costs more than numpy's row loops (measured
+# crossover 300-400 rows at m = 2), so the plain expression is evaluated.
+_COLUMN_LOOP_MIN_ROWS = 400
+
+
+def _row_scale(s, X, out=None) -> np.ndarray:
+    """s[:, None] * X for (N,) s and (N, m) X, one multiply per column
+    from _COLUMN_LOOP_MIN_ROWS rows on.
+
+    A product has the same bits in any order.  `out` may be X itself.
+    """
+    if X.shape[0] < _COLUMN_LOOP_MIN_ROWS:
+        return np.multiply(s[:, None], X, out=out)
+    if out is None:
+        out = np.empty(X.shape)
+    for j in range(X.shape[1]):
+        np.multiply(s, X[:, j], out=out[:, j])
+    return out
+
+
+def _row_dot(A, B, scratch=None) -> np.ndarray:
+    """np.einsum("ij,ij->i", A, B) for (N, m) A and B, bit for bit.
+
+    For m <= 2 einsum adds the products of a row one by one to +0.0.  So
+    do the columns: the first column product plus +0.0, which turns -0.0
+    into +0.0 and keeps every other value, then the second column product,
+    formed in `scratch`.  That is an (N,) array the call overwrites (a new
+    one when None); it may be B[:, 0], which is read before it is written.
+    For m >= 3 einsum sums in another order, and is called, as it is on
+    fewer than _COLUMN_LOOP_MIN_ROWS rows.
+    """
+    if A.shape[1] > 2 or A.shape[0] < _COLUMN_LOOP_MIN_ROWS:
+        return np.einsum("ij,ij->i", A, B)
+    h = np.multiply(A[:, 0], B[:, 0])
+    h += 0.0
+    if A.shape[1] == 2:
+        if scratch is None:
+            scratch = np.empty(A.shape[0])
+        h += np.multiply(A[:, 1], B[:, 1], out=scratch)
+    return h
+
+
+# ---------------------------------------------------------------------------
 # batched chart evaluation
 # ---------------------------------------------------------------------------
 
@@ -251,7 +301,7 @@ def chart_L(model, y, nu, tau, check=True):
 def chart_E0(model, y, nu):
     if model.homogeneous:
         return model.L0(y, nu)
-    return np.einsum("ij,ij->i", model.dL0_dnu(y, nu), nu) - model.L0(y, nu)
+    return _row_dot(model.dL0_dnu(y, nu), nu) - model.L0(y, nu)
 
 
 def chart_E(model, y, nu, tau, check=True, *, omega=None):
@@ -311,7 +361,12 @@ def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, 
     as given: `omega` = omega(y, nu), `domega_dy` = domega_dy(y, nu) and
     `w` = omega_coeffs(y).  Every returned array is the call's own.  Each
     sum is written over one of its own terms, with the operations of the
-    formula in its order, so the bits are those of the formula.
+    formula in its order, so the bits are those of the formula.  No
+    product loops over m inside each row: tau scales the rows of an (n, m)
+    partial one column at a time (`_row_scale`).  The row-wise kernels have
+    two exceptions, where the columns would sum in another order: a row dot
+    of m >= 3 columns (`_row_dot`) calls einsum, and a column sum of m = 1
+    column (arrival._column_sum) numpy's pairwise reduce.
     """
     y = np.asarray(y, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -323,20 +378,19 @@ def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, 
     dom = model.domega_dy(y, nu) if domega_dy is None else domega_dy
     coeffs = omega_coeffs(model, y) if w is None else w
     om = model.omega(y, nu) if omega is None else omega
-    tau_col = tau[:, None]
     if kind == "E":
         # dE0_dy + tau * dom, dE0_dnu + tau * coeffs, om - tau
-        P = np.multiply(tau_col, dom)
+        P = _row_scale(tau, dom)
         P += model.dE0_dy(y, nu)
-        V = np.multiply(tau_col, coeffs)
+        V = _row_scale(tau, coeffs)
         V += model.dE0_dnu(y, nu)
         return P, V, np.subtract(om, tau)
     # dL0_dy + tau * (dom + dd), dL0_dnu + tau * coeffs, om + d - tau
     dL0y = model.dL0_dy(y, nu)
     P = np.add(dom, model.dd_dy(y))
-    P *= tau_col
+    _row_scale(tau, P, out=P)
     P += dL0y
-    V = np.multiply(tau_col, coeffs)
+    V = _row_scale(tau, coeffs)
     V += model.dL0_dnu(y, nu)
     w_part = np.add(om, model.d_offset(y))
     w_part -= tau
@@ -458,16 +512,16 @@ def validate_assumptions(
         #   d/dtau = d - omega + tau
         om = model.omega(y, nu)
         w = omega_coeffs(model, y)
-        gnu = model.dL0_dnu(y, nu) + (2.0 * om - tau)[:, None] * w
+        gnu = model.dL0_dnu(y, nu) + _row_scale(2.0 * om - tau, w)
         gtau = model.d_offset(y) - om + tau
         return np.concatenate([gnu, gtau[:, None]], axis=1)
 
     g1 = dvLc(v1[:, :-1], v1[:, -1])
     g2 = dvLc(v2[:, :-1], v2[:, -1])
     dv = v2 - v1
-    denom = np.einsum("ij,ij->i", dv, dv)
+    denom = _row_dot(dv, dv)
     ok = denom > 1e-20
-    quotients = np.einsum("ij,ij->i", g2 - g1, dv)[ok] / denom[ok]
+    quotients = _row_dot(g2 - g1, dv)[ok] / denom[ok]
     convexity_margin = float(np.min(quotients)) if quotients.size else float("nan")
 
     l_at_zero = chart_L(model, y, np.zeros((n, model.dim)), np.zeros(n))
@@ -502,7 +556,7 @@ def validate_assumptions(
         tau_cone = om + np.sqrt(rad) + np.abs(rng.standard_normal(n))
         lv = chart_L(model, y, nu1, tau_cone, check=False)
         qv = chart_Q(model, y, nu1, tau_cone)
-        vsq = np.einsum("ij,ij->i", nu1, nu1) + tau_cone**2
+        vsq = _row_dot(nu1, nu1) + tau_cone**2
         passed = (lv <= 1e-12 * (1.0 + vsq)) & (qv <= 1e-12)
         cone_samples = int(np.count_nonzero(passed))
 
@@ -690,7 +744,9 @@ def polynomial_model(
 
 def _flat_parts(dim):
     def L0(y, nu):
-        return 0.5 * np.einsum("ij,ij->i", nu, nu)
+        h = _row_dot(nu, nu)
+        h *= 0.5
+        return h
 
     def dL0_dy(y, nu):
         return np.zeros(y.shape)

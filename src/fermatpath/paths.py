@@ -41,7 +41,12 @@ own results with `out=` and in-place operators rather than into new
 temporaries; they never write an array a caller passed in.  The same
 operations in the same order, with the operands of a sum or product at
 most swapped, give the same bits, so every value is bitwise what the plain
-expressions give.
+expressions give.  No kernel loops over m inside each row of an (N, m)
+array: the row dots of `segment_pairing` run down whole columns
+(models._row_dot) and form their products in a buffer the kernel already
+holds.  One exception is a row dot of m >= 3 columns, which is einsum's,
+because the columns would sum in another order; the other, the column sum
+of m = 1 column in arrival._h1_solve, is numpy's pairwise reduce.
 
 Paths are stored as plain-text node tables, one row ``s y_1..y_m t`` per
 node with 17 significant digits, so `load_path` reads back the saved bits.
@@ -63,6 +68,7 @@ from .models import (
     Point,
     StationaryModel,
     TangentVector,
+    _row_dot,
     chart_E,
     chart_L,
     chart_N,
@@ -289,13 +295,14 @@ def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndar
     """
     n = path.segments
     dy = delta.y
-    # One (N, m) buffer holds the midpoint values, then the quotients.
+    # One (N, m) buffer holds the midpoint values, then the quotients; each
+    # row dot forms its column products in the buffer's first column.
     buf = np.add(dy[:-1], dy[1:])
     buf *= 0.5
-    h = np.einsum("ij,ij->i", P, buf)
+    h = _row_dot(P, buf, buf[:, 0])
     np.subtract(dy[1:], dy[:-1], out=buf)
     buf *= n
-    h += np.einsum("ij,ij->i", V, buf)
+    h += _row_dot(V, buf, buf[:, 0])
     vel_t = _segment_rate(delta.t, n)
     vel_t *= w  # w = -1 then costs no (N,) temporary
     h += vel_t

@@ -593,6 +593,22 @@ def test_sweep_warns_when_arrival_grows_with_kappa(tmp_path, capsys, monkeypatch
     )
 
 
+def test_sweep_does_not_compare_records_of_one_kappa(tmp_path, capsys):
+    """Two random seeds stopped at once (grad_tol = 1000) leave two records
+    of one winding class at each kappa, with different arrival times; the
+    smallest per kappa falls with kappa, so nothing is warned about."""
+    text = FLAT_SCENARIO.format(kappa="-1 -0.5", segments=20).replace(
+        "rng_seed = 7", "rng_seed = 7\ngrad_tol = 1000"
+    ) + "\n[seeds]\nrandom = 2\n"
+    f = write_scenario(tmp_path, text)
+    out = os.path.join(tmp_path, "out")
+    assert main(["sweep", f, "--out", out, "--quiet"]) == EXIT_OK
+    rows = [r.split(",") for r in read_file(out, "sweep.csv").splitlines()[1:]]
+    assert [r[0] for r in rows] == ["-1", "-1", "-0.5", "-0.5"]
+    assert len({r[2] for r in rows}) == 4
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_single_kappa_degenerates_to_solve(tmp_path):
     f = flat_scenario(tmp_path)
     out = os.path.join(tmp_path, "out")

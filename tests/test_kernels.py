@@ -21,6 +21,7 @@ import pytest
 import fermatpath as fp
 from fermatpath.arrival import (
     _assemble_y,
+    _column_sum,
     _h1_solve,
     _lift_adjoint,
     _restricted_gradient,
@@ -32,6 +33,9 @@ from fermatpath.arrival import (
     dt_plus,
 )
 from fermatpath.models import (
+    _COLUMN_LOOP_MIN_ROWS,
+    _row_dot,
+    _row_scale,
     chart_E,
     chart_E0,
     chart_partials,
@@ -371,7 +375,7 @@ def check_kernels_match_references(spec, n, seed):
         assert bits(_assemble_y(proj, zy, zy[::-1])) == bits(
             ref_assemble(n, y.shape, zy, zy[::-1])
         )
-        assert bits(_assemble_y(proj, a, b, zs[:, None])) == bits(
+        assert bits(_assemble_y(proj, a, b, zs)) == bits(
             ref_assemble(n, y.shape, zs[:, None] * a, zs[:, None] * b)
         )
         assert bits(_lift_adjoint(proj, zs[:-1], coeffs)) == bits(
@@ -420,6 +424,71 @@ else:
 
     @pytest.mark.skip(reason="needs hypothesis")
     def test_kernels_match_references():
+        pass
+
+
+# ---------------------------------------------------------------------------
+# the row-wise helpers against the expressions they replace
+# ---------------------------------------------------------------------------
+
+def row_fields(rng, shape):
+    """signed_zero_fields, a field of values spread over 16 decades (where
+    summation order shows in the last bits), and one whose first column is
+    -0.0 alone, over random values mixed with zeros of both signs."""
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    zero_col = signed_zero_fields(rng, shape)[2]
+    zero_col[:, 0] = -0.0
+    return signed_zero_fields(rng, shape) + [wide, zero_col]
+
+
+def check_row_helpers(n, m, seed):
+    rng = np.random.default_rng(seed)
+    fields = row_fields(rng, (n, m))
+    for s in signed_zero_fields(rng, (n,)) + [rng.standard_normal(n)]:
+        for X in fields:
+            expected = bits(s[:, None] * X)
+            assert bits(_row_scale(s, X)) == expected
+            over = X.copy()
+            assert bits(_row_scale(s, over, out=over)) == expected
+    for A in fields:
+        for B in fields:
+            expected = bits(np.einsum("ij,ij->i", A, B))
+            assert bits(_row_dot(A, B)) == expected
+            given_up = B.copy()  # the products may be formed in B[:, 0]
+            assert bits(_row_dot(A, given_up, given_up[:, 0])) == expected
+    for G in fields + [X[:, 0].copy() for X in fields]:
+        assert bits(_column_sum(G, np.empty(G.shape))) == bits(np.add.reduce(G, axis=0))
+
+
+# m = 3 at n = 1000 is a case where einsum sums in another order than the
+# columns, and m = 1 at n = 1000 one where the reduce sums pairwise, so they
+# fail without the einsum and reduce fallbacks.  Below
+# _COLUMN_LOOP_MIN_ROWS rows the three helpers evaluate the plain expressions.
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 9, _COLUMN_LOOP_MIN_ROWS - 1, 1000])
+def test_row_helpers_match_expressions_fixed(n, m):
+    assert _COLUMN_LOOP_MIN_ROWS <= 1000  # else n = 1000 misses the column loops
+    check_row_helpers(n, m, 5 * n + m)
+
+
+if st is not None:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2000),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_helpers_match_expressions(n, m, seed):
+        """Row scaling, row dot and column sum agree bitwise with
+        s[:, None] * X, np.einsum("ij,ij->i", A, B) and
+        np.add.reduce(G, axis=0)."""
+        check_row_helpers(n, m, seed)
+
+else:
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_row_helpers_match_expressions():
         pass
 
 
