@@ -18,6 +18,7 @@ looked up next to the scenario file first, then in the working directory;
 models.load_custom_model describes the model file, which is read the same
 strict way.  '#' starts a comment anywhere on a line; ';' starts one only
 at the start of a line, because it also separates the region intervals.
+'%' is an ordinary character: values are not interpolated.
 
 Outputs are plot-ready CSV (17-significant-digit decimals, comma
 delimited, mandatory header) plus structured-text records with path sidecar
@@ -26,11 +27,15 @@ files.  Identical scenario and seed produce byte-identical CSV.
 Exit codes:
 
     0  success
-    2  parse error: an unknown section or key, or a malformed or
-       out-of-range value of the scenario or of its model file (a
-       non-finite number or period, a [solver] value SolverOptions
-       refuses, endpoints on one flow line); the message of a bad value
-       names the file, the section and the key
+    2  input error: a file that cannot be read or parsed, a missing or
+       unknown section or key, or a malformed or out-of-range value of
+       the scenario, of its model file or of a registry spec's arguments
+       (a non-finite number, a polynomial coefficient that is not finite,
+       a negative period, a cylinder radius that is not positive, a
+       [solver] value SolverOptions refuses, endpoints on one flow
+       line); the message of a bad value names the file, the section and
+       the key.  Also an output directory that cannot be created or
+       written.  One "error:" line on stderr.
     3  validation failure, including a model that evaluates to a
        non-finite value outside the per-seed descent
     4  no converged record
@@ -52,8 +57,9 @@ from .models import (
     Point,
     StationaryModel,
     ValidationReport,
-    _parse_floats,
-    _parse_scalar,
+    _check_samples,
+    _numbers,
+    _read,
     get_model,
     load_custom_model,
     read_ini,
@@ -91,6 +97,11 @@ _SCENARIO_KEYS = {
 }
 
 
+def _check_random(count: int):
+    if count < 0:
+        raise ValueError(f"the number of random seeds must be at least 0, not {count}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     model: StationaryModel
@@ -114,11 +125,6 @@ def parse_scenario(
     """Read a scenario file; command-line overrides win over file values."""
     cp = read_ini(path, _SCENARIO_KEYS, "scenario file")
 
-    def need(section, key):
-        if not cp.has_option(section, key):
-            raise ScenarioError(f"{path}: missing [{section}] {key}")
-        return cp.get(section, key)
-
     if cp.has_option("model", "file"):
         # A relative file is looked up next to the scenario first, then
         # against the working directory.
@@ -126,20 +132,18 @@ def parse_scenario(
         beside = os.path.join(os.path.dirname(path), name)
         model = load_custom_model(beside if os.path.isfile(beside) else name)
     else:
-        model = get_model(need("model", "spec"))
+        spec = _read(cp, path, "model", "spec")
+        try:
+            model = get_model(spec)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}: [model] spec: {exc}") from None
 
-    p_y = _parse_floats(need("endpoints", "p_y"), f"{path}: [endpoints] p_y")
-    q_y = _parse_floats(need("endpoints", "q_y"), f"{path}: [endpoints] q_y")
+    p_y, q_y = (_read(cp, path, "endpoints", k, float, many=True) for k in ("p_y", "q_y"))
     if len(p_y) != model.dim or len(q_y) != model.dim:
         raise ScenarioError(
             f"{path}: endpoint dimension mismatch (model dim {model.dim})"
         )
-    p_t, q_t = (
-        _parse_scalar(cp, path, "endpoints", key, float, 0.0) for key in ("p_t", "q_t")
-    )
-    for key, value in (("p_t", p_t), ("q_t", q_t)):
-        if not math.isfinite(value):
-            raise ScenarioError(f"{path}: [endpoints] {key} must be finite, not {value}")
+    p_t, q_t = (_read(cp, path, "endpoints", k, float, 0.0) for k in ("p_t", "q_t"))
     p = Point(p_y, p_t)
     q = Point(q_y, q_t)
     try:
@@ -147,48 +151,39 @@ def parse_scenario(
     except ValueError as exc:
         raise ScenarioError(f"{path}: [endpoints] q_y: {exc}") from None
 
-    kappas = tuple(_parse_floats(need("problem", "kappa"), f"{path}: [problem] kappa"))
+    kappas = tuple(_read(cp, path, "problem", "kappa", float, many=True))
     if not kappas:
         raise ScenarioError(f"{path}: kappa list is empty")
 
     # Only the keys present are passed; SolverOptions supplies the defaults
     # and alone checks the ranges, each file key on its own.
-    solver = {}
-    for key, f in _SOLVER_KEYS.items():
-        if cp.has_option("solver", key):
-            kind = int if isinstance(f.default, int) else float
-            solver[f.name] = _parse_scalar(
-                cp, path, "solver", key, kind,
-                check=lambda value, name=f.name: SolverOptions(**{name: value}),
-            )
+    solver = {
+        f.name: _read(
+            cp, path, "solver", key, type(f.default),
+            check=lambda value, name=f.name: SolverOptions(**{name: value}),
+        )
+        for key, f in _SOLVER_KEYS.items()
+        if cp.has_option("solver", key)
+    }
     if segments is not None:
         solver["N"] = segments
     if rng_seed is not None:
         solver["rng_seed"] = rng_seed
     opts = SolverOptions(**solver)
 
-    seeds: list[object] = []
-    if cp.has_option("seeds", "windings"):
-        text = cp.get("seeds", "windings")
-        try:
-            seeds.extend(int(k) for k in text.replace(",", " ").split())
-        except ValueError:
-            raise ScenarioError(
-                f"{path}: [seeds] windings must hold integers, not {text!r}"
-            ) from None
-    n_random = _parse_scalar(cp, path, "seeds", "random", int, 0)
-    if n_random < 0:
-        raise ScenarioError(f"{path}: [seeds] random must be at least 0")
-    seeds.extend(["random"] * n_random)
+    seeds = _read(cp, path, "seeds", "windings", int, [], many=True)
+    seeds += ["random"] * _read(cp, path, "seeds", "random", int, 0, check=_check_random)
     if not seeds:
         seeds = [0]
 
     if cp.has_option("problem", "region"):
         pieces = cp.get("problem", "region").split(";")
         if len(pieces) != model.dim:
-            raise ScenarioError(f"{path}: region needs {model.dim} intervals")
+            raise ScenarioError(
+                f"{path}: [problem] region needs {model.dim} intervals, got {len(pieces)}"
+            )
         region = tuple(
-            tuple(_parse_floats(piece, f"{path}: [problem] region")) for piece in pieces
+            tuple(_numbers(piece, float, f"{path}: [problem] region")) for piece in pieces
         )
         for piece, bounds in zip(pieces, region):
             if len(bounds) != 2 or not bounds[0] <= bounds[1]:
@@ -202,9 +197,7 @@ def parse_scenario(
         pad = 1.0 + 0.5 * float(np.linalg.norm(q.y - p.y))
         region = tuple((float(a - pad), float(b + pad)) for a, b in zip(lo, hi))
 
-    samples = _parse_scalar(cp, path, "problem", "samples", int, 500)
-    if samples < 1:
-        raise ScenarioError(f"{path}: [problem] samples must be at least 1")
+    samples = _read(cp, path, "problem", "samples", int, 500, check=_check_samples)
 
     out = out_dir or cp.get("output", "dir", fallback=None) or os.environ.get(
         OUT_DIR_ENV, "fermatpath-out"
@@ -405,6 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_COMMANDS = {"validate": cmd_validate, "solve": cmd_solve, "sweep": cmd_sweep}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -414,16 +410,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             segments=args.segments,
             rng_seed=args.seed,
         )
-    except (ScenarioError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if args.command == "validate":
-            return cmd_validate(scen, quiet=args.quiet)
-        if args.command == "solve":
-            return cmd_solve(scen, quiet=args.quiet)
-        return cmd_sweep(scen, quiet=args.quiet)
-    except ScenarioError as exc:
+        return _COMMANDS[args.command](scen, quiet=args.quiet)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ModelEvaluationError as exc:

@@ -16,13 +16,17 @@ positions and fiber vectors and return shape (n,) scalars or (n, m)
 gradients.  Evaluators are pure and models are immutable, so they are safe
 to share across concurrent workers.
 
-A model carries every derivative the chart layer reads: the partials of
-L0, omega, d and the fiber energy E0.  `build_model` settles the source of
-each once, when the model is built (given, central differences, or for E0
-of a 2-homogeneous fiber the L0 partials), so `chart_partials` only calls
-them.  Scenario and model files share one strict reader (`read_ini`) and
-one way of reading values, whose errors name the file, the section and
-the key.
+A model carries the partials of L0, omega, d and the fiber energy E0.
+`build_model` settles the source of each once, when the model is built
+(given, central differences, or for E0 of a 2-homogeneous fiber the L0
+partials), so `chart_partials` only calls them.  The omega coefficients
+are not settled: `omega_coeffs` recovers them from omega on every call,
+one omega evaluation per slice coordinate.
+
+Scenario and model files share one strict reader (`read_ini`), and every
+number of an input, registry spec arguments and polynomial coefficients
+included, is read by `_number`, whose errors name the file, the section
+and the key.
 """
 from __future__ import annotations
 
@@ -155,6 +159,25 @@ def _check_dim(dim: int):
         raise ValueError(f"model dimension must be at least 1, not {dim}")
 
 
+def _check_period(period: float):
+    """A period of the slice: 0 (aperiodic) or positive, and finite."""
+    if not 0.0 <= period < math.inf:
+        raise ValueError(f"a period must be at least 0 and finite, not {period:g}")
+
+
+def _check_radius(radius: float):
+    """A cylinder radius: positive, with a finite period 2 pi radius."""
+    if not 0.0 < 2.0 * math.pi * radius < math.inf:
+        raise ValueError(
+            f"a cylinder radius must be positive with a finite period, not {radius:g}"
+        )
+
+
+def _check_samples(samples: int):
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
+
+
 def build_model(
     dim: int,
     L0: FiberEval,
@@ -178,9 +201,12 @@ def build_model(
     the central difference of its function (`_central_diff`).  The E0
     partials of a 2-homogeneous fiber are dL0_dy and dL0_dnu themselves,
     since E0 = L0 there; given `dE0_dy`/`dE0_dnu` are then not used.  A
-    slice dimension below 1 raises ValueError.
+    slice dimension below 1, and a period that is negative or not finite,
+    raise ValueError.
     """
     _check_dim(dim)
+    for p in () if periods is None else periods:
+        _check_period(float(p))
     linear = d_offset is None
     if omega is None:
         omega = _zeros
@@ -490,8 +516,7 @@ def validate_assumptions(
     the induced admissible bound on kappa, finiteness of values/partials, and
     counts causal-cone consistency tests for 2-homogeneous models.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples)
     region = [(float(lo), float(hi)) for lo, hi in region]
     if len(region) != model.dim:
         raise ValueError(f"region must have {model.dim} coordinate intervals")
@@ -506,12 +531,13 @@ def validate_assumptions(
     v1 = rng.standard_normal((n, model.dim + 1)) * scale
     v2 = rng.standard_normal((n, model.dim + 1)) * scale
 
+    w = omega_coeffs(model, y)
+
     def dvLc(nu, tau):
         # L_c = L + Q^2 in chart coordinates:
         #   d/dnu = dL0_dnu + (2*omega - tau) * w(y)
         #   d/dtau = d - omega + tau
         om = model.omega(y, nu)
-        w = omega_coeffs(model, y)
         gnu = model.dL0_dnu(y, nu) + _row_scale(2.0 * om - tau, w)
         gtau = model.d_offset(y) - om + tau
         return np.concatenate([gnu, gtau[:, None]], axis=1)
@@ -691,10 +717,7 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
                     )
                 (y_pow if kind == "y" else nu_pow)[idx - 1] += power
             else:
-                try:
-                    coef *= float(factor)
-                except ValueError:
-                    raise ScenarioError(f"cannot parse factor {factor!r} in {raw!r}")
+                coef *= _number(factor, float, f"a factor of term {raw!r}")
         terms.append(Monomial(coef, tuple(y_pow), tuple(nu_pow)))
     return Polynomial(dim, terms)
 
@@ -800,8 +823,13 @@ def randers_rot_model(b: float, name=None) -> StationaryModel:
 
 
 def cylinder_model(radius: float, name=None) -> StationaryModel:
-    """Flat 2d slice with the second coordinate periodic of period 2*pi*R."""
+    """Flat 2d slice with the second coordinate periodic of period 2*pi*R.
+
+    A radius that is not positive, or whose period is not finite, raises
+    ValueError.
+    """
     radius = float(radius)
+    _check_radius(radius)
     return flat_model(
         2,
         periods=(0.0, 2.0 * math.pi * radius),
@@ -851,7 +879,9 @@ def get_model(spec: str) -> StationaryModel:
     Supported: flat, flat(m), randers-const(b1,..,bm), randers-rot(b),
     cylinder(R), affine(base, c0), affine-field(base, <d polynomial>).
     A polynomial model file loads through load_custom_model instead.  An
-    unknown head or a wrong number of arguments raises ScenarioError.
+    unknown head, a wrong number of arguments, and an argument that is
+    malformed, not finite or out of range (a dimension below 1, a radius
+    that is not positive) raise ScenarioError.
     """
     spec = spec.strip()
     m = re.match(r"^([a-zA-Z-]+)\s*(?:\((.*)\))?$", spec, re.S)
@@ -864,24 +894,22 @@ def get_model(spec: str) -> StationaryModel:
     lo, hi = _ARITY[head]
     if not lo <= len(args) <= hi:
         raise ScenarioError(f"{head} does not take {len(args)} arguments: {spec!r}")
-    try:
-        if head == "flat":
-            return flat_model(int(args[0]) if args else 2)
-        if head == "randers-const":
-            return randers_const_model([float(a) for a in args])
-        if head == "randers-rot":
-            return randers_rot_model(float(args[0]))
-        if head == "cylinder":
-            return cylinder_model(float(args[0]))
-        base = get_model(args[0])
-        if head == "affine":
-            c0 = float(args[1])
-            d = Polynomial(base.dim, [Monomial(c0, (0,) * base.dim, (0,) * base.dim)])
-            return affine_model(base, d, name=f"affine({base.name},{c0:g})")
-        d = parse_polynomial(",".join(args[1:]), base.dim)
-        return affine_model(base, d, name=f"affine-field({base.name})")
-    except ValueError as exc:
-        raise ScenarioError(f"bad arguments in model spec {spec!r}: {exc}") from exc
+    where = f"argument of {spec!r}"
+    if head == "flat":
+        return flat_model(_number(args[0], int, where, _check_dim) if args else 2)
+    if head == "randers-const":
+        return randers_const_model([_number(a, float, where) for a in args])
+    if head == "randers-rot":
+        return randers_rot_model(_number(args[0], float, where))
+    if head == "cylinder":
+        return cylinder_model(_number(args[0], float, where, _check_radius))
+    base = get_model(args[0])
+    if head == "affine":
+        c0 = _number(args[1], float, where)
+        d = Polynomial(base.dim, [Monomial(c0, (0,) * base.dim, (0,) * base.dim)])
+        return affine_model(base, d, name=f"affine({base.name},{c0:g})")
+    d = parse_polynomial(",".join(args[1:]), base.dim)
+    return affine_model(base, d, name=f"affine-field({base.name})")
 
 
 def read_ini(path: str, keys: dict, what: str) -> configparser.ConfigParser:
@@ -892,14 +920,15 @@ def read_ini(path: str, keys: dict, what: str) -> configparser.ConfigParser:
     section and an unknown key each raise ScenarioError; `what` names the
     kind of file in the "cannot read" message.  '#' starts a comment anywhere
     on a line; ';' starts one only at the start of a line, because it also
-    separates values such as region intervals.
+    separates values such as region intervals.  '%' is an ordinary
+    character: values are not interpolated.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         if not cp.read(path):
             raise ScenarioError(f"cannot read {what} {path!r}")
     except configparser.Error as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{path}: {' '.join(str(exc).split())}") from None
     for section in cp.sections():
         if section not in keys:
             raise ScenarioError(f"{path}: unknown section [{section}]")
@@ -909,39 +938,54 @@ def read_ini(path: str, keys: dict, what: str) -> configparser.ConfigParser:
     return cp
 
 
-def _parse_floats(text: str, key: str) -> list[float]:
-    """The numbers of a list value; a malformed number, nan or +-inf is an
-    error naming `key` (the file, section and key)."""
-    try:
-        values = [float(x) for x in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: cannot parse number list {text!r}: {exc}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ScenarioError(f"{key} must hold finite numbers, not {text!r}")
-    return values
+def _number(text: str, kind, where: str, check=None):
+    """The number `text` holds, converted by `kind` (int or float): the one
+    way input text becomes a number.
 
-
-def _parse_scalar(cp, path: str, section: str, key: str, kind, fallback=None, check=None):
-    """[section] key converted by `kind` (int or float), or `fallback` when
-    absent.  A malformed value, and a value for which `check` raises
-    ValueError (the owner of its range), is an error naming the file, the
-    section and the key."""
-    if not cp.has_option(section, key):
-        return fallback
-    text = cp.get(section, key)
+    Malformed text, a value for which `check` (the owner of its range)
+    raises ValueError, and a float that is not finite are a ScenarioError
+    whose message starts with `where`, which names the value: the file, the
+    section and the key, or the argument of a model spec.  `check` runs
+    first, so an owner that refuses non-finite values gives its own message.
+    """
     try:
         value = kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ScenarioError(
-            f"{path}: [{section}] {key} must be {what}, not {text!r}"
-        ) from None
+        raise ScenarioError(f"{where} must be {what}, not {text!r}") from None
     if check is not None:
         try:
             check(value)
         except ValueError as exc:
-            raise ScenarioError(f"{path}: [{section}] {key}: {exc}") from None
+            raise ScenarioError(f"{where}: {exc}") from None
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"{where} must be finite, not {text!r}")
     return value
+
+
+def _numbers(text: str, kind, where: str, check=None) -> list:
+    """The numbers of a list value, separated by whitespace or commas, each
+    read by `_number`."""
+    return [_number(x, kind, where, check) for x in text.replace(",", " ").split()]
+
+
+def _read(cp, path: str, section: str, key: str, kind=None, fallback=None,
+          check=None, many=False):
+    """[section] key of a file that read_ini read: its text when `kind` is
+    None, else its number (its list of numbers with `many`) by `_number`.
+
+    An absent key is `fallback`; when that is None, the key is required
+    and its absence a ScenarioError naming the file, the section and the key.
+    """
+    if not cp.has_option(section, key):
+        if fallback is None:
+            raise ScenarioError(f"{path}: missing [{section}] {key}")
+        return fallback
+    text = cp.get(section, key)
+    if kind is None:
+        return text
+    where = f"{path}: [{section}] {key}"
+    return (_numbers if many else _number)(text, kind, where, check)
 
 
 # Model definition files: one [model] section with these keys.
@@ -956,30 +1000,30 @@ def load_custom_model(path: str) -> StationaryModel:
     topology ("euclidean" or space-separated per-coordinate periods).  Any
     other section or key, a missing required key, and a malformed value (a
     dim that is not an integer of at least 1, a polynomial that does not
-    parse, a period that is not a finite number) is a ScenarioError, so the
-    command line exits 2; a bad value's message names the file, the section
-    and the key.  Whether L0 is 2-homogeneous is read off its terms
-    (polynomial_model).
+    parse or has a coefficient that is not finite, a period that is negative
+    or not finite) is a ScenarioError, so the command line exits 2; its
+    message names the file, the section and the key.  Whether L0 is
+    2-homogeneous is read off its terms (polynomial_model).
     """
     cp = read_ini(path, _MODEL_KEYS, "model definition")
-    for key in ("dim", "L0"):
-        if not cp.has_option("model", key):
-            raise ScenarioError(f"model definition {path!r} missing key {key!r}")
-    dim = _parse_scalar(cp, path, "model", "dim", int, check=_check_dim)
+    dim = _read(cp, path, "model", "dim", int, check=_check_dim)
     polys = []
-    for key in ("L0", "omega", "d"):
+    for key, fallback in (("L0", None), ("omega", "0"), ("d", "0")):
+        text = _read(cp, path, "model", key, fallback=fallback)
         try:
-            polys.append(parse_polynomial(cp.get("model", key, fallback="0"), dim))
+            polys.append(parse_polynomial(text, dim))
         except ScenarioError as exc:
             raise ScenarioError(f"{path}: [model] {key}: {exc}") from None
     L0, omega, d = polys
     periods = None
-    topo = cp.get("model", "topology", fallback="euclidean").strip()
+    topo = _read(cp, path, "model", "topology", fallback="euclidean").strip()
     if topo and topo != "euclidean":
-        key = f"{path}: [model] topology"
-        periods = _parse_floats(topo.replace("cylinder", "").strip("() "), key)
+        where = f"{path}: [model] topology"
+        periods = _numbers(
+            topo.replace("cylinder", "").strip("() "), float, where, _check_period
+        )
         if len(periods) != dim:
-            raise ScenarioError(f"{key} needs {dim} periods, got {len(periods)}")
+            raise ScenarioError(f"{where} needs {dim} periods, got {len(periods)}")
     return polynomial_model(
         dim, L0,
         omega_poly=omega if omega.terms else None,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
+from fermatpath import arrival
 from fermatpath.arrival import (
     D_functional,
     FunctionalGradient,
@@ -280,6 +281,24 @@ def test_residual_equals_gradient_norm_for_lorentz_finsler():
                 assert res > 0.0
 
 
+@pytest.mark.parametrize("spec", ["randers-rot(0.3)", "affine-field(flat, 0.3 y1)"])
+def test_residual_builds_no_tangent_field(monkeypatch, spec):
+    """The criticality residual reads the dual norm of its representer and
+    never lifts it to a tangent field."""
+    model = fp.get_model(spec)
+    p, q = endpoints_for(model)
+    z = smooth_path(model, p, q, 40, np.random.default_rng(5))
+    expected = [fp.criticality_residual(model, z, -0.5, b) for b in ("plus", "minus")]
+
+    def refuse(*args):
+        raise AssertionError("the residual lifted its representer")
+
+    monkeypatch.setattr(arrival, "lift_spatial_variation", refuse)
+    assert [fp.criticality_residual(model, z, -0.5, b) for b in ("plus", "minus")] == expected
+    with pytest.raises(AssertionError, match="lifted"):
+        arrival_gradient(model, z, -0.5)
+
+
 def counting(model):
     """`model` with every evaluator wrapped in a call counter."""
     calls = Counter()
@@ -368,10 +387,12 @@ def test_randers_arrival_flat_is_length():
 
 
 def test_arrival_time_of_sign_is_the_branch_bitwise(builtin_model):
+    """t_plus and t_minus are time(+-1.0), with the bits of Q_bar +- S."""
     p, q = endpoints_for(builtin_model)
     path = smooth_path(builtin_model, p, q, 40, np.random.default_rng(3))
     arr = fp.arrival_times(builtin_model, path, -0.5)
-    for branch, t in (("plus", arr.t_plus), ("minus", arr.t_minus)):
+    assert (arr.t_plus, arr.t_minus) == (arr.time(1.0), arr.time(-1.0))
+    for branch, t in (("plus", arr.Q_bar + arr.S), ("minus", arr.Q_bar - arr.S)):
         got = arr.time(branch_sign(branch))
         assert np.float64(got).view(np.uint64) == np.float64(t).view(np.uint64)
 

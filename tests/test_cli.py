@@ -161,7 +161,9 @@ def test_negative_random_seed_count_exits_2(tmp_path, capsys):
         tmp_path, FLAT_SCENARIO.format(kappa="0", segments=10) + "[seeds]\nrandom = -2\n"
     )
     assert main(["solve", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
-    assert capsys.readouterr().err == f"error: {f}: [seeds] random must be at least 0\n"
+    assert capsys.readouterr().err == (
+        f"error: {f}: [seeds] random: the number of random seeds must be at least 0, not -2\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -240,9 +242,10 @@ def test_model_dimension_below_one_exits_2(tmp_path, capsys, spec):
     text = FLAT_SCENARIO.format(kappa="0", segments=10).replace("spec = flat", f"spec = {spec}")
     f = write_scenario(tmp_path, text)
     assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad arguments in model spec")
-    assert "model dimension must be at least 1" in err
+    assert capsys.readouterr().err == (
+        f"error: {f}: [model] spec: argument of {spec!r}: "
+        f"model dimension must be at least 1, not {spec[5:-1]}\n"
+    )
 
 
 @pytest.mark.parametrize("L0", ["3", "0.5 nu1^2"])
@@ -255,6 +258,121 @@ def test_model_file_dimension_zero_exits_2(tmp_path, capsys, L0):
     assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err == f"error: {model}: [model] dim: model dimension must be at least 1, not 0\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("randers-rot(inf)", "argument of 'randers-rot(inf)' must be finite, not 'inf'"),
+        ("affine(flat, inf)", "argument of 'affine(flat, inf)' must be finite, not 'inf'"),
+        ("randers-const(nan, 1)",
+         "argument of 'randers-const(nan, 1)' must be finite, not 'nan'"),
+        ("affine-field(flat, nan y1)", "a factor of term 'nan y1' must be finite, not 'nan'"),
+        ("cylinder(nan)", "argument of 'cylinder(nan)': "
+         "a cylinder radius must be positive with a finite period, not nan"),
+        ("cylinder(-1)", "argument of 'cylinder(-1)': "
+         "a cylinder radius must be positive with a finite period, not -1"),
+        ("cylinder(0)", "argument of 'cylinder(0)': "
+         "a cylinder radius must be positive with a finite period, not 0"),
+        ("cylinder(1e308)", "argument of 'cylinder(1e308)': "
+         "a cylinder radius must be positive with a finite period, not 1e+308"),
+        ("flat(2", "cannot parse model spec 'flat(2'"),
+    ],
+)
+def test_bad_model_spec_exits_2(tmp_path, capsys, spec, message):
+    """A registry spec whose argument is malformed, not finite or out of
+    range exits 2 at parse time with one line naming [model] spec."""
+    text = FLAT_SCENARIO.format(kappa="0", segments=10).replace("spec = flat", f"spec = {spec}")
+    f = write_scenario(tmp_path, text)
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {f}: [model] spec: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "L0, message",
+    [
+        ("0.5 nu1^2 + 0.5 nu2^2 + nan y1",
+         "[model] L0: a factor of term 'nan y1' must be finite, not 'nan'"),
+        ("0.5 nu1^2 + 0.5 nu2^2 + 1e999",
+         "[model] L0: a factor of term '1e999' must be finite, not '1e999'"),
+        (None, "missing [model] L0"),
+    ],
+)
+def test_model_file_L0_errors_exit_2(tmp_path, capsys, L0, message):
+    body = "[model]\ndim = 2\n" + (f"L0 = {L0}\n" if L0 else "")
+    model = write_scenario(tmp_path, body, name="m.ini")
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nfile = {model}\n[endpoints]\np_y = 0 0\nq_y = 1 0.5\n"
+        "[problem]\nkappa = -1\n",
+    )
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("p_y = 0 0", "p_y = 0 0 0", "{f}: endpoint dimension mismatch (model dim 2)"),
+        ("kappa = 0", "kappa = 0\nregion = -1 1",
+         "{f}: [problem] region needs 2 intervals, got 1"),
+        ("p_y = 0 0", "p_y = 0 0%", "{f}: [endpoints] p_y must be a number, not '0%'"),
+        ("spec = flat", "file = {missing}", "cannot read model definition '{missing}'"),
+        ("q_t = 0", "q_t = 0\nq_t = 1",
+         "{f}: While reading from '{f}' [line 9]: "
+         "option 'q_t' in section 'endpoints' already exists"),
+    ],
+)
+def test_scenario_error_exits_2_with_one_line(tmp_path, capsys, old, new, message):
+    missing = os.path.join(tmp_path, "missing.ini")
+    text = FLAT_SCENARIO.format(kappa="0", segments=10)
+    f = write_scenario(tmp_path, text.replace(old, new.format(missing=missing)))
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message.format(f=f, missing=missing)}\n"
+    assert not os.path.exists(out)
+
+
+def test_unreadable_or_malformed_scenario_exits_2(tmp_path, capsys):
+    missing = os.path.join(tmp_path, "missing.ini")
+    assert main(["validate", missing, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: cannot read scenario file {missing!r}\n"
+    # A line that is not key = value: configparser's multi-line message
+    # is printed on one line.
+    f = write_scenario(tmp_path, FLAT_SCENARIO.format(kappa="0", segments=10) + "garbage\n")
+    assert main(["validate", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: Source contains parsing errors: ")
+    assert err.count("\n") == 1 and "garbage" in err
+    assert not os.path.exists(os.path.join(tmp_path, "o"))
+
+
+def test_percent_is_an_ordinary_character(tmp_path, capsys):
+    """Values are not interpolated: '%' in a directory name is literal."""
+    out = os.path.join(tmp_path, "out%x")
+    f = write_scenario(
+        tmp_path, FLAT_SCENARIO.format(kappa="0", segments=10) + f"[output]\ndir = {out}\n"
+    )
+    assert main(["validate", f, "--quiet"]) == EXIT_OK
+    assert os.path.exists(os.path.join(out, "validation.json"))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "sweep"])
+def test_unusable_output_directory_exits_2(tmp_path, capsys, command):
+    """An --out that names a file, or a directory that cannot be made below
+    one, exits 2 with one error line."""
+    f = flat_scenario(tmp_path, segments=10)
+    blocker = write_scenario(tmp_path, "", name="a-file")
+    for out in (blocker, os.path.join(blocker, "sub")):
+        assert main([command, f, "--out", out, "--quiet"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f"{out!r}\n")
+        assert err.count("\n") == 1
 
 
 def test_semicolon_is_a_comment_only_at_line_start(tmp_path):
@@ -391,13 +509,14 @@ def test_endpoints_on_one_flow_line_exit_2(tmp_path, capsys, spec, p_y, q_y):
     "line, message",
     [
         ("dim = two", "[model] dim must be an integer, not 'two'"),
-        ("dim = 2\ntopology = 1 x",
-         "[model] topology: cannot parse number list '1 x': "
-         "could not convert string to float: 'x'"),
-        ("dim = 2\ntopology = nan 0", "[model] topology must hold finite numbers, not 'nan 0'"),
-        ("dim = 2\ntopology = 0 inf", "[model] topology must hold finite numbers, not '0 inf'"),
+        ("dim = 2\ntopology = 1 x", "[model] topology must be a number, not 'x'"),
+        ("dim = 2\ntopology = nan 0",
+         "[model] topology: a period must be at least 0 and finite, not nan"),
+        ("dim = 2\ntopology = 0 inf",
+         "[model] topology: a period must be at least 0 and finite, not inf"),
         ("dim = 2\ntopology = 1", "[model] topology needs 2 periods, got 1"),
-        ("dim = 2\nomega = 0.2 q1", "[model] omega: cannot parse factor 'q1' in '0.2 q1'"),
+        ("dim = 2\nomega = 0.2 q1",
+         "[model] omega: a factor of term '0.2 q1' must be a number, not 'q1'"),
         ("dim = 2\nd = y3", "[model] d: variable index out of range in term 'y3' (dim=2)"),
     ],
 )
@@ -417,6 +536,42 @@ def test_malformed_model_file_value_names_its_key(tmp_path, capsys, line, messag
     assert main(["solve", f, "--out", out]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "body, messages",
+    [
+        ("L0 = -0.5 nu1^2 - 0.5 nu2^2",
+         ["convexity margin -1 is not positive",
+          "growth/lower-bound checks failed on samples"]),
+        # The power overflows on the sampled velocities; the convexity
+        # quotients are then nan, and only the growth check fails.
+        pytest.param(
+            "L0 = 0.5 nu1^2 + 0.5 nu2^2 + 1e308 nu1^8",
+            ["growth/lower-bound checks failed on samples"],
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+        ("L0 = 0.5 nu1^2 + 0.5 nu2^2\nomega = 1",
+         ["charge of the symmetry field is not -1"]),
+    ],
+)
+def test_validation_failure_exits_3(tmp_path, capsys, body, messages):
+    """Each sampled check that fails prints its own line, and validate exits
+    3 after writing validation.json; sweep does the same and solves nothing."""
+    model = write_scenario(tmp_path, f"[model]\ndim = 2\n{body}\n", name="m.ini")
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nfile = {model}\n[endpoints]\np_y = 0 0\nq_y = 1 0.5\n"
+        "[problem]\nkappa = -1 -2\n[solver]\nsegments = 10\n",
+    )
+    expected = "".join(f"validation failure: {m}\n" for m in messages)
+    out = os.path.join(tmp_path, "out")
+    assert main(["validate", f, "--out", out, "--quiet"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == expected
+    assert os.listdir(out) == ["validation.json"]
+    assert main(["sweep", f, "--out", out, "--quiet"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == expected
+    assert os.listdir(out) == ["validation.json"]
 
 
 def test_validate_offset_fiber_bound(tmp_path):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
+from fermatpath import models
 from fermatpath.models import (
     TangentVector,
     chart_partials,
+    cylinder_model,
     eval_E,
     eval_L,
     eval_Lc,
@@ -376,6 +378,21 @@ def test_validate_offset_fiber_bound():
     assert rep.kappa_admissible_bound == -rep.supL0_at_zero
 
 
+def test_validate_evaluates_the_omega_coefficients_once_per_role(monkeypatch):
+    """The convexity quotients of both velocity samples share one evaluation
+    of the omega coefficients; the L partials of the growth check make the
+    other."""
+    calls = []
+
+    def counted(model, y):
+        calls.append(len(y))
+        return omega_coeffs(model, y)
+
+    monkeypatch.setattr(models, "omega_coeffs", counted)
+    fp.validate_assumptions(fp.get_model("randers-rot(0.3)"), [(-1, 1), (-1, 1)], 50)
+    assert calls == [50, 50]
+
+
 def test_validate_rejects_empty_region():
     with pytest.raises(ValueError):
         fp.validate_assumptions(FLAT, [(1, -1), (-1, 1)], 10)
@@ -439,6 +456,22 @@ def test_cylinder_periods():
     assert model.periods == (0.0, 2 * math.pi)
     assert model.topology.startswith("cylinder")
     assert FLAT.topology == "euclidean"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fp.build_model(2, L0=lambda y, nu: np.zeros(len(y)), periods=(0.0, -1.0)),
+        lambda: fp.build_model(2, L0=lambda y, nu: np.zeros(len(y)), periods=(math.inf, 0.0)),
+        lambda: cylinder_model(-1.0),
+        lambda: cylinder_model(0.0),
+    ],
+)
+def test_negative_period_and_radius_are_refused(build):
+    """A negative period would flip the sign of a winding class; a period of
+    0 means aperiodic and is no cylinder."""
+    with pytest.raises(ValueError, match="a (period|cylinder radius) must be"):
+        build()
 
 
 def test_affine_field_offset_values():
