@@ -230,7 +230,7 @@ def _run_validation(scen: Scenario) -> tuple[ValidationReport, list[str]]:
         scen.model, scen.region, scen.samples, scen.opts.rng_seed
     )
     problems = []
-    if report.convexity_margin <= 0.0:
+    if not report.convexity_margin > 0.0:  # nan fails too
         problems.append(
             f"convexity margin {report.convexity_margin:.3g} is not positive"
         )

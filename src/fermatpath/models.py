@@ -16,12 +16,16 @@ positions and fiber vectors and return shape (n,) scalars or (n, m)
 gradients.  Evaluators are pure and models are immutable, so they are safe
 to share across concurrent workers.
 
-A model carries the partials of L0, omega, d and the fiber energy E0.
-`build_model` settles the source of each once, when the model is built
-(given, central differences, or for E0 of a 2-homogeneous fiber the L0
-partials), so `chart_partials` only calls them.  The omega coefficients
-are not settled: `omega_coeffs` recovers them from omega on every call,
-one omega evaluation per slice coordinate.
+A model carries the partials of L0, omega, d and the fiber energy E0, and
+the coefficients w(y) of omega.  `build_model` settles the source of each
+once, when the model is built (given, central differences, for E0 of a
+2-homogeneous fiber the L0 partials, and for the coefficients omega on the
+basis vectors), so `chart_partials` and `omega_coeffs` only call them.  A
+polynomial model gives them all exactly, its omega coefficients as the
+nu-gradient of omega, which needs no omega evaluation; randers-rot gives
+its coefficients with the bits of the basis evaluation.  Polynomials are
+evaluated from a plan compiled when they are built: one power table per
+call, shared by the m components of a gradient.
 
 Scenario and model files share one strict reader (`read_ini`), and every
 number of an input, registry spec arguments and polynomial coefficients
@@ -77,8 +81,10 @@ class StationaryModel:
 
     Every evaluator is set, the derivatives included: `build_model` settles
     where each one comes from when the model is built, so no caller picks a
-    source at evaluation time.  `dE0_dy` and `dE0_dnu` are the partials of
-    the fiber energy E0 = dL0_dnu . nu - L0 (chart_E0).
+    source at evaluation time.  `omega_w` gives the coefficient covectors
+    w(y) of the one-form, omega_y(nu) = w(y) . nu, shape (n, m) (read
+    through omega_coeffs).  `dE0_dy` and `dE0_dnu` are the partials of the
+    fiber energy E0 = dL0_dnu . nu - L0 (chart_E0).
 
     `homogeneous` means L0 is positively 2-homogeneous in nu, which makes
     E0 = L0 and enables the action = energy shortcut.  `linear_charge` is
@@ -94,6 +100,7 @@ class StationaryModel:
     dL0_dnu: FiberEval
     omega: FiberEval
     domega_dy: FiberEval
+    omega_w: BaseEval
     d_offset: BaseEval
     dd_dy: BaseEval
     dE0_dy: FiberEval
@@ -154,6 +161,19 @@ def _central_diff(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     return out
 
 
+def _basis_coeffs(omega: FiberEval, y) -> np.ndarray:
+    """The coefficients of a one-form linear in nu, from omega evaluated
+    on each basis vector: one n-row call per slice coordinate."""
+    y = np.asarray(y, dtype=float)
+    w = np.empty_like(y)
+    e = np.zeros(y.shape)
+    for j in range(y.shape[1]):
+        e[:, j] = 1.0
+        w[:, j] = omega(y, e)
+        e[:, j] = 0.0
+    return w
+
+
 def _check_dim(dim: int):
     if dim < 1:
         raise ValueError(f"model dimension must be at least 1, not {dim}")
@@ -187,6 +207,7 @@ def build_model(
     dL0_dy: Optional[FiberEval] = None,
     dL0_dnu: Optional[FiberEval] = None,
     domega_dy: Optional[FiberEval] = None,
+    omega_w: Optional[BaseEval] = None,
     dd_dy: Optional[BaseEval] = None,
     dE0_dy: Optional[FiberEval] = None,
     dE0_dnu: Optional[FiberEval] = None,
@@ -198,7 +219,9 @@ def build_model(
 
     An absent omega or d is identically zero, with zero derivatives.  Each
     derivative that is given is used as given, and each that is absent is
-    the central difference of its function (`_central_diff`).  The E0
+    the central difference of its function (`_central_diff`).  Absent
+    omega coefficients `omega_w` are omega evaluated on the basis vectors
+    (`_basis_coeffs`), which is exact for an omega linear in nu.  The E0
     partials of a 2-homogeneous fiber are dL0_dy and dL0_dnu themselves,
     since E0 = L0 there; given `dE0_dy`/`dE0_dnu` are then not used.  A
     slice dimension below 1, and a period that is negative or not finite,
@@ -211,6 +234,7 @@ def build_model(
     if omega is None:
         omega = _zeros
         domega_dy = _zeros_grad
+        omega_w = _zeros_grad
     if d_offset is None:
         d_offset = _zeros
         dd_dy = _zeros_grad
@@ -220,6 +244,8 @@ def build_model(
         dL0_dnu = lambda y, nu: _central_diff(lambda nn: L0(y, nn), nu)
     if domega_dy is None:
         domega_dy = lambda y, nu: _central_diff(lambda yy: omega(yy, nu), y)
+    if omega_w is None:
+        omega_w = lambda y: _basis_coeffs(omega, y)
     if dd_dy is None:
         dd_dy = lambda y: _central_diff(d_offset, y)
     if homogeneous:
@@ -236,6 +262,7 @@ def build_model(
         dL0_dnu=dL0_dnu,
         omega=omega,
         domega_dy=domega_dy,
+        omega_w=omega_w,
         d_offset=d_offset,
         dd_dy=dd_dy,
         dE0_dy=dE0_dy,
@@ -358,20 +385,9 @@ def chart_Lc(model, y, nu, tau, check=True):
 
 
 def omega_coeffs(model, y) -> np.ndarray:
-    """Coefficient covectors w(y) with omega_y(nu) = w(y) . nu, shape (n, m).
-
-    omega is linear in nu by assumption, so evaluating on basis vectors
-    recovers the coefficients exactly.  One n-row call per basis vector
-    avoids building an (n*m)-row batch.
-    """
-    y = np.asarray(y, dtype=float)
-    w = np.empty_like(y)
-    e = np.zeros(y.shape)
-    for j in range(y.shape[1]):
-        e[:, j] = 1.0
-        w[:, j] = model.omega(y, e)
-        e[:, j] = 0.0
-    return w
+    """Coefficient covectors w(y) with omega_y(nu) = w(y) . nu, shape (n, m):
+    the model's omega_w, as `build_model` settled it."""
+    return model.omega_w(y)
 
 
 def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, w=None):
@@ -385,14 +401,15 @@ def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, 
     are domega_dy, the omega coefficients and -1, which callers use
     directly.  Values already evaluated at (y, nu) may be passed and are used
     as given: `omega` = omega(y, nu), `domega_dy` = domega_dy(y, nu) and
-    `w` = omega_coeffs(y).  Every returned array is the call's own.  Each
-    sum is written over one of its own terms, with the operations of the
-    formula in its order, so the bits are those of the formula.  No
-    product loops over m inside each row: tau scales the rows of an (n, m)
-    partial one column at a time (`_row_scale`).  The row-wise kernels have
-    two exceptions, where the columns would sum in another order: a row dot
-    of m >= 3 columns (`_row_dot`) calls einsum, and a column sum of m = 1
-    column (arrival._column_sum) numpy's pairwise reduce.
+    `w` = omega_coeffs(y), the coefficients `build_model` settled.  Every
+    returned array is the call's own.  Each sum is written over one of its
+    own terms, with the operations of the formula in its order, so the bits
+    are those of the formula.  No product loops over m inside each row: tau
+    scales the rows of an (n, m) partial one column at a time
+    (`_row_scale`).  The row-wise kernels have two exceptions, where the
+    columns would sum in another order: a row dot of m >= 3 columns
+    (`_row_dot`) calls einsum, and a column sum of m = 1 column
+    (arrival._column_sum) numpy's pairwise reduce.
     """
     y = np.asarray(y, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -503,6 +520,9 @@ def is_causal(model: StationaryModel, x: Point, v: TangentVector) -> bool:
     return v.tau >= om + math.sqrt(rad)
 
 
+# A model that overflows on the samples fails the checks, which report its
+# non-finite values themselves: no numpy warnings.
+@np.errstate(all="ignore")
 def validate_assumptions(
     model: StationaryModel,
     region: Sequence[tuple[float, float]],
@@ -514,7 +534,9 @@ def validate_assumptions(
     Estimates the fiberwise convexity margin (the smallest sampled monotonicity
     quotient of the convexified Lagrangian), the sup of L at zero velocity,
     the induced admissible bound on kappa, finiteness of values/partials, and
-    counts causal-cone consistency tests for 2-homogeneous models.
+    counts causal-cone consistency tests for 2-homogeneous models.  Values
+    that overflow or are undefined on the samples raise no warning: they
+    show as a nan convexity margin or a failed growth check.
     """
     _check_samples(samples)
     region = [(float(lo), float(hi)) for lo, hi in region]
@@ -612,35 +634,74 @@ class Monomial:
     nu_pow: tuple[int, ...]
 
 
+class _Plan:
+    """Evaluation plan of one or more polynomials over one power table.
+
+    Built once, when the polynomial is.  Each distinct column power
+    x[:, j] ** p of the terms is a slot of the table, computed once per
+    call; a power of 1 is the column view itself.  A term is its
+    coefficient and the slots of its non-zero powers, y factors before nu
+    factors, the order of a term-by-term evaluation; without nu its nu
+    factors are left out.  `run` adds component k's terms in order into
+    the k-th of the given zero columns: each term is coef * first factor,
+    times the others in place, so every value has the bits of a
+    term-by-term evaluation.
+    """
+
+    def __init__(self, polys: Sequence["Polynomial"]):
+        slots: dict[tuple[int, int, int], int] = {}
+        self.components = []
+        for poly in polys:
+            terms = []
+            for t in poly.terms:
+                factors = [
+                    slots.setdefault((var, j, p), len(slots))
+                    for var, pows in ((0, t.y_pow), (1, t.nu_pow))
+                    for j, p in enumerate(pows)
+                    if p
+                ]
+                terms.append((t.coef, tuple(factors), sum(1 for p in t.y_pow if p)))
+            self.components.append(tuple(terms))
+        self.slots = tuple(slots)
+
+    def run(self, y, nu, columns) -> None:
+        table = []
+        for var, j, p in self.slots:
+            x = (y, nu)[var]
+            table.append(None if x is None else x[:, j] if p == 1 else x[:, j] ** p)
+        scratch = np.empty(y.shape[0])
+        for col, terms in zip(columns, self.components):
+            for coef, factors, n_y in terms:
+                if nu is None:
+                    factors = factors[:n_y]
+                if not factors:
+                    col += coef
+                    continue
+                v = np.multiply(coef, table[factors[0]], out=scratch)
+                for f in factors[1:]:
+                    v *= table[f]
+                col += v
+
+
 class Polynomial:
-    """Sparse polynomial in (y_1..y_m, nu_1..nu_m) with exact derivatives."""
+    """Sparse polynomial in (y_1..y_m, nu_1..nu_m) with exact derivatives.
+
+    Evaluation runs a plan compiled when the polynomial is built (_Plan);
+    the plan of a gradient is compiled on its first evaluation.
+    """
 
     def __init__(self, dim: int, terms: Sequence[Monomial]):
         self.dim = dim
         self.terms = tuple(t for t in terms if t.coef != 0.0)
-        self._gradients: dict[str, tuple["Polynomial", ...]] = {}
+        self._plan = _Plan((self,))
+        self._grad_plans: dict[str, _Plan] = {}
 
     def __call__(self, y, nu=None):
         y = np.asarray(y, dtype=float)
         if nu is not None:
             nu = np.asarray(nu, dtype=float)
-        n = y.shape[0]
-        out = np.zeros(n)
-        # Each distinct column power is computed once per call; the terms
-        # multiply them in the same order as a term-by-term evaluation.
-        powers = {}
-        for t in self.terms:
-            v = None
-            for var, x, pows in (("y", y, t.y_pow), ("nu", nu, t.nu_pow)):
-                if x is None:
-                    continue
-                for j, p in enumerate(pows):
-                    if p:
-                        f = powers.get((var, j, p))
-                        if f is None:
-                            f = powers[var, j, p] = x[:, j] ** p
-                        v = t.coef * f if v is None else v * f
-            out += np.full(n, t.coef) if v is None else v
+        out = np.zeros(y.shape[0])
+        self._plan.run(y, nu, (out,))
         return out
 
     def deriv(self, var: str, j: int) -> "Polynomial":
@@ -669,20 +730,24 @@ class Polynomial:
         )
 
     def grad_eval(self, var: str, y, nu=None) -> np.ndarray:
-        """Gradient in y or nu; the derivative polynomials are built once."""
-        if var not in self._gradients:
-            self._gradients[var] = tuple(self.deriv(var, j) for j in range(self.dim))
+        """Gradient in y or nu, shape (n, m), with the bits of evaluating
+        each derivative polynomial.  One plan holds the m derivatives, so
+        a call computes each column power once for all of them and sums
+        each derivative straight into its column."""
+        plan = self._grad_plans.get(var)
+        if plan is None:
+            plan = self._grad_plans[var] = _Plan(
+                [self.deriv(var, j) for j in range(self.dim)]
+            )
         y = np.asarray(y, dtype=float)
+        if nu is not None:
+            nu = np.asarray(nu, dtype=float)
         out = np.zeros((y.shape[0], self.dim))
-        for j, dp in enumerate(self._gradients[var]):
-            out[:, j] = dp(y, nu)
+        plan.run(y, nu, [out[:, j] for j in range(self.dim)])
         return out
 
     def is_homogeneous_degree2(self) -> bool:
         return all(sum(t.nu_pow) == 2 for t in self.terms)
-
-    def max_nu_degree(self) -> int:
-        return max((sum(t.nu_pow) for t in self.terms), default=0)
 
 
 def parse_polynomial(text: str, dim: int) -> Polynomial:
@@ -722,6 +787,16 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
     return Polynomial(dim, terms)
 
 
+def _require_nu_degree(key: str, poly: Polynomial, degree: int):
+    """Every term of `poly` has degree `degree` in nu, else ScenarioError."""
+    for t in poly.terms:
+        if sum(t.nu_pow) != degree:
+            raise ScenarioError(
+                f"{key}: every term must have degree {degree} in nu, "
+                f"not {sum(t.nu_pow)}"
+            )
+
+
 def polynomial_model(
     dim: int,
     L0_poly: Polynomial,
@@ -736,12 +811,15 @@ def polynomial_model(
     The model is marked 2-homogeneous when every L0 term has degree 2 in
     nu, so it is never marked so wrongly.  An L0 with like terms that cancel
     (say + 3 - 3) is marked inhomogeneous; the general E0 path is exact for
-    it all the same.
+    it all the same.  Every omega term must have degree 1 in nu and every d
+    term degree 0, else ScenarioError, whose message starts with the key.
+    The omega coefficients are then the nu-gradient of omega, evaluated
+    without nu.
     """
-    if omega_poly is not None and omega_poly.max_nu_degree() > 1:
-        raise ScenarioError("omega must be linear in nu")
-    if d_poly is not None and d_poly.max_nu_degree() > 0:
-        raise ScenarioError("d must not depend on nu")
+    if omega_poly is not None:
+        _require_nu_degree("omega", omega_poly, 1)
+    if d_poly is not None:
+        _require_nu_degree("d", d_poly, 0)
     E0 = L0_poly.energy()
     has_d = d_poly is not None and len(d_poly.terms) > 0
     return build_model(
@@ -752,6 +830,7 @@ def polynomial_model(
         dL0_dy=lambda y, nu: L0_poly.grad_eval("y", y, nu),
         dL0_dnu=lambda y, nu: L0_poly.grad_eval("nu", y, nu),
         domega_dy=(lambda y, nu: omega_poly.grad_eval("y", y, nu)) if omega_poly else None,
+        omega_w=(lambda y: omega_poly.grad_eval("nu", y)) if omega_poly else None,
         dd_dy=(lambda y: d_poly.grad_eval("y", y)) if has_d else None,
         dE0_dy=lambda y, nu: E0.grad_eval("y", y, nu),
         dE0_dnu=lambda y, nu: E0.grad_eval("nu", y, nu),
@@ -815,9 +894,17 @@ def randers_rot_model(b: float, name=None) -> StationaryModel:
     def domega_dy(y, nu):
         return b * np.stack([nu[:, 1], -nu[:, 0]], axis=1)
 
+    def omega_w(y):
+        # omega on the basis vectors without its products by 1.0, which are
+        # exact; the products by 0.0 stay, as they sign a zero coefficient.
+        w = np.empty(y.shape)
+        np.multiply(b, -y[:, 1] + y[:, 0] * 0.0, out=w[:, 0])
+        np.multiply(b, -y[:, 1] * 0.0 + y[:, 0], out=w[:, 1])
+        return w
+
     return build_model(
         2, L0, omega=omega,
-        dL0_dy=dL0_dy, dL0_dnu=dL0_dnu, domega_dy=domega_dy,
+        dL0_dy=dL0_dy, dL0_dnu=dL0_dnu, domega_dy=domega_dy, omega_w=omega_w,
         homogeneous=True, name=name or f"randers-rot({b:g})",
     )
 
@@ -839,8 +926,7 @@ def cylinder_model(radius: float, name=None) -> StationaryModel:
 
 def affine_model(base: StationaryModel, d_poly: Polynomial, name=None) -> StationaryModel:
     """Wrap a base model with a position-dependent charge offset d(y)."""
-    if d_poly.max_nu_degree() > 0:
-        raise ScenarioError("d must not depend on nu")
+    _require_nu_degree("d", d_poly, 0)
     return replace(
         base,
         d_offset=lambda y: d_poly(y),
@@ -1000,7 +1086,8 @@ def load_custom_model(path: str) -> StationaryModel:
     topology ("euclidean" or space-separated per-coordinate periods).  Any
     other section or key, a missing required key, and a malformed value (a
     dim that is not an integer of at least 1, a polynomial that does not
-    parse or has a coefficient that is not finite, a period that is negative
+    parse or has a coefficient that is not finite, an omega term whose degree
+    in nu is not 1, a d term that depends on nu, a period that is negative
     or not finite) is a ScenarioError, so the command line exits 2; its
     message names the file, the section and the key.  Whether L0 is
     2-homogeneous is read off its terms (polynomial_model).
@@ -1024,10 +1111,13 @@ def load_custom_model(path: str) -> StationaryModel:
         )
         if len(periods) != dim:
             raise ScenarioError(f"{where} needs {dim} periods, got {len(periods)}")
-    return polynomial_model(
-        dim, L0,
-        omega_poly=omega if omega.terms else None,
-        d_poly=d if d.terms else None,
-        periods=periods,
-        name=f"custom({path})",
-    )
+    try:
+        return polynomial_model(
+            dim, L0,
+            omega_poly=omega if omega.terms else None,
+            d_poly=d if d.terms else None,
+            periods=periods,
+            name=f"custom({path})",
+        )
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: [model] {exc}") from None

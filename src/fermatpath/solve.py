@@ -123,13 +123,14 @@ def _fmt(x) -> str:
 
 
 def _json_text(d: dict) -> str:
-    """One "key": value line per entry; floats via _fmt, so they round-trip."""
+    """One "key": value line per entry; floats via _fmt, so they round-trip,
+    and a float that is not finite as null, which JSON has in its place."""
     parts = []
     for key, value in d.items():
         if isinstance(value, bool):
             parts.append(f'"{key}": {str(value).lower()}')
         elif isinstance(value, float):
-            parts.append(f'"{key}": {_fmt(value)}')
+            parts.append(f'"{key}": {_fmt(value) if math.isfinite(value) else "null"}')
         elif isinstance(value, int):
             parts.append(f'"{key}": {value}')
         elif isinstance(value, list):

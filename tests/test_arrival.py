@@ -309,17 +309,18 @@ def counting(model):
             return fn(*args)
         return counted
 
-    names = ("L0", "dL0_dy", "dL0_dnu", "omega", "domega_dy", "d_offset", "dd_dy",
-             "dE0_dy", "dE0_dnu")
+    names = ("L0", "dL0_dy", "dL0_dnu", "omega", "domega_dy", "omega_w", "d_offset",
+             "dd_dy", "dE0_dy", "dE0_dnu")
     wrapped = {k: wrap(k, getattr(model, k)) for k in names if getattr(model, k)}
     return dataclasses.replace(model, **wrapped), calls
 
 
-# One evaluation of the arrival form: domega_dy, omega once per basis vector
-# (the omega coefficients), the E0 partials (for a 2-homogeneous fiber the
-# functions dL0_dy and dL0_dnu, called as the model's dE0_dy and dE0_dnu),
-# and dd_dy for the charge coefficients.
-ONE_FORM = {"domega_dy": 1, "omega": 2, "dE0_dy": 1, "dE0_dnu": 1, "dd_dy": 1}
+# One evaluation of the arrival form: domega_dy, the omega coefficients
+# omega_w (no omega call: the coefficients are settled when the model is
+# built), the E0 partials (for a 2-homogeneous fiber the functions dL0_dy
+# and dL0_dnu, called as the model's dE0_dy and dE0_dnu), and dd_dy for the
+# charge coefficients.
+ONE_FORM = {"domega_dy": 1, "omega_w": 1, "dE0_dy": 1, "dE0_dnu": 1, "dd_dy": 1}
 
 
 @pytest.mark.parametrize(

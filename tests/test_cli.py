@@ -518,6 +518,14 @@ def test_endpoints_on_one_flow_line_exit_2(tmp_path, capsys, spec, p_y, q_y):
         ("dim = 2\nomega = 0.2 q1",
          "[model] omega: a factor of term '0.2 q1' must be a number, not 'q1'"),
         ("dim = 2\nd = y3", "[model] d: variable index out of range in term 'y3' (dim=2)"),
+        # omega must be linear in nu: a nu-free term would make omega(y, 0)
+        # non-zero and its coefficients wrong.
+        ("dim = 2\nomega = 1", "[model] omega: every term must have degree 1 in nu, not 0"),
+        ("dim = 2\nomega = 0.3 y1 nu2 + 0.5",
+         "[model] omega: every term must have degree 1 in nu, not 0"),
+        ("dim = 2\nomega = 0.3 nu1 nu2",
+         "[model] omega: every term must have degree 1 in nu, not 2"),
+        ("dim = 2\nd = 0.1 y1 nu1", "[model] d: every term must have degree 0 in nu, not 1"),
     ],
 )
 def test_malformed_model_file_value_names_its_key(tmp_path, capsys, line, message):
@@ -545,19 +553,18 @@ def test_malformed_model_file_value_names_its_key(tmp_path, capsys, line, messag
          ["convexity margin -1 is not positive",
           "growth/lower-bound checks failed on samples"]),
         # The power overflows on the sampled velocities; the convexity
-        # quotients are then nan, and only the growth check fails.
-        pytest.param(
-            "L0 = 0.5 nu1^2 + 0.5 nu2^2 + 1e308 nu1^8",
-            ["growth/lower-bound checks failed on samples"],
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-        ),
-        ("L0 = 0.5 nu1^2 + 0.5 nu2^2\nomega = 1",
-         ["charge of the symmetry field is not -1"]),
+        # quotients are then nan, which fails like a margin <= 0, and no
+        # numpy warning is raised.
+        ("L0 = 0.5 nu1^2 + 0.5 nu2^2 + 1e308 nu1^8",
+         ["convexity margin nan is not positive",
+          "growth/lower-bound checks failed on samples"]),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_validation_failure_exits_3(tmp_path, capsys, body, messages):
     """Each sampled check that fails prints its own line, and validate exits
-    3 after writing validation.json; sweep does the same and solves nothing."""
+    3 after writing validation.json, which is JSON (a nan margin is null);
+    sweep does the same and solves nothing."""
     model = write_scenario(tmp_path, f"[model]\ndim = 2\n{body}\n", name="m.ini")
     f = write_scenario(
         tmp_path,
@@ -569,6 +576,10 @@ def test_validation_failure_exits_3(tmp_path, capsys, body, messages):
     assert main(["validate", f, "--out", out, "--quiet"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == expected
     assert os.listdir(out) == ["validation.json"]
+    with open(os.path.join(out, "validation.json")) as fh:
+        report = json.load(fh)
+    margin = report["convexity_margin"]
+    assert margin is None if "nan" in messages[0] else margin <= 0
     assert main(["sweep", f, "--out", out, "--quiet"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == expected
     assert os.listdir(out) == ["validation.json"]

@@ -12,6 +12,7 @@ must still reject non-finite nodes, and the in-place kernels must keep the
 peak allocation of one gradient and one projection below what the
 expression forms needed.
 """
+import configparser
 import math
 import tracemalloc
 
@@ -35,12 +36,14 @@ from fermatpath.arrival import (
 )
 from fermatpath.models import (
     _COLUMN_LOOP_MIN_ROWS,
+    _basis_coeffs,
     _row_dot,
     _row_scale,
     chart_E,
     chart_E0,
     chart_partials,
     omega_coeffs,
+    parse_polynomial,
 )
 from fermatpath.paths import (
     CONSTRAINT_RTOL,
@@ -54,7 +57,7 @@ from fermatpath.paths import (
     tangent_split,
 )
 
-from conftest import BUILTIN_SPECS, POTENTIAL, endpoints_for
+from conftest import BENCH_POLYNOMIAL_MODEL, BUILTIN_SPECS, POTENTIAL, endpoints_for
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -493,6 +496,102 @@ else:
     @pytest.mark.skip(reason="needs hypothesis")
     def test_row_helpers_match_expressions():
         pass
+
+
+# ---------------------------------------------------------------------------
+# polynomial plans against the term-by-term evaluation
+# ---------------------------------------------------------------------------
+
+def ref_polynomial(poly, y, nu=None):
+    """Term by term: coef times each non-zero column power x[:, j] ** p, y
+    factors before nu factors (none without nu), summed into zeros in term
+    order, a constant term as a full array."""
+    n = y.shape[0]
+    out = np.zeros(n)
+    for t in poly.terms:
+        v = None
+        for x, pows in ((y, t.y_pow), (nu, t.nu_pow)):
+            if x is None:
+                continue
+            for j, p in enumerate(pows):
+                if p:
+                    f = x[:, j] ** p
+                    v = t.coef * f if v is None else v * f
+        out += np.full(n, t.coef) if v is None else v
+    return out
+
+
+def ref_grad_eval(poly, var, y, nu=None):
+    """Each derivative polynomial evaluated term by term into its column."""
+    out = np.zeros((y.shape[0], poly.dim))
+    for j in range(poly.dim):
+        out[:, j] = ref_polynomial(poly.deriv(var, j), y, nu)
+    return out
+
+
+PLAN_POLYNOMIALS = [
+    # constants, powers 1, 2 and >= 3, repeated factors and like terms
+    (2, "1.5 - 0.7 y1 nu2^3 + 2 y2^2 + 0.25 nu1 y2^2 nu1 - 3 y1^4 nu1 nu2 + y2 - 4"),
+    (2, "0.5 nu1^2 + 0.5 nu2^2 + 3 - 0.3 y1^2 + 0.1 y2 nu1^2 + 0.1 y2 nu1^2"),
+    (2, "-nu1 + 1e-3 nu2^5 y1^3 y2^7"),
+    (1, "2 nu1^2 y1^3 - y1 + 0.5"),
+    (3, "0.3 y1 nu2 - 0.2 y2 nu1 + 0.1 y3^3 nu3 + y1 y2 y3 nu1 nu2 nu3 - 7"),
+    (2, "0"),
+]
+
+
+def plan_polynomials():
+    polys = [parse_polynomial(text, dim) for dim, text in PLAN_POLYNOMIALS]
+    cp = configparser.ConfigParser()
+    cp.read(BENCH_POLYNOMIAL_MODEL)
+    for key in ("L0", "omega"):
+        polys.append(parse_polynomial(cp.get("model", key), 2))
+    return polys + [p.energy() for p in polys]
+
+
+def plan_fields(rng, shape):
+    """signed_zero_fields, values spread over six decades and negative
+    values, each y paired with each nu."""
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+    return signed_zero_fields(rng, shape) + [wide, -np.abs(wide)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_polynomial_plan_matches_term_by_term(n):
+    """__call__ and grad_eval run a plan over one power table: a power of
+    1 is the column itself, the factors multiply in place and the terms
+    add straight into the result.  Every bit is that of the term-by-term
+    evaluation, signed zeros included, with nu and without it."""
+    rng = np.random.default_rng(n)
+    for poly in plan_polynomials():
+        fields = plan_fields(rng, (n, poly.dim))
+        for y in fields:
+            for nu in fields + [None]:
+                args = (y,) if nu is None else (y, nu)
+                assert bits(poly(*args)) == bits(ref_polynomial(poly, y, nu))
+                for var in ("y", "nu"):
+                    assert bits(poly.grad_eval(var, *args)) == bits(
+                        ref_grad_eval(poly, var, y, nu)
+                    )
+
+
+def omega_w_models():
+    models = [fp.get_model(spec) for spec in BUILTIN_SPECS + [
+        "flat(3)", "randers-const(0.5,-0)", "randers-const(-0,-0,0.2)",
+        "affine-field(randers-rot(0.2), 0.3 y1)",
+    ]]
+    return models + [POTENTIAL, fp.load_custom_model(BENCH_POLYNOMIAL_MODEL)]
+
+
+@pytest.mark.parametrize("model", omega_w_models(), ids=lambda m: m.name)
+def test_omega_w_matches_basis_evaluation(model):
+    """The settled omega coefficients have the bits of omega evaluated on
+    the basis vectors, on rows with zero coordinates of both signs too:
+    for a polynomial omega they are its nu-gradient, evaluated without nu."""
+    rng = np.random.default_rng(17)
+    for y in plan_fields(rng, (50, model.dim)):
+        assert bits(model.omega_w(y)) == bits(_basis_coeffs(model.omega, y))
+        assert bits(omega_coeffs(model, y)) == bits(model.omega_w(y))
 
 
 # ---------------------------------------------------------------------------

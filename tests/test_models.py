@@ -518,6 +518,37 @@ def test_model_file_rejects_unknown_keys(tmp_path, extra, message):
     assert str(info.value) == f"{f}: {message}"
 
 
+@pytest.mark.parametrize(
+    "omega, d, message",
+    [
+        ("0.3 y1 nu2 + 0.5", "0", "omega: every term must have degree 1 in nu, not 0"),
+        ("0.3 y1 nu1^2", "0", "omega: every term must have degree 1 in nu, not 2"),
+        ("0.2 nu1", "0.1 y1 + nu2", "d: every term must have degree 0 in nu, not 1"),
+    ],
+)
+def test_polynomial_model_rejects_terms_of_the_wrong_nu_degree(omega, d, message):
+    """omega = 0.3 y1 nu2 + 0.5 is 0.62 at y = (0.2, 0.1), nu = (1, 2), but
+    its nu-gradient w = (0, 0.06) gives w . nu = 0.12 and its basis values
+    w . nu = 1.62: omega must be linear in nu, and d free of it."""
+    L0 = parse_polynomial("0.5 nu1^2 + 0.5 nu2^2", 2)
+    with pytest.raises(fp.ScenarioError) as info:
+        polynomial_model(2, L0, parse_polynomial(omega, 2), parse_polynomial(d, 2))
+    assert str(info.value) == message
+    with pytest.raises(fp.ScenarioError, match="^d: every term must have degree 0"):
+        fp.get_model("affine-field(flat, 0.1 nu1)")
+
+
+def test_validation_flags_a_charge_of_the_symmetry_field_other_than_minus_one():
+    """A one-form with a nu-free part, which a model file cannot give, makes
+    Q(x, K) = omega(y, 0) - 1 differ from -1."""
+    L0, _, dL0_dnu = models._flat_parts(2)
+    model = fp.build_model(
+        2, L0, omega=lambda y, nu: nu[:, 0] + 1.0, dL0_dnu=dL0_dnu, homogeneous=True
+    )
+    rep = fp.validate_assumptions(model, [(-1, 1), (-1, 1)], 50)
+    assert not rep.qk_check
+
+
 def test_polynomial_parser_rejects_garbage():
     with pytest.raises(fp.ScenarioError):
         fp.get_model("affine-field(flat, 0.1 z9)")
