@@ -51,12 +51,20 @@ of m = 1 column in arrival._h1_solve, is numpy's pairwise reduce.
 Paths are stored as plain-text node tables, one row ``s y_1..y_m t`` per
 node with 17 significant digits, so `load_path` reads back the saved bits.
 `save_path` formats the table in fixed blocks of rows, the s and y columns
-once into a template with a hole for t, which each path sharing those
-columns fills with its own t; its bytes are exactly those of formatting
-every value with ``"%.17g"``, row by row.
+once for every path sharing them; its bytes are exactly those of
+formatting every value with ``"%.17g"``, row by row.  The numbers are
+formatted by a numpy kernel, `_format_17g`, without a per-value call of
+Python's formatting.  It is exact on the fixed-notation range of
+``%.17g``, v == 0 and 1e-4 <= |v| < 1e17: Dekker's TwoProduct gives
+|v| * 10**(16 - floor(log10 |v|)) as an exact sum of two doubles, so the
+17-digit significand is that sum rounded half to even, with no error
+bound to trust.  Every other value (exponent notation, non-finite values)
+goes to ``"%.17g" % v`` itself.  `solve._fmt` stays the scalar form for the
+record fields and CSV cells; a test pins it and the kernel equal.
 """
 from __future__ import annotations
 
+import functools
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -540,9 +548,155 @@ def resample(path: DiscretePath, n_segments: int) -> DiscretePath:
 # ---------------------------------------------------------------------------
 
 # Node rows formatted per write in `save_path`: large enough that the
-# per-block overhead vanishes, small enough that the formatted text of one
-# block stays at a few hundred kB.
+# per-block overhead vanishes, small enough that the temporaries of one
+# block stay at a few MB.
 _SAVE_BLOCK_ROWS = 4096
+
+# Bytes per value in `_format_17g`: the longest "%.17g" text of a double
+# (24, as in "-1.7976931348623157e+308") and its separator.
+_WIDTH = 25
+# Veltkamp's splitting constant for doubles, 2**27 + 1.
+_SPLITTER = 134217729.0
+
+
+@functools.cache
+def _format_tables():
+    """The tables of `_format_17g`, built on its first call.
+
+    10**p for p = 0..20 (each an exact double); the four digit characters
+    of every 4-digit group, as a (4, 10000) array; the trailing decimal
+    zeros of every group (4 for 0); and the value masks, whose row
+    a * _WIDTH + b is True on the columns a..b.
+    """
+    group = np.arange(10_000)
+    digits = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10])
+    zeros = sum(group % 10**j == 0 for j in range(1, 5))
+    col = np.arange(_WIDTH)
+    masks = (col[:, None, None] <= col) & (col <= col[None, :, None])
+    return (
+        10.0 ** np.arange(21),
+        (digits + ord("0")).astype(np.uint8),
+        zeros,
+        masks.reshape(-1, _WIDTH),
+    )
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and a * b = p + e exactly, elementwise:
+    Dekker's TwoProduct (Numer. Math. 18 (1971) 224) with Veltkamp's
+    split, exact while no product or split overflows or underflows."""
+    p = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLITTER * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _format_17g(values: np.ndarray, sep: int) -> tuple[np.ndarray, np.ndarray]:
+    """The text ``"%.17g" % v`` of each double v of a 1-D array, followed by
+    the byte `sep`, as two (n, _WIDTH) arrays (chars, mask): the text of
+    value i is chars[i][mask[i]], so chars[mask].tobytes() is all of them
+    in order.
+
+    Values with v == 0 or 1e-4 <= |v| < 1e17 are the fixed notation of
+    ``%.17g``; they are formatted here, exactly.  With k = floor(log10 |v|)
+    and p = 16 - k in [0, 20], 10**p is a double, and `_two_product` gives
+    |v| * 10**p = hi + lo exactly, with hi a double in [1e16, 1e17], so an
+    integer.  The 17-digit significand q is hi + lo rounded half to even,
+    which needs no margin and no approximation.  k is checked on that
+    exact value: where log10 rounds across a power of ten, the value falls
+    outside [1e16, 1e17) and k moves by one, so the digits do not depend
+    on the platform's log10.  q never rounds up to 10**17, which would
+    raise the exponent: that takes |v| within 5e-18 relative below a power
+    of ten, and the double just below each of 1e-3..1e17 lies farther (the
+    tests check each one).  So k is the exponent of ``%.17g``, and the
+    text is the padded fixed-point string "0000" + the 17 digits of q with
+    the point after k + 4 characters, from the last of the padding zeros
+    that stays before the point (k < 0) or else the first digit, to the
+    last nonzero digit after the point, with no point if there is none;
+    the sign goes before it.  The characters lie in a
+    column-major (_WIDTH, n) array, one row per position, so every step
+    runs down whole rows; the digits come from a table of 4-digit groups.
+
+    Every other value (exponent notation, non-finite values) is formatted
+    by ``"%.17g" % v`` itself.
+    """
+    pow10, group_digits, group_zeros, masks = _format_tables()
+    n = values.shape[0]
+    a = np.abs(values)
+    zero = a == 0.0
+    fast = ((a >= 1e-4) & (a < 1e17)) | zero
+    x = np.where(fast & ~zero, a, 1.0)
+    k = np.clip(np.floor(np.log10(x)), -4, 16).astype(np.int64)
+    hi, lo = _two_product(x, pow10[16 - k])
+    while True:
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+        wrong = np.flatnonzero(low | high)
+        if not wrong.size:
+            break
+        k[wrong] += np.where(high[wrong], 1, -1)
+        hi[wrong], lo[wrong] = _two_product(x[wrong], pow10[16 - k[wrong]])
+    # Round hi + lo half to even; floor(lo) + 0.5 is exact, as |lo| <= 8.
+    floor = np.floor(lo)
+    half = floor + 0.5
+    q = hi.astype(np.int64) + floor.astype(np.int64)
+    q += (lo > half) | ((lo == half) & ((q & 1) == 1))
+    q[zero] = 0
+    k[zero] = 0
+
+    # The padded string: four '0' rows, then the digits of q.
+    padded = np.empty((21, n), np.uint8)
+    padded[:4] = ord("0")
+    lead, rest = np.divmod(q, 10**16)
+    np.add(lead, ord("0"), out=padded[4], casting="unsafe")
+    g1, rest = np.divmod(rest, 10**12)
+    g2, g4 = np.divmod(rest, 10**4)
+    g2, g3 = np.divmod(g2, 10**4)
+    for j, g in enumerate((g1, g2, g3, g4)):
+        np.take(group_digits, g, axis=1, out=padded[5 + 4 * j:9 + 4 * j])
+    zeros = group_zeros[g4]
+    trailing = g4 == 0
+    for g in (g3, g2, g1):
+        zeros += trailing * group_zeros[g]
+        trailing &= g == 0
+
+    # Row 1 + c of `text` is character c of the padded string with the
+    # point inserted after character k + 4; row 0 holds a sign.
+    text = np.empty((_WIDTH, n), np.uint8)
+    text[1] = padded[0]
+    after = (k + 4 < np.arange(1, 21)[:, None]).view(np.uint8)
+    body = text[2:22]
+    np.subtract(padded[:-1], padded[1:], out=body)
+    body *= after
+    body += padded[1:]
+    text[22] = padded[20]
+    flat = text.reshape(-1)
+    col = np.arange(n)
+    flat[(k + 6) * n + col] = ord(".")
+    skip = 4 + np.minimum(k, 0)
+    neg = np.flatnonzero(np.signbit(values))
+    flat[skip[neg] * n + neg] = ord("-")
+    start = skip + 1
+    start[neg] -= 1
+    fraction = np.maximum(16 - zeros - k, 0)
+    end = k + 6 + (fraction > 0) + fraction
+    flat[end * n + col] = sep
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        chars = np.array(
+            ["%.17g" % v for v in values[slow].tolist()], dtype="S24"
+        ).view(np.uint8).reshape(-1, 24)
+        size = np.count_nonzero(chars, axis=1)
+        text[:24, slow] = chars.T
+        flat[size * n + slow] = sep
+        start[slow] = 0
+        end[slow] = size
+    return np.ascontiguousarray(text.T), masks.take(start * _WIDTH + end, axis=0)
 
 
 def save_path(path: DiscretePath, filename: str, *also):
@@ -555,12 +709,14 @@ def save_path(path: DiscretePath, filename: str, *also):
     ValueError is raised before any file is opened.
 
     The columns [i/n, y] are built once and written in blocks of
-    `_SAVE_BLOCK_ROWS` rows, in two stages.  The first formats the s and y
-    values of a block once into a row template that leaves a ``%.17g``
-    hole for t; the second fills the holes with each path's t-values, one
-    `%`-format per block and file.  A formatted number holds no ``%``, so
-    the template's only holes are those for t.  The bytes of each file are
-    those of formatting each value of each row with ``"%.17g" % v``:
+    `_SAVE_BLOCK_ROWS` rows.  `_format_17g` formats the s and y values of a
+    block once and each path's t-values once; each file's block is their
+    rows, joined by one boolean compress.  The kernel is exact for v == 0
+    and 1e-4 <= |v| < 1e17, the fixed notation of ``%.17g``: it rounds
+    the exact two-double product |v| * 10**p (Dekker's TwoProduct) to the
+    17-digit integer significand, half to even.  Other values are
+    formatted by ``"%.17g" % v``.  So the bytes of each file are those of
+    formatting each value of each row with ``"%.17g" % v``:
     ``np.arange(n + 1) / n`` equals ``i / n`` bitwise, and ``"%.17g"`` of a
     float64 equals that of the same Python float.
     """
@@ -574,10 +730,10 @@ def save_path(path: DiscretePath, filename: str, *also):
                 f"{name}: y-nodes and periods differ from those of {filename}"
             )
     n = path.segments
-    sy = np.empty((n + 1, path.dim + 1))
+    cols = path.dim + 1
+    sy = np.empty((n + 1, cols))
     sy[:, 0] = np.arange(n + 1) / n
     sy[:, 1:] = path.y
-    row = "%.17g " * sy.shape[1] + "%%.17g\n"
     header = "# s " + " ".join(f"y{j+1}" for j in range(path.dim)) + " t\n"
     if path.periods:
         header = "# periods %s\n" % " ".join("%.17g" % p for p in path.periods) + header
@@ -587,11 +743,16 @@ def save_path(path: DiscretePath, filename: str, *also):
         for _, fh in files:
             fh.write(header)
         for start in range(0, n + 1, _SAVE_BLOCK_ROWS):
-            stop = start + _SAVE_BLOCK_ROWS
-            block = sy[start:stop]
-            template = (row * block.shape[0]) % tuple(block.ravel().tolist())
+            block = sy[start:start + _SAVE_BLOCK_ROWS]
+            rows = block.shape[0]
+            chars = np.empty((rows, cols + 1, _WIDTH), np.uint8)
+            mask = np.empty((rows, cols + 1, _WIDTH), bool)
+            shared_chars, shared_mask = _format_17g(block.reshape(-1), ord(" "))
+            chars[:, :cols] = shared_chars.reshape(rows, cols, _WIDTH)
+            mask[:, :cols] = shared_mask.reshape(rows, cols, _WIDTH)
             for t, fh in files:
-                fh.write(template % tuple(t[start:stop].tolist()))
+                chars[:, cols], mask[:, cols] = _format_17g(t[start:start + rows], ord("\n"))
+                fh.write(chars[mask].tobytes().decode("ascii"))
 
 
 def load_path(filename: str) -> DiscretePath:

@@ -92,6 +92,9 @@ class SolutionRecord:
     converged: bool
     branch: str = "plus"
     seed: str = ""
+    # Why the descent stopped: "grad_tol", "line_search_stall", "stagnant"
+    # or "max_iters".  Not part of `as_dict`, so no output carries it.
+    stop_reason: str = ""
 
     @property
     def t_plus(self) -> float:
@@ -253,20 +256,22 @@ def _check_endpoints(model, p, q):
 def _descend(model, path, kappa, opts, branch):
     """Armijo-backtracked projected descent from a projected path.
 
-    Returns (path, arrival, iters, converged) with the final iterate as a
-    plain DiscretePath: the states of the iterates end with this call.
+    Returns (path, arrival, iters, stop_reason) with the final iterate as a
+    plain DiscretePath: the states of the iterates end with this call.  The
+    stop reason is "grad_tol" (converged), "line_search_stall",
+    "stagnant" or "max_iters".
     """
     sigma = branch_sign(branch)  # the objective is sigma * t_sigma
     arr = arrival_times(model, path, kappa)
     f_val = sigma * arr.time(sigma)
-    converged = False
+    stop_reason = "max_iters"
     iters = 0
     trial = FIRST_STEP
     stagnant = 0
     for iters in range(1, opts.max_iters + 1):
         grad = arrival_gradient(model, path, kappa, branch)
         if grad.norm <= opts.grad_tol:
-            converged = True
+            stop_reason = "grad_tol"
             iters -= 1
             break
         slope = grad.norm * grad.norm
@@ -291,6 +296,7 @@ def _descend(model, path, kappa, opts, branch):
             step *= STEP_SHRINK
         if not accepted:
             log.warning("line search stalled at iteration %d (|grad|=%.3g)", iters, grad.norm)
+            stop_reason = "line_search_stall"
             break
         # Stop once accepted steps no longer move the objective at double
         # precision; further iterations cannot make progress.
@@ -302,8 +308,9 @@ def _descend(model, path, kappa, opts, branch):
                 "objective stagnant at double precision after %d iterations "
                 "(|grad|=%.3g)", iters, grad.norm,
             )
+            stop_reason = "stagnant"
             break
-    return DiscretePath(path.y, path.t, path.periods), arr, iters, converged
+    return DiscretePath(path.y, path.t, path.periods), arr, iters, stop_reason
 
 
 def minimize_arrival(
@@ -339,7 +346,7 @@ def minimize_arrival(
         "path" if isinstance(init, DiscretePath)
         else str(init) if init is not None else "0"
     )
-    path, arr, iters, converged = _descend(
+    path, arr, iters, stop_reason = _descend(
         model, seed_path(model, p, q, opts.N, 0 if init is None else init, rng),
         kappa, opts, branch,
     )
@@ -356,9 +363,10 @@ def minimize_arrival(
         noether_dev=noether_dev,
         winding=winding(path),
         iters=iters,
-        converged=converged,
+        converged=stop_reason == "grad_tol",
         branch=branch,
         seed=seed_label,
+        stop_reason=stop_reason,
     )
 
 

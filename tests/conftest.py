@@ -1,4 +1,5 @@
 """Shared builders for the test suite."""
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,17 @@ import pytest
 import fermatpath as fp
 from fermatpath.models import chart_partials, parse_polynomial, polynomial_model
 from fermatpath.paths import TangentField, unwrap_periodic
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip without hypothesis
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a
+    # counter-example found once is found again; the default profile draws
+    # new ones each run.
+    settings.register_profile("ci", derandomize=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 # Test data, looked up next to this file so the suite runs from any directory.

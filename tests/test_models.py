@@ -313,6 +313,17 @@ def test_finite_difference_model_solves_like_the_polynomial_twin():
     assert got.t_plus == pytest.approx(want.t_plus, abs=1e-6)
 
 
+def test_finite_difference_model_stagnates_at_the_default_tolerance():
+    """At the default grad_tol the differenced E0 partials hold the bare
+    twin's gradient at about 9e-7: the record says it stagnated."""
+    exact, bare = twin_models()
+    p, q = fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.5], 0.0)
+    opts = fp.SolverOptions(N=40)
+    got, want = (fp.minimize_arrival(m, p, q, -3.5, opts=opts) for m in (bare, exact))
+    assert (got.stop_reason, got.converged) == ("stagnant", False)
+    assert (want.stop_reason, want.converged) == ("grad_tol", True)
+
+
 def test_chart_partials_against_finite_differences():
     model = fp.get_model("affine-field(randers-rot(0.3), 0.2 y1 y2)")
     rng = np.random.default_rng(7)

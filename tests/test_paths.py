@@ -11,6 +11,7 @@ import fermatpath as fp
 from fermatpath.models import Monomial, parse_polynomial
 from fermatpath.paths import (
     TangentField,
+    _format_17g,
     action,
     constraint_deviation,
     energy_integral,
@@ -22,8 +23,14 @@ from fermatpath.paths import (
     velocity,
     winding,
 )
+from fermatpath.solve import _fmt
 
 from conftest import BENCH_POLYNOMIAL_MODEL, endpoints_for, smooth_field, smooth_path
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the rest of the suite needs only numpy and pytest
+    st = None
 
 
 FLAT = fp.get_model("flat")
@@ -314,9 +321,13 @@ def _save_path_per_row(path, filename):
 
 
 # Values whose 17-digit text is easy to get wrong: signed zero, the smallest
-# subnormal, the largest finite double and large negative magnitudes.
+# subnormal, the largest finite double, large negative magnitudes, the edges
+# of the fixed notation of %.17g (1e-4 and its neighbours, the largest double
+# below 1e17), an 18-digit tie (2**-25) and 0.1.
 _EXTREME_NODES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-                  -3.3e200, -123456789.125, -5e-324)
+                  -3.3e200, -123456789.125, -5e-324,
+                  1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, math.inf),
+                  math.nextafter(1e17, 0.0), 2.0**-25, 0.1)
 
 
 def _path_with_extremes(model, n, rng):
@@ -401,6 +412,82 @@ def test_save_path_pair_rejects_other_y_nodes(tmp_path, spec, case):
     with pytest.raises(ValueError, match="y-nodes and periods differ"):
         fp.save_path(z, first, (other, second))
     assert not os.path.exists(first) and not os.path.exists(second)
+
+
+# ---------------------------------------------------------------------------
+# the "%.17g" kernel of save_path
+# ---------------------------------------------------------------------------
+
+def kernel_texts(values, sep):
+    """The text `_format_17g` gives each value, split at `sep`."""
+    chars, mask = _format_17g(np.asarray(values, dtype=float), ord(sep))
+    text = chars[mask].tobytes().decode("ascii")
+    assert text.endswith(sep)
+    return text[:-1].split(sep)
+
+
+def assert_formats_like_percent(values):
+    values = np.asarray(values, dtype=float)
+    want = ["%.17g" % v for v in values.tolist()]
+    assert kernel_texts(values, " ") == want
+    assert kernel_texts(values, "\n") == want
+
+
+def _format_table():
+    """The edges of the kernel: its fixed-notation range [1e-4, 1e17), powers
+    of ten with their neighbours, doubles near 1e17 (the decimal literals
+    99999999999999992 and 99999999999999999 both read as 1e17), ties of the
+    17th digit, the powers of two just past 2**53, and the grid i / 50000 of
+    the fine-grid workload's s column; all with both signs."""
+    tens = [float(f"1e{j}") for j in range(-5, 19)]
+    edges = [1e-4, 99999999999999984.0, float("99999999999999992"),
+             float("99999999999999999"), 1e17]
+    near = [math.nextafter(v, d) for v in tens + edges for d in (-math.inf, math.inf)]
+    # 18 significant digits ending in 5: the 17th rounds half to even.
+    ties = [2.0**-25, 1234567890123456.75, 1234567890123456.25,
+            1125899906842624.25, 1125899906842624.75]
+    values = [0.0, 5e-324, 1.7976931348623157e308, *tens, *edges, *near, *ties,
+              *(2.0**k for k in range(53, 61))]
+    return values + [-v for v in values] + list(np.arange(50_001) / 50_000)
+
+
+def test_format_17g_matches_percent_on_the_table():
+    values = _format_table()
+    assert_formats_like_percent(values)
+    # solve._fmt formats the record fields and CSV cells one value at a time.
+    assert [_fmt(v) for v in values] == kernel_texts(values, " ")
+
+
+def test_format_17g_matches_percent_on_random_bit_patterns():
+    """Every kind of double: subnormals, exponent notation, inf and nan."""
+    rng = np.random.default_rng(2024)
+    values = np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64)
+    assert np.isnan(values).any() and (np.abs(values) < 1e-300).any()
+    assert_formats_like_percent(values)
+    assert [_fmt(v) for v in values.tolist()] == kernel_texts(values, " ")
+
+
+def test_format_17g_matches_percent_across_the_fixed_range():
+    """Uniform significands at every decimal exponent of the fixed notation."""
+    rng = np.random.default_rng(7)
+    n = 100_000
+    values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-4, 17, n)
+    values[::2] *= -1.0
+    assert_formats_like_percent(values)
+
+
+if st is not None:
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_format_17g_matches_percent(values):
+        assert_formats_like_percent(values)
+
+else:
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_format_17g_matches_percent():
+        pass
 
 
 def test_path_roundtrip_bit_exact_fine_grid(tmp_path):

@@ -229,6 +229,7 @@ def test_non_convergence_reported():
     )
     assert not rec.converged
     assert rec.iters == 3
+    assert rec.stop_reason == "max_iters"
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +366,7 @@ def test_line_search_stall_stops_unconverged(caplog, monkeypatch):
     with caplog.at_level("WARNING", logger="fermatpath.solve"):
         rec = fp.minimize_arrival(model, P0, Q_OFF, -0.5, opts=opts)
     assert not rec.converged and rec.iters == 1
+    assert rec.stop_reason == "line_search_stall"
     assert np.array_equal(rec.z_star.y, seed.y)
     assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
         "line search stalled at iteration 1"
@@ -378,9 +380,22 @@ def test_descent_stops_when_stagnant(caplog):
     opts = fp.SolverOptions(N=100, grad_tol=1e-9)
     with caplog.at_level("WARNING", logger="fermatpath.solve"):
         rec = fp.minimize_arrival(model, P0, Q_OFF, -0.5, "random", opts)
-    assert not rec.converged
+    assert not rec.converged and rec.stop_reason == "stagnant"
     assert rec.iters < opts.max_iters
     assert any("stagnant" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("options, reason", [({}, "grad_tol"), ({"max_iters": 1}, "max_iters")])
+def test_stop_reason_names_the_stop(options, reason):
+    """The record says why the descent stopped, and only `converged` of
+    that goes into the record's dict, so no output byte carries it."""
+    model = fp.get_model("randers-rot(0.3)")
+    opts = fp.SolverOptions(N=60, **options)
+    rec = fp.minimize_arrival(model, P0, Q_OFF, -0.5, "random", opts)
+    assert rec.stop_reason == reason
+    assert rec.converged == (reason == "grad_tol")
+    assert "stop_reason" not in rec.as_dict()
+    assert "stop_reason" not in solve.record_to_json(rec)
 
 
 def test_affine_zero_offset_matches_base():
