@@ -7,24 +7,35 @@ level kappa are
 
 where Qbar is the charge functional (the constant charge for linear-charge
 models, the integral of the charge one-form in the affine case) and E the
-energy functional.  Critical points of t_plus restricted to the constraint
-manifold are exactly the future-directed fixed-energy trajectories after
-flowing by t_plus; the criticality defect is measured against the identity
-that relates the arrival-time differential to the difference between the
-energy and action variations (plus an offset-functional correction when the
-charge is affine).
+energy functional.  `arrival_times` returns both roots; every variation
+here is that of t_plus alone.  The minus branch needs no code of its own:
+the substitution t -> -t maps L = L0 + (omega + d) tau - tau^2 / 2 to the
+same form with omega and d negated (models.time_reversed) and leaves E as
+it is, so t_minus of a path is -t_plus of its reflection t -> 0.0 - t
+under the reversed model.  solve.minimize_arrival reflects the problem
+there and back; no kernel carries a branch sign.
+
+The trajectory equation is theta = 0: a constrained path carried by the
+flow to t_plus is a future-directed fixed-energy trajectory where the
+defect theta of the identity relating the arrival-time differential to
+the difference between the energy and action variations (plus an
+offset-functional correction when the charge is affine) vanishes,
+
+    theta = dt_plus - (dE - dL - t_plus dD) / S.
+
+For a 2-homogeneous L with linear charge the added terms are exact zeros,
+so theta = dt_plus bit for bit and the equation is dt = 0, Fermat's
+principle in a stationary spacetime (Perlick, Class. Quantum Grav. 7
+(1990) 1319).  The descent of solve.minimize_arrival solves dt_plus = 0,
+which is theta = 0 only in that case.
 
 All variational quantities are midpoint-rule discretizations over segments.
 The arrival one-form is assembled in one place, `_arrival_form`: the
-per-segment partials (P, V, w) of t_pm and the linearized-charge
+per-segment partials (P, V, w) of t_plus and the linearized-charge
 coefficients (A, B) at the path.  `arrival_gradient` returns its H1
 representer; `criticality_residual` takes the representer of the same form
-with the gap and offset terms added, theta = dt_pm - sigma * (dE - dL -
-t_pm dD) / S, and returns its dual norm; `dt_plus`/`dt_minus` pair it with
-a variation (paths.segment_pairing).  For a 2-homogeneous L with linear
-charge the added terms are exact zeros, so theta = dt bit for bit: the
-equation is dt = 0, Fermat's principle in a stationary spacetime (Perlick,
-Class. Quantum Grav. 7 (1990) 1319).
+with the gap and offset terms of theta added and returns its dual norm;
+`dt_plus` pairs the form with a variation (paths.segment_pairing).
 
 Every function here evaluates the model at most once per path: it turns
 its path into a `PathState` (paths.path_state; a state from project_to_N
@@ -119,19 +130,13 @@ class ArrivalEvaluation:
     kappa: float
     branch_valid: bool
 
-    def time(self, sigma: float) -> float:
-        """The arrival time of the branch with sign sigma (branch_sign):
-        Q_bar + sigma * S, which is Q_bar + S for +1.0 and Q_bar - S for
-        -1.0 bit for bit."""
-        return self.Q_bar + sigma * self.S
-
     @property
     def t_plus(self) -> float:
-        return self.time(1.0)
+        return self.Q_bar + self.S
 
     @property
     def t_minus(self) -> float:
-        return self.time(-1.0)
+        return self.Q_bar - self.S
 
 
 @dataclass(frozen=True)
@@ -159,16 +164,6 @@ def D_functional(model: StationaryModel, path: DiscretePath) -> float:
     """Quadrature of the charge offset d along the path."""
     mid_y, _, _, _ = segment_geometry(path)
     return float(np.sum(model.d_offset(mid_y)) / path.segments)
-
-
-def branch_sign(branch: str) -> float:
-    """The sign sigma of an arrival branch: +1.0 for "plus", -1.0 for "minus".
-
-    Any other value raises ValueError.
-    """
-    if branch not in ("plus", "minus"):
-        raise ValueError(f"branch must be 'plus' or 'minus', not {branch!r}")
-    return 1.0 if branch == "plus" else -1.0
 
 
 def kappa_admissible_bound(model: StationaryModel) -> Optional[float]:
@@ -232,15 +227,15 @@ def H_functional(model: StationaryModel, path: DiscretePath, t: float) -> float:
 # discrete first variations
 # ---------------------------------------------------------------------------
 
-def _arrival_partials(arr: ArrivalEvaluation, sigma: float, domega_dy, w, E):
-    """Per-segment partials of the arrival time of sign sigma by the chain rule,
-    coef_q * dQ + coef_e * E from the partials dQ = (domega_dy, w, -1) of the
-    charge and E of the energy.  The sums are written over E, which the
-    caller gives up; domega_dy and the omega coefficients w are only read.
-    The tau-part subtracts coef_q, which is adding coef_q * -1 bit for bit.
+def _arrival_partials(arr: ArrivalEvaluation, domega_dy, w, E):
+    """Per-segment partials of t_plus by the chain rule, coef_q * dQ +
+    coef_e * E from the partials dQ = (domega_dy, w, -1) of the charge and
+    E of the energy.  The sums are written over E, which the caller gives
+    up; domega_dy and the omega coefficients w are only read.  The tau-part
+    subtracts coef_q, which is adding coef_q * -1 bit for bit.
     """
-    coef_q = 1.0 + sigma * arr.Q_bar / arr.S
-    coef_e = sigma / arr.S
+    coef_q = 1.0 + arr.Q_bar / arr.S
+    coef_e = 1.0 / arr.S
     P, V, wt = E
     for e_part, q_part in ((P, domega_dy), (V, w)):
         e_part *= coef_e
@@ -250,18 +245,18 @@ def _arrival_partials(arr: ArrivalEvaluation, sigma: float, domega_dy, w, E):
     return E
 
 
-def _arrival_form(model, path, kappa, sigma: float, critical: bool = False):
-    """The arrival one-form of sign sigma at a path: (state, (P, V, w), (A, B)).
+def _arrival_form(model, path, kappa, critical: bool = False):
+    """The arrival one-form at a path: (state, (P, V, w), (A, B)).
 
-    (P, V, w) are the per-segment partials of t_sigma and (A, B) the
+    (P, V, w) are the per-segment partials of t_plus and (A, B) the
     linearized-charge coefficients at the state.  domega_dy and the omega
     coefficients are evaluated once and serve both.  With `critical` the
-    partials are those of the criticality defect instead,
-    dt_sigma - sigma * (dE - dL - t_sigma * dD) / S, whose gap E - L takes
-    the E partials, omega, domega_dy and the omega coefficients of the same
+    partials are those of the criticality defect theta instead,
+    dt_plus - (dE - dL - t_plus * dD) / S, whose gap E - L takes the E
+    partials, omega, domega_dy and the omega coefficients of the same
     form.  For Lorentz-Finsler models the partials of the gap and of the
     offset functional D are exact zeros, so the defect has the dual norm of
-    dt_sigma bit for bit.
+    dt_plus bit for bit.
     """
     state = path_state(model, path)
     arr = arrival_times(model, state, kappa)
@@ -275,11 +270,11 @@ def _arrival_form(model, path, kappa, sigma: float, critical: bool = False):
     }
     E = chart_partials(*args, "E", **given)
     gap = chart_partials_gap(*args, E, **given) if critical else None
-    P, V, wt = _arrival_partials(arr, sigma, given["domega_dy"], given["w"], E)
+    P, V, wt = _arrival_partials(arr, given["domega_dy"], given["w"], E)
     coeffs = linearized_charge_coeffs(model, state, given["domega_dy"], given["w"])
     if critical:
         # P + cg * gap + cd * D, in that order, over P and the gap.
-        cg, cd = -sigma / arr.S, sigma * arr.time(sigma) / arr.S
+        cg, cd = -1.0 / arr.S, arr.t_plus / arr.S
         for part, g_part, d_part in zip((P, V, wt), gap, chart_partials(*args, "D")):
             g_part *= cg
             part += g_part
@@ -287,8 +282,9 @@ def _arrival_form(model, path, kappa, sigma: float, critical: bool = False):
     return state, (P, V, wt), coeffs
 
 
-def _directional_arrival(model, path, kappa, delta, sigma):
-    state, (P, V, w), coeffs = _arrival_form(model, path, kappa, sigma)
+def dt_plus(model, path, kappa, delta: TangentField) -> float:
+    """Directional derivative of t_plus along a constraint-tangent variation."""
+    state, (P, V, w), coeffs = _arrival_form(model, path, kappa)
     h = linearized_charge(model, state, delta, coeffs)
     scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
     if float(np.max(np.abs(h - np.mean(h)))) > 1e-7 * scale:
@@ -297,16 +293,6 @@ def _directional_arrival(model, path, kappa, delta, sigma):
             "pass it through tangent_split first"
         )
     return float(np.sum(segment_pairing(state, delta, P, V, w)) / state.segments)
-
-
-def dt_plus(model, path, kappa, delta: TangentField) -> float:
-    """Directional derivative of t_plus along a constraint-tangent variation."""
-    return _directional_arrival(model, path, kappa, delta, 1.0)
-
-
-def dt_minus(model, path, kappa, delta: TangentField) -> float:
-    """Directional derivative of t_minus along a constraint-tangent variation."""
-    return _directional_arrival(model, path, kappa, delta, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +413,10 @@ def _dual_norm(gu) -> float:
     return math.sqrt(max(float(np.add.reduce(gu, axis=None)), 0.0))
 
 
-def arrival_gradient(model, path, kappa, branch: str = "plus") -> FunctionalGradient:
-    """Descent gradient of the arrival time on the constraint manifold: the
-    H1 representer of the arrival one-form."""
-    state, partials, coeffs = _arrival_form(model, path, kappa, branch_sign(branch))
+def arrival_gradient(model, path, kappa) -> FunctionalGradient:
+    """Descent gradient of t_plus on the constraint manifold: the H1
+    representer of the arrival one-form."""
+    state, partials, coeffs = _arrival_form(model, path, kappa)
     u, gu = _restricted_gradient(state, *partials, coeffs)
     # gu is summed after the lift, so its (N, m) block is still held while
     # the lift allocates.  Freed before, it lets glibc trim the heap top:
@@ -440,18 +426,16 @@ def arrival_gradient(model, path, kappa, branch: str = "plus") -> FunctionalGrad
     return FunctionalGradient(field, _dual_norm(gu))
 
 
-def criticality_residual(model, path, kappa, branch: str = "plus") -> float:
-    """Dual-norm defect of the arrival-time criticality identity.
+def criticality_residual(model, path, kappa) -> float:
+    """Dual norm of theta, the defect of the arrival-time criticality identity.
 
-    Measures dt_pm minus its characterization through the energy/action
+    Measures dt_plus minus its characterization through the energy/action
     variation gap (with the arrival-weighted offset correction in the affine
     case) over the constraint tangent space.  For Lorentz-Finsler models the
     gap contributes exact zeros, so the residual equals the gradient norm of
-    the arrival time bit for bit.
+    t_plus bit for bit.
     """
-    state, partials, coeffs = _arrival_form(
-        model, path, kappa, branch_sign(branch), critical=True
-    )
+    state, partials, coeffs = _arrival_form(model, path, kappa, critical=True)
     return _dual_norm(_restricted_gradient(state, *partials, coeffs)[1])
 
 

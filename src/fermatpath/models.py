@@ -275,6 +275,30 @@ def build_model(
     return model
 
 
+def time_reversed(model: StationaryModel) -> StationaryModel:
+    """The model of the substitution t -> -t: omega and d negated.
+
+    L0 + (omega + d) tau - tau^2 / 2 keeps its form under tau -> -tau with
+    omega and d negated, and E does not change, since (-omega)(-tau) =
+    omega tau exactly.  So the t_minus of a path is -t_plus of its
+    reflection (t -> 0.0 - t) under this model.  The evaluators of omega,
+    its y-partials and coefficients, d and its y-partials return the
+    negated values, which is exact; identically zero ones are kept as they
+    are.  L0, the E0 partials, the flags, the periods and the name are
+    kept, so errors read as those of `model`.
+    """
+
+    def negated(f):
+        if f in (_zeros, _zeros_grad):
+            return f
+        return lambda *args: -f(*args)
+
+    return replace(model, **{
+        k: negated(getattr(model, k))
+        for k in ("omega", "domega_dy", "omega_w", "d_offset", "dd_dy")
+    })
+
+
 # ---------------------------------------------------------------------------
 # row-wise kernels
 # ---------------------------------------------------------------------------

@@ -17,10 +17,15 @@ derivatives of the accepted iterate live only inside one
 Each line-search trial copies and checks its y-nodes once, when its
 `DiscretePath` is built; the projected state shares that array.
 
+The descent minimizes t_plus only.  The minus branch is the plus branch of
+the time-reversed problem (models.time_reversed): `minimize_arrival`
+reflects the endpoints and the seed (t -> 0.0 - t), descends on the
+reversed model, and reflects the result back.
+
 Multi-start wraps the descent with homotopy-class seeding (extra wraps of
 the straight lift on cylinders, smooth random perturbations otherwise),
-deduplicates converged records by arrival time and winding, and sorts by
-arrival time.  Each record carries the reconstructed trajectory (the path
+deduplicates records by the descent's objective and winding, and sorts by
+that objective.  Each record carries the reconstructed trajectory (the path
 carried by the symmetry flow to the arrival parameter) plus conservation
 and stationarity residuals for certification.
 """
@@ -29,14 +34,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .arrival import ArrivalEvaluation, arrival_gradient, arrival_times, branch_sign
+from .arrival import ArrivalEvaluation, arrival_gradient, arrival_times
 from .errors import AdmissibilityError, ModelEvaluationError
-from .models import Point, StationaryModel, chart_E, chart_partials
+from .models import Point, StationaryModel, chart_E, chart_partials, time_reversed
 from .paths import (
     DiscretePath,
     apply_flow,
@@ -253,23 +258,35 @@ def _check_endpoints(model, p, q):
         )
 
 
-def _descend(model, path, kappa, opts, branch):
-    """Armijo-backtracked projected descent from a projected path.
+def _check_branch(branch):
+    if branch not in ("plus", "minus"):
+        raise ValueError(f"branch must be 'plus' or 'minus', not {branch!r}")
+
+
+def _reflected(x):
+    """A point or path under t -> -t, as 0.0 - t, which keeps a +0.0 t-node
+    +0.0 (unary minus would make it -0.0)."""
+    if isinstance(x, Point):
+        return Point(x.y, 0.0 - x.t)
+    return DiscretePath(x.y, 0.0 - x.t, x.periods)
+
+
+def _descend(model, path, kappa, opts):
+    """Armijo-backtracked projected descent of t_plus from a projected path.
 
     Returns (path, arrival, iters, stop_reason) with the final iterate as a
     plain DiscretePath: the states of the iterates end with this call.  The
     stop reason is "grad_tol" (converged), "line_search_stall",
     "stagnant" or "max_iters".
     """
-    sigma = branch_sign(branch)  # the objective is sigma * t_sigma
     arr = arrival_times(model, path, kappa)
-    f_val = sigma * arr.time(sigma)
+    f_val = arr.t_plus
     stop_reason = "max_iters"
     iters = 0
     trial = FIRST_STEP
     stagnant = 0
     for iters in range(1, opts.max_iters + 1):
-        grad = arrival_gradient(model, path, kappa, branch)
+        grad = arrival_gradient(model, path, kappa)
         if grad.norm <= opts.grad_tol:
             stop_reason = "grad_tol"
             iters -= 1
@@ -280,14 +297,14 @@ def _descend(model, path, kappa, opts, branch):
         for _ in range(60):
             # A rejected trial's state ends before the next trial is built.
             cand = arr_new = None
-            y_new = path.y - sigma * step * grad.field.y
+            y_new = path.y - step * grad.field.y
             cand = project_to_N(model, DiscretePath(y_new, path.t, path.periods))
             try:
                 arr_new = arrival_times(model, cand, kappa)
             except AdmissibilityError:
                 step *= STEP_SHRINK
                 continue
-            f_new = sigma * arr_new.time(sigma)
+            f_new = arr_new.t_plus
             # Armijo test.  The constant, step and slope are >= 0, so an
             # accepted f_new is <= f_val exactly: the objective never increases.
             if f_new <= f_val - SUFFICIENT_DECREASE * step * slope:
@@ -326,15 +343,20 @@ def minimize_arrival(
 ) -> SolutionRecord:
     """Minimize the arrival time from p to the flow line through q.
 
-    Armijo-backtracked projected gradient descent with the H1 metric.  The
-    "plus" branch minimizes the future arrival t_plus; "minus" maximizes
-    t_minus (the latest past arrival of the time-reversed problem); any
-    other branch raises ValueError.  The accepted objective sequence is
-    nonincreasing by construction.  Returns a record with the reconstructed
-    trajectory and certification residuals; non-convergence within
-    max_iters is reported, never clamped.
+    Armijo-backtracked projected gradient descent of t_plus with the H1
+    metric; the accepted objective sequence is nonincreasing by
+    construction.  The "plus" branch minimizes the future arrival t_plus.
+    "minus" maximizes t_minus, the latest past arrival: t_minus of a path
+    is -t_plus of its reflection t -> 0.0 - t under
+    models.time_reversed(model), so p, q and a DiscretePath `init` are
+    reflected, the plus descent runs on the reversed model, and its path
+    and charge quadrature Q_bar are reflected back.  Any other branch
+    raises ValueError.  Either way the path is flowed by the branch's
+    arrival time and certified on `model`.  Returns a record with the
+    reconstructed trajectory and certification residuals; non-convergence
+    within max_iters is reported, never clamped.
     """
-    sigma = branch_sign(branch)
+    _check_branch(branch)
     opts = opts or SolverOptions()
     p = p if isinstance(p, Point) else Point(*p)
     q = q if isinstance(q, Point) else Point(*q)
@@ -346,12 +368,23 @@ def minimize_arrival(
         "path" if isinstance(init, DiscretePath)
         else str(init) if init is not None else "0"
     )
-    path, arr, iters, stop_reason = _descend(
-        model, seed_path(model, p, q, opts.N, 0 if init is None else init, rng),
-        kappa, opts, branch,
-    )
+    init = 0 if init is None else init
+    if branch == "plus":
+        path, arr, iters, stop_reason = _descend(
+            model, seed_path(model, p, q, opts.N, init, rng), kappa, opts
+        )
+        t_arrival = arr.t_plus
+    else:
+        reversed_model = time_reversed(model)
+        if isinstance(init, DiscretePath):
+            init = _reflected(init)
+        seed = seed_path(reversed_model, _reflected(p), _reflected(q), opts.N, init, rng)
+        path, arr, iters, stop_reason = _descend(reversed_model, seed, kappa, opts)
+        path = _reflected(path)
+        arr = replace(arr, Q_bar=0.0 - arr.Q_bar)
+        t_arrival = arr.t_minus
 
-    geo = apply_flow(path, arr.time(sigma))
+    geo = apply_flow(path, t_arrival)
     res = el_residual(model, geo)
     energy_dev, noether_dev = conservation_check(model, geo, kappa)
     return SolutionRecord(
@@ -380,15 +413,18 @@ def multi_start(
     *,
     branch: str = "plus",
 ) -> list[SolutionRecord]:
-    """Run the descent from every seed, deduplicate, and sort by arrival time.
+    """Run the descent from every seed, deduplicate, and sort by its objective.
 
-    Records are merged when they share the winding class and their arrival
-    times agree within DUPLICATE_TOL (the one with the smaller stationarity
-    residual is kept).  Per-seed failures, including a model that evaluates
-    to a non-finite value, are logged, not fatal; a bad branch raises
-    ValueError before any seed runs.
+    The objective is that of the descent: t_plus, or -t_minus on the minus
+    branch (the t_plus of the time-reversed problem).  Records are merged
+    when they share the winding class and their objectives agree within
+    DUPLICATE_TOL.  Of two duplicates a converged record is kept over an
+    unconverged one, and the smaller stationarity residual breaks a tie.
+    Per-seed failures, including a model that evaluates to a non-finite
+    value, are logged, not fatal; a bad branch raises ValueError before any
+    seed runs.
     """
-    sigma = branch_sign(branch)
+    _check_branch(branch)
     opts = opts or SolverOptions()
     records: list[SolutionRecord] = []
     for idx, spec in enumerate(seeds):
@@ -402,20 +438,22 @@ def multi_start(
             log.warning("seed %r failed: %s", spec, exc)
             continue
         records.append(rec)
-    key = lambda r: sigma * r.arrival.time(sigma)
+    key = (lambda r: r.t_plus) if branch == "plus" else (lambda r: -r.arrival.t_minus)
     records.sort(key=lambda r: (key(r), r.el_residual))
+    rank = lambda r: (not r.converged, r.el_residual)
     merged: list[SolutionRecord] = []
     for rec in records:
-        dup = next(
+        # By position: records compare their path arrays under ==.
+        j = next(
             (
-                m
-                for m in merged
+                i
+                for i, m in enumerate(merged)
                 if m.winding == rec.winding and abs(key(m) - key(rec)) <= DUPLICATE_TOL
             ),
             None,
         )
-        if dup is None:
+        if j is None:
             merged.append(rec)
-        elif rec.el_residual < dup.el_residual:
-            merged[merged.index(dup)] = rec
+        elif rank(rec) < rank(merged[j]):
+            merged[j] = rec
     return merged

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
-from fermatpath.models import chart_partials, parse_polynomial, polynomial_model
+from fermatpath.models import chart_partials, parse_polynomial, polynomial_model, time_reversed
 from fermatpath.paths import TangentField, unwrap_periodic
 
 try:
@@ -87,6 +87,24 @@ def endpoints_for(model, displacement=1.0):
     if model.dim > 1:
         qy[1] += 0.7 * displacement
     return p, fp.Point(qy, 0.2)
+
+
+def reflected(x):
+    """A point, a path or a variation under t -> -t, as 0.0 - t."""
+    if isinstance(x, fp.Point):
+        return fp.Point(x.y, 0.0 - x.t)
+    if isinstance(x, TangentField):
+        return TangentField(x.y, 0.0 - x.t)
+    return fp.DiscretePath(x.y, 0.0 - x.t, x.periods)
+
+
+def on_branch(model, path, branch):
+    """(model, path) at which t_plus is the arrival of `branch` at `path`,
+    up to its sign: t_minus of a path is -t_plus of its reflection under
+    the time-reversed model."""
+    if branch == "plus":
+        return model, path
+    return time_reversed(model), reflected(path)
 
 
 # ---------------------------------------------------------------------------

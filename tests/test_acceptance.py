@@ -30,7 +30,7 @@ from fermatpath.arrival import (
 from fermatpath.cli import EXIT_VALIDATION, main
 from fermatpath.paths import action, energy_integral, tangent_split
 
-from conftest import BUILTIN_SPECS, endpoints_for, smooth_field, smooth_path
+from conftest import BUILTIN_SPECS, endpoints_for, on_branch, smooth_field, smooth_path
 
 
 def report(name, ok, detail=""):
@@ -220,8 +220,8 @@ def test_acceptance_07_homogeneous_reduction():
         for branch in ("plus", "minus"):
             for _ in range(10):
                 z = smooth_path(model, p, q, 40, rng)
-                res = fp.criticality_residual(model, z, -0.2, branch)
-                norm = arrival_gradient(model, z, -0.2, branch).norm
+                res = fp.criticality_residual(*on_branch(model, z, branch), -0.2)
+                norm = arrival_gradient(*on_branch(model, z, branch), -0.2).norm
                 worst = max(worst, abs(res - norm))
     ok = worst < 1e-12
     report(
@@ -248,8 +248,8 @@ def test_acceptance_08_affine_consistency():
     rng = np.random.default_rng(88)
     z = smooth_path(flat, p, q, 80, rng)
     za = fp.project_to_N(const_off, z)
-    res_affine = fp.criticality_residual(const_off, za, -0.3, "plus")
-    res_linear = fp.criticality_residual(flat, z, -0.3, "plus")
+    res_affine = fp.criticality_residual(const_off, za, -0.3)
+    res_linear = fp.criticality_residual(flat, z, -0.3)
     corollary_ok = res_affine == res_linear
     report(
         "criterion 8: affine-charge consistency",

@@ -17,11 +17,9 @@ from fermatpath.arrival import (
     Q_functional,
     _h1_solve,
     arrival_gradient,
-    branch_sign,
-    dt_minus,
     dt_plus,
 )
-from fermatpath.models import chart_E
+from fermatpath.models import chart_E, time_reversed
 from fermatpath.paths import (
     TangentField,
     action,
@@ -31,7 +29,15 @@ from fermatpath.paths import (
     tangent_split,
 )
 
-from conftest import BUILTIN_SPECS, OFFSET_FIBER, endpoints_for, smooth_field, smooth_path
+from conftest import (
+    BUILTIN_SPECS,
+    OFFSET_FIBER,
+    endpoints_for,
+    on_branch,
+    reflected,
+    smooth_field,
+    smooth_path,
+)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -176,10 +182,12 @@ def test_dt_requires_tangent_variation():
         dt_plus(model, z, 0.0, delta)
 
 
-@pytest.mark.parametrize("dt_fn", [dt_plus, dt_minus])
-def test_dt_checks_the_branch_before_tangency(dt_fn):
+@pytest.mark.parametrize("branch", ["plus", "minus"], ids=["dt_plus", "dt_minus"])
+def test_dt_checks_the_branch_before_tangency(branch):
     """At kappa = E + Q^2 / 2 the discriminant is at its floor: the arrival
-    form refuses the degenerate branch before the variation is looked at."""
+    form refuses the degenerate branch before the variation is looked at.
+    The minus branch is dt_plus of the time-reversed problem, whose
+    discriminant is the same."""
     model = fp.load_custom_model(OFFSET_FIBER)  # no analytic kappa bound
     rng = np.random.default_rng(24)
     p, q = endpoints_for(model)
@@ -187,8 +195,10 @@ def test_dt_checks_the_branch_before_tangency(dt_fn):
     kappa = z.E_val + 0.5 * z.Q_bar * z.Q_bar
     assert not fp.arrival_times(model, z, kappa).branch_valid
     delta = smooth_field(2, 40, rng)  # not tangent either
+    if branch == "minus":
+        delta = reflected(delta)
     with pytest.raises(fp.AdmissibilityError, match="branch degenerate"):
-        dt_fn(model, z, kappa, delta)
+        dt_plus(*on_branch(model, z, branch), kappa, delta)
 
 
 def test_arrival_times_reject_a_negative_discriminant():
@@ -207,12 +217,15 @@ def test_dt_matches_projected_finite_differences(builtin_model, branch):
     rng = np.random.default_rng(25)
     p, q = endpoints_for(builtin_model)
     kappa = -0.4
-    dt_fn = dt_plus if branch == "plus" else dt_minus
     for _ in range(5):
         z = smooth_path(builtin_model, p, q, 60, rng)
         delta = smooth_field(builtin_model.dim, 60, rng)
         xi, _ = tangent_split(builtin_model, z, delta)
-        an = dt_fn(builtin_model, z, kappa, xi)
+        if branch == "plus":
+            an = dt_plus(builtin_model, z, kappa, xi)
+        else:
+            # t_minus(z) = -t_plus(reflected z) under the reversed model.
+            an = -dt_plus(*on_branch(builtin_model, z, branch), kappa, reflected(xi))
         h = 1e-5
 
         def t_of(side):
@@ -233,7 +246,7 @@ def test_gradient_field_is_tangent_and_consistent():
     rng = np.random.default_rng(26)
     p, q = endpoints_for(model)
     z = smooth_path(model, p, q, 50, rng)
-    g = arrival_gradient(model, z, -0.2, "plus")
+    g = arrival_gradient(model, z, -0.2)
     # the field is its own split (already tangent)
     xi, mu = tangent_split(model, z, g.field)
     assert np.allclose(mu, 0.0, atol=1e-12)
@@ -275,8 +288,8 @@ def test_residual_equals_gradient_norm_for_lorentz_finsler():
         for branch in ("plus", "minus"):
             for n in (3, 40):
                 z = smooth_path(model, p, q, n, rng)
-                res = fp.criticality_residual(model, z, -0.3, branch)
-                norm = arrival_gradient(model, z, -0.3, branch).norm
+                res = fp.criticality_residual(*on_branch(model, z, branch), -0.3)
+                norm = arrival_gradient(*on_branch(model, z, branch), -0.3).norm
                 assert res == norm, (model.name, branch, n)
                 assert res > 0.0
 
@@ -288,13 +301,17 @@ def test_residual_builds_no_tangent_field(monkeypatch, spec):
     model = fp.get_model(spec)
     p, q = endpoints_for(model)
     z = smooth_path(model, p, q, 40, np.random.default_rng(5))
-    expected = [fp.criticality_residual(model, z, -0.5, b) for b in ("plus", "minus")]
+    expected = [
+        fp.criticality_residual(*on_branch(model, z, b), -0.5) for b in ("plus", "minus")
+    ]
 
     def refuse(*args):
         raise AssertionError("the residual lifted its representer")
 
     monkeypatch.setattr(arrival, "lift_spatial_variation", refuse)
-    assert [fp.criticality_residual(model, z, -0.5, b) for b in ("plus", "minus")] == expected
+    assert [
+        fp.criticality_residual(*on_branch(model, z, b), -0.5) for b in ("plus", "minus")
+    ] == expected
     with pytest.raises(AssertionError, match="lifted"):
         arrival_gradient(model, z, -0.5)
 
@@ -346,7 +363,6 @@ def test_one_form_evaluates_the_model_once(spec, residual):
     for fn, budget in (
         (lambda: arrival_gradient(model, z, -0.5), ONE_FORM),
         (lambda: dt_plus(model, z, -0.5, field), ONE_FORM),
-        (lambda: dt_minus(model, z, -0.5, field), ONE_FORM),
         (lambda: fp.criticality_residual(model, z, -0.5), residual),
     ):
         calls.clear()
@@ -364,8 +380,8 @@ def test_residual_constant_offset_matches_linear_formula():
     zb = smooth_path(base, p, q, 40, rng)
     za = fp.project_to_N(affine, zb)
     assert np.allclose(za.t, zb.t, atol=1e-13)
-    rb = fp.criticality_residual(base, zb, -0.1, "plus")
-    ra = fp.criticality_residual(affine, za, -0.1, "plus")
+    rb = fp.criticality_residual(base, zb, -0.1)
+    ra = fp.criticality_residual(affine, za, -0.1)
     assert ra == pytest.approx(rb, rel=1e-12)
 
 
@@ -374,7 +390,7 @@ def test_residual_small_at_converged_minimizer():
     p, q = fp.Point([1.0, 0.0], 0.0), fp.Point([-0.2, 1.1], 0.0)
     rec = fp.minimize_arrival(model, p, q, 0.0, opts=fp.SolverOptions(N=100))
     assert rec.converged
-    res = fp.criticality_residual(model, rec.z_star, 0.0, "plus")
+    res = fp.criticality_residual(model, rec.z_star, 0.0)
     assert res < 1e-4
 
 
@@ -388,13 +404,16 @@ def test_randers_arrival_flat_is_length():
 
 
 def test_arrival_time_of_sign_is_the_branch_bitwise(builtin_model):
-    """t_plus and t_minus are time(+-1.0), with the bits of Q_bar +- S."""
+    """t_plus and t_minus have the bits of Q_bar +- S, and t_minus is
+    -t_plus of the reflected path under the time-reversed model."""
     p, q = endpoints_for(builtin_model)
     path = smooth_path(builtin_model, p, q, 40, np.random.default_rng(3))
     arr = fp.arrival_times(builtin_model, path, -0.5)
-    assert (arr.t_plus, arr.t_minus) == (arr.time(1.0), arr.time(-1.0))
     for branch, t in (("plus", arr.Q_bar + arr.S), ("minus", arr.Q_bar - arr.S)):
-        got = arr.time(branch_sign(branch))
+        got = arr.t_plus if branch == "plus" else arr.t_minus
+        assert np.float64(got).view(np.uint64) == np.float64(t).view(np.uint64)
+        t_plus = fp.arrival_times(*on_branch(builtin_model, path, branch), -0.5).t_plus
+        got = t_plus if branch == "plus" else -t_plus
         assert np.float64(got).view(np.uint64) == np.float64(t).view(np.uint64)
 
 
@@ -475,6 +494,8 @@ def _check_state_matches_plain_path(spec, n, seed, branch):
     model = fp.get_model(spec)
     rng = np.random.default_rng(seed)
     p, q = endpoints_for(model)
+    if branch == "minus":  # the plus branch of the time-reversed problem
+        model, p, q = time_reversed(model), reflected(p), reflected(q)
     state = smooth_path(model, p, q, n, rng)
     plain = fp.DiscretePath(state.y, state.t, state.periods)
     delta = smooth_field(model.dim, n, rng)
@@ -487,7 +508,7 @@ def _check_state_matches_plain_path(spec, n, seed, branch):
     results = []
     for z in (state, plain):
         arr = _outcome(lambda: fp.arrival_times(model, z, kappa))
-        grad = _outcome(lambda: arrival_gradient(model, z, kappa, branch))
+        grad = _outcome(lambda: arrival_gradient(model, z, kappa))
         if isinstance(grad, FunctionalGradient):
             grad = (grad.norm, _bits(grad.field.y, grad.field.t))
         xi, mu = tangent_split(model, z, delta)

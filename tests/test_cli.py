@@ -699,6 +699,54 @@ def test_solve_no_convergence_exit_code(tmp_path):
     )
 
 
+# randers-rot(0.3) with six random seeds, cut short: the random seeds stop
+# within DUPLICATE_TOL of the straight seed's arrival time, unconverged.
+DUPLICATE_SEEDS_SCENARIO = """\
+[model]
+spec = randers-rot(0.3)
+
+[endpoints]
+p_y = 0 0
+p_t = 0
+q_y = 1 0.7
+q_t = 0.2
+
+[problem]
+kappa = -0.5
+
+[solver]
+segments = 200
+max_iters = {max_iters}
+
+[seeds]
+windings = 0
+random = 6
+"""
+
+
+def test_solve_merges_duplicate_records_by_position(tmp_path, capsys):
+    """After 5 iterations no seed has converged and several are duplicates:
+    merging them ends in "no seed converged", not in an error from
+    comparing the records' path arrays."""
+    f = write_scenario(tmp_path, DUPLICATE_SEEDS_SCENARIO.format(max_iters=5))
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out, "--quiet"]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "no seed converged\n"
+
+
+def test_solve_keeps_the_converged_duplicate(tmp_path):
+    """After 20 iterations the straight seed has converged and the random
+    seeds stop at max_iters within DUPLICATE_TOL of it, with smaller EL
+    residuals: the converged record is the one kept and written."""
+    f = write_scenario(tmp_path, DUPLICATE_SEEDS_SCENARIO.format(max_iters=20))
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out, "--quiet"]) == EXIT_OK
+    rows = read_file(out, "summary.csv").splitlines()
+    assert len(rows) == 2
+    assert rows[1].startswith("plus,") and rows[1].split(",")[2] == "0;0"
+    assert json.loads(read_file(out, "record_000.json"))["seed"] == "0"
+
+
 def test_solve_deterministic_csv(tmp_path):
     f = flat_scenario(tmp_path)
     out1 = os.path.join(tmp_path, "one")

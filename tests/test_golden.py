@@ -5,7 +5,14 @@ the program, so a kernel change that moves one bit of a record, a CSV
 row or a path sidecar fails here.  Sidecars are pinned by their SHA-256
 (data/golden/randers_rot/sidecars.sha256, in `sha256sum` format).
 
-Both models are 2-homogeneous with linear charge, whose outputs stay
+The minus-branch records of data/golden/minus_* are written the way
+`fermatpath solve` writes a record (record_to_json and save_path) from
+`multi_start(..., branch="minus")`, which no command runs.  They were
+written by an earlier version whose kernels carried the branch sign, so
+they check the time-reversed plus solve against an independent
+implementation of the minus branch.
+
+Every model here is 2-homogeneous with linear charge, whose outputs stay
 byte-identical by design.  The scenarios use winding seeds only: random
 seeds go through np.sin, whose SIMD results can differ between CPUs.
 """
@@ -13,9 +20,37 @@ import hashlib
 import os
 from pathlib import Path
 
+import pytest
+
+import fermatpath as fp
 from fermatpath.cli import EXIT_OK, main
+from fermatpath.paths import save_path
+from fermatpath.solve import record_to_json
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# The endpoints and kappa of the fine-grid benchmark, on 200 segments.
+MINUS_CASES = {
+    "minus_randers_rot": ("randers-rot(0.3)", [0]),
+    "minus_cylinder": ("cylinder(1)", [0, 1, -1]),
+}
+
+
+def minus_outputs(name, out):
+    """Write the minus-branch records of MINUS_CASES[name] into `out` as
+    `fermatpath solve` writes records; returns the file names."""
+    spec, seeds = MINUS_CASES[name]
+    records = fp.multi_start(
+        fp.get_model(spec), fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.7], 0.2),
+        -0.5, seeds, fp.SolverOptions(N=200), branch="minus",
+    )
+    names = []
+    for i, rec in enumerate(records):
+        files = (f"path_{i:03d}.txt", f"geodesic_{i:03d}.txt", f"record_{i:03d}.json")
+        save_path(rec.z_star, str(out / files[0]), (rec.geodesic, str(out / files[1])))
+        (out / files[2]).write_text(record_to_json(rec, *files[:2]))
+        names += files
+    return sorted(names)
 
 
 def test_randers_rot_solve_is_golden(tmp_path):
@@ -39,3 +74,13 @@ def test_polynomial_sweep_is_golden(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", str(GOLDEN / "polynomial.ini"), "--out", str(out), "--quiet"]) == EXIT_OK
     assert (out / "sweep.csv").read_bytes() == (GOLDEN / "polynomial" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(MINUS_CASES))
+def test_minus_records_are_golden(name, tmp_path):
+    """Minus-branch records and sidecars, byte for byte."""
+    expected = GOLDEN / name
+    names = minus_outputs(name, tmp_path)
+    assert names == sorted(os.listdir(expected))
+    for file in names:
+        assert (tmp_path / file).read_bytes() == (expected / file).read_bytes(), file

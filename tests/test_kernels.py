@@ -29,9 +29,7 @@ from fermatpath.arrival import (
     _restricted_gradient,
     arrival_gradient,
     arrival_times,
-    branch_sign,
     criticality_residual,
-    dt_minus,
     dt_plus,
 )
 from fermatpath.models import (
@@ -44,6 +42,7 @@ from fermatpath.models import (
     chart_partials,
     omega_coeffs,
     parse_polynomial,
+    time_reversed,
 )
 from fermatpath.paths import (
     CONSTRAINT_RTOL,
@@ -57,7 +56,7 @@ from fermatpath.paths import (
     tangent_split,
 )
 
-from conftest import BENCH_POLYNOMIAL_MODEL, BUILTIN_SPECS, POTENTIAL, endpoints_for
+from conftest import BENCH_POLYNOMIAL_MODEL, BUILTIN_SPECS, POTENTIAL, endpoints_for, reflected
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -253,7 +252,7 @@ def ref_arrival_form(model, state, arr, sigma, critical=False):
             PL, VL, wL = ref_chart_partials(*args, "L", om, dom, w)
             Pg, Vg, wg = PE - PL, VE - VL, wE - wL
         PD, VD, wD = model.dd_dy(mid_y), np.zeros_like(vel_y), np.zeros_like(vel_t)
-        cg, cd = -sigma / arr.S, sigma * arr.time(sigma) / arr.S
+        cg, cd = -sigma / arr.S, sigma * (arr.Q_bar + sigma * arr.S) / arr.S
         P, V, wt = P + cg * Pg + cd * PD, V + cg * Vg + cd * VD, wt + cg * wg + cd * wD
     return (P, V, wt), (dom + model.dd_dy(mid_y), w)
 
@@ -309,20 +308,30 @@ def check_kernels_match_references(spec, n, seed):
     kappa = -1.0 - abs(e_val)
     arr = arrival_times(model, proj, kappa)
     coeffs = linearized_charge_coeffs(model, proj)
-    for branch in ("plus", "minus"):
-        grad = arrival_gradient(model, proj, kappa, branch)
-        norm, ref_y, ref_t = ref_arrival_gradient(model, y, state, arr, branch_sign(branch))
-        assert bits(grad.norm, grad.field.y, grad.field.t) == bits(norm, ref_y, ref_t)
+    # The minus branch (sigma = -1.0 in the references) is the plus branch of
+    # the reflected nodes under the time-reversed model, where they are
+    # projected already.  Its representer is the reference's with the
+    # y-part negated; the y-endpoints stay +0.0.
+    reversed_model = time_reversed(model)
+    reversed_proj = fp.project_to_N(reversed_model, reflected(proj))
+    assert bits(reversed_proj.t) == bits(0.0 - proj.t)
+    for sigma, at_model, at_proj in (
+        (1.0, model, proj), (-1.0, reversed_model, reversed_proj)
+    ):
+        grad = arrival_gradient(at_model, at_proj, kappa)
+        norm, ref_y, ref_t = ref_arrival_gradient(model, y, state, arr, sigma)
+        want_y = sigma * ref_y
+        want_y[0] = want_y[-1] = 0.0
+        assert bits(grad.norm, grad.field.y, grad.field.t) == bits(norm, want_y, ref_t)
         # dt along the gradient field pairs the same partials with it.
-        partials, _ = ref_arrival_form(model, state, arr, branch_sign(branch))
-        dt_fn = dt_plus if branch == "plus" else dt_minus
-        assert bits(dt_fn(model, proj, kappa, grad.field)) == bits(
-            ref_dt(n, *partials, grad.field.y, grad.field.t)
+        partials, _ = ref_arrival_form(model, state, arr, sigma)
+        assert bits(dt_plus(at_model, at_proj, kappa, grad.field)) == bits(
+            ref_dt(n, *partials, ref_y, ref_t)
         )
         # A fresh plain path with the same nodes gives the same bits too.
-        plain = fp.DiscretePath(proj.y, proj.t, proj.periods)
-        again = arrival_gradient(model, plain, kappa, branch)
-        assert bits(again.norm, again.field.y, again.field.t) == bits(norm, ref_y, ref_t)
+        plain = fp.DiscretePath(at_proj.y, at_proj.t, at_proj.periods)
+        again = arrival_gradient(at_model, plain, kappa)
+        assert bits(again.norm, again.field.y, again.field.t) == bits(norm, want_y, ref_t)
 
     # The tangent split, on a random field and on fields of signed zeros.
     m = model.dim
@@ -346,11 +355,11 @@ def check_kernels_match_references(spec, n, seed):
 
     # The criticality defect: the same form plus the gap and offset partials,
     # the gap from the form's own E partials.
-    for branch in ("plus", "minus"):
-        (P, V, wt), (a, b) = ref_arrival_form(
-            model, state, arr, branch_sign(branch), critical=True
-        )
-        assert bits(criticality_residual(model, proj, kappa, branch)) == bits(
+    for sigma, at_model, at_proj in (
+        (1.0, model, proj), (-1.0, reversed_model, reversed_proj)
+    ):
+        (P, V, wt), (a, b) = ref_arrival_form(model, state, arr, sigma, critical=True)
+        assert bits(criticality_residual(at_model, at_proj, kappa)) == bits(
             ref_restricted_gradient(y, P, V, wt, a, b)[0]
         )
 

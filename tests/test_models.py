@@ -22,9 +22,10 @@ from fermatpath.models import (
     parse_polynomial,
     polynomial_model,
     shift_by_flow,
+    time_reversed,
 )
 
-from conftest import OFFSET_FIBER, endpoints_for
+from conftest import OFFSET_FIBER, POTENTIAL, endpoints_for
 
 
 FLAT = fp.get_model("flat")
@@ -361,6 +362,34 @@ def test_omega_coeffs_reproduce_omega():
     nu = rng.standard_normal((10, 2))
     w = omega_coeffs(model, y)
     assert np.allclose(np.einsum("ij,ij->i", w, nu), model.omega(y, nu), rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [fp.get_model(s) for s in ("flat", "randers-rot(0.3)", "affine-field(randers-rot(0.2), 0.3 y1)")]
+    + [POTENTIAL, fp.load_custom_model(OFFSET_FIBER)],
+    ids=lambda m: m.name,
+)
+def test_time_reversed_negates_omega_and_d_exactly(model):
+    """omega, d and their derivatives come back negated bit for bit (zero
+    evaluators are kept as they are); everything else is the model's own,
+    and the energy at -tau is the energy at tau, bit for bit."""
+    rev = time_reversed(model)
+    rng = np.random.default_rng(11)
+    y, nu = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
+    tau = rng.standard_normal(50)
+    for name in ("omega", "domega_dy", "omega_w", "d_offset", "dd_dy"):
+        fn, fn_rev = getattr(model, name), getattr(rev, name)
+        args = (y,) if name in ("omega_w", "d_offset", "dd_dy") else (y, nu)
+        if fn in (models._zeros, models._zeros_grad):
+            assert fn_rev is fn
+        else:
+            assert fn_rev(*args).tobytes() == (-fn(*args)).tobytes()
+    for name in ("L0", "dL0_dy", "dL0_dnu", "dE0_dy", "dE0_dnu"):
+        assert getattr(rev, name) is getattr(model, name)
+    for name in ("dim", "homogeneous", "periods", "linear_charge", "name"):
+        assert getattr(rev, name) == getattr(model, name)
+    assert models.chart_E(rev, y, nu, -tau).tobytes() == models.chart_E(model, y, nu, tau).tobytes()
 
 
 # ---------------------------------------------------------------------------

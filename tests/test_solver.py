@@ -13,7 +13,7 @@ import fermatpath as fp
 from fermatpath import solve
 from fermatpath.arrival import arrival_gradient
 from fermatpath.paths import energy_integral, noether_values, winding
-from fermatpath.solve import conservation_check, el_residual, seed_path
+from fermatpath.solve import DUPLICATE_TOL, conservation_check, el_residual, seed_path
 
 from conftest import smooth_path
 
@@ -110,6 +110,30 @@ def test_seed_independence_spread():
         )
     times = [r.t_plus for r in records]
     assert max(times) - min(times) < 1e-6
+
+
+def test_multi_start_keeps_converged_over_unconverged_duplicate():
+    """A converged record beats an unconverged duplicate even when the
+    duplicate has the smaller EL residual; the residual breaks ties only."""
+    model = fp.get_model("randers-rot(0.3)")
+    p, q = fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.7], 0.2)
+    opts = fp.SolverOptions(N=200, max_iters=20)
+    seeds = [0] + ["random"] * 6
+    solo = [
+        fp.minimize_arrival(model, p, q, -0.5, spec, opts, rng=np.random.default_rng((0, i)))
+        for i, spec in enumerate(seeds)
+    ]
+    assert solo[0].converged
+    # The scenario has what the rule decides: unconverged duplicates of the
+    # converged record with smaller residuals.
+    assert any(
+        not r.converged
+        and abs(r.t_plus - solo[0].t_plus) <= DUPLICATE_TOL
+        and r.el_residual < solo[0].el_residual
+        for r in solo[1:]
+    )
+    records = fp.multi_start(model, p, q, -0.5, seeds, opts)
+    assert [(r.seed, r.converged) for r in records if r.winding == (0, 0)] == [("0", True)]
 
 
 def test_multi_start_collects_seed_failures():
@@ -216,7 +240,7 @@ def test_certification_chain():
     assert abs(e_geo - kappa) < 1e-6 * (1.0 + abs(kappa))
     assert rec.el_residual < 10 * opts.grad_tol * opts.N
     assert rec.noether_dev < 1e-9
-    g = arrival_gradient(model, rec.z_star, kappa, "plus")
+    g = arrival_gradient(model, rec.z_star, kappa)
     assert g.norm <= opts.grad_tol
 
 
@@ -250,14 +274,12 @@ def test_minus_branch_reverses_plus():
 
 @pytest.mark.parametrize("branch", ["Plus", "MINUS", "minus ", ""])
 def test_bad_branch_raises_in_every_entry_point(branch):
-    """A misspelled branch is an error, not a silent run of the other one."""
-    path = seed_path(FLAT, P0, Q34, 20)
+    """A misspelled branch is an error, not a silent run of the other one.
+    The solver entry points are the only ones that take a branch."""
     calls = (
         lambda: fp.minimize_arrival(FLAT, P0, Q34, 0.0, branch=branch),
         # Raised before the per-seed try, not logged as failed seeds.
         lambda: fp.multi_start(FLAT, P0, Q34, 0.0, [0, "random"], branch=branch),
-        lambda: fp.arrival_gradient(FLAT, path, 0.0, branch),
-        lambda: fp.criticality_residual(FLAT, path, 0.0, branch),
     )
     for call in calls:
         with pytest.raises(ValueError, match="branch must be 'plus' or 'minus'"):
