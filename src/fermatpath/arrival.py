@@ -73,16 +73,9 @@ included (tests/test_kernels.py holds the expressions as references).
 This keeps the fine-grid heap steady: fewer (N, m) temporaries are made
 and freed per gradient.
 
-No kernel loops over m inside each row of an (N, m) array, which numpy
-does for a C-ordered array as N inner loops of m elements: row scalings
-(models._row_scale, in `_assemble_y`), row dots (models._row_dot, in
-paths.segment_pairing) and the column sum of `_h1_solve` (`_column_sum`)
-run down whole columns, with the bits of the plain expressions.  Two cases
-keep numpy's own form, because the columns would sum in another order: a
-row dot of m >= 3 columns is einsum's, and the column sum of m = 1 column
-is numpy's pairwise reduce.  On fewer than models._COLUMN_LOOP_MIN_ROWS
-rows, where one call per column costs more than numpy's row loops, all
-three are the plain expressions.
+The row scalings of `_assemble_y`, the row dots of paths.segment_pairing
+and the column sum of `_h1_solve` (`_column_sum`) are the row-wise kernels
+of models (see the row-wise kernels section there).
 """
 from __future__ import annotations
 
@@ -150,15 +143,6 @@ class FunctionalGradient:
 # ---------------------------------------------------------------------------
 # scalar functionals
 # ---------------------------------------------------------------------------
-
-def Q_functional(model: StationaryModel, path: DiscretePath) -> float:
-    """Quadrature of the charge one-form along the path.
-
-    Equals the constant charge for linear-charge paths on the constraint
-    manifold; stays meaningful (as the integral) in the affine case.
-    """
-    return path_state(model, path).Q_bar
-
 
 def D_functional(model: StationaryModel, path: DiscretePath) -> float:
     """Quadrature of the charge offset d along the path."""
@@ -345,16 +329,15 @@ def _lift_adjoint(path, g_int, coeffs):
 
 def _column_sum(G, scratch) -> np.ndarray:
     """np.add.reduce(G, axis=0) as a new array, bit for bit, for (N,) or
-    (N, m) G.
+    (N, m) G; a row-wise kernel (see the section in models).
 
-    For m >= 2 numpy's axis-0 reduce of a C-ordered array adds the rows one
-    by one to +0.0, N inner loops of m elements; a cumulative sum down the
-    columns, written into `scratch` (G's shape), adds them one by one too,
-    and its last row is the sum.  It starts from the first row instead of
-    +0.0, which differs only on a column of -0.0 alone: adding +0.0 turns
-    that sum into the reduce's +0.0 and leaves every other sum as it is.
-    For m = 1 and for (N,) G the reduce sums pairwise, and is called, as it
-    is on fewer than models._COLUMN_LOOP_MIN_ROWS rows.
+    For m >= 2 the reduce adds the rows one by one to +0.0; a cumulative
+    sum down the columns, written into `scratch` (G's shape), adds them one
+    by one too, and its last row is the sum.  It starts from the first row
+    instead of +0.0, which differs only on a column of -0.0 alone: adding
+    +0.0 turns that sum into the reduce's +0.0 and leaves every other sum
+    as it is.  For m = 1 and for (N,) G, and on fewer than
+    models._COLUMN_LOOP_MIN_ROWS rows, the reduce is called.
     """
     if G.ndim == 1 or G.shape[1] == 1 or G.shape[0] < _COLUMN_LOOP_MIN_ROWS:
         return np.add.reduce(G, axis=0)

@@ -39,10 +39,16 @@ Exit codes:
     3  validation failure, including a model that evaluates to a
        non-finite value outside the per-seed descent
     4  no converged record
+
+Warnings do not change the exit code.  Each is one "warning:" line on
+stderr: a seed that failed, a descent that stopped unconverged (line-search
+stall, stagnation, iteration cap), and a sweep's arrival time that grows
+with kappa.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import sys
@@ -403,6 +409,10 @@ _COMMANDS = {"validate": cmd_validate, "solve": cmd_solve, "sweep": cmd_sweep}
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # The package's log warnings go to stderr while the command runs.
+    warnings = logging.StreamHandler(sys.stderr)
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("fermatpath").addHandler(warnings)
     try:
         scen = parse_scenario(
             args.scenario,
@@ -417,6 +427,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ModelEvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        logging.getLogger("fermatpath").removeHandler(warnings)
 
 
 if __name__ == "__main__":

@@ -303,12 +303,16 @@ def time_reversed(model: StationaryModel) -> StationaryModel:
 # row-wise kernels
 # ---------------------------------------------------------------------------
 #
-# On an (N, m) C-ordered array, numpy broadcasts a row scaling s[:, None] * X
-# and an einsum row dot as N inner loops of m elements each.  These run
-# down whole columns instead, with the bits of the plain expressions, as
-# does the column sum of arrival._h1_solve.  On fewer rows than this, one
-# ufunc call per column costs more than numpy's row loops (measured
-# crossover 300-400 rows at m = 2), so the plain expression is evaluated.
+# On an (N, m) C-ordered array, numpy runs a row scaling s[:, None] * X, an
+# einsum row dot and an axis-0 reduce as N inner loops of m elements each.
+# The row-wise kernels run down whole columns instead, with the bits of the
+# plain expressions: `_row_scale`, `_row_dot` and arrival._column_sum (the
+# column sum of arrival._h1_solve).  Two cases keep numpy's own form,
+# because the columns would sum in another order: a row dot of m >= 3
+# columns is einsum's, and the column sum of m = 1 column is numpy's
+# pairwise reduce.  On fewer rows than this, one ufunc call per column costs
+# more than numpy's row loops (measured crossover 300-400 rows at m = 2), so
+# all three evaluate the plain expression.
 _COLUMN_LOOP_MIN_ROWS = 400
 
 
@@ -399,10 +403,6 @@ def chart_Q(model, y, nu, tau):
     return model.omega(y, nu) - tau
 
 
-def chart_N(model, y, nu, tau):
-    return chart_Q(model, y, nu, tau) + model.d_offset(y)
-
-
 def chart_Lc(model, y, nu, tau, check=True):
     q = chart_Q(model, y, nu, tau)
     return chart_L(model, y, nu, tau, check=check) + q * q
@@ -428,12 +428,8 @@ def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, 
     `w` = omega_coeffs(y), the coefficients `build_model` settled.  Every
     returned array is the call's own.  Each sum is written over one of its
     own terms, with the operations of the formula in its order, so the bits
-    are those of the formula.  No product loops over m inside each row: tau
-    scales the rows of an (n, m) partial one column at a time
-    (`_row_scale`).  The row-wise kernels have two exceptions, where the
-    columns would sum in another order: a row dot of m >= 3 columns
-    (`_row_dot`) calls einsum, and a column sum of m = 1 column
-    (arrival._column_sum) numpy's pairwise reduce.
+    are those of the formula.  tau scales the rows of an (n, m) partial
+    with `_row_scale` (see the row-wise kernels section).
     """
     y = np.asarray(y, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -487,47 +483,8 @@ def chart_partials_gap(model, y, nu, tau, E, *, omega, domega_dy, w):
 
 
 # ---------------------------------------------------------------------------
-# pointwise operations
+# causal cone and sampled assumption checks
 # ---------------------------------------------------------------------------
-
-def _as_batch(x: Point, v: TangentVector):
-    return x.y[None, :], v.nu[None, :], np.array([v.tau])
-
-
-def eval_L(model: StationaryModel, x: Point, v: TangentVector) -> float:
-    y, nu, tau = _as_batch(x, v)
-    return float(chart_L(model, y, nu, tau)[0])
-
-
-def eval_E(model: StationaryModel, x: Point, v: TangentVector) -> float:
-    y, nu, tau = _as_batch(x, v)
-    return float(chart_E(model, y, nu, tau)[0])
-
-
-def eval_Q(model: StationaryModel, x: Point, v: TangentVector) -> float:
-    y, nu, tau = _as_batch(x, v)
-    return float(chart_Q(model, y, nu, tau)[0])
-
-
-def eval_N(model: StationaryModel, x: Point, v: TangentVector) -> float:
-    y, nu, tau = _as_batch(x, v)
-    return float(chart_N(model, y, nu, tau)[0])
-
-
-def eval_Lc(model: StationaryModel, x: Point, v: TangentVector) -> float:
-    y, nu, tau = _as_batch(x, v)
-    return float(chart_Lc(model, y, nu, tau)[0])
-
-
-def shift_by_flow(v: TangentVector, t: float) -> TangentVector:
-    """Add t times the symmetry field: (nu, tau) -> (nu, tau + t).
-
-    Callers rely on L(x, v + tK) = L(x, v) + t*N(x, v) - t^2/2 and
-    E(x, v + tK) = E(x, v) + t*Q(v) - t^2/2, which are algebraic identities
-    of the chart formulas.
-    """
-    return TangentVector(v.nu, v.tau + float(t))
-
 
 def is_causal(model: StationaryModel, x: Point, v: TangentVector) -> bool:
     """Membership in the causal cone tau >= omega + sqrt(omega^2 + 2 L0)."""
@@ -535,7 +492,7 @@ def is_causal(model: StationaryModel, x: Point, v: TangentVector) -> bool:
         raise UnsupportedModelError(
             "causal cone is only defined for 2-homogeneous fiber Lagrangians"
         )
-    y, nu, tau = _as_batch(x, v)
+    y, nu = x.y[None, :], v.nu[None, :]
     om = float(model.omega(y, nu)[0])
     l0 = float(model.L0(y, nu)[0])
     rad = om * om + 2.0 * l0
@@ -617,8 +574,9 @@ def validate_assumptions(
         and np.all(e_plus_half_q2 >= bound - 1e-9 * (1.0 + abs(bound)))
     )
 
-    x0 = Point(y[0], 0.0)
-    qk_check = abs(eval_Q(model, x0, TangentVector(np.zeros(model.dim), 1.0)) + 1.0) < 1e-12
+    # The charge of the symmetry field K = (0, 1) at the first sample.
+    q_k = float(chart_Q(model, y[:1], np.zeros((1, model.dim)), np.ones(1))[0])
+    qk_check = abs(q_k + 1.0) < 1e-12
 
     cone_samples = 0
     if model.homogeneous:

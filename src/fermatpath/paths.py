@@ -15,19 +15,20 @@ per-segment pairing of a nodal field with per-segment coefficients
 a directional derivative.
 
 Paths and fields are value-like records; every operation returns a new
-record, so concurrent multi-start workers never share mutable state.
+record.
 
 A `PathState` is a path together with one evaluation of a model on it: the
 segment geometry, the one-form values, the charge and energy quadratures
-and the constraint deviation.  It has one constructor, which takes every
-value; `path_state` and `project_to_N` evaluate them.  `project_to_N`
-returns a state, so every
-consumer of a projected path (arrival times, constraint check, tangent
-split, lift) reads these values instead of evaluating the model again.  A
-plain `DiscretePath` passed to a consumer is evaluated once on entry
-(`path_state`).  Derivatives of the charge are not part of the state: they
-are computed per gradient and passed explicitly (see
-`linearized_charge_coeffs`).
+and the deviation of the charge profile.  Its constructor is the one place
+the charge profile (omega - tau) + d is formed and reduced; `path_state`
+and `project_to_N` evaluate what it takes.  `project_to_N` returns a
+state, so every consumer of a projected path (arrival times, constraint
+check, tangent split, lift) reads these values instead of evaluating the
+model again, and a record's charge deviation is that of its geodesic's
+state (solve.conservation_check).  A plain `DiscretePath` passed to a
+consumer is evaluated once on entry (`path_state`).  Derivatives of the
+charge are not part of the state: they are computed per gradient and
+passed explicitly (see `linearized_charge_coeffs`).
 
 A `DiscretePath` copies and checks its nodes once, when it is built.  A
 state shares the y-array (and periods) of the path it evaluates or
@@ -41,12 +42,9 @@ own results with `out=` and in-place operators rather than into new
 temporaries; they never write an array a caller passed in.  The same
 operations in the same order, with the operands of a sum or product at
 most swapped, give the same bits, so every value is bitwise what the plain
-expressions give.  No kernel loops over m inside each row of an (N, m)
-array: the row dots of `segment_pairing` run down whole columns
-(models._row_dot) and form their products in a buffer the kernel already
-holds.  One exception is a row dot of m >= 3 columns, which is einsum's,
-because the columns would sum in another order; the other, the column sum
-of m = 1 column in arrival._h1_solve, is numpy's pairwise reduce.
+expressions give.  The row dots of `segment_pairing` are a row-wise
+kernel of models (models._row_dot; see the row-wise kernels section
+there) and form their products in a buffer the kernel already holds.
 
 Paths are stored as plain-text node tables, one row ``s y_1..y_m t`` per
 node with 17 significant digits, so `load_path` reads back the saved bits.
@@ -72,16 +70,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConstraintViolationError
-from .models import (
-    Point,
-    StationaryModel,
-    TangentVector,
-    _row_dot,
-    chart_E,
-    chart_L,
-    chart_N,
-    omega_coeffs,
-)
+from .models import Point, StationaryModel, _row_dot, chart_E, chart_L, omega_coeffs
 
 # A path counts as lying on the constraint manifold when the charge profile
 # deviates from its mean by at most this relative tolerance (double-precision
@@ -150,35 +139,18 @@ class TangentField:
         return field
 
 
-@dataclass(frozen=True)
-class NoetherProfile:
-    """Per-segment conserved-charge values with mean and max deviation."""
-
-    values: np.ndarray
-    mean: float
-    max_deviation: float
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "NoetherProfile":
-        mean = float(np.add.reduce(values, axis=None) / values.size)
-        dev = np.maximum.reduce(np.abs(values - mean), axis=None)
-        return cls(values, mean, float(dev))
-
-    @property
-    def scaled_deviation(self) -> float:
-        """Max deviation over the constraint tolerance; <= 1 means on-manifold."""
-        return self.max_deviation / (CONSTRAINT_RTOL * (1.0 + abs(self.mean)))
-
-
 class PathState(DiscretePath):
     """A path with one evaluation of `model` on it; immutable like the path.
 
     Holds the segment midpoints and velocities (`mid_y`, `vel_y`, `vel_t`),
     the one-form values `omega` = omega(mid_y, vel_y), the quadratures
-    `Q_bar` (charge) and `E_val` (energy), and `constraint_dev`, the scaled
-    deviation of the charge profile.  The energy and charge profiles are
-    reduced to these numbers and not kept.  t_pm follow from Q_bar and E_val
-    in O(1), so no arrival evaluation is stored: it depends on kappa.
+    `Q_bar` (charge) and `E_val` (energy), `noether_dev`, the max deviation
+    of the charge profile (omega - tau) + d from its mean, and
+    `constraint_dev`, that deviation over the constraint tolerance
+    CONSTRAINT_RTOL * (1 + |mean|), <= 1 on the constraint manifold.  The
+    energy and charge profiles are reduced to these numbers and not kept.
+    t_pm follow from Q_bar and E_val in O(1), so no arrival evaluation is
+    stored: it depends on kappa.
 
     Built by `path_state` and `project_to_N`, which pass every value: the
     t-nodes `t` (those of `path`, or the projected ones), `mid_y` and `vel_y`
@@ -194,12 +166,16 @@ class PathState(DiscretePath):
         object.__setattr__(self, "periods", path.periods)
         n = self.segments
         vel_t = _segment_rate(t, n)
-        # Q_functional, energy_integral and the charge profile of noether_values
-        # (chart_N = omega - tau + d), from the values above.
+        # The charge quadrature of omega - tau, then the charge profile
+        # (omega - tau) + d and, once the energy has been checked finite, its
+        # max deviation from its mean, written over the profile.
         q = np.subtract(omega, vel_t)
         q_bar = float(np.add.reduce(q) / n)
         q += d
         energy = chart_E(model, mid_y, vel_y, vel_t, omega=omega)
+        mean = float(np.add.reduce(q) / n)
+        q -= mean
+        noether_dev = float(np.maximum.reduce(np.abs(q, out=q)))
         fields = {
             "model": model,
             "mid_y": mid_y,
@@ -208,7 +184,8 @@ class PathState(DiscretePath):
             "omega": omega,
             "Q_bar": q_bar,
             "E_val": float(np.add.reduce(energy) / n),
-            "constraint_dev": NoetherProfile.of(q).scaled_deviation,
+            "noether_dev": noether_dev,
+            "constraint_dev": noether_dev / (CONSTRAINT_RTOL * (1.0 + abs(mean))),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -277,21 +254,6 @@ def segment_geometry(path: DiscretePath):
     return mid_y, mid_t, vel_y, _segment_rate(t, path.segments)
 
 
-def velocity(path: DiscretePath, i: int) -> TangentVector:
-    """Difference-quotient velocity of segment i (1-based, 1 <= i <= N)."""
-    if not 1 <= i <= path.segments:
-        raise IndexError(f"segment index {i} out of range 1..{path.segments}")
-    _, _, vel_y, vel_t = segment_geometry(path)
-    return TangentVector(vel_y[i - 1], vel_t[i - 1])
-
-
-def midpoint(path: DiscretePath, i: int) -> Point:
-    if not 1 <= i <= path.segments:
-        raise IndexError(f"segment index {i} out of range 1..{path.segments}")
-    mid_y, mid_t, _, _ = segment_geometry(path)
-    return Point(mid_y[i - 1], mid_t[i - 1])
-
-
 def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndarray:
     """Per-segment pairing P . dmid_y + V . dvel_y + w * dvel_t of a nodal field.
 
@@ -326,22 +288,10 @@ def action(model: StationaryModel, path: DiscretePath) -> float:
     return float(np.sum(chart_L(model, mid_y, vel_y, vel_t)) / path.segments)
 
 
-def energy_integral(model: StationaryModel, path: DiscretePath) -> float:
-    return path_state(model, path).E_val
-
-
-def noether_values(model: StationaryModel, path: DiscretePath) -> NoetherProfile:
-    mid_y, _, vel_y, vel_t = segment_geometry(path)
-    return NoetherProfile.of(chart_N(model, mid_y, vel_y, vel_t))
-
-
-def constraint_deviation(model: StationaryModel, path: DiscretePath) -> float:
-    """Charge deviation scaled by the constraint tolerance; <= 1 means on-manifold."""
-    return path_state(model, path).constraint_dev
-
-
 def require_on_constraint(model: StationaryModel, path: DiscretePath):
-    dev = constraint_deviation(model, path)
+    """ConstraintViolationError unless the path's charge deviation is within
+    the constraint tolerance (PathState.constraint_dev <= 1)."""
+    dev = path_state(model, path).constraint_dev
     if dev > 1.0:
         raise ConstraintViolationError(
             f"path charge deviation {dev:.3g}x the constraint tolerance; "

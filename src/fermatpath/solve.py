@@ -45,7 +45,7 @@ from .models import Point, StationaryModel, chart_E, chart_partials, time_revers
 from .paths import (
     DiscretePath,
     apply_flow,
-    noether_values,
+    path_state,
     project_to_N,
     resample,
     segment_geometry,
@@ -189,11 +189,15 @@ def el_residual(model: StationaryModel, geodesic: DiscretePath) -> float:
 
 
 def conservation_check(model: StationaryModel, geodesic: DiscretePath, kappa: float):
-    """Pointwise energy deviation from kappa and charge-constancy deviation."""
-    mid_y, _, vel_y, vel_t = segment_geometry(geodesic)
-    energy_dev = float(np.max(np.abs(chart_E(model, mid_y, vel_y, vel_t) - kappa)))
-    noether_dev = noether_values(model, geodesic).max_deviation
-    return energy_dev, noether_dev
+    """Pointwise energy deviation from kappa and charge-constancy deviation.
+
+    Both are read off one evaluation of the geodesic (paths.path_state): the
+    energy profile from its geometry and omega values, the charge deviation
+    as the state's `noether_dev`.
+    """
+    state = path_state(model, geodesic)
+    energy = chart_E(model, state.mid_y, state.vel_y, state.vel_t, omega=state.omega)
+    return float(np.max(np.abs(energy - kappa))), state.noether_dev
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,7 @@ def _descend(model, path, kappa, opts):
     Returns (path, arrival, iters, stop_reason) with the final iterate as a
     plain DiscretePath: the states of the iterates end with this call.  The
     stop reason is "grad_tol" (converged), "line_search_stall",
-    "stagnant" or "max_iters".
+    "stagnant" or "max_iters"; each but "grad_tol" logs a warning.
     """
     arr = arrival_times(model, path, kappa)
     f_val = arr.t_plus
@@ -327,6 +331,10 @@ def _descend(model, path, kappa, opts):
             )
             stop_reason = "stagnant"
             break
+    else:
+        log.warning(
+            "iteration cap reached after %d iterations (|grad|=%.3g)", iters, grad.norm
+        )
     return DiscretePath(path.y, path.t, path.periods), arr, iters, stop_reason
 
 

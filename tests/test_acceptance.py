@@ -23,12 +23,11 @@ import pytest
 import fermatpath as fp
 from fermatpath.arrival import (
     D_functional,
-    Q_functional,
     arrival_gradient,
     dt_plus,
 )
 from fermatpath.cli import EXIT_VALIDATION, main
-from fermatpath.paths import action, energy_integral, tangent_split
+from fermatpath.paths import action, path_state, tangent_split
 
 from conftest import BUILTIN_SPECS, endpoints_for, on_branch, smooth_field, smooth_path
 
@@ -155,21 +154,21 @@ def test_acceptance_05_identity_suite():
             )
             zt = fp.apply_flow(z, t)
             act0 = action(model, z)
-            n_bar = Q_functional(model, z) + D_functional(model, z)
-            q_bar = Q_functional(model, z)
+            q_bar = path_state(model, z).Q_bar
+            n_bar = q_bar + D_functional(model, z)
             e_val = arr.E_val
             e3 = abs(
                 action(model, zt) - act0 - t * n_bar + 0.5 * t * t
             ) / (1e-9 * (1.0 + abs(act0)))
             e4 = abs(
-                energy_integral(model, zt) - e_val - t * q_bar + 0.5 * t * t
+                path_state(model, zt).E_val - e_val - t * q_bar + 0.5 * t * t
             ) / (1e-9 * (1.0 + abs(e_val)))
-            e5 = abs(Q_functional(model, zt) - (q_bar - t)) / 1e-9
+            e5 = abs(path_state(model, zt).Q_bar - (q_bar - t)) / 1e-9
             e6 = abs(
-                energy_integral(model, fp.apply_flow(z, arr.t_plus)) - kappa
+                path_state(model, fp.apply_flow(z, arr.t_plus)).E_val - kappa
             ) / (1e-8 * (1.0 + abs(kappa)))
             e7 = abs(
-                energy_integral(model, fp.apply_flow(z, arr.t_minus)) - kappa
+                path_state(model, fp.apply_flow(z, arr.t_minus)).E_val - kappa
             ) / (1e-8 * (1.0 + abs(kappa)))
             worst = max(worst, e1, e2, e3, e4, e5, e6, e7)
             draws += 1

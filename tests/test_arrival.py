@@ -14,17 +14,16 @@ from fermatpath.arrival import (
     D_functional,
     FunctionalGradient,
     H_functional,
-    Q_functional,
     _h1_solve,
     arrival_gradient,
     dt_plus,
 )
 from fermatpath.models import chart_E, time_reversed
 from fermatpath.paths import (
+    CONSTRAINT_RTOL,
     TangentField,
     action,
-    energy_integral,
-    noether_values,
+    path_state,
     segment_geometry,
     tangent_split,
 )
@@ -70,7 +69,7 @@ def test_D_functional_constant_offset():
 
 def test_Q_functional_straight_time():
     z = straight(([0, 0], 0.0), ([3, 4], 1.0))
-    assert Q_functional(FLAT, z) == pytest.approx(-1.0, rel=1e-13)
+    assert path_state(FLAT, z).Q_bar == pytest.approx(-1.0, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ def test_defining_property(builtin_model):
     for kappa in (0.0, -1.0):
         arr = fp.arrival_times(builtin_model, z, kappa)
         for t in (arr.t_plus, arr.t_minus):
-            e = energy_integral(builtin_model, fp.apply_flow(z, t))
+            e = path_state(builtin_model, fp.apply_flow(z, t)).E_val
             assert abs(e - kappa) < 1e-8 * (1.0 + abs(kappa))
 
 
@@ -148,7 +147,7 @@ def test_H_affine_two_route(builtin_model):
     rng = np.random.default_rng(22)
     p, q = endpoints_for(builtin_model)
     z = smooth_path(builtin_model, p, q, 40, rng)
-    nbar = Q_functional(builtin_model, z) + D_functional(builtin_model, z)
+    nbar = path_state(builtin_model, z).Q_bar + D_functional(builtin_model, z)
     for t in (-2.0, 0.7, 3.1):
         direct = H_functional(builtin_model, z, t)
         split = action(builtin_model, z) + t * nbar - 0.5 * t * t
@@ -504,7 +503,10 @@ def _check_state_matches_plain_path(spec, n, seed, branch):
     mid_y, _, vel_y, vel_t = segment_geometry(plain)
     assert state.Q_bar == float(np.sum(model.omega(mid_y, vel_y) - vel_t) / n)
     assert state.E_val == float(np.sum(chart_E(model, mid_y, vel_y, vel_t)) / n)
-    assert state.constraint_dev == noether_values(model, plain).scaled_deviation
+    charge = model.omega(mid_y, vel_y) - vel_t + model.d_offset(mid_y)
+    mean = float(np.mean(charge))
+    assert state.noether_dev == float(np.max(np.abs(charge - mean)))
+    assert state.constraint_dev == state.noether_dev / (CONSTRAINT_RTOL * (1.0 + abs(mean)))
     results = []
     for z in (state, plain):
         arr = _outcome(lambda: fp.arrival_times(model, z, kappa))
@@ -546,7 +548,7 @@ def test_state_is_evaluated_afresh_under_another_model():
     p, q = endpoints_for(FLAT)
     state = smooth_path(FLAT, p, q, 50, rng)
     plain = fp.DiscretePath(state.y, state.t, state.periods)
-    assert Q_functional(FLAT, state) == Q_functional(FLAT, plain)
-    assert Q_functional(randers, state) == Q_functional(randers, plain)
-    assert Q_functional(randers, state) != Q_functional(FLAT, state)
-    assert energy_integral(randers, state) == energy_integral(randers, plain)
+    assert path_state(FLAT, state).Q_bar == path_state(FLAT, plain).Q_bar
+    assert path_state(randers, state).Q_bar == path_state(randers, plain).Q_bar
+    assert path_state(randers, state).Q_bar != path_state(FLAT, state).Q_bar
+    assert path_state(randers, state).E_val == path_state(randers, plain).E_val

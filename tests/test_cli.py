@@ -20,7 +20,7 @@ from fermatpath.cli import (
     main,
     parse_scenario,
 )
-from fermatpath.paths import energy_integral
+from fermatpath.paths import path_state
 from fermatpath.solve import multi_start
 
 from conftest import OFFSET_FIBER
@@ -637,7 +637,7 @@ def test_solve_flat_writes_outputs(tmp_path, capsys):
     model = fp.get_model("flat")
     arr = fp.arrival_times(model, z, 0.0)
     assert arr.t_plus == t_plus  # sidecar reproduces the reported value
-    assert energy_integral(model, geo) == pytest.approx(0.0, abs=1e-10)
+    assert path_state(model, geo).E_val == pytest.approx(0.0, abs=1e-10)
 
 
 def test_solve_rejects_kappa_list(tmp_path):
@@ -727,11 +727,15 @@ random = 6
 def test_solve_merges_duplicate_records_by_position(tmp_path, capsys):
     """After 5 iterations no seed has converged and several are duplicates:
     merging them ends in "no seed converged", not in an error from
-    comparing the records' path arrays."""
+    comparing the records' path arrays.  Each of the 7 seeds warns that it
+    stopped at the iteration cap."""
     f = write_scenario(tmp_path, DUPLICATE_SEEDS_SCENARIO.format(max_iters=5))
     out = os.path.join(tmp_path, "o")
     assert main(["solve", f, "--out", out, "--quiet"]) == EXIT_NO_CONVERGENCE
-    assert capsys.readouterr().err == "no seed converged\n"
+    assert capsys.readouterr().err == "".join(
+        f"warning: iteration cap reached after 5 iterations (|grad|={g})\n"
+        for g in ("0.00502", "0.0307", "0.043", "0.0214", "0.0209", "0.0614", "0.0395")
+    ) + "no seed converged\n"
 
 
 def test_solve_keeps_the_converged_duplicate(tmp_path):
@@ -777,15 +781,20 @@ def test_sweep_flat_kappa_values(tmp_path):
 
 
 def test_sweep_no_convergence_exit_code(tmp_path, capsys):
-    """Two iterations are too few at every kappa: the sweep writes a CSV of
-    its header alone and exits 4."""
+    """Two iterations are too few at every kappa: each descent warns that it
+    stopped at the iteration cap, and the sweep writes a CSV of its header
+    alone and exits 4."""
     text = FLAT_SCENARIO.format(kappa="-1 -0.5", segments=40).replace(
         "spec = flat", "spec = randers-rot(0.3)"
     ).replace("q_y = 3 4", "q_y = 1 0.7") + "max_iters = 2\n"
     f = write_scenario(tmp_path, text)
     out = os.path.join(tmp_path, "out")
     assert main(["sweep", f, "--out", out, "--quiet"]) == EXIT_NO_CONVERGENCE
-    assert capsys.readouterr().err == "no seed converged for any kappa\n"
+    assert capsys.readouterr().err == (
+        "warning: iteration cap reached after 2 iterations (|grad|=0.0915)\n"
+        "warning: iteration cap reached after 2 iterations (|grad|=0.07)\n"
+        "no seed converged for any kappa\n"
+    )
     assert read_file(out, "sweep.csv").splitlines() == [
         "kappa,branch,t_plus,winding,el_residual,energy_dev,noether_dev,iters"
     ]

@@ -56,6 +56,8 @@ from fermatpath.paths import (
     tangent_split,
 )
 
+from fermatpath.solve import conservation_check
+
 from conftest import BENCH_POLYNOMIAL_MODEL, BUILTIN_SPECS, POTENTIAL, endpoints_for, reflected
 
 try:
@@ -130,8 +132,26 @@ def ref_chart_partials(model, y, nu, tau, kind, om, dom, coeffs):
     return P, V, om + model.d_offset(y) - tau
 
 
+def ref_charge_deviation(model, mid_y, vel_y, vel_t):
+    """Max deviation of the charge profile (omega - tau) + d from its mean,
+    and that deviation over the constraint tolerance."""
+    profile = model.omega(mid_y, vel_y) - vel_t + model.d_offset(mid_y)
+    mean = float(np.mean(profile))
+    dev = float(np.max(np.abs(profile - mean)))
+    return dev, dev / (CONSTRAINT_RTOL * (1.0 + abs(mean)))
+
+
+def ref_conservation_check(model, path, kappa):
+    """energy_dev and noether_dev of a record, from the segment geometry of
+    its geodesic."""
+    mid_y, _, vel_y, vel_t = segment_geometry(path)
+    energy_dev = float(np.max(np.abs(chart_E(model, mid_y, vel_y, vel_t) - kappa)))
+    return energy_dev, ref_charge_deviation(model, mid_y, vel_y, vel_t)[0]
+
+
 def ref_project(model, y, t, periods):
-    """t-nodes, Q_bar, E_val and constraint deviation of the projected path."""
+    """t-nodes, Q_bar, E_val and the charge deviation, unscaled and scaled,
+    of the projected path."""
     n = y.shape[0] - 1
     mid_y, _, vel_y, _ = ref_segment_geometry(y, t, periods)
     om = model.omega(mid_y, vel_y)
@@ -140,12 +160,9 @@ def ref_project(model, y, t, periods):
     vel_t = np.diff(t_new) * n
     q_bar = float(np.sum(om - vel_t) / n)
     e_val = float(np.sum(ref_chart_E(model, mid_y, vel_y, vel_t, om)) / n)
-    profile = om - vel_t + d
-    mean = float(np.mean(profile))
-    dev = float(np.max(np.abs(profile - mean)))
-    scaled = dev / (CONSTRAINT_RTOL * (1.0 + abs(mean)))
+    dev, scaled = ref_charge_deviation(model, mid_y, vel_y, vel_t)
     state = dict(mid_y=mid_y, vel_y=vel_y, vel_t=vel_t, omega=om)
-    return t_new, q_bar, e_val, scaled, state
+    return t_new, q_bar, e_val, dev, scaled, state
 
 
 def ref_h1_solve(g):
@@ -292,10 +309,12 @@ def check_kernels_match_references(spec, n, seed):
 
     assert bits(*segment_geometry(path)) == bits(*ref_segment_geometry(y, t, model.periods))
 
-    t_new, q_bar, e_val, dev, state = ref_project(model, y, t, model.periods)
+    t_new, q_bar, e_val, dev, scaled, state = ref_project(model, y, t, model.periods)
     proj = fp.project_to_N(model, path)
     assert bits(proj.y, proj.t) == bits(y, t_new)
-    assert bits(proj.Q_bar, proj.E_val, proj.constraint_dev) == bits(q_bar, e_val, dev)
+    assert bits(proj.Q_bar, proj.E_val, proj.noether_dev, proj.constraint_dev) == bits(
+        q_bar, e_val, dev, scaled
+    )
 
     for shape in ((n + 1,), (n + 1, model.dim)):
         g = rng.standard_normal(shape)
@@ -440,6 +459,28 @@ else:
     @pytest.mark.skip(reason="needs hypothesis")
     def test_kernels_match_references():
         pass
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS + ["potential"])
+@pytest.mark.parametrize("n", [3, 200, _COLUMN_LOOP_MIN_ROWS + 100])
+def test_record_residuals_match_the_profile_formulas(spec, n):
+    """The state's charge deviations and conservation_check, which reads a
+    record's residuals off its geodesic's state, equal the profile formulas
+    of segment_geometry, on a projected path and on its flow to t_plus."""
+    model = model_for(spec)
+    kappa = -3.5 if spec == "potential" else -0.5
+    y, t = random_nodes(model, n, np.random.default_rng(n))
+    proj = fp.project_to_N(model, fp.DiscretePath(y, t, model.periods))
+    geodesic = fp.apply_flow(proj, arrival_times(model, proj, kappa).t_plus)
+    for path in (proj, geodesic):
+        state = path_state(model, path)
+        mid_y, _, vel_y, vel_t = segment_geometry(path)
+        assert (state.noether_dev, state.constraint_dev) == ref_charge_deviation(
+            model, mid_y, vel_y, vel_t
+        )
+        assert conservation_check(model, path, kappa) == ref_conservation_check(
+            model, path, kappa
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,16 @@ import fermatpath as fp
 from fermatpath import models
 from fermatpath.models import (
     TangentVector,
+    chart_E,
+    chart_L,
+    chart_Lc,
     chart_partials,
+    chart_Q,
     cylinder_model,
-    eval_E,
-    eval_L,
-    eval_Lc,
-    eval_N,
-    eval_Q,
     is_causal,
     omega_coeffs,
     parse_polynomial,
     polynomial_model,
-    shift_by_flow,
     time_reversed,
 )
 
@@ -37,32 +35,59 @@ def vec(nu, tau):
     return TangentVector(nu, tau)
 
 
+def one_row(x, v):
+    """The chart point x and vector v as a batch of one row: (y, nu, tau)."""
+    return x.y[None, :], v.nu[None, :], np.array([v.tau])
+
+
+def L(model, x, v):
+    return float(chart_L(model, *one_row(x, v))[0])
+
+
+def E(model, x, v):
+    return float(chart_E(model, *one_row(x, v))[0])
+
+
+def Q(model, x, v):
+    return float(chart_Q(model, *one_row(x, v))[0])
+
+
+def N(model, x, v):
+    """The charge with its offset, Q + d."""
+    y, nu, tau = one_row(x, v)
+    return float((chart_Q(model, y, nu, tau) + model.d_offset(y))[0])
+
+
+def Lc(model, x, v):
+    return float(chart_Lc(model, *one_row(x, v))[0])
+
+
 # ---------------------------------------------------------------------------
 # evaluation examples
 # ---------------------------------------------------------------------------
 
 def test_eval_L_flat_fiber_term():
-    assert eval_L(FLAT, ORIGIN, vec([3, 4], 0.0)) == 12.5
+    assert L(FLAT, ORIGIN, vec([3, 4], 0.0)) == 12.5
 
 
 def test_eval_L_flat_pure_time():
-    assert eval_L(FLAT, ORIGIN, vec([0, 0], 2.0)) == -2.0
+    assert L(FLAT, ORIGIN, vec([0, 0], 2.0)) == -2.0
 
 
 def test_eval_L_randers_hand_value():
     # 1/2 + 0.5 - 1/2
-    assert eval_L(RANDERS, ORIGIN, vec([1, 0], 1.0)) == pytest.approx(0.5, abs=1e-15)
+    assert L(RANDERS, ORIGIN, vec([1, 0], 1.0)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_eval_E_flat_homogeneous_shortcut():
-    assert eval_E(FLAT, ORIGIN, vec([3, 4], 0.0)) == 12.5
+    assert E(FLAT, ORIGIN, vec([3, 4], 0.0)) == 12.5
 
 
 def test_eval_E_zero_velocity_is_minus_L0():
     model = fp.load_custom_model(OFFSET_FIBER)
     x = fp.Point([0.3, -0.2], 0.0)
-    e0 = eval_E(model, x, vec([0, 0], 0.0))
-    l0 = eval_L(model, x, vec([0, 0], 0.0))
+    e0 = E(model, x, vec([0, 0], 0.0))
+    l0 = L(model, x, vec([0, 0], 0.0))
     assert e0 == pytest.approx(-l0, rel=1e-12)
 
 
@@ -70,28 +95,28 @@ def test_eval_E_ignores_offset():
     base = RANDERS
     affine = fp.get_model("affine(randers-const(0.5,0), 7.0)")
     v = vec([0.4, -1.1], 0.8)
-    assert eval_E(affine, ORIGIN, v) == eval_E(base, ORIGIN, v)
+    assert E(affine, ORIGIN, v) == E(base, ORIGIN, v)
 
 
 def test_eval_Q_zero_spatial():
-    assert eval_Q(FLAT, ORIGIN, vec([0, 0], 1.7)) == -1.7
+    assert Q(FLAT, ORIGIN, vec([0, 0], 1.7)) == -1.7
 
 
 def test_Q_of_symmetry_field_is_minus_one(builtin_model):
     x = fp.Point(np.full(builtin_model.dim, 0.3), 0.0)
     k = vec(np.zeros(builtin_model.dim), 1.0)
-    assert eval_Q(builtin_model, x, k) == -1.0
+    assert Q(builtin_model, x, k) == -1.0
 
 
 def test_eval_N_affine_hand_value():
     model = fp.get_model("affine(randers-const(0.5,0), 2.0)")
-    assert eval_N(model, ORIGIN, vec([1, 0], 0.0)) == 2.5
+    assert N(model, ORIGIN, vec([1, 0], 0.0)) == 2.5
 
 
 def test_eval_Lc_examples():
-    assert eval_Lc(FLAT, ORIGIN, vec([0, 0], 1.0)) == 0.5
-    assert eval_Lc(FLAT, ORIGIN, vec([1, 0], 0.0)) == 0.5
-    assert eval_Lc(RANDERS, ORIGIN, vec([1, 0], 1.0)) == pytest.approx(0.75, abs=1e-15)
+    assert Lc(FLAT, ORIGIN, vec([0, 0], 1.0)) == 0.5
+    assert Lc(FLAT, ORIGIN, vec([1, 0], 0.0)) == 0.5
+    assert Lc(RANDERS, ORIGIN, vec([1, 0], 1.0)) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_q_linearity(builtin_model):
@@ -102,8 +127,8 @@ def test_q_linearity(builtin_model):
         x = fp.Point(y, 0.0)
         n1, n2 = rng.standard_normal(m), rng.standard_normal(m)
         a, b = rng.standard_normal(2)
-        lhs = eval_Q(builtin_model, x, vec(a * n1 + b * n2, 0.0))
-        rhs = a * eval_Q(builtin_model, x, vec(n1, 0.0)) + b * eval_Q(
+        lhs = Q(builtin_model, x, vec(a * n1 + b * n2, 0.0))
+        rhs = a * Q(builtin_model, x, vec(n1, 0.0)) + b * Q(
             builtin_model, x, vec(n2, 0.0)
         )
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -131,8 +156,8 @@ def test_action_equals_energy_pointwise_for_lorentz_finsler(builtin_model):
     for _ in range(25):
         x = fp.Point(rng.standard_normal(m), rng.standard_normal())
         v = vec(rng.standard_normal(m), rng.standard_normal())
-        lv = eval_L(builtin_model, x, v)
-        ev = eval_E(builtin_model, x, v)
+        lv = L(builtin_model, x, v)
+        ev = E(builtin_model, x, v)
         assert abs(lv - ev) <= 1e-10 * (1.0 + abs(ev))
 
 
@@ -140,20 +165,27 @@ def test_action_equals_energy_pointwise_for_lorentz_finsler(builtin_model):
 # flow shift
 # ---------------------------------------------------------------------------
 
+def shifted_by_flow(v, t):
+    """v + t K for the symmetry field K = (0, 1): (nu, tau) -> (nu, tau + t)."""
+    return vec(v.nu, v.tau + t)
+
+
 def test_shift_identity_at_zero():
+    x = fp.Point([0.3, -0.2], 0.0)
     v = vec([1.0, 2.0], 3.0)
-    w = shift_by_flow(v, 0.0)
-    assert np.array_equal(w.nu, v.nu) and w.tau == v.tau
+    w = shifted_by_flow(v, 0.0)
+    for model in (FLAT, RANDERS):
+        assert L(model, x, w) == L(model, x, v) and E(model, x, w) == E(model, x, v)
 
 
 def test_shift_flat_energy_value():
-    shifted = shift_by_flow(vec([0, 0], 0.0), 1.0)
-    assert eval_E(FLAT, ORIGIN, shifted) == -0.5
+    shifted = shifted_by_flow(vec([0, 0], 0.0), 1.0)
+    assert E(FLAT, ORIGIN, shifted) == -0.5
 
 
 def test_shift_randers_action_value():
-    shifted = shift_by_flow(vec([1, 0], 0.0), 2.0)
-    assert eval_L(RANDERS, ORIGIN, shifted) == pytest.approx(-0.5, abs=1e-15)
+    shifted = shifted_by_flow(vec([1, 0], 0.0), 2.0)
+    assert L(RANDERS, ORIGIN, shifted) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_flow_shift_identities(builtin_model):
@@ -165,13 +197,13 @@ def test_flow_shift_identities(builtin_model):
         x = fp.Point(rng.standard_normal(m), rng.standard_normal())
         v = vec(rng.standard_normal(m), rng.standard_normal())
         t = float(rng.standard_normal())
-        shifted = shift_by_flow(v, t)
-        e0 = eval_E(builtin_model, x, v)
-        q0 = eval_Q(builtin_model, x, v)
-        n0 = eval_N(builtin_model, x, v)
-        e1 = eval_E(builtin_model, x, shifted)
-        l1 = eval_L(builtin_model, x, shifted)
-        l0 = eval_L(builtin_model, x, v)
+        shifted = shifted_by_flow(v, t)
+        e0 = E(builtin_model, x, v)
+        q0 = Q(builtin_model, x, v)
+        n0 = N(builtin_model, x, v)
+        e1 = E(builtin_model, x, shifted)
+        l1 = L(builtin_model, x, shifted)
+        l0 = L(builtin_model, x, v)
         assert abs(e1 - e0 - t * q0 + 0.5 * t * t) < 1e-10 * (1.0 + abs(e1))
         assert abs(l1 - l0 - t * n0 + 0.5 * t * t) < 1e-10 * (1.0 + abs(l1))
 
@@ -212,8 +244,8 @@ def test_cone_consistency(builtin_model):
         v = vec(nu, tau)
         assert is_causal(builtin_model, x, v)
         vsq = float(nu @ nu) + tau * tau
-        assert eval_L(builtin_model, x, v) <= 1e-12 * (1.0 + vsq)
-        assert eval_Q(builtin_model, x, v) <= 1e-12
+        assert L(builtin_model, x, v) <= 1e-12 * (1.0 + vsq)
+        assert Q(builtin_model, x, v) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +560,7 @@ def test_custom_model_file_roundtrip():
     assert not model.homogeneous
     x = fp.Point([0.0, 0.0], 0.0)
     # L0 = 1/2 |nu|^2 + 3 at zero velocity
-    assert eval_L(model, x, TangentVector([0, 0], 0.0)) == 3.0
+    assert L(model, x, TangentVector([0, 0], 0.0)) == 3.0
 
 
 def write_model(tmp_path, body):
@@ -601,7 +633,7 @@ def test_non_finite_evaluator_raises():
         homogeneous=False,
     )
     with pytest.raises(fp.ModelEvaluationError):
-        eval_L(model, fp.Point([2.0], 0.0), TangentVector([1.0], 0.0))
+        L(model, fp.Point([2.0], 0.0), TangentVector([1.0], 0.0))
 
 
 def test_endpoints_helper_sanity(builtin_model):

@@ -13,14 +13,10 @@ from fermatpath.paths import (
     TangentField,
     _format_17g,
     action,
-    constraint_deviation,
-    energy_integral,
-    midpoint,
-    noether_values,
+    path_state,
     resample,
     segment_geometry,
     tangent_split,
-    velocity,
     winding,
 )
 from fermatpath.solve import _fmt
@@ -41,39 +37,31 @@ def grid(n):
 
 
 # ---------------------------------------------------------------------------
-# velocity / midpoint
+# segment velocities and midpoints (rows of segment_geometry)
 # ---------------------------------------------------------------------------
 
 def test_velocity_difference_quotient():
     z = fp.DiscretePath([[0.0], [1.0], [2.0]], [0.0, 0.0, 0.0])
-    v = velocity(z, 1)
-    assert v.nu[0] == 2.0 and v.tau == 0.0
+    _, _, vel_y, vel_t = segment_geometry(z)
+    assert vel_y[0, 0] == 2.0 and vel_t[0] == 0.0
 
 
 def test_velocity_constant_interior():
     z = fp.DiscretePath([[0.0], [0.0], [1.0]], [0.0, 0.0, 0.0])
-    assert velocity(z, 1).nu[0] == 0.0
+    assert segment_geometry(z)[2][0, 0] == 0.0
 
 
 def test_velocity_cylinder_unwrap():
     period = 2 * math.pi
     z = fp.DiscretePath([[0.0, 6.2], [0.0, 0.1]], [0.0, 0.0], periods=(0.0, period))
-    v = velocity(z, 1)
-    assert v.nu[1] == pytest.approx(0.1 - 6.2 + period, rel=1e-12)
-
-
-def test_velocity_index_errors():
-    z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 1], 0.0), 4)
-    with pytest.raises(IndexError):
-        velocity(z, 0)
-    with pytest.raises(IndexError):
-        midpoint(z, 5)
+    vel_y = segment_geometry(z)[2]
+    assert vel_y[0, 1] == pytest.approx(0.1 - 6.2 + period, rel=1e-12)
 
 
 def test_midpoint_average():
     z = fp.DiscretePath([[0.0, 0.0], [1.0, 2.0]], [0.0, 4.0])
-    mid = midpoint(z, 1)
-    assert np.allclose(mid.y, [0.5, 1.0]) and mid.t == 2.0
+    mid_y, mid_t, _, _ = segment_geometry(z)
+    assert np.allclose(mid_y[0], [0.5, 1.0]) and mid_t[0] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +73,7 @@ def test_action_flat_straight_exact(n):
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([3, 4], 0.0), n)
     # constant integrand: exact up to node rounding (bitwise on dyadic grids)
     assert action(FLAT, z) == pytest.approx(12.5, rel=1e-14)
-    assert energy_integral(FLAT, z) == pytest.approx(12.5, rel=1e-14)
+    assert path_state(FLAT, z).E_val == pytest.approx(12.5, rel=1e-14)
     if n & (n - 1) == 0:
         assert action(FLAT, z) == 12.5
 
@@ -117,18 +105,21 @@ def test_quadrature_second_order():
 
 def test_noether_straight_flat_zero():
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([3, 4], 0.0), 50)
-    prof = noether_values(FLAT, z)
-    assert prof.mean == 0.0 and prof.max_deviation == 0.0
+    state = path_state(FLAT, z)
+    assert state.Q_bar == 0.0 and state.noether_dev == 0.0
 
 
 def test_noether_quadratic_time_profile():
+    """On the flat model the charge of a segment is -t_dot; for t = s^2 it
+    is -2 s at the midpoints, which deviates from its mean -1 by 0.9."""
     n = 10
     s = grid(n)
     z = fp.DiscretePath(np.stack([s, np.zeros(n + 1)], axis=1), s**2)
-    prof = noether_values(FLAT, z)
     mids = 0.5 * (s[:-1] + s[1:])
-    assert np.allclose(prof.values, -2 * mids, rtol=1e-12)
-    assert prof.max_deviation > 0.1
+    assert np.allclose(-segment_geometry(z)[3], -2 * mids, rtol=1e-12)
+    state = path_state(FLAT, z)
+    assert state.Q_bar == pytest.approx(-1.0, rel=1e-12)
+    assert state.noether_dev == pytest.approx(0.9, rel=1e-12)
 
 
 def test_project_quadratic_profile_becomes_linear():
@@ -137,9 +128,8 @@ def test_project_quadratic_profile_becomes_linear():
     z = fp.DiscretePath(np.stack([s, np.zeros(n + 1)], axis=1), s**2)
     proj = fp.project_to_N(FLAT, z)
     assert np.allclose(proj.t, s, atol=1e-14)
-    prof = noether_values(FLAT, proj)
-    assert prof.max_deviation < 1e-12
-    assert prof.mean == pytest.approx(-1.0, rel=1e-12)
+    assert proj.noether_dev < 1e-12
+    assert proj.Q_bar == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_project_idempotent_bitwise(builtin_model):
@@ -162,7 +152,7 @@ def test_project_preserves_y_and_endpoints_bitwise():
     proj = fp.project_to_N(model, z)
     assert proj.y is not y and np.array_equal(proj.y, y)
     assert proj.t[0] == t[0] and proj.t[-1] == t[-1]
-    assert noether_values(model, proj).max_deviation < 1e-12
+    assert proj.noether_dev < 1e-12
 
 
 def test_project_randers_rot_circular_path():
@@ -172,7 +162,7 @@ def test_project_randers_rot_circular_path():
     y = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     z = fp.DiscretePath(y, np.zeros(n + 1))
     proj = fp.project_to_N(model, z)
-    assert noether_values(model, proj).max_deviation < 1e-12
+    assert proj.noether_dev < 1e-12
     assert np.array_equal(proj.y, z.y)
 
 
@@ -236,9 +226,9 @@ def test_apply_flow_identity_and_endpoint():
     assert np.array_equal(fp.apply_flow(z, 0.0).t, z.t)
     moved = fp.apply_flow(z, 5.0)
     assert moved.t[-1] == 5.0
-    prof = noether_values(FLAT, moved)
-    assert prof.mean == pytest.approx(-5.0, rel=1e-13)
-    assert prof.max_deviation < 1e-12
+    state = path_state(FLAT, moved)
+    assert state.Q_bar == pytest.approx(-5.0, rel=1e-13)
+    assert state.noether_dev < 1e-12
 
 
 def test_apply_flow_inverse_and_composition():
@@ -261,19 +251,17 @@ def test_discrete_shift_laws(builtin_model):
     rng = np.random.default_rng(16)
     p, q = endpoints_for(builtin_model)
     z = smooth_path(builtin_model, p, q, 64, rng)
-    qbar = noether_values(builtin_model, z).mean
-    e0 = energy_integral(builtin_model, z)
+    qbar = path_state(builtin_model, z).Q_bar
+    e0 = path_state(builtin_model, z).E_val
     for t in (-1.3, 0.4, 2.0):
-        zt = fp.apply_flow(z, t)
-        e1 = energy_integral(builtin_model, zt)
-        assert abs(e1 - e0 - t * qbar + 0.5 * t * t) < 1e-9 * (1.0 + abs(e0))
-        q1 = noether_values(builtin_model, zt).mean
-        assert abs(q1 - (qbar - t)) < 1e-12
+        zt = path_state(builtin_model, fp.apply_flow(z, t))
+        assert abs(zt.E_val - e0 - t * qbar + 0.5 * t * t) < 1e-9 * (1.0 + abs(e0))
+        assert abs(zt.Q_bar - (qbar - t)) < 1e-12
 
 
 def test_constraint_deviation_scaled():
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 0], 0.0), 10)
-    assert constraint_deviation(FLAT, z) == 0.0
+    assert path_state(FLAT, z).constraint_dev == 0.0
 
 
 # ---------------------------------------------------------------------------

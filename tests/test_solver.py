@@ -4,6 +4,7 @@ evaluator-call budget of one iteration."""
 import dataclasses
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import fermatpath as fp
 from fermatpath import solve
 from fermatpath.arrival import arrival_gradient
-from fermatpath.paths import energy_integral, noether_values, winding
+from fermatpath.paths import path_state, winding
 from fermatpath.solve import DUPLICATE_TOL, conservation_check, el_residual, seed_path
 
 from conftest import smooth_path
@@ -236,7 +237,7 @@ def test_certification_chain():
     scale = 1.0 + abs(arr.Q_bar) + abs(arr.E_val)
     assert abs(arr.t_plus + arr.t_minus - 2 * arr.Q_bar) < 1e-10 * scale
     assert abs(arr.t_plus * arr.t_minus - 2 * (kappa - arr.E_val)) < 1e-10 * scale
-    e_geo = energy_integral(model, rec.geodesic)
+    e_geo = path_state(model, rec.geodesic).E_val
     assert abs(e_geo - kappa) < 1e-6 * (1.0 + abs(kappa))
     assert rec.el_residual < 10 * opts.grad_tol * opts.N
     assert rec.noether_dev < 1e-9
@@ -296,7 +297,7 @@ def test_seed_path_windings_project():
     q = fp.Point([1.0, 1.0], 0.0)
     z = seed_path(model, p, q, 50, 2)
     assert winding(z) == (0, 2)
-    assert noether_values(model, z).max_deviation < 1e-12
+    assert z.noether_dev < 1e-12
 
 
 def test_seed_path_accepts_existing_path():
@@ -405,6 +406,21 @@ def test_descent_stops_when_stagnant(caplog):
     assert not rec.converged and rec.stop_reason == "stagnant"
     assert rec.iters < opts.max_iters
     assert any("stagnant" in r.getMessage() for r in caplog.records)
+
+
+def test_iteration_cap_is_warned(caplog):
+    """A descent cut off by max_iters says so, with the iteration count and
+    the last gradient norm, as a stall and stagnation do."""
+    model = fp.get_model("randers-rot(0.3)")
+    opts = fp.SolverOptions(N=100, grad_tol=1e-15, max_iters=3)
+    with caplog.at_level("WARNING", logger="fermatpath.solve"):
+        rec = fp.minimize_arrival(model, P0, Q_OFF, -0.5, "random", opts)
+    assert rec.stop_reason == "max_iters" and rec.iters == 3
+    assert len(caplog.records) == 1
+    assert re.fullmatch(
+        r"iteration cap reached after 3 iterations \(\|grad\|=[0-9.e+-]+\)",
+        caplog.records[0].getMessage(),
+    )
 
 
 @pytest.mark.parametrize("options, reason", [({}, "grad_tol"), ({"max_iters": 1}, "max_iters")])
