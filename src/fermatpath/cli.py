@@ -44,10 +44,28 @@ Warnings do not change the exit code.  Each is one "warning:" line on
 stderr: a seed that failed, a descent that stopped unconverged (line-search
 stall, stagnation, iteration cap), and a sweep's arrival time that grows
 with kappa.
+
+The process entry point is `run`, used by the `fermatpath` console script
+and by `python -m fermatpath.cli`.  On glibc it first sets the mmap
+threshold to 32 MiB and the trim threshold to 64 MiB (mallopt), so the
+heap keeps what a descent frees.  Each iteration allocates and frees dozens
+of (N, m) temporaries, 0.4-0.8 MB each at N = 5e4.  Under glibc's defaults
+the freed top of the heap is returned to the kernel and faulted back in on
+the next iteration: a fine-grid solve (bench/workloads/fine-grid.ini) took
+26k minor page faults as a fresh process, and 9.1k with the thresholds set,
+which took about 5% off its wall time.  `main` leaves the allocator alone,
+so tests and library callers keep their own.  A library caller gets the
+same policy from glibc's environment, set before Python starts:
+
+    MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864
+
+In a loop of in-process fine-grid solves this took the minor faults per
+solve from 17k to none and the time per solve from 0.275 to 0.218 s.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import math
 import os
@@ -407,6 +425,51 @@ def _build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {"validate": cmd_validate, "solve": cmd_solve, "sweep": cmd_sweep}
 
 
+# glibc's mallopt parameter numbers.  32 MiB is glibc's
+# DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, the ceiling its dynamic mmap
+# threshold climbs toward; the trim threshold keeps glibc's own ratio of
+# trim = 2 x mmap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _steady_heap() -> None:
+    """Let the process keep freed heap blocks instead of returning them to
+    the kernel (glibc on Linux; elsewhere nothing).
+
+    The mmap threshold is set first, and the trim threshold only if glibc
+    took it: setting the trim threshold alone also freezes the mmap
+    threshold at its 128 KiB default, so every (N, m) temporary would be
+    mapped and unmapped on its own (an in-process fine-grid solve took
+    162k minor faults instead of 17k, and twice the time).  Without mallopt (macOS,
+    Windows) or when the value is refused (32-bit glibc; musl, whose
+    mallopt returns 0) the allocator stays as it is.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def run(argv: Optional[Sequence[str]] = None) -> int:
+    """Process entry point: set the allocator policy, then run `main`.
+
+    `_steady_heap` keeps the (N, m) blocks a descent frees in the heap for
+    its next iteration, so a fine-grid solve stops faulting them back in
+    (26k -> 9.1k minor faults, about 5% off its wall time).  This is a
+    process-wide setting, so only the process entry makes it: `main`
+    leaves the allocator of its caller alone.
+    """
+    _steady_heap()
+    return main(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     # The package's log warnings go to stderr while the command runs.
@@ -432,4 +495,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -3,9 +3,13 @@ determinism, and sidecar round-trips."""
 import json
 import math
 import os
+import platform
 import re
+import signal
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -892,3 +896,136 @@ def test_cli_import_needs_no_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# process entry: the allocator policy
+# ---------------------------------------------------------------------------
+
+class FakeMallopt:
+    """mallopt of a fake libc: records (param, value) and answers `reply`."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.reply
+
+
+def fake_libc(monkeypatch, libc):
+    """Load `libc` in place of the process's C library, on a Linux platform."""
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+
+
+def test_steady_heap_sets_mmap_then_trim_threshold(monkeypatch):
+    mallopt = FakeMallopt(1)
+    fake_libc(monkeypatch, SimpleNamespace(mallopt=mallopt))
+    cli._steady_heap()
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert mallopt.restype is cli.ctypes.c_int
+
+
+def test_steady_heap_without_mallopt_is_a_no_op(monkeypatch):
+    libc = SimpleNamespace()
+    fake_libc(monkeypatch, libc)
+    cli._steady_heap()
+    assert vars(libc) == {}
+
+
+def test_steady_heap_refused_mmap_threshold_leaves_trim_alone(monkeypatch):
+    """Setting the trim threshold alone would freeze the mmap threshold at
+    128 KiB, so a refused mmap threshold ends the policy."""
+    mallopt = FakeMallopt(0)
+    fake_libc(monkeypatch, SimpleNamespace(mallopt=mallopt))
+    cli._steady_heap()
+    assert mallopt.calls == [(-3, 32 << 20)]
+
+
+def test_main_leaves_the_allocator_alone(tmp_path, monkeypatch):
+    def forbidden():
+        raise AssertionError("main set the allocator policy")
+
+    monkeypatch.setattr(cli, "_steady_heap", forbidden)
+    assert main(["validate", flat_scenario(tmp_path), "--out",
+                 os.path.join(tmp_path, "out"), "--quiet"]) == EXIT_OK
+
+
+def test_run_returns_the_exit_code_of_main(tmp_path, monkeypatch):
+    """The entry sets the policy once per call and passes main's code on;
+    the fake policy keeps the allocator of this process as it is."""
+    calls = []
+    monkeypatch.setattr(cli, "_steady_heap", lambda: calls.append(1))
+    no_convergence = write_scenario(
+        tmp_path, DUPLICATE_SEEDS_SCENARIO.format(max_iters=5), "cut.ini"
+    )
+    cases = [
+        (["validate", flat_scenario(tmp_path)], EXIT_OK),
+        (["solve", os.path.join(tmp_path, "missing.ini")], EXIT_PARSE),
+        (["solve", no_convergence], EXIT_NO_CONVERGENCE),
+    ]
+    for args, code in cases:
+        assert cli.run([*args, "--out", os.path.join(tmp_path, "out"), "--quiet"]) == code
+    assert len(calls) == len(cases)
+
+
+def child_minor_faults(argv, timeout=120.0):
+    """Run `python <argv>` with the package of this checkout; its minor page
+    faults (ru_minflt) and exit code, read from os.wait4."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    devnull = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], env, file_actions=devnull)
+    deadline = time.monotonic() + timeout
+    while True:
+        done, status, usage = os.wait4(pid, os.WNOHANG)
+        if done:
+            return usage.ru_minflt, os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.wait4(pid, 0)
+            pytest.fail(f"python {' '.join(argv)} ran longer than {timeout} s")
+        time.sleep(0.01)
+
+
+# randers-rot(0.3) between the fine-grid endpoints at N = 2e4, one straight
+# seed that cannot meet grad_tol: each run is max_iters iterations, no output.
+ITERATION_CAP_SCENARIO = """\
+[model]
+spec = randers-rot(0.3)
+
+[endpoints]
+p_y = 0 0
+q_y = 1 0.7
+q_t = 0.2
+
+[problem]
+kappa = -0.5
+
+[solver]
+segments = 20000
+grad_tol = 1e-15
+max_iters = {max_iters}
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator policy")
+def test_cli_descent_iterations_fault_no_heap_pages_back(tmp_path):
+    """Twenty more iterations at N = 2e4 take almost no more page faults:
+    the (N, m) blocks an iteration frees stay in the heap for the next one
+    (about 80 more faults).  Under glibc's default thresholds the twenty
+    iterations fault about 4k pages back in."""
+    faults = []
+    for max_iters in (4, 24):
+        scenario = write_scenario(
+            tmp_path, ITERATION_CAP_SCENARIO.format(max_iters=max_iters), f"cap_{max_iters}.ini"
+        )
+        minflt, code = child_minor_faults([
+            "-m", "fermatpath.cli", "solve", scenario,
+            "--out", os.path.join(tmp_path, "out"), "--quiet",
+        ])
+        assert code == EXIT_NO_CONVERGENCE
+        faults.append(minflt)
+    assert faults[1] - faults[0] < 500, faults

@@ -5,6 +5,8 @@ agree with an RK4 shooting of the reduced (Routhian) ODE, which shares
 with them only the reduction, and their t_plus are the values in the
 ROADMAP.  The time reversal omega -> -omega, d -> -d turns t_minus into
 -t_plus in closed form, as it does in the solver (models.time_reversed).
+The oracle's affine-field(flat, 0.1 y1 + 0.05 y2^2) has no closed form:
+its reference is the shooting itself, converged in the RK4 step count.
 """
 import numpy as np
 import pytest
@@ -65,3 +67,47 @@ def test_reversal_identity_in_closed_form():
     tol = 4 * np.finfo(float).eps
     assert t_minus == pytest.approx(-rev_plus, rel=tol)
     assert t_plus == pytest.approx(-rev_minus, rel=tol)
+
+
+def curved_affine_parts(sign):
+    """affine-field(flat, 0.1 y1 + 0.05 y2^2) with d scaled by `sign`:
+    L0 = |nu|^2 / 2, omega = 0; sign = -1 is its time reversal."""
+    return dict(
+        w=[0.0, 0.0],
+        d=lambda y: sign * (0.1 * y[:, 0] + 0.05 * y[:, 1] ** 2),
+        dd=lambda y: sign * np.column_stack([np.full(len(y), 0.1), 0.1 * y[:, 1]]),
+    )
+
+
+def curved_affine_shots(sign=1.0, steps=200):
+    """(t, c, miss) of both roots at kappa = -0.5, t_plus first."""
+    parts = curved_affine_parts(sign)
+    return sorted((ref.shoot(-0.5, c0, steps=steps, **parts) for c0 in (1.5, -1.5)),
+                  reverse=True)
+
+
+# t_plus and t_minus of the curved affine field, to the digits the shooting
+# settles (200 and 400 RK4 steps differ by about 4e-14).
+CURVED_AFFINE_ARRIVALS = (1.50031453444911, -1.50031526272835)
+
+
+def test_curved_affine_field_shooting_is_converged_in_steps():
+    """Both roots of the oracle's curved affine model close to 1e-10 and
+    move by less than 1e-12 when the RK4 steps double, so the shot t+-
+    are references to 1e-12 for a model with a y-dependent offset."""
+    coarse, fine = curved_affine_shots(steps=200), curved_affine_shots(steps=400)
+    for (t, c, miss), (t_fine, c_fine, miss_fine), expected in zip(
+        coarse, fine, CURVED_AFFINE_ARRIVALS
+    ):
+        assert miss <= 1e-10 and miss_fine <= 1e-10
+        assert t == pytest.approx(t_fine, abs=1e-12)
+        assert t == pytest.approx(expected, abs=1e-12)
+    assert coarse[0][1] != pytest.approx(coarse[1][1], abs=0.1)
+
+
+def test_reversal_identity_of_the_curved_affine_shooting():
+    """t_minus of the curved affine field is -t_plus of its reversal d -> -d."""
+    (t_plus, _, _), (t_minus, _, _) = curved_affine_shots()
+    (rev_plus, _, _), (rev_minus, _, _) = curved_affine_shots(sign=-1.0)
+    assert t_minus == pytest.approx(-rev_plus, abs=1e-12)
+    assert t_plus == pytest.approx(-rev_minus, abs=1e-12)
