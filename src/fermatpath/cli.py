@@ -52,15 +52,16 @@ heap keeps what a descent frees.  Each iteration allocates and frees dozens
 of (N, m) temporaries, 0.4-0.8 MB each at N = 5e4.  Under glibc's defaults
 the freed top of the heap is returned to the kernel and faulted back in on
 the next iteration: a fine-grid solve (bench/workloads/fine-grid.ini) took
-26k minor page faults as a fresh process, and 9.1k with the thresholds set,
-which took about 5% off its wall time.  `main` leaves the allocator alone,
-so tests and library callers keep their own.  A library caller gets the
-same policy from glibc's environment, set before Python starts:
+22k-26k minor page faults as a fresh process, and 9k with the thresholds
+set, which took about 5% off its wall time.  `main` leaves the allocator
+alone, so tests and library callers keep their own.  A library caller gets
+the same policy from glibc's environment, set before Python starts:
 
     MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864
 
 In a loop of in-process fine-grid solves this took the minor faults per
-solve from 17k to none and the time per solve from 0.275 to 0.218 s.
+solve from 5k-15k (the count depends on what the process allocated
+before) to none, and the time per solve from about 0.22 to 0.19 s.
 """
 from __future__ import annotations
 
@@ -442,9 +443,9 @@ def _steady_heap() -> None:
     took it: setting the trim threshold alone also freezes the mmap
     threshold at its 128 KiB default, so every (N, m) temporary would be
     mapped and unmapped on its own (an in-process fine-grid solve took
-    162k minor faults instead of 17k, and twice the time).  Without mallopt (macOS,
-    Windows) or when the value is refused (32-bit glibc; musl, whose
-    mallopt returns 0) the allocator stays as it is.
+    148k minor faults instead of 5k-15k, and nearly twice the time).
+    Without mallopt (macOS, Windows) or when the value is refused (32-bit
+    glibc; musl, whose mallopt returns 0) the allocator stays as it is.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -462,7 +463,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     `_steady_heap` keeps the (N, m) blocks a descent frees in the heap for
     its next iteration, so a fine-grid solve stops faulting them back in
-    (26k -> 9.1k minor faults, about 5% off its wall time).  This is a
+    (22k-26k -> 9k minor faults, about 5% off its wall time).  This is a
     process-wide setting, so only the process entry makes it: `main`
     leaves the allocator of its caller alone.
     """

@@ -392,10 +392,15 @@ def chart_E(model, y, nu, tau, check=True, *, omega=None):
     """
     e0 = chart_E0(model, y, nu)
     om = model.omega(y, nu) if omega is None else omega
-    # e0 + om * tau - 0.5 * tau * tau, summed in that order over om * tau
+    # e0 + om * tau - 0.5 * tau * tau, summed in that order over om * tau;
+    # 0.5 * tau * tau is formed in one temporary, released before the
+    # finiteness check as the expression's temporaries were
     val = np.multiply(om, tau)
     val += e0
-    val -= np.multiply(0.5, tau) * tau
+    half_sq = np.multiply(0.5, tau)
+    half_sq *= tau
+    val -= half_sq
+    del half_sq
     return _check_finite(val, model, y, nu, tau, "energy value") if check else val
 
 

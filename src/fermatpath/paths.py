@@ -30,11 +30,16 @@ consumer is evaluated once on entry (`path_state`).  Derivatives of the
 charge are not part of the state: they are computed per gradient and
 passed explicitly (see `linearized_charge_coeffs`).
 
-A `DiscretePath` copies and checks its nodes once, when it is built.  A
-state shares the y-array (and periods) of the path it evaluates or
-projects instead of copying it again; `project_to_N` checks only the new
-t-nodes it computes, and evaluates only the spatial half of the segment
-geometry, which is all that omega and d need.  The per-iteration kernels
+A `DiscretePath` copies and checks its nodes once, when it is built.  The
+one exception is a line-search trial (solve._trial), which forms its
+y-nodes in a new array and wraps them with the private
+`DiscretePath._own`: nothing is copied, the y-nodes are checked once, and
+the t-nodes are the iterate's, already checked.  A state shares the
+y-array (and periods) of the path it evaluates or projects instead of
+copying it again; `project_to_N` checks only the new t-nodes it computes,
+and evaluates only the spatial half of the segment geometry, which is all
+that omega and d need.  A lifted variation has no zero t-part to pair
+(see `segment_pairing`).  The per-iteration kernels
 call ufuncs and array methods directly (np.add.reduce(x) / n for np.mean,
 a[1:] - a[:-1] for np.diff, x.cumsum() for np.cumsum), which are the same
 operations in the same order as the numpy wrappers, and write into their
@@ -103,6 +108,19 @@ class DiscretePath:
             self, "periods", tuple(float(p) for p in periods) if periods else None
         )
 
+    @classmethod
+    def _own(cls, y, t, periods) -> "DiscretePath":
+        """A path over arrays the caller gives up: float (N+1, m) y-nodes,
+        (N+1,) t-nodes already checked finite and `periods` as a path holds
+        them.  Nothing is copied; only the y-nodes are checked finite."""
+        if not np.isfinite(y).all():
+            raise ValueError("path nodes must be finite")
+        path = object.__new__(cls)
+        object.__setattr__(path, "y", y)
+        object.__setattr__(path, "t", t)
+        object.__setattr__(path, "periods", periods)
+        return path
+
     @property
     def segments(self) -> int:
         return self.y.shape[0] - 1
@@ -132,7 +150,8 @@ class TangentField:
     @classmethod
     def _own(cls, y, t) -> "TangentField":
         """A field over arrays the caller gives up, with endpoints already
-        +0.0: nothing is copied or reset."""
+        +0.0: nothing is copied or reset.  A t of None marks a spatial
+        variation, whose t-part is zero (see segment_pairing)."""
         field = object.__new__(cls)
         object.__setattr__(field, "y", y)
         object.__setattr__(field, "t", t)
@@ -262,6 +281,11 @@ def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndar
     midpoints are never needed.  With per-segment partials (P, V, w) of a
     functional this is the integrand of its directional derivative; with
     the charge coefficients (A, B) and w = -1 it is the linearized charge.
+
+    A field with t None is a spatial variation: the t-term is skipped.
+    lift_spatial_variation pairs one with w = -1, where a zero t-part would
+    add -0.0 to every h_i; x + (-0.0) is x for every double, signed zeros
+    included, so skipping it keeps the bits.
     """
     n = path.segments
     dy = delta.y
@@ -273,9 +297,10 @@ def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndar
     np.subtract(dy[1:], dy[:-1], out=buf)
     buf *= n
     h += _row_dot(V, buf, buf[:, 0])
-    vel_t = _segment_rate(delta.t, n)
-    vel_t *= w  # w = -1 then costs no (N,) temporary
-    h += vel_t
+    if delta.t is not None:
+        vel_t = _segment_rate(delta.t, n)
+        vel_t *= w  # w = -1 then costs no (N,) temporary
+        h += vel_t
     return h
 
 
@@ -412,14 +437,14 @@ def lift_spatial_variation(
     The constraint manifold is a graph over the spatial nodes, so every
     interior spatial variation lifts to exactly one tangent field.  `coeffs`
     as in linearized_charge.  `dy` is copied once; the lifted field shares
-    that copy.  Its t-part is tangent_split's 0.0 - mu, written over mu.
+    that copy.  The variation is split as a spatial one, with no t-part,
+    and the field's t-part is tangent_split's 0.0 - mu, written over mu.
     """
     y = np.array(dy, dtype=float)
     y[0] = 0.0
     y[-1] = 0.0
-    zero = np.zeros(y.shape[0])
-    mu = _symmetry_part(model, path, TangentField._own(y, zero), coeffs)
-    return TangentField._own(y, np.subtract(zero, mu, out=mu))
+    mu = _symmetry_part(model, path, TangentField._own(y, None), coeffs)
+    return TangentField._own(y, np.subtract(0.0, mu, out=mu))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ and constraint deviation), which the Armijo test reads through
 A candidate the line search rejects is dropped with its state; the
 derivatives of the accepted iterate live only inside one
 `arrival_gradient` call.  Records keep the plain path, not its state.
-Each line-search trial copies and checks its y-nodes once, when its
-`DiscretePath` is built; the projected state shares that array.
+A line-search trial (`_trial`) forms its y-nodes path.y - step * u in one
+new array and checks them finite once.  The trial path owns that array
+and shares the iterate's t-nodes, of which the projection reads only the
+two ends; the projected state shares the trial's y-nodes.
 
 The descent minimizes t_plus only.  The minus branch is the plus branch of
 the time-reversed problem (models.time_reversed): `minimize_arrival`
@@ -275,6 +277,19 @@ def _reflected(x):
     return DiscretePath(x.y, 0.0 - x.t, x.periods)
 
 
+def _trial(model, path, u, step):
+    """The projected line-search trial at path.y - step * u.
+
+    The y-nodes are formed in one new array: step * u, then path.y minus
+    that, written over it.  The trial path owns the array and checks it
+    finite once; it shares the t-nodes of `path`, of which the projection
+    reads only the two ends.
+    """
+    y = np.multiply(step, u)
+    np.subtract(path.y, y, out=y)
+    return project_to_N(model, DiscretePath._own(y, path.t, path.periods))
+
+
 def _descend(model, path, kappa, opts):
     """Armijo-backtracked projected descent of t_plus from a projected path.
 
@@ -301,8 +316,7 @@ def _descend(model, path, kappa, opts):
         for _ in range(60):
             # A rejected trial's state ends before the next trial is built.
             cand = arr_new = None
-            y_new = path.y - step * grad.field.y
-            cand = project_to_N(model, DiscretePath(y_new, path.t, path.periods))
+            cand = _trial(model, path, grad.field.y, step)
             try:
                 arr_new = arrival_times(model, cand, kappa)
             except AdmissibilityError:

@@ -7,9 +7,12 @@ np.diff, x.cumsum() for np.cumsum) and write into their own results with
 path.  The references below are the plain expressions: they spell each
 kernel out with np.diff, np.mean, np.sum and np.cumsum, build every
 intermediate as a new array and copy every input, and the kernels must
-agree with them to the last bit, signed zeros included.  The projection
-must still reject non-finite nodes, and the in-place kernels must keep the
-peak allocation of one gradient and one projection below what the
+agree with them to the last bit, signed zeros included, also when the
+arrays they allocate with np.empty start as NaN, and a descent whose
+trials own their y-nodes must give the records of one that builds each
+trial as a new path.  The projection and a line-search trial must still
+reject non-finite nodes, and the in-place kernels must keep the peak
+allocation of one gradient, one projection and one trial below what the
 expression forms needed.
 """
 import configparser
@@ -56,6 +59,7 @@ from fermatpath.paths import (
     tangent_split,
 )
 
+from fermatpath import arrival, paths, solve
 from fermatpath.solve import conservation_check
 
 from conftest import BENCH_POLYNOMIAL_MODEL, BUILTIN_SPECS, POTENTIAL, endpoints_for, reflected
@@ -428,6 +432,13 @@ def check_kernels_match_references(spec, n, seed):
             assert bits(segment_pairing(proj, field, zy, zy[::-1], weight)) == bits(
                 ref_segment_pairing(n, zy, zy[::-1], weight, field.y, field.t)
             )
+        # A spatial variation (t None) pairs as one with a zero t-part of
+        # either sign, the linearized charge's w = -1 adding -0.0 to each h_i.
+        spatial = segment_pairing(proj, TangentField._own(field.y, None), zy, zy[::-1], -1.0)
+        for zero_t in (np.zeros(n + 1), -np.zeros(n + 1)):
+            assert bits(spatial) == bits(
+                ref_segment_pairing(n, zy, zy[::-1], -1.0, field.y, zero_t)
+            )
         lifted = lift_spatial_variation(model, proj, zn, coeffs)
         dy = zn.copy()
         dy[0] = dy[-1] = 0.0
@@ -459,6 +470,29 @@ else:
     @pytest.mark.skip(reason="needs hypothesis")
     def test_kernels_match_references():
         pass
+
+
+class _NaNEmpty:
+    """numpy, except that np.empty returns NaN-filled arrays: a row of an
+    empty array that a kernel neither writes nor zeros shows as a NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+
+@pytest.mark.parametrize("spec", ["randers-rot(0.3)", "cylinder(1)", "potential"])
+@pytest.mark.parametrize("n", [2, 3, _COLUMN_LOOP_MIN_ROWS + 100])
+def test_kernels_set_every_row_of_their_empty_arrays(monkeypatch, spec, n):
+    """The kernels allocate with np.empty and zero only the rows no
+    operation writes; over NaN-filled empty arrays they still match their
+    references, so no row is left as it was allocated."""
+    monkeypatch.setattr(arrival, "np", _NaNEmpty())
+    monkeypatch.setattr(paths, "np", _NaNEmpty())
+    check_kernels_match_references(spec, n, 17 * n)
 
 
 @pytest.mark.parametrize("spec", BUILTIN_SPECS + ["potential"])
@@ -661,9 +695,13 @@ def _peak_bytes(fn):
 
 
 def test_fine_grid_peak_allocation():
-    """At N = 5e4 on randers-rot(0.3), the peak allocation of one projection
-    and of one gradient counts (N, 2) arrays: the expression forms of the
-    kernels peaked at 7 and 12.5 of them, the in-place kernels at 6 and 10."""
+    """At N = 5e4 on randers-rot(0.3), the peak allocation of one projection,
+    of one gradient and of one line-search trial counts (N, 2) arrays.  The
+    expression forms of the kernels peaked at 7 and 12.5 of them for the
+    projection and the gradient, the in-place kernels at 6 and 10.  With
+    no zero t-part in the lift and one temporary for tau^2 / 2, the
+    gradient peaks at 9.5; a trial that copied its y-nodes into a new path
+    peaked at 8.5, one that owns them at 7."""
     n = 50_000
     model = fp.get_model("randers-rot(0.3)")
     p, q = fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.7], 0.2)
@@ -675,7 +713,78 @@ def test_fine_grid_peak_allocation():
     state = fp.project_to_N(model, path)
     unit = n * 2 * 8
     assert _peak_bytes(lambda: fp.project_to_N(model, path)) < 6.5 * unit
-    assert _peak_bytes(lambda: arrival_gradient(model, state, -0.5)) < 11 * unit
+    assert _peak_bytes(lambda: arrival_gradient(model, state, -0.5)) < 10 * unit
+    u = arrival_gradient(model, state, -0.5).field.y
+
+    def trial():
+        arrival_times(model, solve._trial(model, state, u, 1.0), -0.5)
+
+    assert _peak_bytes(trial) < 7.5 * unit
+
+
+# ---------------------------------------------------------------------------
+# the descent against the trial expression
+# ---------------------------------------------------------------------------
+
+def ref_descend(model, path, kappa, opts):
+    """solve._descend with each trial built by the plain expression: the
+    y-nodes y - step * u copied into a new DiscretePath with a copy of the
+    iterate's t-nodes, then projected."""
+    arr = arrival_times(model, path, kappa)
+    f_val, trial, stagnant, stop_reason = arr.t_plus, solve.FIRST_STEP, 0, "max_iters"
+    for iters in range(1, opts.max_iters + 1):
+        grad = arrival_gradient(model, path, kappa)
+        if grad.norm <= opts.grad_tol:
+            return path, arr, iters - 1, "grad_tol"
+        slope = grad.norm * grad.norm
+        step = trial
+        for _ in range(60):
+            cand = fp.project_to_N(
+                model, fp.DiscretePath(path.y - step * grad.field.y, path.t, path.periods)
+            )
+            try:
+                arr_new = arrival_times(model, cand, kappa)
+            except fp.AdmissibilityError:
+                step *= solve.STEP_SHRINK
+                continue
+            f_new = arr_new.t_plus
+            if f_new <= f_val - solve.SUFFICIENT_DECREASE * step * slope:
+                break
+            step *= solve.STEP_SHRINK
+        else:
+            return path, arr, iters, "line_search_stall"
+        stagnant = stagnant + 1 if f_val - f_new <= 1e-16 * (1.0 + abs(f_val)) else 0
+        path, arr, f_val = cand, arr_new, f_new
+        trial = min(solve.FIRST_STEP, step / solve.STEP_SHRINK)
+        if stagnant >= 50:
+            return path, arr, iters, "stagnant"
+    return path, arr, iters, stop_reason
+
+
+def record_bits(rec):
+    """Every output of a record: its text form (17 digits, so every float
+    round-trips, signed zeros included), the bits of its paths and the stop
+    reason."""
+    return (
+        solve.record_to_json(rec),
+        bits(rec.z_star.y, rec.z_star.t, rec.geodesic.y, rec.geodesic.t),
+        rec.stop_reason,
+    )
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("n", [2, 3, 400])
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+def test_descent_matches_the_copying_trial(monkeypatch, spec, n, branch):
+    """Trials that own their y-nodes give the records of trials built as new
+    paths, bit for bit, iteration counts included."""
+    model = fp.get_model(spec)
+    p, q = endpoints_for(model)
+    opts = fp.SolverOptions(N=n)
+    rec = fp.minimize_arrival(model, p, q, -0.5, "random", opts, branch=branch)
+    monkeypatch.setattr(solve, "_descend", ref_descend)
+    ref = fp.minimize_arrival(model, p, q, -0.5, "random", opts, branch=branch)
+    assert record_bits(rec) == record_bits(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +827,27 @@ def test_line_search_trial_rejects_non_finite_omega():
     # Without the hole the same descent converges.
     rot = fp.get_model("randers-rot(0.3)")
     assert fp.minimize_arrival(rot, P, Q, -0.5, opts=fp.SolverOptions(N=20)).converged
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_line_search_trial_rejects_non_finite_y_node(monkeypatch, value):
+    """A trial owns the y-nodes it forms instead of building a path that
+    copies and checks them, and still refuses a non-finite one: a gradient
+    field holding an inf or a NaN makes the first trial's y-node non-finite.
+    On the flat model omega is zero wherever y is, so the projection keeps
+    its t-nodes finite and only the check of the y-nodes raises this error
+    (unchecked, the trial's energy raises ModelEvaluationError)."""
+    original = solve.arrival_gradient
+
+    def holed(*args):
+        grad = original(*args)
+        grad.field.y[5, 1] = value
+        return grad
+
+    monkeypatch.setattr(solve, "arrival_gradient", holed)
+    flat = fp.get_model("flat")
+    with pytest.raises(ValueError, match="path nodes must be finite"):
+        fp.minimize_arrival(flat, P, Q, -0.5, "random", fp.SolverOptions(N=20))
 
 
 @pytest.mark.parametrize("where", ["y", "t"])
