@@ -149,7 +149,7 @@ class FunctionalGradient:
 
 def D_functional(model: StationaryModel, path: DiscretePath) -> float:
     """Quadrature of the charge offset d along the path."""
-    mid_y, _, _, _ = segment_geometry(path)
+    mid_y, _, _ = segment_geometry(path)
     return float(np.sum(model.d_offset(mid_y)) / path.segments)
 
 
@@ -206,7 +206,7 @@ def H_functional(model: StationaryModel, path: DiscretePath, t: float) -> float:
     It splits exactly as H = action + t * Nbar - t^2/2, Nbar the charge
     quadrature plus D_functional (equal to Qbar for linear-charge models).
     """
-    mid_y, _, vel_y, vel_t = segment_geometry(path)
+    mid_y, vel_y, vel_t = segment_geometry(path)
     return float(np.sum(chart_L(model, mid_y, vel_y, vel_t + float(t))) / path.segments)
 
 

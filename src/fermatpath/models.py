@@ -991,17 +991,20 @@ def read_ini(path: str, keys: dict, what: str) -> configparser.ConfigParser:
     `keys` maps each allowed section to its allowed keys, lower-case (keys
     are case-insensitive).  A file that cannot be read or parsed, an unknown
     section and an unknown key each raise ScenarioError; `what` names the
-    kind of file in the "cannot read" message.  '#' starts a comment anywhere
-    on a line; ';' starts one only at the start of a line, because it also
-    separates values such as region intervals.  '%' is an ordinary
-    character: values are not interpolated.
+    kind of file in the "cannot read" message.  Files are UTF-8 whatever the
+    locale; one that does not decode raises ScenarioError naming the file.
+    '#' starts a comment anywhere on a line; ';' starts one only at the
+    start of a line, because it also separates values such as region
+    intervals.  '%' is an ordinary character: values are not interpolated.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
-        if not cp.read(path):
+        if not cp.read(path, encoding="utf-8"):
             raise ScenarioError(f"cannot read {what} {path!r}")
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {' '.join(str(exc).split())}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason}") from None
     for section in cp.sections():
         if section not in keys:
             raise ScenarioError(f"{path}: unknown section [{section}]")

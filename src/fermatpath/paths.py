@@ -20,15 +20,19 @@ record.
 A `PathState` is a path together with one evaluation of a model on it: the
 segment geometry, the one-form values, the charge and energy quadratures
 and the deviation of the charge profile.  Its constructor is the one place
-the charge profile (omega - tau) + d is formed and reduced; `path_state`
-and `project_to_N` evaluate what it takes.  `project_to_N` returns a
-state, so every consumer of a projected path (arrival times, constraint
-check, tangent split, lift) reads these values instead of evaluating the
-model again, and a record's charge deviation is that of its geodesic's
-state (solve.conservation_check).  A plain `DiscretePath` passed to a
-consumer is evaluated once on entry (`path_state`).  Derivatives of the
-charge are not part of the state: they are computed per gradient and
-passed explicitly (see `linearized_charge_coeffs`).
+the charge profile (omega - tau) + d is formed and reduced; it computes no
+geometry and evaluates only the energy, from what its builder passes.
+`path_state` builds the state of a plain path from `segment_geometry`;
+`project_to_N` builds it from the spatial half of that geometry and the
+rate of the t-nodes it computes.  `project_to_N` returns a state, so every
+consumer of a projected path (arrival times, constraint check, tangent
+split, lift) reads these values instead of evaluating the model again.  A
+record's geodesic is evaluated once, and both of its certificates read
+that state (solve.el_residual, solve.conservation_check).  A plain
+`DiscretePath` passed to a consumer is evaluated once on entry
+(`path_state`).  Derivatives of the charge are not part of the state: they
+are computed per gradient and passed explicitly (see
+`linearized_charge_coeffs`).
 
 A `DiscretePath` copies and checks its nodes once, when it is built.  The
 one exception is a line-search trial (solve._trial), which forms its
@@ -173,18 +177,18 @@ class PathState(DiscretePath):
 
     Built by `path_state` and `project_to_N`, which pass every value: the
     t-nodes `t` (those of `path`, or the projected ones), `mid_y` and `vel_y`
-    of the y-nodes, and `omega` and `d` = d_offset(mid_y) evaluated there.
-    The state shares the y-nodes and periods of `path`, which a
-    `DiscretePath` already holds as a private, checked copy; nothing is
-    copied or checked here.
+    of the y-nodes, `vel_t` of the t-nodes, and `omega` and `d` =
+    d_offset(mid_y) evaluated there.  No geometry is computed here.  The
+    state shares the y-nodes and periods of `path`, which a `DiscretePath`
+    already holds as a private, checked copy; nothing is copied or checked
+    here.
     """
 
-    def __init__(self, model, path, t, mid_y, vel_y, omega, d):
+    def __init__(self, model, path, t, mid_y, vel_y, vel_t, omega, d):
         object.__setattr__(self, "y", path.y)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "periods", path.periods)
         n = self.segments
-        vel_t = _segment_rate(t, n)
         # The charge quadrature of omega - tau, then the charge profile
         # (omega - tau) + d and, once the energy has been checked finite, its
         # max deviation from its mean, written over the profile.
@@ -213,13 +217,15 @@ class PathState(DiscretePath):
 def path_state(model: StationaryModel, path: DiscretePath) -> PathState:
     """`path` evaluated under `model`; a state of that same model is returned as is.
 
-    A new state shares the arrays of `path`.
+    A new state is built from one `segment_geometry` of `path` and one
+    evaluation of omega and d at its midpoints, and shares the arrays of
+    `path`.
     """
     if isinstance(path, PathState) and path.model is model:
         return path
-    mid_y, vel_y = _spatial_geometry(path)
+    mid_y, vel_y, vel_t = segment_geometry(path)
     omega = model.omega(mid_y, vel_y)
-    return PathState(model, path, path.t, mid_y, vel_y, omega, model.d_offset(mid_y))
+    return PathState(model, path, path.t, mid_y, vel_y, vel_t, omega, model.d_offset(mid_y))
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +266,17 @@ def _segment_rate(t, n) -> np.ndarray:
 
 
 def segment_geometry(path: DiscretePath):
-    """Midpoints and velocities for all segments.
+    """Spatial midpoints and velocities for all segments.
 
-    Returns (mid_y, mid_t, vel_y, vel_t) with shapes (N, m), (N,), (N, m),
-    (N,).  Periodic coordinates use the nearest-representative difference,
-    and the midpoint sits on the corresponding unwrapped segment.
+    Returns (mid_y, vel_y, vel_t) with shapes (N, m), (N, m), (N,).
+    Periodic coordinates use the nearest-representative difference, and the
+    midpoint sits on the corresponding unwrapped segment.  No t-midpoint is
+    formed: nothing depends on the t coordinate.  This is the geometry of a
+    plain path's state (path_state); `project_to_N` forms the spatial half
+    before its t-nodes exist.
     """
-    t = path.t
     mid_y, vel_y = _spatial_geometry(path)
-    mid_t = np.add(t[:-1], t[1:])
-    mid_t *= 0.5
-    return mid_y, mid_t, vel_y, _segment_rate(t, path.segments)
+    return mid_y, vel_y, _segment_rate(path.t, path.segments)
 
 
 def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndarray:
@@ -309,7 +315,7 @@ def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def action(model: StationaryModel, path: DiscretePath) -> float:
-    mid_y, _, vel_y, vel_t = segment_geometry(path)
+    mid_y, vel_y, vel_t = segment_geometry(path)
     return float(np.sum(chart_L(model, mid_y, vel_y, vel_t)) / path.segments)
 
 
@@ -369,7 +375,7 @@ def project_to_N(model: StationaryModel, path: DiscretePath) -> PathState:
     t = _cumulative_nodes(om + d, path.t[0], path.t[-1])
     if not np.isfinite(t).all():
         raise ValueError("path nodes must be finite")
-    return PathState(model, path, t, mid_y, vel_y, om, d)
+    return PathState(model, path, t, mid_y, vel_y, _segment_rate(t, path.segments), om, d)
 
 
 def linearized_charge_coeffs(

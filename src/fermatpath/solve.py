@@ -29,7 +29,10 @@ the straight lift on cylinders, smooth random perturbations otherwise),
 deduplicates records by the descent's objective and winding, and sorts by
 that objective.  Each record carries the reconstructed trajectory (the path
 carried by the symmetry flow to the arrival parameter) plus conservation
-and stationarity residuals for certification.
+and stationarity residuals for certification.  `minimize_arrival`
+evaluates the trajectory once (paths.path_state) and passes that state to
+both `el_residual` and `conservation_check`; the record keeps the plain
+trajectory, so the state ends with the certification.
 """
 from __future__ import annotations
 
@@ -50,7 +53,6 @@ from .paths import (
     path_state,
     project_to_N,
     resample,
-    segment_geometry,
     straight_path,
     unwrap_periodic,
     winding,
@@ -175,27 +177,36 @@ def el_residual(model: StationaryModel, geodesic: DiscretePath) -> float:
     Max over interior nodes of the chart-Euclidean norm of
     N * (dL/dv at segment i+1 - dL/dv at segment i) - dL/dx at node i,
     with dL/dx evaluated at the node using the centrally averaged velocity.
-    Second-order small on smooth solutions.
+    Second-order small on smooth solutions; 0.0 for one segment, which has
+    no interior node.
+
+    The segment midpoints, velocities and omega values are those of the
+    geodesic's state (paths.path_state): a state of `model` is read as it
+    is, a plain path is evaluated once.  dL/dx has no tau component, so it
+    is subtracted from the spatial columns alone.
     """
     n = geodesic.segments
-    mid_y, _, vel_y, vel_t = segment_geometry(geodesic)
-    _, V, w = chart_partials(model, mid_y, vel_y, vel_t, "L")
+    if n == 1:
+        return 0.0
+    state = path_state(model, geodesic)
+    vel_y, vel_t = state.vel_y, state.vel_t
+    _, V, w = chart_partials(model, state.mid_y, vel_y, vel_t, "L", omega=state.omega)
     dv = np.concatenate([V, w[:, None]], axis=1)
-    node_y = geodesic.y[1:n]
     avg_vy = 0.5 * (vel_y[:-1] + vel_y[1:])
     avg_vt = 0.5 * (vel_t[:-1] + vel_t[1:])
-    P_node, _, _ = chart_partials(model, node_y, avg_vy, avg_vt, "L")
-    dx = np.concatenate([P_node, np.zeros((n - 1, 1))], axis=1)
-    res = n * (dv[1:] - dv[:-1]) - dx
-    return float(np.max(np.linalg.norm(res, axis=1))) if n > 1 else 0.0
+    P_node, _, _ = chart_partials(model, geodesic.y[1:n], avg_vy, avg_vt, "L")
+    res = n * (dv[1:] - dv[:-1])
+    res[:, :-1] -= P_node
+    return float(np.max(np.linalg.norm(res, axis=1)))
 
 
 def conservation_check(model: StationaryModel, geodesic: DiscretePath, kappa: float):
     """Pointwise energy deviation from kappa and charge-constancy deviation.
 
-    Both are read off one evaluation of the geodesic (paths.path_state): the
-    energy profile from its geometry and omega values, the charge deviation
-    as the state's `noether_dev`.
+    Both are read off one evaluation of the geodesic (paths.path_state; a
+    state of `model` is read as it is): the energy profile from its
+    geometry and omega values, the charge deviation as the state's
+    `noether_dev`.
     """
     state = path_state(model, geodesic)
     energy = chart_E(model, state.mid_y, state.vel_y, state.vel_t, omega=state.omega)
@@ -407,13 +418,13 @@ def minimize_arrival(
         t_arrival = arr.t_minus
 
     geo = apply_flow(path, t_arrival)
-    res = el_residual(model, geo)
-    energy_dev, noether_dev = conservation_check(model, geo, kappa)
+    state = path_state(model, geo)
+    energy_dev, noether_dev = conservation_check(model, state, kappa)
     return SolutionRecord(
         z_star=path,
         arrival=arr,
         geodesic=geo,
-        el_residual=res,
+        el_residual=el_residual(model, state),
         energy_dev=energy_dev,
         noether_dev=noether_dev,
         winding=winding(path),

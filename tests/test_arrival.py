@@ -500,7 +500,7 @@ def _check_state_matches_plain_path(spec, n, seed, branch):
     delta = smooth_field(model.dim, n, rng)
     kappa = -0.5
     # The cached numbers against direct evaluation of the model.
-    mid_y, _, vel_y, vel_t = segment_geometry(plain)
+    mid_y, vel_y, vel_t = segment_geometry(plain)
     assert state.Q_bar == float(np.sum(model.omega(mid_y, vel_y) - vel_t) / n)
     assert state.E_val == float(np.sum(chart_E(model, mid_y, vel_y, vel_t)) / n)
     charge = model.omega(mid_y, vel_y) - vel_t + model.d_offset(mid_y)

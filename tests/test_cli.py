@@ -355,6 +355,64 @@ def test_unreadable_or_malformed_scenario_exits_2(tmp_path, capsys):
     assert not os.path.exists(os.path.join(tmp_path, "o"))
 
 
+def write_bytes(tmp_path, data, name):
+    f = os.path.join(tmp_path, name)
+    with open(f, "wb") as fh:
+        fh.write(data)
+    return f
+
+
+def test_undecodable_scenario_exits_2_naming_the_file(tmp_path, capsys):
+    """Input files are read as UTF-8; a byte that does not decode is a
+    parse error whose message starts with the file."""
+    text = FLAT_SCENARIO.format(kappa="0", segments=10).encode()
+    f = write_bytes(tmp_path, text.replace(b"q_y = 3 4", b"q_y = 3 \xff4"), "s.ini")
+    out = os.path.join(tmp_path, "o")
+    assert main(["validate", f, "--out", out]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"error: {f}: not UTF-8 text: invalid start byte\n"
+    assert not os.path.exists(out)
+
+
+def test_undecodable_model_file_exits_2_naming_the_file(tmp_path, capsys):
+    model = write_bytes(
+        tmp_path, b"[model]\ndim = 2\nL0 = 0.5 nu1^2 + 0.5 nu2^2 # \xe9\n", "m.ini"
+    )
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nfile = {model}\n[endpoints]\np_y = 0 0\nq_y = 3 4\n"
+        "[problem]\nkappa = 0\n",
+    )
+    out = os.path.join(tmp_path, "o")
+    assert main(["validate", f, "--out", out]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_input_files_are_utf8_whatever_the_locale(tmp_path):
+    """A UTF-8 comment reads the same in an interpreter whose locale
+    encoding is ASCII."""
+    text = FLAT_SCENARIO.format(kappa="0", segments=10).replace(
+        "kappa = 0\n", "kappa = 0  # \u03ba, the energy level\n"
+    )
+    f = write_bytes(tmp_path, text.encode("utf-8"), "s.ini")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    code = (
+        "import sys; from fermatpath.cli import parse_scenario; "
+        "print(parse_scenario(sys.argv[1]).kappas)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, f], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "(0.0,)"
+
+
 def test_percent_is_an_ordinary_character(tmp_path, capsys):
     """Values are not interpolated: '%' in a directory name is literal."""
     out = os.path.join(tmp_path, "out%x")
@@ -884,11 +942,17 @@ def test_json_outputs_layout_and_round_trip(tmp_path):
 
 
 def test_cli_import_needs_no_scipy():
+    """Importing the command line loads no third-party package but numpy:
+    every top-level module it adds is in the standard library, numpy or
+    fermatpath.  Modules loaded before the import (site hooks) do not
+    count."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = (
-        "import sys, fermatpath.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys; before = set(sys.modules); import fermatpath.cli; "
+        "allowed = sys.stdlib_module_names | {'numpy', 'fermatpath'}; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(m for m in new if m not in allowed))"
     )
     res = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -107,8 +107,7 @@ def ref_segment_geometry(y, t, periods):
     n = y.shape[0] - 1
     dy = ref_unwrap(np.diff(y, axis=0), periods)
     mid_y = y[:-1] + 0.5 * dy
-    mid_t = 0.5 * (t[:-1] + t[1:])
-    return mid_y, mid_t, dy * n, np.diff(t) * n
+    return mid_y, dy * n, np.diff(t) * n
 
 
 def ref_cumulative_nodes(rate, first, last):
@@ -148,16 +147,34 @@ def ref_charge_deviation(model, mid_y, vel_y, vel_t):
 def ref_conservation_check(model, path, kappa):
     """energy_dev and noether_dev of a record, from the segment geometry of
     its geodesic."""
-    mid_y, _, vel_y, vel_t = segment_geometry(path)
+    mid_y, vel_y, vel_t = segment_geometry(path)
     energy_dev = float(np.max(np.abs(chart_E(model, mid_y, vel_y, vel_t) - kappa)))
     return energy_dev, ref_charge_deviation(model, mid_y, vel_y, vel_t)[0]
+
+
+def ref_el_residual(model, path):
+    """el_residual as the plain expression: the segment geometry, the L
+    partials at the midpoints and at the interior nodes, each dL/dv row
+    with its tau component and each dL/dx row with a zero one appended, and
+    the max row norm."""
+    n = path.segments
+    mid_y, vel_y, vel_t = segment_geometry(path)
+    _, V, w = chart_partials(model, mid_y, vel_y, vel_t, "L")
+    dv = np.concatenate([V, w[:, None]], axis=1)
+    node_y = path.y[1:n]
+    avg_vy = 0.5 * (vel_y[:-1] + vel_y[1:])
+    avg_vt = 0.5 * (vel_t[:-1] + vel_t[1:])
+    P_node, _, _ = chart_partials(model, node_y, avg_vy, avg_vt, "L")
+    dx = np.concatenate([P_node, np.zeros((n - 1, 1))], axis=1)
+    res = n * (dv[1:] - dv[:-1]) - dx
+    return float(np.max(np.linalg.norm(res, axis=1))) if n > 1 else 0.0
 
 
 def ref_project(model, y, t, periods):
     """t-nodes, Q_bar, E_val and the charge deviation, unscaled and scaled,
     of the projected path."""
     n = y.shape[0] - 1
-    mid_y, _, vel_y, _ = ref_segment_geometry(y, t, periods)
+    mid_y, vel_y, _ = ref_segment_geometry(y, t, periods)
     om = model.omega(mid_y, vel_y)
     d = model.d_offset(mid_y)
     t_new = ref_cumulative_nodes(om + d, t[0], t[-1])
@@ -508,13 +525,39 @@ def test_record_residuals_match_the_profile_formulas(spec, n):
     geodesic = fp.apply_flow(proj, arrival_times(model, proj, kappa).t_plus)
     for path in (proj, geodesic):
         state = path_state(model, path)
-        mid_y, _, vel_y, vel_t = segment_geometry(path)
+        mid_y, vel_y, vel_t = segment_geometry(path)
         assert (state.noether_dev, state.constraint_dev) == ref_charge_deviation(
             model, mid_y, vel_y, vel_t
         )
         assert conservation_check(model, path, kappa) == ref_conservation_check(
             model, path, kappa
         )
+
+
+def check_el_residual_matches_reference(model, path, kappa):
+    """el_residual of the geodesic of a projected path, passed plain and as
+    its state, against the plain expression, bit for bit."""
+    geodesic = fp.apply_flow(path, arrival_times(model, path, kappa).t_plus)
+    expected = bits(ref_el_residual(model, geodesic))
+    assert bits(solve.el_residual(model, geodesic)) == expected
+    assert bits(solve.el_residual(model, path_state(model, geodesic))) == expected
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS + ["flat(3)"])
+@pytest.mark.parametrize("n", [1, 2, 3, 200])
+def test_el_residual_matches_the_expression(spec, n):
+    model = model_for(spec)
+    y, t = random_nodes(model, n, np.random.default_rng(31 * n + 1))
+    proj = fp.project_to_N(model, fp.DiscretePath(y, t, model.periods))
+    check_el_residual_matches_reference(model, proj, -3.5 if spec == "potential" else -0.5)
+
+
+def test_el_residual_matches_the_expression_fine_grid():
+    """The fine-grid problem's random seed at N = 5e4."""
+    model = fp.get_model("randers-rot(0.3)")
+    p, q = fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.7], 0.2)
+    seed = solve.seed_path(model, p, q, 50_000, "random", np.random.default_rng(0))
+    check_el_residual_matches_reference(model, seed, -0.5)
 
 
 # ---------------------------------------------------------------------------

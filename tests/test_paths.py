@@ -42,26 +42,26 @@ def grid(n):
 
 def test_velocity_difference_quotient():
     z = fp.DiscretePath([[0.0], [1.0], [2.0]], [0.0, 0.0, 0.0])
-    _, _, vel_y, vel_t = segment_geometry(z)
+    _, vel_y, vel_t = segment_geometry(z)
     assert vel_y[0, 0] == 2.0 and vel_t[0] == 0.0
 
 
 def test_velocity_constant_interior():
     z = fp.DiscretePath([[0.0], [0.0], [1.0]], [0.0, 0.0, 0.0])
-    assert segment_geometry(z)[2][0, 0] == 0.0
+    assert segment_geometry(z)[1][0, 0] == 0.0
 
 
 def test_velocity_cylinder_unwrap():
     period = 2 * math.pi
     z = fp.DiscretePath([[0.0, 6.2], [0.0, 0.1]], [0.0, 0.0], periods=(0.0, period))
-    vel_y = segment_geometry(z)[2]
+    vel_y = segment_geometry(z)[1]
     assert vel_y[0, 1] == pytest.approx(0.1 - 6.2 + period, rel=1e-12)
 
 
 def test_midpoint_average():
     z = fp.DiscretePath([[0.0, 0.0], [1.0, 2.0]], [0.0, 4.0])
-    mid_y, mid_t, _, _ = segment_geometry(z)
-    assert np.allclose(mid_y[0], [0.5, 1.0]) and mid_t[0] == 2.0
+    mid_y, _, _ = segment_geometry(z)
+    assert np.allclose(mid_y[0], [0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_noether_quadratic_time_profile():
     s = grid(n)
     z = fp.DiscretePath(np.stack([s, np.zeros(n + 1)], axis=1), s**2)
     mids = 0.5 * (s[:-1] + s[1:])
-    assert np.allclose(-segment_geometry(z)[3], -2 * mids, rtol=1e-12)
+    assert np.allclose(-segment_geometry(z)[2], -2 * mids, rtol=1e-12)
     state = path_state(FLAT, z)
     assert state.Q_bar == pytest.approx(-1.0, rel=1e-12)
     assert state.noether_dev == pytest.approx(0.9, rel=1e-12)
@@ -559,7 +559,7 @@ def test_polynomial_coefficients_in_scientific_notation():
 
 def test_segment_geometry_shapes():
     z = fp.straight_path(fp.Point([0, 0], 0.0), fp.Point([1, 1], 1.0), 12)
-    mid_y, mid_t, vel_y, vel_t = segment_geometry(z)
+    mid_y, vel_y, vel_t = segment_geometry(z)
     assert mid_y.shape == (12, 2) and vel_y.shape == (12, 2)
-    assert mid_t.shape == (12,) and vel_t.shape == (12,)
+    assert vel_t.shape == (12,)
     assert np.allclose(vel_y, 1.0) and np.allclose(vel_t, 1.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fermatpath as fp
-from fermatpath import solve
+from fermatpath import paths, solve
 from fermatpath.arrival import arrival_gradient
 from fermatpath.paths import path_state, winding
 from fermatpath.solve import DUPLICATE_TOL, conservation_check, el_residual, seed_path
@@ -490,3 +490,67 @@ def test_iteration_evaluator_call_budget(spec):
         assert not rec.converged and rec.iters == max_iters
         totals.append(sum(calls.values()))
     assert (totals[1] - totals[0]) / 3 <= 10
+
+
+def _counting_geometry(monkeypatch):
+    """Counters of the segment geometry helpers of `paths`, which
+    path_state and project_to_N look up at call time."""
+    calls = Counter()
+    for name in ("segment_geometry", "_spatial_geometry", "_segment_rate"):
+        fn = getattr(paths, name)
+
+        def wrapper(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(paths, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize(
+    "spec", ["randers-rot(0.3)", "affine-field(flat, 0.1 y1 + 0.05 y2^2)"]
+)
+def test_record_geodesic_is_evaluated_once(monkeypatch, spec, branch):
+    """After the descent, certifying a record builds one state of its
+    geodesic: one segment geometry and one omega evaluation at its
+    midpoints, which el_residual and conservation_check both read.  The
+    record keeps plain paths, not states."""
+    geometry = _counting_geometry(monkeypatch)
+    omega_at = []
+
+    def omega(y, nu, _fn=fp.get_model(spec).omega):
+        omega_at.append(y)
+        return _fn(y, nu)
+
+    model = dataclasses.replace(fp.get_model(spec), omega=omega)
+    descend = solve._descend
+    seen = {}
+
+    def descend_then_mark(*args):
+        result = descend(*args)
+        seen["geometry"], seen["omega"] = Counter(geometry), len(omega_at)
+        return result
+
+    monkeypatch.setattr(solve, "_descend", descend_then_mark)
+    q = fp.Point([1.0, 0.7], 0.2)
+    rec = fp.minimize_arrival(model, P0, q, -0.5, opts=fp.SolverOptions(N=200), branch=branch)
+    assert type(rec.z_star) is fp.DiscretePath
+    assert type(rec.geodesic) is fp.DiscretePath
+    # segment_geometry forms its spatial half and t-rate once each.
+    assert geometry - seen["geometry"] == Counter(
+        segment_geometry=1, _spatial_geometry=1, _segment_rate=1
+    )
+    mid_y = paths._spatial_geometry(rec.geodesic)[0]
+    after = omega_at[seen["omega"]:]
+    assert sum(y.shape == mid_y.shape and np.array_equal(y, mid_y) for y in after) == 1
+
+    # Given the state, neither check computes any geometry or omega at the
+    # midpoints; el_residual evaluates omega once, at the interior nodes.
+    state = path_state(model, rec.geodesic)
+    geometry.clear()
+    del omega_at[:]
+    el_residual(model, state)
+    conservation_check(model, state, -0.5)
+    assert geometry == Counter()
+    assert len(omega_at) == 1 and omega_at[0].shape == (199, 2)
