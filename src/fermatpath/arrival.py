@@ -35,7 +35,8 @@ per-segment partials (P, V, w) of t_plus and the linearized-charge
 coefficients (A, B) at the path.  `arrival_gradient` returns its H1
 representer; `criticality_residual` takes the representer of the same form
 with the gap and offset terms of theta added and returns its dual norm;
-`dt_plus` pairs the form with a variation (paths.segment_pairing).
+`dt_plus` pairs the form, and the coefficients with w = -1 for the
+linearized charge it checks, with a variation (paths.segment_pairing).
 
 Every function here evaluates the model at most once per path: it turns
 its path into a `PathState` (paths.path_state; a state from project_to_N
@@ -103,7 +104,6 @@ from .paths import (
     TangentField,
     _spatial_geometry,
     lift_spatial_variation,
-    linearized_charge,
     linearized_charge_coeffs,
     path_state,
     require_on_constraint,
@@ -272,7 +272,7 @@ def _arrival_form(model, path, kappa, critical: bool = False):
 def dt_plus(model, path, kappa, delta: TangentField) -> float:
     """Directional derivative of t_plus along a constraint-tangent variation."""
     state, (P, V, w), coeffs = _arrival_form(model, path, kappa)
-    h = linearized_charge(model, state, delta, coeffs)
+    h = segment_pairing(state, delta, *coeffs, -1.0)
     scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
     if float(np.max(np.abs(h - np.mean(h)))) > 1e-7 * scale:
         raise ConstraintViolationError(

@@ -2,8 +2,8 @@
 
 A scenario is a flat key = value file with these sections and keys:
 
-    [model]      spec (a built-in model, e.g. randers-rot(0.3)) or
-                 file (a polynomial model definition)
+    [model]      exactly one of spec (a built-in model, e.g.
+                 randers-rot(0.3)) or file (a polynomial model definition)
     [endpoints]  p_y, q_y (slice coordinates); p_t, q_t (default 0)
     [problem]    kappa (one or more energy levels); region ("lo hi"
                  intervals, one per coordinate, separated by ";") and
@@ -13,12 +13,15 @@ A scenario is a flat key = value file with these sections and keys:
                  (number of perturbed seeds, at least 0)
     [output]     dir
 
-An unknown section or key is a parse error.  A relative `[model] file` is
-looked up next to the scenario file first, then in the working directory;
-models.load_custom_model describes the model file, which is read the same
-strict way.  '#' starts a comment anywhere on a line; ';' starts one only
-at the start of a line, because it also separates the region intervals.
-'%' is an ordinary character: values are not interpolated.
+The output directory is --out, else [output] dir, else the environment
+variable FERMATPATH_OUT, else fermatpath-out.  An unknown section or key
+is a parse error, and so is a [model] section with both spec and file.  A
+relative `[model] file` is looked up next to the scenario file first, then
+in the working directory; models.load_custom_model describes the model
+file, which is read the same strict way.  '#' starts a comment anywhere on
+a line; ';' starts one only at the start of a line, because it also
+separates the region intervals.  '%' is an ordinary character: values are
+not interpolated.
 
 Outputs are plot-ready CSV (17-significant-digit decimals, comma
 delimited, mandatory header) plus structured-text records with path sidecar
@@ -150,6 +153,8 @@ def parse_scenario(
     """Read a scenario file; command-line overrides win over file values."""
     cp = read_ini(path, _SCENARIO_KEYS, "scenario file")
 
+    if cp.has_option("model", "spec") and cp.has_option("model", "file"):
+        raise ScenarioError(f"{path}: [model] has both spec and file; give one")
     if cp.has_option("model", "file"):
         # A relative file is looked up next to the scenario first, then
         # against the working directory.
@@ -178,7 +183,7 @@ def parse_scenario(
 
     kappas = tuple(_read(cp, path, "problem", "kappa", float, many=True))
     if not kappas:
-        raise ScenarioError(f"{path}: kappa list is empty")
+        raise ScenarioError(f"{path}: [problem] kappa is empty")
 
     # Only the keys present are passed; SolverOptions supplies the defaults
     # and alone checks the ranges, each file key on its own.
@@ -279,7 +284,7 @@ def _write_validation(scen: Scenario, report: ValidationReport):
     return out
 
 
-def cmd_validate(scen: Scenario, quiet: bool = False) -> int:
+def cmd_validate(scen: Scenario, quiet: bool) -> int:
     report, problems = _run_validation(scen)
     _write_validation(scen, report)
     _emit(
@@ -334,9 +339,8 @@ def _solve_one_kappa(scen: Scenario, kappa: float) -> list[SolutionRecord]:
     return [r for r in records if r.converged]
 
 
-def cmd_solve(scen: Scenario, quiet: bool = False) -> int:
-    if len(scen.kappas) != 1:
-        raise ScenarioError("solve needs exactly one kappa; use sweep for lists")
+def cmd_solve(scen: Scenario, quiet: bool) -> int:
+    """Solve at the scenario's one kappa, which `main` has checked."""
     code = cmd_validate(scen, quiet=True)
     if code != EXIT_OK:
         return code
@@ -362,7 +366,7 @@ def cmd_solve(scen: Scenario, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(scen: Scenario, quiet: bool = False) -> int:
+def cmd_sweep(scen: Scenario, quiet: bool) -> int:
     code = cmd_validate(scen, quiet=True)
     if code != EXIT_OK:
         return code
@@ -416,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("scenario", help="scenario configuration file")
-        sp.add_argument("--out", help="output directory")
+        sp.add_argument("--out", help="output directory (default: [output] dir, "
+                        f"else ${OUT_DIR_ENV}, else fermatpath-out)")
         sp.add_argument("--segments", type=int, help="override grid segments")
         sp.add_argument("--seed", type=int, help="override rng seed")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout")
@@ -484,6 +489,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             segments=args.segments,
             rng_seed=args.seed,
         )
+        if args.command == "solve" and len(scen.kappas) != 1:
+            raise ScenarioError(
+                f"{args.scenario}: [problem] kappa: solve takes one kappa, "
+                f"not {len(scen.kappas)}; use sweep for lists"
+            )
         return _COMMANDS[args.command](scen, quiet=args.quiet)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -854,7 +854,7 @@ def flat_model(dim: int = 2, *, periods=None, name="flat") -> StationaryModel:
     )
 
 
-def randers_const_model(b: Sequence[float], name=None) -> StationaryModel:
+def randers_const_model(b: Sequence[float]) -> StationaryModel:
     b = np.asarray(b, dtype=float)
     dim = b.size
     L0, dL0_dy, dL0_dnu = _flat_parts(dim)
@@ -866,11 +866,11 @@ def randers_const_model(b: Sequence[float], name=None) -> StationaryModel:
         dL0_dnu=dL0_dnu,
         domega_dy=lambda y, nu: np.zeros(y.shape),
         homogeneous=True,
-        name=name or "randers-const(%s)" % ",".join("%g" % x for x in b),
+        name="randers-const(%s)" % ",".join("%g" % x for x in b),
     )
 
 
-def randers_rot_model(b: float, name=None) -> StationaryModel:
+def randers_rot_model(b: float) -> StationaryModel:
     """Rotational drift omega(y, nu) = b * (-y2 nu1 + y1 nu2) on a 2d slice."""
     b = float(b)
     L0, dL0_dy, dL0_dnu = _flat_parts(2)
@@ -892,11 +892,11 @@ def randers_rot_model(b: float, name=None) -> StationaryModel:
     return build_model(
         2, L0, omega=omega,
         dL0_dy=dL0_dy, dL0_dnu=dL0_dnu, domega_dy=domega_dy, omega_w=omega_w,
-        homogeneous=True, name=name or f"randers-rot({b:g})",
+        homogeneous=True, name=f"randers-rot({b:g})",
     )
 
 
-def cylinder_model(radius: float, name=None) -> StationaryModel:
+def cylinder_model(radius: float) -> StationaryModel:
     """Flat 2d slice with the second coordinate periodic of period 2*pi*R.
 
     A radius that is not positive, or whose period is not finite, raises
@@ -905,21 +905,19 @@ def cylinder_model(radius: float, name=None) -> StationaryModel:
     radius = float(radius)
     _check_radius(radius)
     return flat_model(
-        2,
-        periods=(0.0, 2.0 * math.pi * radius),
-        name=name or f"cylinder({radius:g})",
+        2, periods=(0.0, 2.0 * math.pi * radius), name=f"cylinder({radius:g})"
     )
 
 
-def affine_model(base: StationaryModel, d_poly: Polynomial, name=None) -> StationaryModel:
-    """Wrap a base model with a position-dependent charge offset d(y)."""
+def affine_model(base: StationaryModel, d_poly: Polynomial, name: str) -> StationaryModel:
+    """Wrap a base model with a position-dependent charge offset d(y), named `name`."""
     _require_nu_degree("d", d_poly, 0)
     return replace(
         base,
         d_offset=lambda y: d_poly(y),
         dd_dy=lambda y: d_poly.grad_eval("y", y),
         linear_charge=False,
-        name=name or f"affine({base.name})",
+        name=name,
     )
 
 

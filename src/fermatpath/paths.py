@@ -9,10 +9,13 @@ is an exact, closed-form projection (the constraint ODE has no homogeneous
 term because nothing depends on t).  One cumulative construction
 (`_cumulative_nodes`) integrates a per-segment rate less its mean into
 nodes with pinned endpoints: `project_to_N` applies it to omega + d, and
-`tangent_split` to the negated linearized charge of a variation.  One
-per-segment pairing of a nodal field with per-segment coefficients
-(`segment_pairing`) gives both the linearized charge and the integrand of
-a directional derivative.
+`tangent_split` and `lift_spatial_variation` to the negated linearized
+charge of a variation.  One per-segment pairing of a nodal field with
+per-segment coefficients (`segment_pairing`) gives both the linearized
+charge, as the pairing with the charge coefficients (A, B) of
+`linearized_charge_coeffs` and w = -1, and the integrand of a directional
+derivative.  The descent's gradient has the coefficients already, so
+`lift_spatial_variation` takes them; `tangent_split` evaluates them.
 
 Paths and fields are value-like records; every operation returns a new
 record.
@@ -397,59 +400,51 @@ def linearized_charge_coeffs(
     return a, b
 
 
-def linearized_charge(
-    model: StationaryModel, path: DiscretePath, delta: TangentField, coeffs=None
-) -> np.ndarray:
-    """Per-segment first-order change h of the charge under the variation delta.
-
-    The variation is tangent to the constraint manifold exactly when h is
-    constant across segments.  `coeffs` is (A, B) of linearized_charge_coeffs
-    at this path, computed here when not given.
-    """
-    a, b = coeffs if coeffs is not None else linearized_charge_coeffs(model, path)
-    return segment_pairing(path, delta, a, b, -1.0)
-
-
-def tangent_split(
-    model: StationaryModel, path: DiscretePath, delta: TangentField, coeffs=None
-):
+def tangent_split(model: StationaryModel, path: DiscretePath, delta: TangentField):
     """Split a variation into a constraint-tangent part and a symmetry part.
 
     Returns (xi, mu) with delta = xi + mu * K nodewise, mu vanishing at the
     endpoints, and xi satisfying the linearized constant-charge condition
     across segments: mu is the cumulative construction of project_to_N on
-    the rate -h, h the linearized charge.  `coeffs` as in linearized_charge.
+    the rate -h, h the linearized charge of delta.  A path off the
+    constraint raises ConstraintViolationError before the coefficients of
+    linearized_charge_coeffs are evaluated.
     """
-    mu = _symmetry_part(model, path, delta, coeffs)
+    state = path_state(model, path)
+    require_on_constraint(model, state)
+    mu = _symmetry_part(state, delta, linearized_charge_coeffs(model, state))
     # delta.y and delta.t have +0.0 endpoints and mu does too, so xi shares
     # delta.y and owns delta.t - mu as they are.
     xi = TangentField._own(delta.y, delta.t - mu)
     return xi, mu
 
 
-def _symmetry_part(model, path, delta, coeffs) -> np.ndarray:
-    """mu of tangent_split: the cumulative construction on the rate -h."""
-    state = path_state(model, path)
-    require_on_constraint(model, state)
-    h = linearized_charge(model, state, delta, coeffs)
+def _symmetry_part(state, delta, coeffs) -> np.ndarray:
+    """mu of tangent_split: the cumulative construction on the rate -h, h
+    the linearized charge of delta, its pairing with the charge
+    coefficients coeffs = (A, B) and w = -1."""
+    h = segment_pairing(state, delta, *coeffs, -1.0)
     return _cumulative_nodes(np.negative(h, out=h), 0.0, 0.0)
 
 
 def lift_spatial_variation(
-    model: StationaryModel, path: DiscretePath, dy: np.ndarray, coeffs=None
+    model: StationaryModel, path: DiscretePath, dy: np.ndarray, coeffs
 ) -> TangentField:
     """Unique constraint-tangent field over a spatial nodal variation.
 
     The constraint manifold is a graph over the spatial nodes, so every
     interior spatial variation lifts to exactly one tangent field.  `coeffs`
-    as in linearized_charge.  `dy` is copied once; the lifted field shares
+    is (A, B) of linearized_charge_coeffs at this path, which the caller
+    has already evaluated.  `dy` is copied once; the lifted field shares
     that copy.  The variation is split as a spatial one, with no t-part,
     and the field's t-part is tangent_split's 0.0 - mu, written over mu.
     """
     y = np.array(dy, dtype=float)
     y[0] = 0.0
     y[-1] = 0.0
-    mu = _symmetry_part(model, path, TangentField._own(y, None), coeffs)
+    state = path_state(model, path)
+    require_on_constraint(model, state)
+    mu = _symmetry_part(state, TangentField._own(y, None), coeffs)
     return TangentField._own(y, np.subtract(0.0, mu, out=mu))
 
 

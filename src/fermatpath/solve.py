@@ -19,6 +19,12 @@ new array and checks them finite once.  The trial path owns that array
 and shares the iterate's t-nodes, of which the projection reads only the
 two ends; the projected state shares the trial's y-nodes.
 
+A descent ends in one place, `_stopped`, with its stop reason: "grad_tol"
+when the gradient norm reaches the tolerance, or one of the unconverged
+stops that the table _STOP_WARNINGS names together with its warning.  A
+record's verdict `converged` is its stop reason being "grad_tol", so a new
+stop is one table entry and cannot disagree with the verdict.
+
 The descent minimizes t_plus only.  The minus branch is the plus branch of
 the time-reversed problem (models.time_reversed): `minimize_arrival`
 reflects the endpoints and the seed (t -> 0.0 - t), descends on the
@@ -90,6 +96,13 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolutionRecord:
+    """One descent's result, certified on its trajectory.
+
+    `stop_reason` says why the descent stopped: "grad_tol" or a key of
+    _STOP_WARNINGS.  It is not part of `as_dict`, so no output carries it;
+    `converged` follows from it, so the two cannot disagree.
+    """
+
     z_star: DiscretePath
     arrival: ArrivalEvaluation
     geodesic: DiscretePath
@@ -98,12 +111,13 @@ class SolutionRecord:
     noether_dev: float
     winding: tuple[int, ...]
     iters: int
-    converged: bool
-    branch: str = "plus"
-    seed: str = ""
-    # Why the descent stopped: "grad_tol", "line_search_stall", "stagnant"
-    # or "max_iters".  Not part of `as_dict`, so no output carries it.
-    stop_reason: str = ""
+    branch: str
+    seed: str
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
 
     @property
     def t_plus(self) -> float:
@@ -301,29 +315,42 @@ def _trial(model, path, u, step):
     return project_to_N(model, DiscretePath._own(y, path.t, path.periods))
 
 
+# The stops of `_descend` that leave a descent unconverged, each with its
+# warning, formatted with the iteration count and the last gradient norm.
+_STOP_WARNINGS = {
+    "line_search_stall": "line search stalled at iteration %d (|grad|=%.3g)",
+    "stagnant": "objective stagnant at double precision after %d iterations (|grad|=%.3g)",
+    "max_iters": "iteration cap reached after %d iterations (|grad|=%.3g)",
+}
+
+
+def _stopped(path, arr, iters, reason, norm):
+    """The return of `_descend`: (path, arr, iters, reason) with the path as
+    a plain DiscretePath, after the warning of an unconverged stop."""
+    if reason in _STOP_WARNINGS:
+        log.warning(_STOP_WARNINGS[reason], iters, norm)
+    return DiscretePath(path.y, path.t, path.periods), arr, iters, reason
+
+
 def _descend(model, path, kappa, opts):
     """Armijo-backtracked projected descent of t_plus from a projected path.
 
-    Returns (path, arrival, iters, stop_reason) with the final iterate as a
-    plain DiscretePath: the states of the iterates end with this call.  The
-    stop reason is "grad_tol" (converged), "line_search_stall",
-    "stagnant" or "max_iters"; each but "grad_tol" logs a warning.
+    Returns (path, arrival, iters, stop_reason) through `_stopped`, with the
+    final iterate as a plain DiscretePath: the states of the iterates end
+    with this call.  The stop reason is "grad_tol" (converged) or a key of
+    _STOP_WARNINGS ("line_search_stall", "stagnant", "max_iters"), whose
+    warning `_stopped` logs.
     """
     arr = arrival_times(model, path, kappa)
     f_val = arr.t_plus
-    stop_reason = "max_iters"
-    iters = 0
     trial = FIRST_STEP
     stagnant = 0
     for iters in range(1, opts.max_iters + 1):
         grad = arrival_gradient(model, path, kappa)
         if grad.norm <= opts.grad_tol:
-            stop_reason = "grad_tol"
-            iters -= 1
-            break
+            return _stopped(path, arr, iters - 1, "grad_tol", grad.norm)
         slope = grad.norm * grad.norm
         step = trial
-        accepted = False
         for _ in range(60):
             # A rejected trial's state ends before the next trial is built.
             cand = arr_new = None
@@ -337,30 +364,18 @@ def _descend(model, path, kappa, opts):
             # Armijo test.  The constant, step and slope are >= 0, so an
             # accepted f_new is <= f_val exactly: the objective never increases.
             if f_new <= f_val - SUFFICIENT_DECREASE * step * slope:
-                accepted = True
                 break
             step *= STEP_SHRINK
-        if not accepted:
-            log.warning("line search stalled at iteration %d (|grad|=%.3g)", iters, grad.norm)
-            stop_reason = "line_search_stall"
-            break
+        else:
+            return _stopped(path, arr, iters, "line_search_stall", grad.norm)
         # Stop once accepted steps no longer move the objective at double
         # precision; further iterations cannot make progress.
         stagnant = stagnant + 1 if f_val - f_new <= 1e-16 * (1.0 + abs(f_val)) else 0
         path, arr, f_val = cand, arr_new, f_new
         trial = min(FIRST_STEP, step / STEP_SHRINK)
         if stagnant >= 50:
-            log.warning(
-                "objective stagnant at double precision after %d iterations "
-                "(|grad|=%.3g)", iters, grad.norm,
-            )
-            stop_reason = "stagnant"
-            break
-    else:
-        log.warning(
-            "iteration cap reached after %d iterations (|grad|=%.3g)", iters, grad.norm
-        )
-    return DiscretePath(path.y, path.t, path.periods), arr, iters, stop_reason
+            return _stopped(path, arr, iters, "stagnant", grad.norm)
+    return _stopped(path, arr, iters, "max_iters", grad.norm)
 
 
 def minimize_arrival(
@@ -397,11 +412,8 @@ def minimize_arrival(
     if rng is None:
         rng = np.random.default_rng(opts.rng_seed)
 
-    seed_label = (
-        "path" if isinstance(init, DiscretePath)
-        else str(init) if init is not None else "0"
-    )
     init = 0 if init is None else init
+    seed_label = "path" if isinstance(init, DiscretePath) else str(init)
     if branch == "plus":
         path, arr, iters, stop_reason = _descend(
             model, seed_path(model, p, q, opts.N, init, rng), kappa, opts
@@ -429,7 +441,6 @@ def minimize_arrival(
         noether_dev=noether_dev,
         winding=winding(path),
         iters=iters,
-        converged=stop_reason == "grad_tol",
         branch=branch,
         seed=seed_label,
         stop_reason=stop_reason,

@@ -326,6 +326,8 @@ def test_model_file_L0_errors_exit_2(tmp_path, capsys, L0, message):
          "{f}: [problem] region needs 2 intervals, got 1"),
         ("p_y = 0 0", "p_y = 0 0%", "{f}: [endpoints] p_y must be a number, not '0%'"),
         ("spec = flat", "file = {missing}", "cannot read model definition '{missing}'"),
+        ("spec = flat", "spec = flat\nfile = {missing}",
+         "{f}: [model] has both spec and file; give one"),
         ("q_t = 0", "q_t = 0\nq_t = 1",
          "{f}: While reading from '{f}' [line 9]: "
          "option 'q_t' in section 'endpoints' already exists"),
@@ -338,6 +340,24 @@ def test_scenario_error_exits_2_with_one_line(tmp_path, capsys, old, new, messag
     out = os.path.join(tmp_path, "o")
     assert main(["solve", f, "--out", out]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {message.format(f=f, missing=missing)}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "kappa, message",
+    [
+        ("-0.5 -0.3",
+         "{f}: [problem] kappa: solve takes one kappa, not 2; use sweep for lists"),
+        ("", "{f}: [problem] kappa is empty"),
+    ],
+)
+def test_solve_kappa_count_exits_2_naming_the_key(tmp_path, capsys, kappa, message):
+    """solve takes one kappa: a list or an empty value exits 2 with one
+    line naming the file and the key, before any output is written."""
+    f = flat_scenario(tmp_path, kappa=kappa, segments=10)
+    out = os.path.join(tmp_path, "o")
+    assert main(["solve", f, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message.format(f=f)}\n"
     assert not os.path.exists(out)
 
 
