@@ -27,6 +27,13 @@ Outputs are plot-ready CSV (17-significant-digit decimals, comma
 delimited, mandatory header) plus structured-text records with path sidecar
 files.  Identical scenario and seed produce byte-identical CSV.
 
+Every command takes one pipeline.  It parses the scenario, then validates
+it: the sampled assumptions and each kappa's admissibility, written to
+validation.json.  Only `validate` prints the report; a failure ends every
+command with exit 3.  `solve` and `sweep` then solve each kappa in
+increasing order and write their table once, to its CSV file and, unless
+--quiet, the same text to stdout.
+
 Exit codes:
 
     0  success
@@ -84,7 +91,6 @@ from .errors import AdmissibilityError, ModelEvaluationError, ScenarioError
 from .models import (
     Point,
     StationaryModel,
-    ValidationReport,
     _check_samples,
     _numbers,
     _read,
@@ -249,13 +255,12 @@ def parse_scenario(
 # commands
 # ---------------------------------------------------------------------------
 
-def _emit(quiet, *lines):
-    if not quiet:
-        for line in lines:
-            print(line)
+def cmd_validate(scen: Scenario, quiet: bool) -> int:
+    """Check the model's sampled assumptions and each kappa's admissibility.
 
-
-def _run_validation(scen: Scenario) -> tuple[ValidationReport, list[str]]:
+    Writes validation.json, prints the report unless quiet, then prints each
+    failure on stderr and returns EXIT_VALIDATION if there was one.
+    """
     report = validate_assumptions(
         scen.model, scen.region, scen.samples, scen.opts.rng_seed
     )
@@ -273,30 +278,19 @@ def _run_validation(scen: Scenario) -> tuple[ValidationReport, list[str]]:
             require_admissible(kappa, report.kappa_admissible_bound)
         except AdmissibilityError as exc:
             problems.append(str(exc))
-    return report, problems
-
-
-def _write_validation(scen: Scenario, report: ValidationReport):
     os.makedirs(scen.out_dir, exist_ok=True)
-    out = os.path.join(scen.out_dir, "validation.json")
-    with open(out, "w") as fh:
+    with open(os.path.join(scen.out_dir, "validation.json"), "w") as fh:
         fh.write(_json_text(report.as_dict()))
-    return out
-
-
-def cmd_validate(scen: Scenario, quiet: bool) -> int:
-    report, problems = _run_validation(scen)
-    _write_validation(scen, report)
-    _emit(
-        quiet,
-        f"model            : {scen.model.name or '<custom>'} ({scen.model.topology})",
-        f"qk_check         : {report.qk_check}",
-        f"convexity_margin : {report.convexity_margin:.6g}",
-        f"growth_ok        : {report.growth_ok}",
-        f"supL0_at_zero    : {report.supL0_at_zero:.6g}",
-        f"kappa bound      : {report.kappa_admissible_bound:.6g}",
-        f"cone_samples     : {report.cone_samples}",
-    )
+    if not quiet:
+        print(
+            f"model            : {scen.model.name or '<custom>'} ({scen.model.topology})\n"
+            f"qk_check         : {report.qk_check}\n"
+            f"convexity_margin : {report.convexity_margin:.6g}\n"
+            f"growth_ok        : {report.growth_ok}\n"
+            f"supL0_at_zero    : {report.supL0_at_zero:.6g}\n"
+            f"kappa bound      : {report.kappa_admissible_bound:.6g}\n"
+            f"cone_samples     : {report.cone_samples}"
+        )
     for msg in problems:
         print(f"validation failure: {msg}", file=sys.stderr)
     return EXIT_VALIDATION if problems else EXIT_OK
@@ -325,28 +319,32 @@ def _summary_row(rec: SolutionRecord) -> list[str]:
     ]
 
 
-def _write_summary(filename: str, rows: list[list[str]], extra_header=()):
-    with open(filename, "w", newline="") as fh:
-        fh.write(",".join(list(extra_header) + list(_SUMMARY_COLUMNS)) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_table(scen: Scenario, quiet: bool, name: str, header, rows) -> None:
+    """Write a CSV table to the output directory, and the same text to
+    stdout unless quiet."""
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    with open(os.path.join(scen.out_dir, name), "w", newline="") as fh:
+        fh.write(text)
+    if not quiet:
+        sys.stdout.write(text)
 
 
-def _solve_one_kappa(scen: Scenario, kappa: float) -> list[SolutionRecord]:
-    records = multi_start(
-        scen.model, scen.p, scen.q, kappa, scen.seeds, scen.opts
-    )
-    return [r for r in records if r.converged]
+def _solved(scen: Scenario) -> list[tuple[float, list[SolutionRecord]]]:
+    """Each kappa of the scenario, in increasing order, with its converged
+    records."""
+    return [
+        (kappa, [
+            r for r in multi_start(scen.model, scen.p, scen.q, kappa, scen.seeds, scen.opts)
+            if r.converged
+        ])
+        for kappa in sorted(scen.kappas)
+    ]
 
 
 def cmd_solve(scen: Scenario, quiet: bool) -> int:
-    """Solve at the scenario's one kappa, which `main` has checked."""
-    code = cmd_validate(scen, quiet=True)
-    if code != EXIT_OK:
-        return code
-    kappa = scen.kappas[0]
-    records = _solve_one_kappa(scen, kappa)
-    os.makedirs(scen.out_dir, exist_ok=True)
+    """Solve at the scenario's one kappa; `main` has checked the count and
+    validated the scenario."""
+    [(_, records)] = _solved(scen)
     rows = []
     for i, rec in enumerate(records):
         path_file = f"path_{i:03d}.txt"
@@ -358,8 +356,7 @@ def cmd_solve(scen: Scenario, quiet: bool) -> int:
         with open(os.path.join(scen.out_dir, f"record_{i:03d}.json"), "w") as fh:
             fh.write(record_to_json(rec, path_file, geo_file))
         rows.append(_summary_row(rec))
-    _write_summary(os.path.join(scen.out_dir, "summary.csv"), rows)
-    _emit(quiet, ",".join(_SUMMARY_COLUMNS), *[",".join(r) for r in rows])
+    _write_table(scen, quiet, "summary.csv", _SUMMARY_COLUMNS, rows)
     if not records:
         print("no seed converged", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -367,25 +364,15 @@ def cmd_solve(scen: Scenario, quiet: bool) -> int:
 
 
 def cmd_sweep(scen: Scenario, quiet: bool) -> int:
-    code = cmd_validate(scen, quiet=True)
-    if code != EXIT_OK:
-        return code
-    os.makedirs(scen.out_dir, exist_ok=True)
-    rows = []
+    solved = _solved(scen)
+    rows = [[_fmt(kappa)] + _summary_row(rec) for kappa, records in solved for rec in records]
+    _write_table(scen, quiet, "sweep.csv", ("kappa",) + _SUMMARY_COLUMNS, rows)
     # The smallest arrival time of each winding class at each kappa.
     by_class: dict[tuple, dict[float, float]] = {}
-    any_converged = False
-    for kappa in sorted(scen.kappas):
-        records = _solve_one_kappa(scen, kappa)
-        any_converged = any_converged or bool(records)
+    for kappa, records in solved:
         for rec in records:
-            rows.append([_fmt(kappa)] + _summary_row(rec))
             best = by_class.setdefault((rec.branch, rec.winding), {})
             best[kappa] = min(rec.t_plus, best.get(kappa, math.inf))
-    _write_summary(
-        os.path.join(scen.out_dir, "sweep.csv"), rows, extra_header=("kappa",)
-    )
-    _emit(quiet, ",".join(("kappa",) + _SUMMARY_COLUMNS), *[",".join(r) for r in rows])
     # Larger kappa shrinks the discriminant, so arrival times must not grow.
     # Records of one class at one kappa are not compared with each other.
     for key, best in by_class.items():
@@ -397,7 +384,7 @@ def cmd_sweep(scen: Scenario, quiet: bool) -> int:
                     f"t({k1:g})={t1:.6g} > t({k0:g})={t0:.6g}",
                     file=sys.stderr,
                 )
-    if not any_converged:
+    if not rows:
         print("no seed converged for any kappa", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -428,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_COMMANDS = {"validate": cmd_validate, "solve": cmd_solve, "sweep": cmd_sweep}
+_COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep}
 
 
 # glibc's mallopt parameter numbers.  32 MiB is glibc's
@@ -494,6 +481,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{args.scenario}: [problem] kappa: solve takes one kappa, "
                 f"not {len(scen.kappas)}; use sweep for lists"
             )
+        code = cmd_validate(scen, quiet=args.quiet or args.command != "validate")
+        if code != EXIT_OK or args.command == "validate":
+            return code
         return _COMMANDS[args.command](scen, quiet=args.quiet)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

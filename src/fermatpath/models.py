@@ -492,10 +492,14 @@ def chart_partials_gap(model, y, nu, tau, E, *, omega, domega_dy, w):
 # ---------------------------------------------------------------------------
 
 def is_causal(model: StationaryModel, x: Point, v: TangentVector) -> bool:
-    """Membership in the causal cone tau >= omega + sqrt(omega^2 + 2 L0)."""
-    if not model.homogeneous:
+    """Membership in the causal cone tau >= omega + sqrt(omega^2 + 2 L0).
+
+    The cone needs a 2-homogeneous L: a 2-homogeneous fiber and a linear
+    charge (d = 0).  A model without both flags raises UnsupportedModelError.
+    """
+    if not (model.homogeneous and model.linear_charge):
         raise UnsupportedModelError(
-            "causal cone is only defined for 2-homogeneous fiber Lagrangians"
+            "causal cone needs a 2-homogeneous fiber and a linear charge"
         )
     y, nu = x.y[None, :], v.nu[None, :]
     om = float(model.omega(y, nu)[0])
@@ -520,9 +524,10 @@ def validate_assumptions(
     Estimates the fiberwise convexity margin (the smallest sampled monotonicity
     quotient of the convexified Lagrangian), the sup of L at zero velocity,
     the induced admissible bound on kappa, finiteness of values/partials, and
-    counts causal-cone consistency tests for 2-homogeneous models.  Values
-    that overflow or are undefined on the samples raise no warning: they
-    show as a nan convexity margin or a failed growth check.
+    counts causal-cone consistency tests when L is 2-homogeneous: both a
+    2-homogeneous fiber and a linear charge, as is_causal requires (0 for any
+    other model).  Values that overflow or are undefined on the samples raise
+    no warning: they show as a nan convexity margin or a failed growth check.
     """
     _check_samples(samples)
     region = [(float(lo), float(hi)) for lo, hi in region]
@@ -584,7 +589,7 @@ def validate_assumptions(
     qk_check = abs(q_k + 1.0) < 1e-12
 
     cone_samples = 0
-    if model.homogeneous:
+    if model.homogeneous and model.linear_charge:
         om = model.omega(y, nu1)
         l0 = model.L0(y, nu1)
         rad = np.maximum(om * om + 2.0 * l0, 0.0)

@@ -513,11 +513,22 @@ def test_env_var_default_out_dir(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_validate_flat_ok(tmp_path, capsys):
+    """validate prints exactly the seven report lines, and nothing on stderr."""
     f = flat_scenario(tmp_path)
     out = os.path.join(tmp_path, "out")
     assert main(["validate", f, "--out", out]) == EXIT_OK
     assert os.path.exists(os.path.join(out, "validation.json"))
-    assert "kappa bound" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "model            : flat (euclidean)\n"
+        "qk_check         : True\n"
+        "convexity_margin : 1\n"
+        "growth_ok        : True\n"
+        "supL0_at_zero    : 0\n"
+        "kappa bound      : 0\n"
+        "cone_samples     : 500\n"
+    )
+    assert captured.err == ""
 
 
 def test_validate_rejects_positive_kappa(tmp_path, capsys):
@@ -732,6 +743,20 @@ def test_solve_validation_gate(tmp_path):
     assert main(["solve", f, "--out", os.path.join(tmp_path, "o")]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_failed_validation_stops_the_command(tmp_path, capsys, command):
+    """Without --quiet, a failed validation prints no report and no table:
+    only its failure on stderr, and the output directory holds only
+    validation.json."""
+    f = flat_scenario(tmp_path, kappa="0.1", segments=10)
+    out = os.path.join(tmp_path, "out")
+    assert main([command, f, "--out", out]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation failure: kappa=0.1 exceeds admissible bound 0\n"
+    assert os.listdir(out) == ["validation.json"]
+
+
 def test_solve_cylinder_multiplicity(tmp_path):
     text = (
         "[model]\nspec = cylinder(1)\n"
@@ -926,6 +951,20 @@ def test_quiet_suppresses_stdout(tmp_path, capsys):
     f = flat_scenario(tmp_path)
     main(["solve", f, "--out", os.path.join(tmp_path, "o"), "--quiet"])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "command, kappa, table", [("solve", "0", "summary.csv"), ("sweep", "0 -0.5", "sweep.csv")]
+)
+def test_stdout_is_the_table_file(tmp_path, capsys, command, kappa, table):
+    """Without --quiet, solve and sweep print exactly the bytes of their CSV
+    table, and nothing on stderr."""
+    f = flat_scenario(tmp_path, kappa=kappa, segments=20)
+    out = os.path.join(tmp_path, "out")
+    assert main([command, f, "--out", out]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == read_file(out, table, mode="rb").decode()
+    assert captured.err == ""
 
 
 # ---------------------------------------------------------------------------

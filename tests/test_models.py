@@ -225,6 +225,10 @@ def test_is_causal_rejects_non_homogeneous():
     model = fp.load_custom_model(OFFSET_FIBER)
     with pytest.raises(fp.UnsupportedModelError):
         is_causal(model, fp.Point([0, 0], 0.0), vec([1, 0], 5.0))
+    # A homogeneous fiber with a charge offset: L = L0 + (omega + d) tau -
+    # tau^2 / 2 is not 2-homogeneous, so it has no cone (here L = 2 > 0).
+    with pytest.raises(fp.UnsupportedModelError):
+        is_causal(fp.get_model("affine(flat, 2.0)"), fp.Point([0, 0], 0.0), vec([1, 0], 1.0))
 
 
 def test_cone_consistency(builtin_model):
@@ -435,6 +439,16 @@ def test_validate_flat():
     assert rep.supL0_at_zero == 0.0
     assert rep.kappa_admissible_bound == 0.0
     assert rep.cone_samples == 500
+
+
+@pytest.mark.parametrize("spec", [
+    "affine(flat, 2.0)",
+    "affine(randers-rot(0.3), 2)",
+    "affine-field(flat, 0.1 y1 + 0.05 y2^2)",
+])
+def test_validate_counts_no_cone_samples_for_affine_models(spec):
+    rep = fp.validate_assumptions(fp.get_model(spec), [(-2, 2), (-2, 2)], 500, rng_seed=0)
+    assert rep.cone_samples == 0
 
 
 def test_validate_randers_margin_positive():
