@@ -60,7 +60,9 @@ a spatial part; and the H1 solve (two cumulative sums).  It returns the
 spatial representer u and the products whose sum is the squared dual norm.
 Only `arrival_gradient` lifts u to a tangent field
 (paths.lift_spatial_variation), which copies it once and shares that copy
-with the field; `criticality_residual` reads the norm alone.
+with the field; the field's t-part is formed when it is first read, which
+the descent never does (it reads u and the norm).  `criticality_residual`
+reads the norm alone.
 
 The kernels write into their own results: each intermediate is computed
 into an array the kernel has made (with `out=` or an in-place operator)
@@ -386,10 +388,10 @@ def _restricted_gradient(state, P, V, w, coeffs) -> tuple[np.ndarray, np.ndarray
     coordinates through the lift adjoint and preconditions with the
     tridiagonal H1 solve.  Returns (u, gu): u the spatial nodal
     representer, which paths.lift_spatial_variation lifts to a
-    constraint-tangent field, and the nodal products of the reduced
-    gradient with u, whose sum is the squared dual norm of the restricted
-    functional (`_dual_norm`).  `coeffs` is (A, B) of
-    linearized_charge_coeffs at the state.
+    constraint-tangent field whose t-part is formed on first read, and the
+    nodal products of the reduced gradient with u, whose sum is the squared
+    dual norm of the restricted functional (`_dual_norm`).  `coeffs` is
+    (A, B) of linearized_charge_coeffs at the state.
     """
     # The t-part of the nodal gradient, w_{i-1} - w_i, is needed only at the
     # interior nodes, where the lift adjoint reads it.
@@ -410,9 +412,9 @@ def arrival_gradient(model, path, kappa) -> FunctionalGradient:
     state, partials, coeffs = _arrival_form(model, path, kappa)
     u, gu = _restricted_gradient(state, *partials, coeffs)
     # gu is summed after the lift, so its (N, m) block is still held while
-    # the lift allocates.  Freed before, it lets glibc trim the heap top:
-    # an in-process fine-grid solve then took about 20k minor page faults
-    # instead of 12k.
+    # the lift allocates its copy of u.  Freed before, it lets glibc trim
+    # the heap top: a warmed in-process solve of the fine-grid problem took
+    # about 32k minor page faults instead of 12k (2-vCPU x86-64 host).
     field = lift_spatial_variation(model, state, u, coeffs)
     return FunctionalGradient(field, _dual_norm(gu))
 

@@ -915,13 +915,17 @@ def cylinder_model(radius: float) -> StationaryModel:
 
 
 def affine_model(base: StationaryModel, d_poly: Polynomial, name: str) -> StationaryModel:
-    """Wrap a base model with a position-dependent charge offset d(y), named `name`."""
+    """Wrap a base model with a position-dependent charge offset d(y), named `name`.
+
+    The charge stays linear when the base's is and d has no terms (a
+    Polynomial drops zero coefficients, so a zero offset has none).
+    """
     _require_nu_degree("d", d_poly, 0)
     return replace(
         base,
         d_offset=lambda y: d_poly(y),
         dd_dy=lambda y: d_poly.grad_eval("y", y),
-        linear_charge=False,
+        linear_charge=base.linear_charge and not d_poly.terms,
         name=name,
     )
 

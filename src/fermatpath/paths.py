@@ -10,12 +10,14 @@ term because nothing depends on t).  One cumulative construction
 (`_cumulative_nodes`) integrates a per-segment rate less its mean into
 nodes with pinned endpoints: `project_to_N` applies it to omega + d, and
 `tangent_split` and `lift_spatial_variation` to the negated linearized
-charge of a variation.  One per-segment pairing of a nodal field with
-per-segment coefficients (`segment_pairing`) gives both the linearized
-charge, as the pairing with the charge coefficients (A, B) of
-`linearized_charge_coeffs` and w = -1, and the integrand of a directional
-derivative.  The descent's gradient has the coefficients already, so
-`lift_spatial_variation` takes them; `tangent_split` evaluates them.
+charge of a variation; the lift forms its t-part only when the field's
+`t` is first read (`_LiftedField`), and the descent never reads it.  One
+per-segment pairing of a nodal field with per-segment coefficients
+(`segment_pairing`) gives both the linearized charge, as the pairing with
+the charge coefficients (A, B) of `linearized_charge_coeffs` and w = -1,
+and the integrand of a directional derivative.  The descent's gradient has
+the coefficients already, so `lift_spatial_variation` takes them;
+`tangent_split` evaluates them.
 
 Paths and fields are value-like records; every operation returns a new
 record.
@@ -427,6 +429,31 @@ def _symmetry_part(state, delta, coeffs) -> np.ndarray:
     return _cumulative_nodes(np.negative(h, out=h), 0.0, 0.0)
 
 
+class _LiftedField(TangentField):
+    """The field of lift_spatial_variation, whose t-part is formed on first read.
+
+    `y` is the lift's copy of the spatial variation.  `t` is tangent_split's
+    0.0 - mu of that variation, split as a spatial one with no t-part and
+    written over mu, computed once when it is first read; the state and
+    the charge coefficients it needs are held until then and dropped
+    after.  The descent reads only `y` (the projection rebuilds every
+    t-node), so its gradients never form the t-part.  Once the benchmark
+    stops tracing the lift, this class gives way to arrival_gradient
+    returning u and its norm.
+    """
+
+    def __init__(self, y, state, coeffs):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_split", (state, coeffs))
+
+    @functools.cached_property
+    def t(self) -> np.ndarray:
+        state, coeffs = self._split
+        mu = _symmetry_part(state, TangentField._own(self.y, None), coeffs)
+        object.__delattr__(self, "_split")
+        return np.subtract(0.0, mu, out=mu)
+
+
 def lift_spatial_variation(
     model: StationaryModel, path: DiscretePath, dy: np.ndarray, coeffs
 ) -> TangentField:
@@ -436,16 +463,16 @@ def lift_spatial_variation(
     interior spatial variation lifts to exactly one tangent field.  `coeffs`
     is (A, B) of linearized_charge_coeffs at this path, which the caller
     has already evaluated.  `dy` is copied once; the lifted field shares
-    that copy.  The variation is split as a spatial one, with no t-part,
-    and the field's t-part is tangent_split's 0.0 - mu, written over mu.
+    that copy.  The field's t-part, tangent_split's 0.0 - mu of the
+    variation split as a spatial one, is formed on its first read
+    (`_LiftedField`); the path is checked on the constraint here.
     """
     y = np.array(dy, dtype=float)
     y[0] = 0.0
     y[-1] = 0.0
     state = path_state(model, path)
     require_on_constraint(model, state)
-    mu = _symmetry_part(state, TangentField._own(y, None), coeffs)
-    return TangentField._own(y, np.subtract(0.0, mu, out=mu))
+    return _LiftedField(y, state, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ and constraint deviation), which the Armijo test reads through
 `arrival_times` and the next gradient reads through `arrival_gradient`.
 A candidate the line search rejects is dropped with its state; the
 derivatives of the accepted iterate live only inside one
-`arrival_gradient` call.  Records keep the plain path, not its state.
+`arrival_gradient` call.  Of a gradient the descent holds only the spatial
+representer u and the norm: the projection rebuilds every t-node, so the
+t-part of the lifted field is never formed (paths.lift_spatial_variation
+forms it on first read).  Records keep the plain path, not its state.
 A line-search trial (`_trial`) forms its y-nodes path.y - step * u in one
 new array and checks them finite once.  The trial path owns that array
 and shares the iterate's t-nodes, of which the projection reads only the
@@ -346,15 +349,20 @@ def _descend(model, path, kappa, opts):
     trial = FIRST_STEP
     stagnant = 0
     for iters in range(1, opts.max_iters + 1):
+        # Only the spatial representer and the norm are read: the field's
+        # t-part is never formed, and dropping the gradient releases what
+        # forming it would need before the line search.
         grad = arrival_gradient(model, path, kappa)
-        if grad.norm <= opts.grad_tol:
-            return _stopped(path, arr, iters - 1, "grad_tol", grad.norm)
-        slope = grad.norm * grad.norm
+        u, norm = grad.field.y, grad.norm
+        del grad
+        if norm <= opts.grad_tol:
+            return _stopped(path, arr, iters - 1, "grad_tol", norm)
+        slope = norm * norm
         step = trial
         for _ in range(60):
             # A rejected trial's state ends before the next trial is built.
             cand = arr_new = None
-            cand = _trial(model, path, grad.field.y, step)
+            cand = _trial(model, path, u, step)
             try:
                 arr_new = arrival_times(model, cand, kappa)
             except AdmissibilityError:
@@ -367,15 +375,15 @@ def _descend(model, path, kappa, opts):
                 break
             step *= STEP_SHRINK
         else:
-            return _stopped(path, arr, iters, "line_search_stall", grad.norm)
+            return _stopped(path, arr, iters, "line_search_stall", norm)
         # Stop once accepted steps no longer move the objective at double
         # precision; further iterations cannot make progress.
         stagnant = stagnant + 1 if f_val - f_new <= 1e-16 * (1.0 + abs(f_val)) else 0
         path, arr, f_val = cand, arr_new, f_new
         trial = min(FIRST_STEP, step / STEP_SHRINK)
         if stagnant >= 50:
-            return _stopped(path, arr, iters, "stagnant", grad.norm)
-    return _stopped(path, arr, iters, "max_iters", grad.norm)
+            return _stopped(path, arr, iters, "stagnant", norm)
+    return _stopped(path, arr, iters, "max_iters", norm)
 
 
 def minimize_arrival(

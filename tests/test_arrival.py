@@ -254,6 +254,23 @@ def test_gradient_field_is_tangent_and_consistent():
     assert val == pytest.approx(g.norm**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", ["randers-rot(0.3)", "affine-field(flat, 0.3 y1)"])
+def test_gradient_field_reads_as_an_eager_field(spec):
+    """The gradient's field forms its t-part once, on first read, and feeds
+    dt_plus and tangent_split the bits of an eager field with its parts."""
+    model = fp.get_model(spec)
+    p, q = endpoints_for(model)
+    z = smooth_path(model, p, q, 50, np.random.default_rng(28))
+    field = arrival_gradient(model, z, -0.5).field
+    assert field.t is field.t
+    eager = TangentField(field.y, field.t)
+    lazy_dt, eager_dt = (dt_plus(model, z, -0.5, f) for f in (field, eager))
+    assert np.float64(lazy_dt).tobytes() == np.float64(eager_dt).tobytes()
+    (xi, mu), (xi_e, mu_e) = (tangent_split(model, z, f) for f in (field, eager))
+    for got, want in ((xi.y, xi_e.y), (xi.t, xi_e.t), (mu, mu_e)):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 1000])
 @pytest.mark.parametrize("cols", [None, 2])
 def test_h1_solve_matches_dense_solve(n, cols):

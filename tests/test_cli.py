@@ -531,6 +531,22 @@ def test_validate_flat_ok(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "spec, cones",
+    [("affine(flat, 0.0)", 500), ("affine(flat, 2.0)", 0), ("affine-field(flat, 0.1 y1)", 0)],
+)
+def test_validate_counts_cone_samples_only_for_a_linear_charge(tmp_path, capsys, spec, cones):
+    """A zero offset leaves the charge linear, so affine(flat, 0.0) samples
+    flat's cone; a nonzero offset has no cone to sample."""
+    text = FLAT_SCENARIO.format(kappa="0", segments=100).replace(
+        "spec = flat", f"spec = {spec}"
+    )
+    out = os.path.join(tmp_path, "out")
+    assert main(["validate", write_scenario(tmp_path, text), "--out", out]) == EXIT_OK
+    assert f"cone_samples     : {cones}\n" in capsys.readouterr().out
+    assert json.loads(read_file(out, "validation.json"))["cone_samples"] == cones
+
+
 def test_validate_rejects_positive_kappa(tmp_path, capsys):
     f = flat_scenario(tmp_path, kappa="0.1")
     out = os.path.join(tmp_path, "out")

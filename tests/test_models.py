@@ -451,6 +451,25 @@ def test_validate_counts_no_cone_samples_for_affine_models(spec):
     assert rep.cone_samples == 0
 
 
+@pytest.mark.parametrize("base", ["flat", "randers-rot(0.3)"])
+def test_zero_offset_affine_model_keeps_the_cone(base):
+    """affine(base, 0) has no offset terms, so its charge stays linear: it
+    samples the base's cone and shares the base's causal verdicts."""
+    model, zero = fp.get_model(base), fp.get_model(f"affine({base}, 0)")
+    assert zero.linear_charge
+    region = [(-2, 2), (-2, 2)]
+    assert (
+        fp.validate_assumptions(zero, region, 500, rng_seed=0).cone_samples
+        == fp.validate_assumptions(model, region, 500, rng_seed=0).cone_samples
+        == 500
+    )
+    for tau in (0.5, 1.0, 2.0):
+        v = vec([1, 0], tau)
+        assert is_causal(zero, ORIGIN, v) == is_causal(model, ORIGIN, v)
+    nodes = np.array([[0.0, 0.0], [1.0, 0.5]])
+    assert fp.randers_arrival(zero, nodes) == fp.randers_arrival(model, nodes)
+
+
 def test_validate_randers_margin_positive():
     rep = fp.validate_assumptions(RANDERS, [(-2, 2), (-2, 2)], 500, rng_seed=1)
     assert rep.convexity_margin > 0.0

@@ -16,7 +16,7 @@ from fermatpath.arrival import arrival_gradient
 from fermatpath.paths import path_state, winding
 from fermatpath.solve import DUPLICATE_TOL, conservation_check, el_residual, seed_path
 
-from conftest import smooth_path
+from conftest import endpoints_for, smooth_path
 
 
 FLAT = fp.get_model("flat")
@@ -444,6 +444,34 @@ def test_stop_reason_names_the_stop(caplog, options, reason):
     assert len(caplog.records) == (0 if rec.converged else 1)
     assert "stop_reason" not in rec.as_dict()
     assert "stop_reason" not in solve.record_to_json(rec)
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("spec", ["randers-rot(0.3)", "cylinder(1)"])
+def test_descent_forms_no_t_part(monkeypatch, spec, branch):
+    """The descent reads only the spatial part of each gradient: with the
+    symmetry part refused, every record keeps its bits."""
+    model = fp.get_model(spec)
+    p, q = endpoints_for(model)
+    seeds = [-1, 0, 1] if model.periods else [0, "random"]
+    opts = fp.SolverOptions(N=40)
+
+    def run():
+        records = fp.multi_start(model, p, q, -0.5, seeds, opts, branch=branch)
+        assert records and all(r.converged for r in records)
+        return [(repr(r.as_dict()), r.z_star.y.tobytes(), r.z_star.t.tobytes())
+                for r in records]
+
+    expected = run()
+
+    def refuse(*args):
+        raise AssertionError("a t-part was formed")
+
+    monkeypatch.setattr(paths, "_symmetry_part", refuse)
+    assert run() == expected
+    z = fp.project_to_N(model, fp.straight_path(p, q, 10))
+    with pytest.raises(AssertionError, match="t-part"):
+        paths.tangent_split(model, z, paths.TangentField(np.ones((11, 2)), np.ones(11)))
 
 
 def test_affine_zero_offset_matches_base():
