@@ -80,8 +80,15 @@ This keeps the fine-grid heap steady: fewer (N, m) temporaries are made
 and freed per gradient.
 
 The row scalings of `_assemble_y`, the row dots of paths.segment_pairing
-and the column sum of `_h1_solve` (`_column_sum`) are the row-wise kernels
-of models (see the row-wise kernels section there).
+and the scans of `_h1_solve` (`_column_cumsum`, and `_column_sum` through
+it) are the row-wise kernels of models (see the row-wise kernels section
+there).  A scan down a C-contiguous (N, 2) float64 array of
+models._COLUMN_LOOP_MIN_ROWS rows or more runs as a scan of one complex128
+column.  Complex addition is two independent IEEE additions, one per
+component, and a scan adds its rows in order, so each column keeps the bits
+of cumsum(axis=0), signed zeros included.  At N = 5e4 the complex scan
+takes 206 us against 397 us; at 200 rows it is the slower (5.4 against
+4.9 us), and the two cross near 400 rows.
 """
 from __future__ import annotations
 
@@ -335,21 +342,41 @@ def _lift_adjoint(path, g_int, coeffs):
     return _assemble_y(path, a, b, G)
 
 
+def _column_cumsum(x, out) -> np.ndarray:
+    """x.cumsum(axis=0, out=out), bit for bit; a row-wise kernel (see the
+    section in models).
+
+    A C-contiguous (k, 2) float64 x and `out` of models._COLUMN_LOOP_MIN_ROWS
+    rows or more are viewed as one complex128 column, and that column is
+    scanned.  A complex sum is one IEEE addition per component and a scan
+    adds its rows one by one, so each column gets the bits of its own scan,
+    signed zeros included.  The complex scan takes about half the time
+    (206 against 397 us at k = 5e4); the two cross near 400 rows.  Every
+    other shape calls the scan itself.
+    """
+    if (x.ndim == 2 and x.shape[1] == 2 and x.shape[0] >= _COLUMN_LOOP_MIN_ROWS
+            and x.dtype == out.dtype == np.float64
+            and x.flags.c_contiguous and out.flags.c_contiguous):
+        x.view(np.complex128).cumsum(axis=0, out=out.view(np.complex128))
+        return out
+    return x.cumsum(axis=0, out=out)
+
+
 def _column_sum(G, scratch) -> np.ndarray:
     """np.add.reduce(G, axis=0) as a new array, bit for bit, for (N,) or
     (N, m) G; a row-wise kernel (see the section in models).
 
     For m >= 2 the reduce adds the rows one by one to +0.0; a cumulative
-    sum down the columns, written into `scratch` (G's shape), adds them one
-    by one too, and its last row is the sum.  It starts from the first row
-    instead of +0.0, which differs only on a column of -0.0 alone: adding
-    +0.0 turns that sum into the reduce's +0.0 and leaves every other sum
-    as it is.  For m = 1 and for (N,) G, and on fewer than
-    models._COLUMN_LOOP_MIN_ROWS rows, the reduce is called.
+    sum down the columns (`_column_cumsum`, written into `scratch` of G's
+    shape) adds them one by one too, and its last row is the sum.  It
+    starts from the first row instead of +0.0, which differs only on a
+    column of -0.0 alone: adding +0.0 turns that sum into the reduce's +0.0
+    and leaves every other sum as it is.  For m = 1 and for (N,) G, and on
+    fewer than models._COLUMN_LOOP_MIN_ROWS rows, the reduce is called.
     """
     if G.ndim == 1 or G.shape[1] == 1 or G.shape[0] < _COLUMN_LOOP_MIN_ROWS:
         return np.add.reduce(G, axis=0)
-    G.cumsum(axis=0, out=scratch)
+    _column_cumsum(G, scratch)
     return np.add(scratch[-1], 0.0)
 
 
@@ -361,11 +388,17 @@ def _h1_solve(path, g_red):
     G_i = sum_{k<i} g_k over interior rows (G_1 = 0).  The boundary
     condition sum_i d_i = u_n - u_0 = 0 fixes d_1 = mean(G) / n, hence
     d_i = (mean(G) - G_i) / n and u = cumsum(d): two cumulative sums, O(n).
+
+    The two cumulative sums and the column sum of mean(G) are scans down
+    (N, m) arrays, run by `_column_cumsum`: for m = 2 from
+    models._COLUMN_LOOP_MIN_ROWS rows on, each scans both columns at once
+    as one complex column, with the bits of the plain scan, in about half
+    its time.
     """
     n = path.segments
     G = np.empty((n,) + g_red.shape[1:])
     G[0] = 0.0
-    g_red[1:n].cumsum(axis=0, out=G[1:])
+    _column_cumsum(g_red[1:n], G[1:])
     # Rows 1..n of u are the scratch of the column sum before they take
     # the solution (u_n = 0); (mean(G) - G_i) / n is written over the G_i
     # it replaces, then summed into u.
@@ -377,7 +410,7 @@ def _h1_solve(path, g_red):
     d = G[:-1]
     np.subtract(mean, d, out=d)
     d /= n
-    d.cumsum(axis=0, out=u[1:n])
+    _column_cumsum(d, u[1:n])
     return u
 
 

@@ -306,13 +306,21 @@ def time_reversed(model: StationaryModel) -> StationaryModel:
 # On an (N, m) C-ordered array, numpy runs a row scaling s[:, None] * X, an
 # einsum row dot and an axis-0 reduce as N inner loops of m elements each.
 # The row-wise kernels run down whole columns instead, with the bits of the
-# plain expressions: `_row_scale`, `_row_dot` and arrival._column_sum (the
-# column sum of arrival._h1_solve).  Two cases keep numpy's own form,
-# because the columns would sum in another order: a row dot of m >= 3
-# columns is einsum's, and the column sum of m = 1 column is numpy's
-# pairwise reduce.  On fewer rows than this, one ufunc call per column costs
-# more than numpy's row loops (measured crossover 300-400 rows at m = 2), so
-# all three evaluate the plain expression.
+# plain expressions: `_row_scale`, `_row_dot`, and arrival._column_cumsum
+# and arrival._column_sum (the scans and the column sum of
+# arrival._h1_solve).  numpy scans an (N, 2) array one element at a time;
+# arrival._column_cumsum views a C-ordered (N, 2) float64 array as one
+# complex128 column and scans that.  Complex addition is two independent
+# IEEE additions, one per component, and a scan adds its rows in order, so
+# each column keeps the bits of cumsum(axis=0), signed zeros included, in
+# about half the time (206 against 397 us at N = 5e4).  Two cases keep
+# numpy's own form, because the columns would sum in another order: a row
+# dot of m >= 3 columns is einsum's, and the column sum of m = 1 column is
+# numpy's pairwise reduce.  On fewer rows than this, one ufunc call per
+# column costs more than numpy's row loops (measured crossover 300-400 rows
+# at m = 2), and the complex scan more than the plain one (crossover about
+# 400 rows; 5.4 against 4.9 us at 200), so all four evaluate the plain
+# expression.
 _COLUMN_LOOP_MIN_ROWS = 400
 
 
@@ -884,7 +892,11 @@ def randers_rot_model(b: float) -> StationaryModel:
         return b * (-y[:, 1] * nu[:, 0] + y[:, 0] * nu[:, 1])
 
     def domega_dy(y, nu):
-        return b * np.stack([nu[:, 1], -nu[:, 0]], axis=1)
+        # b * [nu2, -nu1], one column product each; (-b) * nu1 is b * (-nu1).
+        out = np.empty(nu.shape)
+        np.multiply(nu[:, 1], b, out=out[:, 0])
+        np.multiply(nu[:, 0], -b, out=out[:, 1])
+        return out
 
     def omega_w(y):
         # omega on the basis vectors without its products by 1.0, which are

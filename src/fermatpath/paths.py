@@ -513,7 +513,11 @@ def straight_path(
             if per and k:
                 disp = disp.copy()
                 disp[j] += k * per
-    y = p.y[None, :] + s[:, None] * disp[None, :]
+    # p.y + s * disp, one multiply-add per column
+    y = np.empty((n_segments + 1, disp.size))
+    for j in range(disp.size):
+        np.multiply(s, disp[j], out=y[:, j])
+        y[:, j] += p.y[j]
     t = p.t + s * (q.t - p.t)
     return DiscretePath(y, t, periods)
 

@@ -201,6 +201,14 @@ def el_residual(model: StationaryModel, geodesic: DiscretePath) -> float:
     geodesic's state (paths.path_state): a state of `model` is read as it
     is, a plain path is evaluated once.  dL/dx has no tau component, so it
     is subtracted from the spatial columns alone.
+
+    The residual's spatial columns and its tau column are kept apart.  A
+    row of fewer than 8 entries is summed left to right by
+    np.linalg.norm(res, axis=1) (numpy 2.4), so the squared columns are
+    added in that order, tau last, and the square root is taken of the
+    largest sum alone: sqrt is correctly rounded, hence monotone, so that is
+    the largest norm, bit for bit.  Rows of 8 entries or more, which numpy
+    sums pairwise, are joined and passed to np.linalg.norm.
     """
     n = geodesic.segments
     if n == 1:
@@ -208,13 +216,22 @@ def el_residual(model: StationaryModel, geodesic: DiscretePath) -> float:
     state = path_state(model, geodesic)
     vel_y, vel_t = state.vel_y, state.vel_t
     _, V, w = chart_partials(model, state.mid_y, vel_y, vel_t, "L", omega=state.omega)
-    dv = np.concatenate([V, w[:, None]], axis=1)
     avg_vy = 0.5 * (vel_y[:-1] + vel_y[1:])
     avg_vt = 0.5 * (vel_t[:-1] + vel_t[1:])
     P_node, _, _ = chart_partials(model, geodesic.y[1:n], avg_vy, avg_vt, "L")
-    res = n * (dv[1:] - dv[:-1])
-    res[:, :-1] -= P_node
-    return float(np.max(np.linalg.norm(res, axis=1)))
+    res = np.subtract(V[1:], V[:-1])
+    res *= n
+    res -= P_node
+    res_t = np.subtract(w[1:], w[:-1])
+    res_t *= n
+    if res.shape[1] + 1 >= 8:
+        return float(np.max(np.linalg.norm(np.column_stack([res, res_t]), axis=1)))
+    sq = np.empty(n - 1)
+    total = np.multiply(res[:, 0], res[:, 0])
+    for j in range(1, res.shape[1]):
+        total += np.multiply(res[:, j], res[:, j], out=sq)
+    total += np.multiply(res_t, res_t, out=sq)
+    return float(np.sqrt(np.max(total)))
 
 
 def conservation_check(model: StationaryModel, geodesic: DiscretePath, kappa: float):
@@ -239,10 +256,12 @@ def _perturbed_path(p, q, n, periods, rng):
     base = straight_path(p, q, n, periods)
     amp = 0.25 * (float(np.linalg.norm(q.y - p.y)) or 1.0)
     s = np.arange(n + 1) / n
+    modes = [np.sin(k * np.pi * s) for k in range(1, 4)]
+    bump = np.empty(n + 1)
     y = base.y.copy()
     for j in range(y.shape[1]):
-        for k in range(1, 4):
-            y[:, j] += amp / k * rng.standard_normal() * np.sin(k * np.pi * s)
+        for k, mode in enumerate(modes, 1):
+            y[:, j] += np.multiply(amp / k * rng.standard_normal(), mode, out=bump)
     return DiscretePath(y, base.t, periods)
 
 

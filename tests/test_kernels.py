@@ -25,6 +25,7 @@ import pytest
 import fermatpath as fp
 from fermatpath.arrival import (
     _assemble_y,
+    _column_cumsum,
     _column_sum,
     _dual_norm,
     _h1_solve,
@@ -543,13 +544,28 @@ def check_el_residual_matches_reference(model, path, kappa):
     assert bits(solve.el_residual(model, path_state(model, geodesic))) == expected
 
 
-@pytest.mark.parametrize("spec", KERNEL_SPECS + ["flat(3)"])
+# flat(7) has residual rows of 8 entries, which take the np.linalg.norm
+# fallback.
+@pytest.mark.parametrize("spec", KERNEL_SPECS + ["flat(3)", "flat(7)"])
 @pytest.mark.parametrize("n", [1, 2, 3, 200])
 def test_el_residual_matches_the_expression(spec, n):
     model = model_for(spec)
     y, t = random_nodes(model, n, np.random.default_rng(31 * n + 1))
     proj = fp.project_to_N(model, fp.DiscretePath(y, t, model.periods))
     check_el_residual_matches_reference(model, proj, -3.5 if spec == "potential" else -0.5)
+
+
+@pytest.mark.parametrize("spec", ["flat(7)", "flat(8)"])
+def test_el_residual_of_wide_rows_matches_the_expression(spec):
+    """Two segments have one residual row, so el_residual is its norm.  Rows
+    of 8 and 9 entries, which numpy sums pairwise, give the bits of
+    np.linalg.norm on every one of these paths; a sum left to right
+    differs from it on some of them."""
+    model = model_for(spec)
+    for seed in range(24):
+        y, t = random_nodes(model, 2, np.random.default_rng(seed))
+        proj = fp.project_to_N(model, fp.DiscretePath(y, t, model.periods))
+        check_el_residual_matches_reference(model, proj, -0.5)
 
 
 def test_el_residual_matches_the_expression_fine_grid():
@@ -623,6 +639,117 @@ else:
     @pytest.mark.skip(reason="needs hypothesis")
     def test_row_helpers_match_expressions():
         pass
+
+
+# The complex-column scan at the rows where it starts, and at the fine grid.
+SCAN_ROWS = [1, 2, _COLUMN_LOOP_MIN_ROWS - 1, _COLUMN_LOOP_MIN_ROWS,
+             _COLUMN_LOOP_MIN_ROWS + 1, 50_000]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("rows", SCAN_ROWS)
+def test_column_cumsum_matches_cumsum(rows, m):
+    """_column_cumsum writes the bits of x.cumsum(axis=0) into `out` and
+    returns it, for (rows, m) and (rows,) x; at m = 2 the column sum,
+    which scans through it, keeps the bits of np.add.reduce(G, axis=0)."""
+    rng = np.random.default_rng(7 * rows + m)
+    fields = row_fields(rng, (rows, m))
+    for x in fields + [X[:, 0].copy() for X in fields]:
+        out = np.empty(x.shape)
+        assert _column_cumsum(x, out) is out
+        assert bits(out) == bits(x.cumsum(axis=0))
+        assert bits(_column_sum(x, np.empty(x.shape))) == bits(np.add.reduce(x, axis=0))
+
+
+@pytest.mark.parametrize("rows", [_COLUMN_LOOP_MIN_ROWS, 1000])
+def test_column_cumsum_of_strided_arrays_is_the_plain_scan(rows):
+    """A row slice, a column slice and F-ordered arrays, as input or as
+    output, are not one complex column: the kernel falls back to the plain
+    scan and keeps its bits."""
+    rng = np.random.default_rng(rows)
+    for x in row_fields(rng, (2 * rows, 3)):
+        for given in [x[::2, :2], x[:rows, :2], np.asfortranarray(x[::2, :2])]:
+            expected = bits(given.cumsum(axis=0))
+            for out in [np.empty((rows, 2)), np.empty((2 * rows, 2))[::2],
+                        np.empty((rows, 2), order="F")]:
+                assert bits(_column_cumsum(given, out)) == expected
+
+
+# ---------------------------------------------------------------------------
+# seeding and model expressions against the forms they replace
+# ---------------------------------------------------------------------------
+
+def ref_straight_path(p, q, n, periods, extra_wraps=None):
+    s = np.arange(n + 1) / n
+    disp = q.y - p.y
+    if extra_wraps is not None and periods:
+        disp = disp.copy()
+        for j, (k, per) in enumerate(zip(extra_wraps, periods)):
+            if per and k:
+                disp[j] += k * per
+    y = p.y[None, :] + s[:, None] * disp[None, :]
+    return y, p.t + s * (q.t - p.t)
+
+
+def ref_perturbed_path(p, q, n, periods, rng):
+    y, t = ref_straight_path(p, q, n, periods)
+    amp = 0.25 * (float(np.linalg.norm(q.y - p.y)) or 1.0)
+    s = np.arange(n + 1) / n
+    for j in range(y.shape[1]):
+        for k in range(1, 4):
+            y[:, j] += amp / k * rng.standard_normal() * np.sin(k * np.pi * s)
+    return y, t
+
+
+def ref_randers_rot_domega_dy(b, nu):
+    return b * np.stack([nu[:, 1], -nu[:, 0]], axis=1)
+
+
+def seeding_cases():
+    """Endpoint pairs on the plane, the cylinder and in three dimensions,
+    with zeros of both signs, and one pair without spatial displacement."""
+    plane = {
+        "generic": (fp.Point([0.1, 0.1], 0.0), fp.Point([1.1, 0.8], 0.2)),
+        "signed-zeros": (fp.Point([-0.0, 0.3], -0.0), fp.Point([0.0, -1.7], 0.5)),
+        "no-displacement": (fp.Point([0.2, -0.0], 0.1), fp.Point([0.2, -0.0], -0.3)),
+    }
+    cases = [
+        pytest.param(spec, p, q, id=f"{spec}-{name}")
+        for spec in ("flat", "cylinder(1)") for name, (p, q) in plane.items()
+    ]
+    three = (fp.Point([0.1, -0.0, 2.5], 0.0), fp.Point([-3.0, 0.0, 2.5e-9], 1.0))
+    return cases + [pytest.param("flat(3)", *three, id="flat(3)-signed-zeros")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 200, 1000])
+@pytest.mark.parametrize("spec, p, q", seeding_cases())
+def test_seed_paths_match_the_expressions(spec, p, q, n):
+    """straight_path, with and without extra wraps, and _perturbed_path,
+    with the same generator state, have the bits of the broadcast
+    expressions, and the perturbed path draws as many normals."""
+    periods = fp.get_model(spec).periods
+    m = p.y.size
+    for wraps in [None, [0] * m, [0, 2] + [0] * (m - 2), [0, -1] + [0] * (m - 2)]:
+        path = paths.straight_path(p, q, n, periods, wraps)
+        assert bits(path.y, path.t) == bits(*ref_straight_path(p, q, n, periods, wraps))
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    path = solve._perturbed_path(p, q, n, periods, rng)
+    assert bits(path.y, path.t) == bits(*ref_perturbed_path(p, q, n, periods, ref_rng))
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("b", ["0.3", "-1.25", "0", "-0"])
+def test_randers_rot_domega_dy_matches_the_expression(b):
+    """The column products of randers-rot's domega_dy have the bits of
+    b * stack([nu2, -nu1]), and its time reversal those of the negation."""
+    model = fp.get_model(f"randers-rot({b})")
+    reversed_model = time_reversed(model)
+    rng = np.random.default_rng(3)
+    for nu in row_fields(rng, (500, 2)):
+        y = rng.standard_normal(nu.shape)
+        expected = ref_randers_rot_domega_dy(float(b), nu)
+        assert bits(model.domega_dy(y, nu)) == bits(expected)
+        assert bits(reversed_model.domega_dy(y, nu)) == bits(-expected)
 
 
 # ---------------------------------------------------------------------------
