@@ -56,7 +56,10 @@ dd_dy again.
 Per gradient, `_restricted_gradient` does this work and no more: the
 spatial nodal assembly of the partials; the lift adjoint, which reads the
 t-part of the nodal gradient at the interior nodes only and assembles only
-a spatial part; and the H1 solve (two cumulative sums).  It returns the
+a spatial part; and the H1 solve (two cumulative sums).  For a static model
+(models.StationaryModel.static: no omega, d constant) the lift adjoint is
+an array of +0.0, so it is neither formed nor read: +0.0 is added in its
+place, with the same bits.  It returns the
 spatial representer u and the products whose sum is the squared dual norm.
 Only `arrival_gradient` lifts u to a tangent field
 (paths.lift_spatial_variation), which copies it once and shares that copy
@@ -425,11 +428,26 @@ def _restricted_gradient(state, P, V, w, coeffs) -> tuple[np.ndarray, np.ndarray
     nodal products of the reduced gradient with u, whose sum is the squared
     dual norm of the restricted functional (`_dual_norm`).  `coeffs` is
     (A, B) of linearized_charge_coeffs at the state.
+
+    The model of a static state has A = B = +0.0, and adding its lift
+    adjoint is adding +0.0, bit for bit, for every finite G of
+    `_lift_adjoint`.  The adjoint's endpoint rows are +0.0, and an interior
+    entry is (G_{i-1} A + G_i A) / (2n) + (G_{i-1} B - G_i B).  A sum of two
+    zeros is -0.0 only when both are.  The first term is -0.0 only when
+    G_i * 0.0 is -0.0, that is when G_i carries the sign bit (negative or
+    -0.0); the second only when G_i * 0.0 is +0.0.  The two exclude each
+    other, so the adjoint is a +0.0 array; the same holds for A = B = -0.0.
+    G is finite, since a valid branch has S > 0.  So a static state adds
+    0.0 instead, which turns a -0.0 of the assembly into +0.0 as adding the
+    adjoint does.
     """
-    # The t-part of the nodal gradient, w_{i-1} - w_i, is needed only at the
-    # interior nodes, where the lift adjoint reads it.
     g_red = _assemble_y(state, P, V)
-    g_red += _lift_adjoint(state, np.subtract(w[:-1], w[1:]), coeffs)
+    if state.model.static:
+        g_red += 0.0
+    else:
+        # The t-part of the nodal gradient, w_{i-1} - w_i, is needed only at
+        # the interior nodes, where the lift adjoint reads it.
+        g_red += _lift_adjoint(state, np.subtract(w[:-1], w[1:]), coeffs)
     u = _h1_solve(state, g_red)
     g_red *= u  # g_red is needed past the solve only for the norm
     return u, g_red

@@ -90,8 +90,21 @@ class StationaryModel:
     E0 = L0 and enables the action = energy shortcut.  `linear_charge` is
     true when the offset d vanishes identically; operations restricted to
     2-homogeneous Lagrangians (causal cone, optical arrival length) require
-    both flags.  `periods` lists per-coordinate identification periods of
-    the slice (0 = aperiodic); None means a plain euclidean slice.
+    both flags.  `static` is true when omega vanishes identically and d is
+    constant, so the charge omega + d - tau does not see the spatial nodes:
+    its linearized coefficients A = d(omega + d)/dy and B (omega's) are
+    +0.0 arrays, and arrival._restricted_gradient skips the lift adjoint.
+    `build_model` sets it when omega and d are both absent, `affine_model`
+    keeps it for an offset with no y-dependent term; like `linear_charge`
+    it is derived from the model, never given, and a `replace` that gives a
+    model an omega or a y-dependent d must clear it.  `periods` lists
+    per-coordinate identification periods of the slice (0 = aperiodic);
+    None means a plain euclidean slice.
+
+    An evaluator's result may share memory with its input (flat fibers
+    return nu itself from dL0_dnu), and no kernel writes it: every caller
+    reads an evaluator's result, or writes the sum or product it forms
+    into an array of its own.
     """
 
     dim: int
@@ -108,6 +121,7 @@ class StationaryModel:
     homogeneous: bool = False
     periods: Optional[tuple[float, ...]] = None
     linear_charge: bool = True
+    static: bool = False
     name: str = ""
 
     @property
@@ -221,7 +235,8 @@ def build_model(
     derivative that is given is used as given, and each that is absent is
     the central difference of its function (`_central_diff`).  Absent
     omega coefficients `omega_w` are omega evaluated on the basis vectors
-    (`_basis_coeffs`), which is exact for an omega linear in nu.  The E0
+    (`_basis_coeffs`), which is exact for an omega linear in nu.  A model
+    with neither omega nor d is `static`.  The E0
     partials of a 2-homogeneous fiber are dL0_dy and dL0_dnu themselves,
     since E0 = L0 there; given `dE0_dy`/`dE0_dnu` are then not used.  A
     slice dimension below 1, and a period that is negative or not finite,
@@ -231,6 +246,7 @@ def build_model(
     for p in () if periods is None else periods:
         _check_period(float(p))
     linear = d_offset is None
+    static = linear and omega is None
     if omega is None:
         omega = _zeros
         domega_dy = _zeros_grad
@@ -270,6 +286,7 @@ def build_model(
         homogeneous=bool(homogeneous),
         periods=tuple(float(p) for p in periods) if periods is not None else None,
         linear_charge=linear,
+        static=static,
         name=name,
     )
     return model
@@ -284,8 +301,9 @@ def time_reversed(model: StationaryModel) -> StationaryModel:
     reflection (t -> 0.0 - t) under this model.  The evaluators of omega,
     its y-partials and coefficients, d and its y-partials return the
     negated values, which is exact; identically zero ones are kept as they
-    are.  L0, the E0 partials, the flags, the periods and the name are
-    kept, so errors read as those of `model`.
+    are, so a static model stays static with A = B = +0.0.  L0, the E0
+    partials, the flags, the periods and the name are kept, so errors read
+    as those of `model`.
     """
 
     def negated(f):
@@ -439,9 +457,10 @@ def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, 
     directly.  Values already evaluated at (y, nu) may be passed and are used
     as given: `omega` = omega(y, nu), `domega_dy` = domega_dy(y, nu) and
     `w` = omega_coeffs(y), the coefficients `build_model` settled.  Every
-    returned array is the call's own.  Each sum is written over one of its
-    own terms, with the operations of the formula in its order, so the bits
-    are those of the formula.  tau scales the rows of an (n, m) partial
+    returned array is the call's own, but for the P of kind "D", which is
+    dd_dy's result as the model returns it.  Each sum is written over one
+    of its own terms, with the operations of the formula in its order, so
+    the bits are those of the formula.  tau scales the rows of an (n, m) partial
     with `_row_scale` (see the row-wise kernels section).
     """
     y = np.asarray(y, dtype=float)
@@ -854,7 +873,8 @@ def _flat_parts(dim):
         return np.zeros(y.shape)
 
     def dL0_dnu(y, nu):
-        return np.asarray(nu, dtype=float).copy()
+        # nu itself: no kernel writes an evaluator's result.
+        return np.asarray(nu, dtype=float)
 
     return L0, dL0_dy, dL0_dnu
 
@@ -930,7 +950,9 @@ def affine_model(base: StationaryModel, d_poly: Polynomial, name: str) -> Statio
     """Wrap a base model with a position-dependent charge offset d(y), named `name`.
 
     The charge stays linear when the base's is and d has no terms (a
-    Polynomial drops zero coefficients, so a zero offset has none).
+    Polynomial drops zero coefficients, so a zero offset has none).  The
+    model stays static when the base is and no term of d depends on y:
+    dd_dy then has no terms and returns +0.0.
     """
     _require_nu_degree("d", d_poly, 0)
     return replace(
@@ -938,6 +960,7 @@ def affine_model(base: StationaryModel, d_poly: Polynomial, name: str) -> Statio
         d_offset=lambda y: d_poly(y),
         dd_dy=lambda y: d_poly.grad_eval("y", y),
         linear_charge=base.linear_charge and not d_poly.terms,
+        static=base.static and not any(any(t.y_pow) for t in d_poly.terms),
         name=name,
     )
 

@@ -392,7 +392,10 @@ def linearized_charge_coeffs(
     A_i . dy_mid_i + B_i . dy_vel_i - dt_vel_i, with A the position
     sensitivity of omega + d and B the one-form coefficients of omega.
     `domega_dy` and `w` (= omega_coeffs at the midpoints) may be passed when
-    already evaluated at this path; B is then `w` itself.
+    already evaluated at this path; B is then `w` itself.  For a static
+    model (StationaryModel.static: no omega, d constant) A and B are +0.0
+    arrays, the sums and values of zero evaluators, and the lift adjoint of
+    a gradient is skipped (arrival._restricted_gradient).
     """
     state = path_state(model, path)
     if domega_dy is None:
@@ -506,6 +509,11 @@ def straight_path(
     `extra_wraps` adds whole periods to the displacement of periodic
     coordinates, selecting a homotopy class on a cylinder.
     """
+    return DiscretePath(*_straight_nodes(p, q, n_segments, periods, extra_wraps), periods)
+
+
+def _straight_nodes(p, q, n_segments, periods=None, extra_wraps=None):
+    """The y- and t-nodes of straight_path, as new arrays, not checked."""
     s = np.arange(n_segments + 1) / n_segments
     disp = q.y - p.y
     if extra_wraps is not None and periods:
@@ -518,8 +526,7 @@ def straight_path(
     for j in range(disp.size):
         np.multiply(s, disp[j], out=y[:, j])
         y[:, j] += p.y[j]
-    t = p.t + s * (q.t - p.t)
-    return DiscretePath(y, t, periods)
+    return y, p.t + s * (q.t - p.t)
 
 
 def winding(path: DiscretePath) -> tuple[int, ...]:

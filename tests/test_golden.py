@@ -1,4 +1,4 @@
-"""Golden bytes: two command-line runs whose outputs are pinned byte for byte.
+"""Golden bytes: three command-line runs whose outputs are pinned byte for byte.
 
 The expected files in data/golden were written by an earlier version of
 the program, so a kernel change that moves one bit of a record, a CSV
@@ -14,7 +14,9 @@ implementation of the minus branch.
 
 Every model here is 2-homogeneous with linear charge, whose outputs stay
 byte-identical by design.  The scenarios use winding seeds only: random
-seeds go through np.sin, whose SIMD results can differ between CPUs.
+seeds go through np.sin, whose SIMD results can differ between CPUs.  The
+cylinder and minus_cylinder cases are static models (no omega, no
+offset), whose gradients skip the lift adjoint; the others are not.
 """
 import hashlib
 import os
@@ -74,6 +76,19 @@ def test_polynomial_sweep_is_golden(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", str(GOLDEN / "polynomial.ini"), "--out", str(out), "--quiet"]) == EXIT_OK
     assert (out / "sweep.csv").read_bytes() == (GOLDEN / "polynomial" / "sweep.csv").read_bytes()
+
+
+def test_cylinder_sweep_is_golden(tmp_path):
+    """The flat cylinder of the many-seeds benchmark, swept over three kappa
+    on 200 segments from the straight seed and four extra windings: the
+    plus branch of a static model.  Each straight lift is a geodesic of the
+    flat cylinder, so every record stops at iteration 0; the pinned bytes
+    are those of the projection, the first gradient's norm and the
+    certification.  Descents from bent seeds are checked against the lift
+    adjoint in test_kernels."""
+    out = tmp_path / "out"
+    assert main(["sweep", str(GOLDEN / "cylinder.ini"), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert (out / "sweep.csv").read_bytes() == (GOLDEN / "cylinder" / "sweep.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(MINUS_CASES))

@@ -10,12 +10,14 @@ intermediate as a new array and copy every input, and the kernels must
 agree with them to the last bit, signed zeros included, also when the
 arrays they allocate with np.empty start as NaN, and a descent whose
 trials own their y-nodes must give the records of one that builds each
-trial as a new path.  The projection and a line-search trial must still
-reject non-finite nodes, and the in-place kernels must keep the peak
-allocation of one gradient, one projection and one trial below what the
-expression forms needed.
+trial as a new path, and a static model's gradients, which skip the lift
+adjoint, the bits of those that form it.  The projection and a
+line-search trial must still reject non-finite nodes, and the in-place
+kernels must keep the peak allocation of one gradient, one projection and
+one trial below what the expression forms needed.
 """
 import configparser
+import dataclasses
 import math
 import tracemalloc
 
@@ -738,6 +740,47 @@ def test_seed_paths_match_the_expressions(spec, p, q, n):
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 
+@pytest.mark.parametrize("n", [200, 50_000])
+@pytest.mark.parametrize("spec, p, q", seeding_cases())
+def test_perturbed_path_builds_its_nodes_once(monkeypatch, spec, p, q, n):
+    """The random seed bumps the straight lift's nodes and takes them over:
+    it keeps the bits and the draws of the broadcast expressions (which a
+    construction that copied the nodes three times had, by the test
+    above), and builds no path through DiscretePath's copying
+    constructor."""
+    periods = fp.get_model(spec).periods
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    ref_y, ref_t = ref_perturbed_path(p, q, n, periods, ref_rng)
+    built = []
+    init = fp.DiscretePath.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fp.DiscretePath, "__init__", counting_init)
+    path = solve._perturbed_path(p, q, n, periods, rng)
+    assert built == []
+    assert type(path) is fp.DiscretePath
+    assert path.periods == (tuple(periods) if periods else None)
+    assert bits(path.y, path.t) == bits(ref_y, ref_t)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_perturbed_path_rejects_non_finite_t_nodes(value):
+    """The random seed checks the t-nodes it takes over, as a path built
+    from them would.  (0.0 * inf at the first node is a NaN, which numpy
+    warns of.)"""
+    rng = np.random.default_rng(0)
+    p = fp.Point([0.0, 0.0], value)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="path nodes must be finite"):
+            solve._perturbed_path(p, Q, 20, None, rng)
+        with pytest.raises(ValueError, match="path nodes must be finite"):
+            fp.straight_path(p, Q, 20)
+
+
 @pytest.mark.parametrize("b", ["0.3", "-1.25", "0", "-0"])
 def test_randers_rot_domega_dy_matches_the_expression(b):
     """The column products of randers-rot's domega_dy have the bits of
@@ -955,6 +998,100 @@ def test_descent_matches_the_copying_trial(monkeypatch, spec, n, branch):
     monkeypatch.setattr(solve, "_descend", ref_descend)
     ref = fp.minimize_arrival(model, p, q, -0.5, "random", opts, branch=branch)
     assert record_bits(rec) == record_bits(ref)
+
+
+# ---------------------------------------------------------------------------
+# static models skip the lift adjoint
+# ---------------------------------------------------------------------------
+
+# Static models, one of them with a constant offset, on either side of the
+# column-loop threshold.
+STATIC_SPECS = ["flat", "cylinder(1)", "flat(3)", "affine(cylinder(1), 0.5)"]
+STATIC_ROWS = [50, 500]
+
+
+def general(model):
+    """The model with the static flag cleared: its gradients form and add
+    the lift adjoint."""
+    return dataclasses.replace(model, static=False)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", STATIC_ROWS)
+def test_static_lift_adjoint_adds_plus_zero(n, m, zero):
+    """With A = B = +0.0, a static model's coefficients (or both -0.0, a
+    time reversal of wrapped zero evaluators), adding the lift adjoint to a
+    reduced gradient is adding 0.0, bit for bit: for t-gradients and
+    weights G of random values over 16 decades mixed with zeros of both
+    signs, and reduced gradients with such zeros too."""
+    assert STATIC_ROWS[0] < _COLUMN_LOOP_MIN_ROWS < STATIC_ROWS[1]
+    rng = np.random.default_rng(10 * n + m)
+    path = fp.DiscretePath(np.zeros((n + 1, m)), np.zeros(n + 1))
+    coeffs = (np.full((n, m), zero), np.full((n, m), zero))
+    for g_red in row_fields(rng, (n + 1, m)):
+        want = bits(g_red + 0.0)
+        for g_int in row_fields(rng, (n - 1, 1)):
+            adjoint = _lift_adjoint(path, g_int[:, 0], coeffs)
+            assert bits(g_red + adjoint) == want
+        for G in row_fields(rng, (n, 1)):
+            assert bits(g_red + _assemble_y(path, *coeffs, G[:, 0])) == want
+
+
+@pytest.mark.parametrize("n", STATIC_ROWS)
+@pytest.mark.parametrize("spec", STATIC_SPECS)
+def test_static_restricted_gradient_matches_the_lift_adjoint(spec, n):
+    """A static state's restricted gradient, without the lift adjoint, has
+    the bits of the same state's with it, for random partials and for the
+    arrival form of the state on both branches."""
+    model = fp.get_model(spec)
+    assert model.static
+    rng = np.random.default_rng(n)
+    y, t = random_nodes(model, n, rng)
+    path = fp.DiscretePath(y, t, model.periods)
+    m = model.dim
+    for at_model in (model, time_reversed(model)):
+        proj = fp.project_to_N(at_model, path)
+        slow = fp.project_to_N(general(at_model), path)
+        coeffs = linearized_charge_coeffs(at_model, proj)
+        assert bits(*coeffs) == bits(np.zeros((n, m)), np.zeros((n, m)))
+        for P, V in zip(row_fields(rng, (n, m)), row_fields(rng, (n, m))):
+            wt = rng.standard_normal(n)
+            assert bits(*_restricted_gradient(proj, P, V, wt, coeffs)) == bits(
+                *_restricted_gradient(slow, P, V, wt, coeffs)
+            )
+        kappa = -1.0 - abs(proj.E_val)
+        fast, ref = arrival_gradient(at_model, proj, kappa), arrival_gradient(
+            general(at_model), slow, kappa
+        )
+        assert bits(fast.norm, fast.field.y, fast.field.t) == bits(
+            ref.norm, ref.field.y, ref.field.t
+        )
+        assert bits(criticality_residual(at_model, proj, kappa)) == bits(
+            criticality_residual(general(at_model), slow, kappa)
+        )
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("n", STATIC_ROWS)
+@pytest.mark.parametrize("spec", STATIC_SPECS)
+def test_static_descent_matches_the_lift_adjoint(spec, n, branch):
+    """Descents from random seeds on a static model give the records of the
+    same model with its lift adjoints formed, bit for bit, iteration counts
+    included."""
+    model = fp.get_model(spec)
+    p, q = endpoints_for(model)
+    opts = fp.SolverOptions(N=n)
+    for seed in range(3):
+        rec, ref = (
+            fp.minimize_arrival(
+                at_model, p, q, -0.5, "random", opts,
+                branch=branch, rng=np.random.default_rng(seed),
+            )
+            for at_model in (model, general(model))
+        )
+        assert rec.iters > 0
+        assert record_bits(rec) == record_bits(ref)
 
 
 # ---------------------------------------------------------------------------

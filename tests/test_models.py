@@ -1,5 +1,6 @@
 """Pointwise model evaluation: chart formulas, flow-shift identities,
 charge linearity, causal cone, sampled assumption checks, and the registry."""
+import dataclasses
 import inspect
 import math
 
@@ -426,6 +427,60 @@ def test_time_reversed_negates_omega_and_d_exactly(model):
     for name in ("dim", "homogeneous", "periods", "linear_charge", "name"):
         assert getattr(rev, name) == getattr(model, name)
     assert models.chart_E(rev, y, nu, -tau).tobytes() == models.chart_E(model, y, nu, tau).tobytes()
+
+
+@pytest.mark.parametrize("spec, static", [
+    ("flat", True),
+    ("flat(3)", True),
+    ("cylinder(1)", True),
+    ("affine(cylinder(1), 0.5)", True),
+    ("affine(flat, 0)", True),
+    ("randers-rot(0.3)", False),
+    ("randers-const(0.5,0)", False),
+    ("affine(randers-rot(0.3), 0.5)", False),
+    ("affine-field(cylinder(1), 0.3 y1)", False),
+    ("affine-field(flat, 0.2 + 0.1 y2^2)", False),
+])
+def test_static_flag_is_read_off_omega_and_d(spec, static):
+    """A model is static when it has no omega and its offset d has no
+    y-dependent term, and its time reversal keeps the flag.  A static
+    model's charge coefficients are +0.0 on either branch."""
+    model = fp.get_model(spec)
+    assert model.static is static
+    assert time_reversed(model).static is static
+    if static:
+        y, nu = np.random.default_rng(2).standard_normal((2, 30, model.dim))
+        for at_model in (model, time_reversed(model)):
+            a = at_model.domega_dy(y, nu) + at_model.dd_dy(y)
+            assert a.tobytes() == at_model.omega_w(y).tobytes() == np.zeros(y.shape).tobytes()
+
+
+@pytest.mark.parametrize("body, static", [
+    ("L0 = 0.5 nu1^2 + 0.5 nu2^2\n", True),
+    ("L0 = 0.5 nu1^2 + 0.5 nu2^2\nomega = 0\nd = 0\n", True),
+    ("L0 = 0.5 nu1^2 + 0.5 nu2^2 + 3\nomega = 0.2 nu1\n", False),
+    ("L0 = 0.5 nu1^2 + 0.5 nu2^2\nd = 0.1 y1\n", False),
+])
+def test_static_flag_of_model_files(tmp_path, body, static):
+    model = fp.load_custom_model(write_model(tmp_path, "[model]\ndim = 2\n" + body))
+    assert model.static is static
+
+
+def test_static_flag_survives_wrapped_evaluators():
+    """Evaluators replaced by wrappers of the same functions (as a tracer
+    does) keep the flag, and so does the time reversal, which then negates
+    the wrapped zeros: its charge coefficients are -0.0 arrays, of one sign
+    as those the lift adjoint can be skipped for."""
+    model = fp.get_model("cylinder(1)")
+    fields = ("omega", "domega_dy", "omega_w", "d_offset", "dd_dy")
+    wrapped = dataclasses.replace(
+        model, **{k: (lambda f: lambda *args: f(*args))(getattr(model, k)) for k in fields}
+    )
+    assert wrapped.static and time_reversed(wrapped).static
+    rev = time_reversed(wrapped)
+    y, nu = np.random.default_rng(3).standard_normal((2, 30, 2))
+    a = rev.domega_dy(y, nu) + rev.dd_dy(y)
+    assert a.tobytes() == rev.omega_w(y).tobytes() == (-np.zeros(y.shape)).tobytes()
 
 
 # ---------------------------------------------------------------------------
