@@ -357,14 +357,12 @@ def _row_scale(s, X, out=None) -> np.ndarray:
     return out
 
 
-def _row_dot(A, B, scratch=None) -> np.ndarray:
+def _row_dot(A, B) -> np.ndarray:
     """np.einsum("ij,ij->i", A, B) for (N, m) A and B, bit for bit.
 
     For m <= 2 einsum adds the products of a row one by one to +0.0.  So
     do the columns: the first column product plus +0.0, which turns -0.0
-    into +0.0 and keeps every other value, then the second column product,
-    formed in `scratch`.  That is an (N,) array the call overwrites (a new
-    one when None); it may be B[:, 0], which is read before it is written.
+    into +0.0 and keeps every other value, then the second column product.
     For m >= 3 einsum sums in another order, and is called, as it is on
     fewer than _COLUMN_LOOP_MIN_ROWS rows.
     """
@@ -373,9 +371,7 @@ def _row_dot(A, B, scratch=None) -> np.ndarray:
     h = np.multiply(A[:, 0], B[:, 0])
     h += 0.0
     if A.shape[1] == 2:
-        if scratch is None:
-            scratch = np.empty(A.shape[0])
-        h += np.multiply(A[:, 1], B[:, 1], out=scratch)
+        h += A[:, 1] * B[:, 1]
     return h
 
 

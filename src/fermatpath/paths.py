@@ -40,25 +40,24 @@ are computed per gradient and passed explicitly (see
 `linearized_charge_coeffs`).
 
 A `DiscretePath` copies and checks its nodes once, when it is built.  The
-one exception is a line-search trial (solve._trial), which forms its
-y-nodes in a new array and wraps them with the private
-`DiscretePath._own`: nothing is copied, the y-nodes are checked once, and
-the t-nodes are the iterate's, already checked.  A state shares the
-y-array (and periods) of the path it evaluates or projects instead of
-copying it again; `project_to_N` checks only the new t-nodes it computes,
-and evaluates only the spatial half of the segment geometry, which is all
-that omega and d need.  A lifted variation has no zero t-part to pair
-(see `segment_pairing`).  The per-iteration kernels
-call ufuncs and array methods directly (np.add.reduce(x) / n for np.mean,
-a[1:] - a[:-1] for np.diff, x.cumsum() for np.cumsum), which are the same
+exceptions are a line-search trial (solve._trial), which forms its y-nodes
+in a new array, and a random seed (solve._perturbed_path), which forms
+both; they wrap them with the private `DiscretePath._own`: nothing is
+copied, and only the nodes not already checked are checked.  A state
+shares the y-array (and periods) of the path it evaluates or projects
+instead of copying it again; `project_to_N` checks only the new t-nodes it
+computes, and evaluates only the spatial half of the segment geometry,
+which is all that omega and d need.  The per-iteration kernels call ufuncs
+and array methods directly (np.add.reduce(x) / n for np.mean, a[1:] -
+a[:-1] for np.diff, x.cumsum() for np.cumsum), which are the same
 operations in the same order as the numpy wrappers, and write into their
 own results with `out=` and in-place operators rather than into new
 temporaries; they never write an array a caller passed in.  The same
 operations in the same order, with the operands of a sum or product at
 most swapped, give the same bits, so every value is bitwise what the plain
-expressions give.  The row dots of `segment_pairing` are a row-wise
-kernel of models (models._row_dot; see the row-wise kernels section
-there) and form their products in a buffer the kernel already holds.
+expressions give.  `segment_pairing`, which the descent never calls, is
+the plain expression; its row dots are a row-wise kernel of models
+(models._row_dot; see the row-wise kernels section there).
 
 Paths are stored as plain-text node tables, one row ``s y_1..y_m t`` per
 node with 17 significant digits, so `load_path` reads back the saved bits.
@@ -155,16 +154,6 @@ class TangentField:
         t[-1] = 0.0
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "t", t)
-
-    @classmethod
-    def _own(cls, y, t) -> "TangentField":
-        """A field over arrays the caller gives up, with endpoints already
-        +0.0: nothing is copied or reset.  A t of None marks a spatial
-        variation, whose t-part is zero (see segment_pairing)."""
-        field = object.__new__(cls)
-        object.__setattr__(field, "y", y)
-        object.__setattr__(field, "t", t)
-        return field
 
 
 class PathState(DiscretePath):
@@ -292,27 +281,14 @@ def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndar
     midpoints are never needed.  With per-segment partials (P, V, w) of a
     functional this is the integrand of its directional derivative; with
     the charge coefficients (A, B) and w = -1 it is the linearized charge.
-
-    A field with t None is a spatial variation: the t-term is skipped.
-    lift_spatial_variation pairs one with w = -1, where a zero t-part would
-    add -0.0 to every h_i; x + (-0.0) is x for every double, signed zeros
-    included, so skipping it keeps the bits.
     """
     n = path.segments
     dy = delta.y
-    # One (N, m) buffer holds the midpoint values, then the quotients; each
-    # row dot forms its column products in the buffer's first column.
-    buf = np.add(dy[:-1], dy[1:])
-    buf *= 0.5
-    h = _row_dot(P, buf, buf[:, 0])
-    np.subtract(dy[1:], dy[:-1], out=buf)
-    buf *= n
-    h += _row_dot(V, buf, buf[:, 0])
-    if delta.t is not None:
-        vel_t = _segment_rate(delta.t, n)
-        vel_t *= w  # w = -1 then costs no (N,) temporary
-        h += vel_t
-    return h
+    return (
+        _row_dot(P, 0.5 * (dy[:-1] + dy[1:]))
+        + _row_dot(V, n * (dy[1:] - dy[:-1]))
+        + w * _segment_rate(delta.t, n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +394,7 @@ def tangent_split(model: StationaryModel, path: DiscretePath, delta: TangentFiel
     state = path_state(model, path)
     require_on_constraint(model, state)
     mu = _symmetry_part(state, delta, linearized_charge_coeffs(model, state))
-    # delta.y and delta.t have +0.0 endpoints and mu does too, so xi shares
-    # delta.y and owns delta.t - mu as they are.
-    xi = TangentField._own(delta.y, delta.t - mu)
-    return xi, mu
+    return TangentField(delta.y, delta.t - mu), mu
 
 
 def _symmetry_part(state, delta, coeffs) -> np.ndarray:
@@ -436,13 +409,12 @@ class _LiftedField(TangentField):
     """The field of lift_spatial_variation, whose t-part is formed on first read.
 
     `y` is the lift's copy of the spatial variation.  `t` is tangent_split's
-    0.0 - mu of that variation, split as a spatial one with no t-part and
-    written over mu, computed once when it is first read; the state and
-    the charge coefficients it needs are held until then and dropped
-    after.  The descent reads only `y` (the projection rebuilds every
-    t-node), so its gradients never form the t-part.  Once the benchmark
-    stops tracing the lift, this class gives way to arrival_gradient
-    returning u and its norm.
+    t-part of the field (y, 0), 0.0 - mu, computed once when it is first
+    read; the state and the charge coefficients it needs are held until
+    then and dropped after.  The descent reads only `y` (the projection
+    rebuilds every t-node), so its gradients never form the t-part.  Once
+    the benchmark stops tracing the lift, this class gives way to
+    arrival_gradient returning u and its norm.
     """
 
     def __init__(self, y, state, coeffs):
@@ -452,7 +424,8 @@ class _LiftedField(TangentField):
     @functools.cached_property
     def t(self) -> np.ndarray:
         state, coeffs = self._split
-        mu = _symmetry_part(state, TangentField._own(self.y, None), coeffs)
+        field = TangentField(self.y, np.zeros(state.segments + 1))
+        mu = _symmetry_part(state, field, coeffs)
         object.__delattr__(self, "_split")
         return np.subtract(0.0, mu, out=mu)
 
@@ -466,9 +439,9 @@ def lift_spatial_variation(
     interior spatial variation lifts to exactly one tangent field.  `coeffs`
     is (A, B) of linearized_charge_coeffs at this path, which the caller
     has already evaluated.  `dy` is copied once; the lifted field shares
-    that copy.  The field's t-part, tangent_split's 0.0 - mu of the
-    variation split as a spatial one, is formed on its first read
-    (`_LiftedField`); the path is checked on the constraint here.
+    that copy.  The field's t-part, that of tangent_split of the field
+    (dy, 0), is formed on its first read (`_LiftedField`); the path is
+    checked on the constraint here.
     """
     y = np.array(dy, dtype=float)
     y[0] = 0.0
@@ -513,7 +486,14 @@ def straight_path(
 
 
 def _straight_nodes(p, q, n_segments, periods=None, extra_wraps=None):
-    """The y- and t-nodes of straight_path, as new arrays, not checked."""
+    """The y- and t-nodes of straight_path, as new arrays.
+
+    A non-finite endpoint raises ValueError before any arithmetic (0.0 * inf
+    at the first node would warn first); the nodes built from finite
+    endpoints are not checked, so the caller's check catches an overflow.
+    """
+    if not np.isfinite((p.t, q.t, *p.y, *q.y)).all():
+        raise ValueError("path nodes must be finite")
     s = np.arange(n_segments + 1) / n_segments
     disp = q.y - p.y
     if extra_wraps is not None and periods:

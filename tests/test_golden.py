@@ -15,9 +15,16 @@ implementation of the minus branch.
 Every model here is 2-homogeneous with linear charge, whose outputs stay
 byte-identical by design.  The scenarios use winding seeds only: random
 seeds go through np.sin, whose SIMD results can differ between CPUs.  The
-cylinder and minus_cylinder cases are static models (no omega, no
-offset), whose gradients skip the lift adjoint; the others are not.
+cylinder, static and minus_cylinder cases are static models (no omega, no
+offset), whose gradients skip the lift adjoint; the others are not.  Of
+the static ones, only the static case descends from its seeds.
+
+No command pairs a variation with per-segment coefficients
+(paths.segment_pairing, through which tangent_split, dt_plus and the
+t-part of a lifted field go): the four command-line scenarios write their
+pinned bytes with it made to raise.
 """
+import csv
 import hashlib
 import os
 from pathlib import Path
@@ -25,7 +32,9 @@ from pathlib import Path
 import pytest
 
 import fermatpath as fp
+from fermatpath import arrival, paths
 from fermatpath.cli import EXIT_OK, main
+from fermatpath.models import load_custom_model
 from fermatpath.paths import save_path
 from fermatpath.solve import record_to_json
 
@@ -55,9 +64,8 @@ def minus_outputs(name, out):
     return sorted(names)
 
 
-def test_randers_rot_solve_is_golden(tmp_path):
-    """randers-rot(0.3) solved on 400 segments from the straight seed."""
-    out = tmp_path / "out"
+def check_randers_rot_solve(out):
+    """Solve the randers_rot scenario into `out` and compare the pinned files."""
     assert main(["solve", str(GOLDEN / "randers_rot.ini"), "--out", str(out), "--quiet"]) == EXIT_OK
     expected = GOLDEN / "randers_rot"
     assert sorted(os.listdir(out)) == [
@@ -70,12 +78,24 @@ def test_randers_rot_solve_is_golden(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def check_sweep(name, out):
+    """Sweep the scenario data/golden/<name>.ini into `out` and compare its
+    sweep.csv with the pinned one; returns the CSV text."""
+    assert main(["sweep", str(GOLDEN / f"{name}.ini"), "--out", str(out), "--quiet"]) == EXIT_OK
+    text = (out / "sweep.csv").read_bytes()
+    assert text == (GOLDEN / name / "sweep.csv").read_bytes(), name
+    return text.decode()
+
+
+def test_randers_rot_solve_is_golden(tmp_path):
+    """randers-rot(0.3) solved on 400 segments from the straight seed."""
+    check_randers_rot_solve(tmp_path / "out")
+
+
 def test_polynomial_sweep_is_golden(tmp_path):
     """The 2-homogeneous polynomial model of the benchmark, swept over three
     kappa on 200 segments."""
-    out = tmp_path / "out"
-    assert main(["sweep", str(GOLDEN / "polynomial.ini"), "--out", str(out), "--quiet"]) == EXIT_OK
-    assert (out / "sweep.csv").read_bytes() == (GOLDEN / "polynomial" / "sweep.csv").read_bytes()
+    check_sweep("polynomial", tmp_path / "out")
 
 
 def test_cylinder_sweep_is_golden(tmp_path):
@@ -85,10 +105,34 @@ def test_cylinder_sweep_is_golden(tmp_path):
     flat cylinder, so every record stops at iteration 0; the pinned bytes
     are those of the projection, the first gradient's norm and the
     certification.  Descents from bent seeds are checked against the lift
-    adjoint in test_kernels."""
-    out = tmp_path / "out"
-    assert main(["sweep", str(GOLDEN / "cylinder.ini"), "--out", str(out), "--quiet"]) == EXIT_OK
-    assert (out / "sweep.csv").read_bytes() == (GOLDEN / "cylinder" / "sweep.csv").read_bytes()
+    adjoint in test_kernels, and on the static case below."""
+    check_sweep("cylinder", tmp_path / "out")
+
+
+def test_static_sweep_is_golden(tmp_path):
+    """A static polynomial model whose L0 depends on y1, swept over three
+    kappa on 200 segments from three windings: the plus branch of a static
+    model, descending from every seed, so the pinned bytes are those of
+    descents that skip the lift adjoint."""
+    assert load_custom_model(str(GOLDEN / "static.model.ini")).static
+    rows = list(csv.DictReader(check_sweep("static", tmp_path / "out").splitlines()))
+    assert len(rows) == 9
+    assert all(int(row["iters"]) > 0 for row in rows)
+
+
+def test_no_command_pairs_a_field(monkeypatch, tmp_path):
+    """The four command-line scenarios write their pinned bytes with
+    segment_pairing made to raise: no command runs it, so a change that puts
+    it on a command's path must bring a workload for it."""
+
+    def refuse(*args):
+        raise AssertionError("segment_pairing ran")
+
+    for module in (paths, arrival):
+        monkeypatch.setattr(module, "segment_pairing", refuse)
+    check_randers_rot_solve(tmp_path / "randers_rot")
+    for name in ("polynomial", "cylinder", "static"):
+        check_sweep(name, tmp_path / name)
 
 
 @pytest.mark.parametrize("name", sorted(MINUS_CASES))
