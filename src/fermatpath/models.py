@@ -94,10 +94,15 @@ class StationaryModel:
     constant, so the charge omega + d - tau does not see the spatial nodes:
     its linearized coefficients A = d(omega + d)/dy and B (omega's) are
     +0.0 arrays, and arrival._restricted_gradient skips the lift adjoint.
-    `build_model` sets it when omega and d are both absent, `affine_model`
-    keeps it for an offset with no y-dependent term; like `linear_charge`
-    it is derived from the model, never given, and a `replace` that gives a
-    model an omega or a y-dependent d must clear it.  `periods` lists
+    The flag also decides a line-search trial's projection: every projected
+    path of one descent has the t-nodes of its seed, so a trial takes the
+    t-part of the iterate it moves from and omega and d are not evaluated
+    (paths.project_to_N).  `build_model` sets it when omega and d are both
+    absent, `affine_model` keeps it for an offset with no y-dependent term;
+    like `linear_charge` it is derived from the model, never given, and a
+    `replace` that gives a model an omega or a y-dependent d must clear it:
+    a full projection of a static model raises UnsupportedModelError where
+    omega + d is not one value along the path.  `periods` lists
     per-coordinate identification periods of the slice (0 = aperiodic);
     None means a plain euclidean slice.
 

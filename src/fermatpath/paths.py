@@ -29,7 +29,14 @@ the charge profile (omega - tau) + d is formed and reduced; it computes no
 geometry and evaluates only the energy, from what its builder passes.
 `path_state` builds the state of a plain path from `segment_geometry`;
 `project_to_N` builds it from the spatial half of that geometry and the
-rate of the t-nodes it computes.  `project_to_N` returns a state, so every
+rate of the t-nodes it computes.  For a static model
+(StationaryModel.static) omega + d is one constant whatever the y-nodes,
+so every projected path of one descent has the t-nodes of its seed: a
+line-search trial (solve._trial) takes the t-nodes, their rate, omega and
+the charge values of the iterate it moves from, and its projection
+evaluates only the spatial half and the energy.  `project_to_N` is the
+one entry of every projection, trials included, and refuses a static
+model whose omega + d varies.  `project_to_N` returns a state, so every
 consumer of a projected path (arrival times, constraint check, tangent
 split, lift) reads these values instead of evaluating the model again.  A
 record's geodesic is evaluated once, and both of its certificates read
@@ -82,7 +89,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstraintViolationError
+from .errors import ConstraintViolationError, UnsupportedModelError
 from .models import Point, StationaryModel, _row_dot, chart_E, chart_L, omega_coeffs
 
 # A path counts as lying on the constraint manifold when the charge profile
@@ -175,24 +182,35 @@ class PathState(DiscretePath):
     d_offset(mid_y) evaluated there.  No geometry is computed here.  The
     state shares the y-nodes and periods of `path`, which a `DiscretePath`
     already holds as a private, checked copy; nothing is copied or checked
-    here.
+    here.  A static model's line-search trial (project_to_N with `_origin`)
+    passes the t-nodes, `vel_t` and `omega` of the state it moves from,
+    that state as `charge_of` and d as None: the trial's charge profile is
+    that state's, so Q_bar, noether_dev and constraint_dev are read from
+    it, and only the energy is evaluated.
     """
 
-    def __init__(self, model, path, t, mid_y, vel_y, vel_t, omega, d):
+    def __init__(self, model, path, t, mid_y, vel_y, vel_t, omega, d, charge_of=None):
         object.__setattr__(self, "y", path.y)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "periods", path.periods)
         n = self.segments
-        # The charge quadrature of omega - tau, then the charge profile
-        # (omega - tau) + d and, once the energy has been checked finite, its
-        # max deviation from its mean, written over the profile.
-        q = np.subtract(omega, vel_t)
-        q_bar = float(np.add.reduce(q) / n)
-        q += d
-        energy = chart_E(model, mid_y, vel_y, vel_t, omega=omega)
-        mean = float(np.add.reduce(q) / n)
-        q -= mean
-        noether_dev = float(np.maximum.reduce(np.abs(q, out=q)))
+        if charge_of is None:
+            # The charge quadrature of omega - tau, then the charge profile
+            # (omega - tau) + d and, once the energy has been checked finite,
+            # its max deviation from its mean, written over the profile.
+            q = np.subtract(omega, vel_t)
+            q_bar = float(np.add.reduce(q) / n)
+            q += d
+            energy = chart_E(model, mid_y, vel_y, vel_t, omega=omega)
+            mean = float(np.add.reduce(q) / n)
+            q -= mean
+            noether_dev = float(np.maximum.reduce(np.abs(q, out=q)))
+            constraint_dev = noether_dev / (CONSTRAINT_RTOL * (1.0 + abs(mean)))
+        else:
+            energy = chart_E(model, mid_y, vel_y, vel_t, omega=omega)
+            q_bar = charge_of.Q_bar
+            noether_dev = charge_of.noether_dev
+            constraint_dev = charge_of.constraint_dev
         fields = {
             "model": model,
             "mid_y": mid_y,
@@ -202,7 +220,7 @@ class PathState(DiscretePath):
             "Q_bar": q_bar,
             "E_val": float(np.add.reduce(energy) / n),
             "noether_dev": noether_dev,
-            "constraint_dev": noether_dev / (CONSTRAINT_RTOL * (1.0 + abs(mean))),
+            "constraint_dev": constraint_dev,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -336,7 +354,9 @@ def _cumulative_nodes(rate, first, last) -> np.ndarray:
     return x
 
 
-def project_to_N(model: StationaryModel, path: DiscretePath) -> PathState:
+def project_to_N(
+    model: StationaryModel, path: DiscretePath, _origin: Optional[PathState] = None
+) -> PathState:
     """Replace the interior t-nodes so the charge profile is exactly constant.
 
     The y-nodes and both endpoint t-values are preserved bitwise.  With the
@@ -349,11 +369,36 @@ def project_to_N(model: StationaryModel, path: DiscretePath) -> PathState:
     computed here serve it as well.  The state shares the y-nodes of `path`
     (already a checked copy); only the new t-nodes are checked, which are
     non-finite exactly when omega or d is somewhere on the path.
+
+    For a static model (StationaryModel.static) omega + d takes one value
+    on every segment, whatever the y-nodes are: a full projection raises
+    UnsupportedModelError where it does not, so a model whose flag is
+    wrong fails on its first projection.  `_origin`, which only
+    solve._trial passes, is the projected state of `model` whose t-nodes
+    `path` shares.  For a static model the full projection of `path` would
+    form exactly the t-part of `_origin` (the same constant rate, the same
+    two ends), so the state takes its t-nodes, `vel_t`, omega and charge
+    values from `_origin` and evaluates only the spatial geometry and the
+    energy; omega and d are not called.  Any other model projects in full.
     """
     mid_y, vel_y = _spatial_geometry(path)
+    if _origin is not None and model.static:
+        return PathState(
+            model, path, _origin.t, mid_y, vel_y, _origin.vel_t, _origin.omega, None,
+            charge_of=_origin,
+        )
     om = model.omega(mid_y, vel_y)
     d = model.d_offset(mid_y)
-    t = _cumulative_nodes(om + d, path.t[0], path.t[-1])
+    rate = om + d
+    if model.static and not (rate == rate[0]).all():
+        raise UnsupportedModelError(
+            f"model {model.name!r} is flagged static, but omega + d is not "
+            "constant along the path"
+        )
+    t = _cumulative_nodes(rate, path.t[0], path.t[-1])
+    # The rate is released before the state is built, as the expression's
+    # temporary was.
+    del rate
     if not np.isfinite(t).all():
         raise ValueError("path nodes must be finite")
     return PathState(model, path, t, mid_y, vel_y, _segment_rate(t, path.segments), om, d)

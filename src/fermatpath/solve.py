@@ -19,8 +19,13 @@ t-part of the lifted field is never formed (paths.lift_spatial_variation
 forms it on first read).  Records keep the plain path, not its state.
 A line-search trial (`_trial`) forms its y-nodes path.y - step * u in one
 new array and checks them finite once.  The trial path owns that array
-and shares the iterate's t-nodes, of which the projection reads only the
-two ends; the projected state shares the trial's y-nodes.
+and shares the iterate's t-nodes, of which a full projection reads only
+the two ends; the projected state shares the trial's y-nodes.  For a
+static model (models.StationaryModel.static) the charge does not see the
+y-nodes, so every iterate of a descent has its seed's t-nodes: a trial's
+state takes the t-nodes, t-rates, omega values and charge values of the
+iterate, and omega and d are evaluated only for the seed and the
+certification (paths.project_to_N).
 
 A descent ends in one place, `_stopped`, with its stop reason: "grad_tol"
 when the gradient norm reaches the tolerance, or one of the unconverged
@@ -316,7 +321,15 @@ def seed_path(
 # ---------------------------------------------------------------------------
 
 def _check_endpoints(model, p, q):
-    if np.linalg.norm(unwrap_periodic(q.y - p.y, model.periods)) < 1e-12:
+    """ValueError unless the displacement from p to q is finite and moves
+    the slice position.  It is finite exactly when both endpoints are and
+    no coordinate's difference overflows; that is checked before the
+    periods reduce it, which would warn on inf (inf - inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        disp = np.subtract((q.t, *q.y), (p.t, *p.y))
+    if not np.isfinite(disp).all():
+        raise ValueError("path nodes must be finite")
+    if np.linalg.norm(unwrap_periodic(disp[1:], model.periods)) < 1e-12:
         raise ValueError(
             "endpoints lie on the same flow line: the slice positions coincide"
         )
@@ -340,12 +353,16 @@ def _trial(model, path, u, step):
 
     The y-nodes are formed in one new array: step * u, then path.y minus
     that, written over it.  The trial path owns the array and checks it
-    finite once; it shares the t-nodes of `path`, of which the projection
-    reads only the two ends.
+    finite once; it shares the t-nodes of `path`, the iterate's projected
+    state, of which a full projection reads only the two ends.  `path` is
+    passed as the projection's origin: for a static model
+    (StationaryModel.static) the trial's t-nodes, t-rates, omega values and
+    charge values are those of `path`, and the projection evaluates only
+    the trial's spatial geometry and energy.
     """
     y = np.multiply(step, u)
     np.subtract(path.y, y, out=y)
-    return project_to_N(model, DiscretePath._own(y, path.t, path.periods))
+    return project_to_N(model, DiscretePath._own(y, path.t, path.periods), path)
 
 
 # The stops of `_descend` that leave a descent unconverged, each with its

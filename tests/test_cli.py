@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -612,6 +613,29 @@ def test_endpoints_on_one_flow_line_exit_2(tmp_path, capsys, spec, p_y, q_y):
             "the slice positions coincide\n"
         )
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("spec", ["flat", "cylinder(1)"])
+@pytest.mark.parametrize("p_y, q_y, p_t, q_t", [
+    ("-1e308 0", "1e308 0.7", "0", "0.2"),
+    ("0 0", "1 0.7", "-1e308", "1e308"),
+])
+def test_endpoints_of_overflowing_displacement_exit_2(tmp_path, capsys, spec, p_y, q_y, p_t, q_t):
+    """Finite endpoints whose displacement overflows, in y or in t, are a
+    parse error of [endpoints] q_y, and numpy warns of nothing first."""
+    f = write_scenario(
+        tmp_path,
+        f"[model]\nspec = {spec}\n[endpoints]\np_y = {p_y}\nq_y = {q_y}\n"
+        f"p_t = {p_t}\nq_t = {q_t}\n[problem]\nkappa = -1\n",
+    )
+    out = os.path.join(tmp_path, "o")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", f, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: {f}: [endpoints] q_y: path nodes must be finite\n"
+    )
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,13 @@ implementation of the minus branch.
 Every model here is 2-homogeneous with linear charge, whose outputs stay
 byte-identical by design.  The scenarios use winding seeds only: random
 seeds go through np.sin, whose SIMD results can differ between CPUs.  The
-cylinder, static and minus_cylinder cases are static models (no omega, no
-offset), whose gradients skip the lift adjoint; the others are not.  Of
-the static ones, only the static case descends from its seeds.
+cylinder, static, minus_cylinder and minus_static cases are static models
+(no omega, no offset), whose gradients skip the lift adjoint and whose
+line-search trials take the t-nodes of their iterate; the others are not.
+Of the static ones, the static and minus_static cases descend from their
+seeds (minus_static, the static polynomial model of the static case on
+the minus branch, in 12, 92 and 133 iterations); the cylinder ones stop
+at iteration 0.
 
 No command pairs a variation with per-segment coefficients
 (paths.segment_pairing, through which tangent_split, dt_plus and the
@@ -40,10 +44,12 @@ from fermatpath.solve import record_to_json
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
-# The endpoints and kappa of the fine-grid benchmark, on 200 segments.
+# The endpoints and kappa of the fine-grid benchmark, on 200 segments; a
+# model is a registry spec or a model file of data/golden.
 MINUS_CASES = {
     "minus_randers_rot": ("randers-rot(0.3)", [0]),
     "minus_cylinder": ("cylinder(1)", [0, 1, -1]),
+    "minus_static": ("static.model.ini", [0, 1, -1]),
 }
 
 
@@ -51,8 +57,12 @@ def minus_outputs(name, out):
     """Write the minus-branch records of MINUS_CASES[name] into `out` as
     `fermatpath solve` writes records; returns the file names."""
     spec, seeds = MINUS_CASES[name]
+    if spec.endswith(".ini"):
+        model = load_custom_model(str(GOLDEN / spec))
+    else:
+        model = fp.get_model(spec)
     records = fp.multi_start(
-        fp.get_model(spec), fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.7], 0.2),
+        model, fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.7], 0.2),
         -0.5, seeds, fp.SolverOptions(N=200), branch="minus",
     )
     names = []

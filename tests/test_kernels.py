@@ -10,12 +10,15 @@ intermediate as a new array and copy every input, and the kernels must
 agree with them to the last bit, signed zeros included, also when the
 arrays they allocate with np.empty start as NaN, and a descent whose
 trials own their y-nodes must give the records of one that builds each
-trial as a new path, and a static model's gradients, which skip the lift
-adjoint, the bits of those that form it.  The projection and a
-line-search trial must still reject non-finite nodes, a seed must reject
-a non-finite endpoint before any arithmetic, and the in-place kernels
-must keep the peak allocation of one gradient, one projection and one
-trial below what the expression forms needed.
+trial as a new path, a static model's gradients, which skip the lift
+adjoint, the bits of those that form it, and a static model's trial
+states, which take the t-part of their iterate, the bits of a full
+projection.  The projection and a line-search trial must still reject
+non-finite nodes, a full projection a static flag that omega + d belies,
+a seed a non-finite endpoint or an overflowing displacement before any
+arithmetic, and the in-place kernels must keep the peak allocation of
+one gradient, one projection and one trial below what the expression
+forms needed.
 """
 import configparser
 import dataclasses
@@ -23,11 +26,14 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fermatpath as fp
+from fermatpath.errors import UnsupportedModelError
 from fermatpath.arrival import (
     _assemble_y,
     _column_cumsum,
@@ -793,6 +799,34 @@ def test_minimize_arrival_rejects_a_non_finite_endpoint_t(value):
                 )
 
 
+ENDPOINT_CASES = [
+    ("non-finite", fp.Point([0.0, np.inf], 0.0), fp.Point([1.0, 0.7], 0.2)),
+    ("non-finite", fp.Point([0.0, 0.0], 0.0), fp.Point([np.nan, 0.7], 0.2)),
+    ("non-finite", fp.Point([-np.inf, 0.0], 0.0), fp.Point([np.inf, 0.7], 0.2)),
+    ("overflow", fp.Point([-1e308, 0.0], 0.0), fp.Point([1e308, 0.7], 0.2)),
+    ("overflow", fp.Point([0.0, 1e308], 0.0), fp.Point([1.0, -1e308], 0.2)),
+    ("overflow", fp.Point([0.0, 0.0], -1e308), fp.Point([1.0, 0.7], 1e308)),
+]
+
+
+@pytest.mark.parametrize("spec", ["flat", "cylinder(1)"])
+@pytest.mark.parametrize("kind, p, q", ENDPOINT_CASES, ids=lambda x: x if isinstance(x, str) else "")
+def test_minimize_arrival_rejects_endpoints_of_no_finite_displacement(spec, kind, p, q):
+    """A non-finite endpoint y, and a finite pair whose displacement
+    overflows (in y or t), raise ValueError on a euclidean and on a
+    periodic slice, from a winding or a random seed on either branch, and
+    numpy warns of nothing first: reducing inf modulo a period would warn
+    of inf - inf, and the subtraction of such a pair of an overflow."""
+    model = fp.get_model(spec)
+    for init, branch in itertools.product((0, "random"), ("plus", "minus")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="path nodes must be finite"):
+                fp.minimize_arrival(
+                    model, p, q, -0.5, init, fp.SolverOptions(N=20), branch=branch
+                )
+
+
 @pytest.mark.parametrize("b", ["0.3", "-1.25", "0", "-0"])
 def test_randers_rot_domega_dy_matches_the_expression(b):
     """The column products of randers-rot's domega_dy have the bits of
@@ -1104,6 +1138,148 @@ def test_static_descent_matches_the_lift_adjoint(spec, n, branch):
         )
         assert rec.iters > 0
         assert record_bits(rec) == record_bits(ref)
+
+
+# ---------------------------------------------------------------------------
+# a static model's trials take the t-part of their iterate
+# ---------------------------------------------------------------------------
+
+STATIC_MODEL_FILE = str(Path(__file__).parent / "data" / "golden" / "static.model.ini")
+
+
+def evaluator_wrapped(model):
+    """The model with its charge evaluators wrapped as a tracer wraps them:
+    its time reversal negates the wrapped zeros into -0.0."""
+    fields = ("omega", "domega_dy", "omega_w", "d_offset", "dd_dy")
+    return dataclasses.replace(
+        model, **{k: (lambda f: lambda *args: f(*args))(getattr(model, k)) for k in fields}
+    )
+
+
+def trial_models():
+    """The static models (STATIC_SPECS and the static golden model file)
+    and three that are not, each with its time reversal and the
+    evaluator-wrapped copies of both."""
+    bases = [fp.get_model(spec) for spec in STATIC_SPECS]
+    bases.append(fp.load_custom_model(STATIC_MODEL_FILE))
+    bases += [model_for(spec) for spec in ("randers-rot(0.3)", "affine-field(flat, 0.3 y1)", "potential")]
+    return [
+        at_model
+        for base in bases
+        for model in (base, evaluator_wrapped(base))
+        for at_model in (model, time_reversed(model))
+    ]
+
+
+def state_fields(state):
+    """Every field of a state: its model and periods as they are, the bits
+    of its arrays and numbers."""
+    fields = dict(vars(state))
+    model, periods = fields.pop("model"), fields.pop("periods")
+    return model, periods, {k: bits(v) for k, v in sorted(fields.items())}
+
+
+@pytest.mark.parametrize("n", [2, 200, 500])
+def test_trial_state_is_that_of_the_full_projection(n):
+    """Every field of a line-search trial's state, over a chain of trials
+    each moving from the last, has the bits of project_to_N of a new path
+    with the trial's y-nodes and its iterate's t-nodes.  A static model's
+    trial shares its iterate's t-nodes; any other model projects anew."""
+    rng = np.random.default_rng(n)
+    for model in trial_models():
+        y, t = random_nodes(model, n, rng)
+        state = fp.project_to_N(model, fp.DiscretePath(y, t, model.periods))
+        for step in (1.0, 0.5, 1e-3):
+            u = rng.choice([1e-3, 0.1, 1.0]) * rng.standard_normal(y.shape)
+            u[0] = u[-1] = 0.0
+            trial = solve._trial(model, state, u, step)
+            full = fp.project_to_N(model, fp.DiscretePath(trial.y, state.t, model.periods))
+            assert state_fields(trial) == state_fields(full)
+            assert (trial.t is state.t) is model.static
+            state = trial
+
+
+def counting(model, counts):
+    """The model with omega and d_offset counting their calls in `counts`."""
+
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+        return call
+
+    return dataclasses.replace(
+        model, **{k: counted(k, getattr(model, k)) for k in ("omega", "d_offset")}
+    )
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("spec, per_trial", [
+    ("cylinder(1)", 0),
+    ("affine(cylinder(1), 0.5)", 0),
+    ("static.model.ini", 0),
+    ("randers-rot(0.3)", 1),
+    ("affine-field(flat, 0.3 y1)", 1),
+])
+def test_trial_evaluator_counts(monkeypatch, spec, per_trial, branch):
+    """A static descent calls omega and d_offset only for its seed and its
+    certification, the same number of times whatever its iterations; a
+    model that is not static calls each once more per line-search
+    trial."""
+    counts = Counter()
+    base = (
+        fp.load_custom_model(STATIC_MODEL_FILE) if spec.endswith(".ini") else fp.get_model(spec)
+    )
+    model = counting(base, counts)
+    in_trials = Counter()
+    original = solve._trial
+
+    def counted_trial(*args):
+        before = counts.copy()
+        cand = original(*args)
+        in_trials["trials"] += 1
+        in_trials.update(counts - before)
+        return cand
+
+    monkeypatch.setattr(solve, "_trial", counted_trial)
+    p, q = endpoints_for(model)
+    outside = set()
+    for seed in range(3):
+        counts.clear()
+        in_trials.clear()
+        rec = fp.minimize_arrival(
+            model, p, q, -0.5, "random", fp.SolverOptions(N=50),
+            branch=branch, rng=np.random.default_rng(seed),
+        )
+        trials = in_trials["trials"]
+        assert rec.iters > 0 and trials >= rec.iters
+        assert in_trials["omega"] == in_trials["d_offset"] == per_trial * trials
+        outside.add(tuple(counts[k] - in_trials[k] for k in ("omega", "d_offset")))
+    assert len(outside) == 1
+
+
+def test_misflagged_static_model_is_refused():
+    """A replace that gives a static model an omega, or a y-dependent d,
+    but keeps the flag set is refused by the first full projection of a
+    path where omega + d is not one value: UnsupportedModelError, before
+    any trial could take a wrong t-part, also from minimize_arrival."""
+    misflagged = [
+        dataclasses.replace(fp.get_model("randers-rot(0.3)"), static=True),
+        dataclasses.replace(
+            fp.get_model("cylinder(1)"), omega=fp.get_model("randers-const(0.5,0)").omega
+        ),
+        dataclasses.replace(fp.get_model("affine-field(flat, 0.3 y1)"), static=True),
+    ]
+    rng = np.random.default_rng(4)
+    for model in misflagged:
+        assert model.static
+        y, t = random_nodes(model, 20, rng)
+        for at_model in (model, time_reversed(model)):
+            with pytest.raises(UnsupportedModelError, match="flagged static"):
+                fp.project_to_N(at_model, fp.DiscretePath(y, t, model.periods))
+        p, q = endpoints_for(model)
+        with pytest.raises(UnsupportedModelError, match="flagged static"):
+            fp.minimize_arrival(model, p, q, -0.5, "random", fp.SolverOptions(N=20))
 
 
 # ---------------------------------------------------------------------------
