@@ -8,12 +8,8 @@ level kappa are
 where Qbar is the charge functional (the constant charge for linear-charge
 models, the integral of the charge one-form in the affine case) and E the
 energy functional.  `arrival_times` returns both roots; every variation
-here is that of t_plus alone.  The minus branch needs no code of its own:
-the substitution t -> -t maps L = L0 + (omega + d) tau - tau^2 / 2 to the
-same form with omega and d negated (models.time_reversed) and leaves E as
-it is, so t_minus of a path is -t_plus of its reflection t -> 0.0 - t
-under the reversed model.  solve.minimize_arrival reflects the problem
-there and back; no kernel carries a branch sign.
+here is that of t_plus alone, and no kernel carries a branch sign
+(solve.minimize_arrival runs the minus branch as the reversed problem).
 
 The trajectory equation is theta = 0: a constrained path carried by the
 flow to t_plus is a future-directed fixed-energy trajectory where the
@@ -30,68 +26,29 @@ principle in a stationary spacetime (Perlick, Class. Quantum Grav. 7
 which is theta = 0 only in that case.
 
 All variational quantities are midpoint-rule discretizations over segments.
-The arrival one-form is assembled in one place, `_arrival_form`: the
-per-segment partials (P, V, w) of t_plus and the linearized-charge
-coefficients (A, B) at the path.  `arrival_gradient` returns its H1
-representer; `criticality_residual` takes the representer of the same form
-with the gap and offset terms of theta added and returns its dual norm;
-`dt_plus` pairs the form, and the coefficients with w = -1 for the
-linearized charge it checks, with a variation (paths.segment_pairing).
+The arrival one-form is assembled in one place, `_arrival_form`.
+`arrival_gradient` returns its H1 representer (`_restricted_gradient`),
+`criticality_residual` the dual norm of the representer of theta, and
+`dt_plus` pairs the form with a variation (paths.segment_pairing).  Each
+evaluates the model once per path, through its state (paths.PathState).
 
-Every function here evaluates the model at most once per path: it turns
-its path into a `PathState` (paths.path_state; a state from project_to_N
-passes through as is) and reads the geometry, omega, Q_bar, E_val and the
-constraint deviation from it.  `_arrival_form` additionally evaluates
-domega_dy, the omega coefficients, the E0 partials and dd_dy once each;
-they are local to one call and are dropped when it returns, so a state
-never holds (N, m) partials.  The partials of the charge Q = omega - tau
-are domega_dy, the omega coefficients and -1: `_arrival_partials` reads
-the first two as evaluated and subtracts the weight of the third.  The
-criticality terms add the partials of the gap E - L and of the offset
-functional D.  The gap takes the E partials, omega, domega_dy and the
-omega coefficients of the same form; for a model that is not
-Lorentz-Finsler only its L partials evaluate the fiber partials, d and
-dd_dy again.
-
-Per gradient, `_restricted_gradient` does this work and no more: the
-spatial nodal assembly of the partials; the lift adjoint, which reads the
-t-part of the nodal gradient at the interior nodes only and assembles only
-a spatial part; and the H1 solve (two cumulative sums).  For a static model
-(models.StationaryModel.static: no omega, d constant) the lift adjoint is
-an array of +0.0, so it is neither formed nor read: +0.0 is added in its
-place, with the same bits.  It returns the
-spatial representer u and the products whose sum is the squared dual norm.
-Only `arrival_gradient` lifts u to a tangent field
-(paths.lift_spatial_variation), which copies it once and shares that copy
-with the field; the field's t-part is formed when it is first read, which
-the descent never does (it reads u and the norm).  `criticality_residual`
-reads the norm alone.
-
-The kernels write into their own results: each intermediate is computed
-into an array the kernel has made (with `out=` or an in-place operator)
-instead of into a new temporary, and an array is overwritten only when
-nothing reads it afterwards.  A kernel's own arrays are allocated with
-np.empty, and only the rows that no operation writes (the fixed endpoints,
-and the empty sum at one end of a cumulative sum) are set to zero.  Arrays
-a caller passes in, and the values a model's evaluators return, are never
-written.  Each kernel performs the same operations in the same order as
-the plain expression it replaces, with the operands of a sum or product at
-most swapped, which IEEE arithmetic leaves unchanged, so every value keeps
-its bits, signed zeros included (tests/test_kernels.py holds the
-expressions as references).
-This keeps the fine-grid heap steady: fewer (N, m) temporaries are made
-and freed per gradient.
-
-The row scalings of `_assemble_y`, the row dots of paths.segment_pairing
-and the scans of `_h1_solve` (`_column_cumsum`, and `_column_sum` through
-it) are the row-wise kernels of models (see the row-wise kernels section
-there).  A scan down a C-contiguous (N, 2) float64 array of
-models._COLUMN_LOOP_MIN_ROWS rows or more runs as a scan of one complex128
-column.  Complex addition is two independent IEEE additions, one per
-component, and a scan adds its rows in order, so each column keeps the bits
-of cumsum(axis=0), signed zeros included.  At N = 5e4 the complex scan
-takes 206 us against 397 us; at 200 rows it is the slower (5.4 against
-4.9 us), and the two cross near 400 rows.
+The kernels, here and in paths, write into their own results: each
+intermediate is computed into an array the kernel has made (with `out=` or
+an in-place operator) instead of into a new temporary, and an array is
+overwritten only when nothing reads it afterwards.  A kernel's own arrays
+are allocated with np.empty, and only the rows that no operation writes
+(the fixed endpoints, and the empty sum at one end of a cumulative sum)
+are set to zero.  Arrays a caller passes in, and the values a model's
+evaluators return, are never written.  Each kernel performs the same
+operations in the same order as the plain expression it replaces, with the
+operands of a sum or product at most swapped, which IEEE arithmetic leaves
+unchanged, so every value keeps its bits, signed zeros included
+(tests/test_kernels.py holds the expressions as references).  Ufuncs and
+array methods are called for the numpy wrappers that run them
+(np.add.reduce(x) / n for np.mean, a[1:] - a[:-1] for np.diff, x.cumsum()
+for np.cumsum): the same operations in the same order.  This keeps the
+fine-grid heap steady: fewer (N, m) temporaries are made and freed per
+gradient.
 """
 from __future__ import annotations
 
@@ -354,8 +311,9 @@ def _column_cumsum(x, out) -> np.ndarray:
     scanned.  A complex sum is one IEEE addition per component and a scan
     adds its rows one by one, so each column gets the bits of its own scan,
     signed zeros included.  The complex scan takes about half the time
-    (206 against 397 us at k = 5e4); the two cross near 400 rows.  Every
-    other shape calls the scan itself.
+    (206 against 397 us at k = 5e4), but is the slower at 200 rows (5.4
+    against 4.9 us); the two cross near 400 rows.  Every other shape calls
+    the scan itself.
     """
     if (x.ndim == 2 and x.shape[1] == 2 and x.shape[0] >= _COLUMN_LOOP_MIN_ROWS
             and x.dtype == out.dtype == np.float64
@@ -393,10 +351,7 @@ def _h1_solve(path, g_red):
     d_i = (mean(G) - G_i) / n and u = cumsum(d): two cumulative sums, O(n).
 
     The two cumulative sums and the column sum of mean(G) are scans down
-    (N, m) arrays, run by `_column_cumsum`: for m = 2 from
-    models._COLUMN_LOOP_MIN_ROWS rows on, each scans both columns at once
-    as one complex column, with the bits of the plain scan, in about half
-    its time.
+    (N, m) arrays, run by `_column_cumsum`.
     """
     n = path.segments
     G = np.empty((n,) + g_red.shape[1:])
@@ -420,16 +375,18 @@ def _h1_solve(path, g_red):
 def _restricted_gradient(state, P, V, w, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """H1 representer of a functional restricted to the constraint tangent space.
 
-    Assembles the nodal gradient, reduces the t-part onto the spatial
-    coordinates through the lift adjoint and preconditions with the
-    tridiagonal H1 solve.  Returns (u, gu): u the spatial nodal
-    representer, which paths.lift_spatial_variation lifts to a
-    constraint-tangent field whose t-part is formed on first read, and the
-    nodal products of the reduced gradient with u, whose sum is the squared
-    dual norm of the restricted functional (`_dual_norm`).  `coeffs` is
-    (A, B) of linearized_charge_coeffs at the state.
+    Per gradient it does this work and no more: the spatial nodal assembly
+    of the partials; the lift adjoint, which reads the t-part of the nodal
+    gradient at the interior nodes only and assembles only a spatial part;
+    and the H1 solve (two cumulative sums).  Returns (u, gu): u the spatial
+    nodal representer, and the nodal products of the reduced gradient with
+    u, whose sum is the squared dual norm of the restricted functional
+    (`_dual_norm`).  `coeffs` is (A, B) of linearized_charge_coeffs at the
+    state.
 
-    The model of a static state has A = B = +0.0, and adding its lift
+    For a static model (models.StationaryModel.static: no omega, d
+    constant) the lift adjoint is neither formed nor read.  Its A and B are
+    +0.0 arrays, the sums and values of zero evaluators, and adding its lift
     adjoint is adding +0.0, bit for bit, for every finite G of
     `_lift_adjoint`.  The adjoint's endpoint rows are +0.0, and an interior
     entry is (G_{i-1} A + G_i A) / (2n) + (G_{i-1} B - G_i B).  A sum of two
@@ -459,7 +416,8 @@ def _dual_norm(gu) -> float:
 
 def arrival_gradient(model, path, kappa) -> FunctionalGradient:
     """Descent gradient of t_plus on the constraint manifold: the H1
-    representer of the arrival one-form."""
+    representer of the arrival one-form, lifted to a tangent field
+    (paths.lift_spatial_variation)."""
     state, partials, coeffs = _arrival_form(model, path, kappa)
     u, gu = _restricted_gradient(state, *partials, coeffs)
     # gu is summed after the lift, so its (N, m) block is still held while

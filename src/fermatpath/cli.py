@@ -56,22 +56,9 @@ stall, stagnation, iteration cap), and a sweep's arrival time that grows
 with kappa.
 
 The process entry point is `run`, used by the `fermatpath` console script
-and by `python -m fermatpath.cli`.  On glibc it first sets the mmap
-threshold to 32 MiB and the trim threshold to 64 MiB (mallopt), so the
-heap keeps what a descent frees.  Each iteration allocates and frees dozens
-of (N, m) temporaries, 0.4-0.8 MB each at N = 5e4.  Under glibc's defaults
-the freed top of the heap is returned to the kernel and faulted back in on
-the next iteration: a fine-grid solve (bench/workloads/fine-grid.ini) took
-22k-26k minor page faults as a fresh process, and 9k with the thresholds
-set, which took about 5% off its wall time.  `main` leaves the allocator
-alone, so tests and library callers keep their own.  A library caller gets
-the same policy from glibc's environment, set before Python starts:
-
-    MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864
-
-In a loop of in-process fine-grid solves this took the minor faults per
-solve from 5k-15k (the count depends on what the process allocated
-before) to none, and the time per solve from about 0.22 to 0.19 s.
+and by `python -m fermatpath.cli`: it sets the allocator policy of
+`_steady_heap`, then runs `main`, which leaves the allocator alone, so
+tests and library callers keep their own.
 """
 from __future__ import annotations
 
@@ -182,10 +169,9 @@ def parse_scenario(
     p_t, q_t = (_read(cp, path, "endpoints", k, float, 0.0) for k in ("p_t", "q_t"))
     p = Point(p_y, p_t)
     q = Point(q_y, q_t)
-    try:
-        _check_endpoints(model, p, q)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: [endpoints] q_y: {exc}") from None
+    fault = _check_endpoints(model, p, q)
+    if fault:
+        raise ScenarioError("{}: [endpoints] {}: {}".format(path, *fault))
 
     kappas = tuple(_read(cp, path, "problem", "kappa", float, many=True))
     if not kappas:
@@ -431,6 +417,22 @@ def _steady_heap() -> None:
     """Let the process keep freed heap blocks instead of returning them to
     the kernel (glibc on Linux; elsewhere nothing).
 
+    Each descent iteration allocates and frees dozens of (N, m)
+    temporaries, 0.4-0.8 MB each at N = 5e4.  Under glibc's defaults the
+    freed top of the heap is returned to the kernel and faulted back in on
+    the next iteration: a fine-grid solve (bench/workloads/fine-grid.ini)
+    took 22k-26k minor page faults as a fresh process, and 9k with the
+    mmap threshold at 32 MiB and the trim threshold at 64 MiB, which took
+    about 5% off its wall time.  The setting is process-wide, so only `run`
+    makes it.  A library caller gets the same policy from glibc's
+    environment, set before Python starts:
+
+        MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864
+
+    In a loop of in-process fine-grid solves this took the minor faults per
+    solve from 5k-15k (the count depends on what the process allocated
+    before) to none, and the time per solve from about 0.22 to 0.19 s.
+
     The mmap threshold is set first, and the trim threshold only if glibc
     took it: setting the trim threshold alone also freezes the mmap
     threshold at its 128 KiB default, so every (N, m) temporary would be
@@ -451,14 +453,8 @@ def _steady_heap() -> None:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Process entry point: set the allocator policy, then run `main`.
-
-    `_steady_heap` keeps the (N, m) blocks a descent frees in the heap for
-    its next iteration, so a fine-grid solve stops faulting them back in
-    (22k-26k -> 9k minor faults, about 5% off its wall time).  This is a
-    process-wide setting, so only the process entry makes it: `main`
-    leaves the allocator of its caller alone.
-    """
+    """Process entry point: set the allocator policy (`_steady_heap`), then
+    run `main`, which leaves the allocator of its caller alone."""
     _steady_heap()
     return main(argv)
 

@@ -92,17 +92,13 @@ class StationaryModel:
     2-homogeneous Lagrangians (causal cone, optical arrival length) require
     both flags.  `static` is true when omega vanishes identically and d is
     constant, so the charge omega + d - tau does not see the spatial nodes:
-    its linearized coefficients A = d(omega + d)/dy and B (omega's) are
-    +0.0 arrays, and arrival._restricted_gradient skips the lift adjoint.
-    The flag also decides a line-search trial's projection: every projected
-    path of one descent has the t-nodes of its seed, so a trial takes the
-    t-part of the iterate it moves from and omega and d are not evaluated
+    its gradients skip the lift adjoint (arrival._restricted_gradient) and
+    its line-search trials take the t-part of their iterate
     (paths.project_to_N).  `build_model` sets it when omega and d are both
     absent, `affine_model` keeps it for an offset with no y-dependent term;
     like `linear_charge` it is derived from the model, never given, and a
-    `replace` that gives a model an omega or a y-dependent d must clear it:
-    a full projection of a static model raises UnsupportedModelError where
-    omega + d is not one value along the path.  `periods` lists
+    `replace` that gives a model an omega or a y-dependent d must clear it
+    (paths.project_to_N refuses the model otherwise).  `periods` lists
     per-coordinate identification periods of the slice (0 = aperiodic);
     None means a plain euclidean slice.
 
@@ -331,18 +327,13 @@ def time_reversed(model: StationaryModel) -> StationaryModel:
 # The row-wise kernels run down whole columns instead, with the bits of the
 # plain expressions: `_row_scale`, `_row_dot`, and arrival._column_cumsum
 # and arrival._column_sum (the scans and the column sum of
-# arrival._h1_solve).  numpy scans an (N, 2) array one element at a time;
-# arrival._column_cumsum views a C-ordered (N, 2) float64 array as one
-# complex128 column and scans that.  Complex addition is two independent
-# IEEE additions, one per component, and a scan adds its rows in order, so
-# each column keeps the bits of cumsum(axis=0), signed zeros included, in
-# about half the time (206 against 397 us at N = 5e4).  Two cases keep
-# numpy's own form, because the columns would sum in another order: a row
-# dot of m >= 3 columns is einsum's, and the column sum of m = 1 column is
-# numpy's pairwise reduce.  On fewer rows than this, one ufunc call per
-# column costs more than numpy's row loops (measured crossover 300-400 rows
-# at m = 2), and the complex scan more than the plain one (crossover about
-# 400 rows; 5.4 against 4.9 us at 200), so all four evaluate the plain
+# arrival._h1_solve, which scan an (N, 2) array as one complex column; see
+# arrival._column_cumsum).  Two cases keep numpy's own form, because the
+# columns would sum in another order: a row dot of m >= 3 columns is
+# einsum's, and the column sum of m = 1 column is numpy's pairwise reduce.
+# On fewer rows than this, one ufunc call per column costs more than
+# numpy's row loops (measured crossover 300-400 rows at m = 2), and the
+# complex scan more than the plain one, so all four evaluate the plain
 # expression.
 _COLUMN_LOOP_MIN_ROWS = 400
 
@@ -845,8 +836,8 @@ def polynomial_model(
     return build_model(
         dim,
         L0=L0_poly,
-        omega=(lambda y, nu: omega_poly(y, nu)) if omega_poly else None,
-        d_offset=(lambda y: d_poly(y)) if has_d else None,
+        omega=omega_poly,
+        d_offset=d_poly if has_d else None,
         dL0_dy=lambda y, nu: L0_poly.grad_eval("y", y, nu),
         dL0_dnu=lambda y, nu: L0_poly.grad_eval("nu", y, nu),
         domega_dy=(lambda y, nu: omega_poly.grad_eval("y", y, nu)) if omega_poly else None,
@@ -958,7 +949,7 @@ def affine_model(base: StationaryModel, d_poly: Polynomial, name: str) -> Statio
     _require_nu_degree("d", d_poly, 0)
     return replace(
         base,
-        d_offset=lambda y: d_poly(y),
+        d_offset=d_poly,
         dd_dy=lambda y: d_poly.grad_eval("y", y),
         linear_charge=base.linear_charge and not d_poly.terms,
         static=base.static and not any(any(t.y_pow) for t in d_poly.terms),

@@ -10,75 +10,23 @@ term because nothing depends on t).  One cumulative construction
 (`_cumulative_nodes`) integrates a per-segment rate less its mean into
 nodes with pinned endpoints: `project_to_N` applies it to omega + d, and
 `tangent_split` and `lift_spatial_variation` to the negated linearized
-charge of a variation; the lift forms its t-part only when the field's
-`t` is first read (`_LiftedField`), and the descent never reads it.  One
-per-segment pairing of a nodal field with per-segment coefficients
-(`segment_pairing`) gives both the linearized charge, as the pairing with
-the charge coefficients (A, B) of `linearized_charge_coeffs` and w = -1,
-and the integrand of a directional derivative.  The descent's gradient has
-the coefficients already, so `lift_spatial_variation` takes them;
-`tangent_split` evaluates them.
+charge of a variation.  One per-segment pairing of a nodal field with
+per-segment coefficients (`segment_pairing`) gives both the linearized
+charge, as the pairing with the charge coefficients (A, B) of
+`linearized_charge_coeffs` and w = -1, and the integrand of a directional
+derivative.  The descent's gradient has the coefficients already, so
+`lift_spatial_variation` takes them; `tangent_split` evaluates them.
 
 Paths and fields are value-like records; every operation returns a new
-record.
-
-A `PathState` is a path together with one evaluation of a model on it: the
-segment geometry, the one-form values, the charge and energy quadratures
-and the deviation of the charge profile.  Its constructor is the one place
-the charge profile (omega - tau) + d is formed and reduced; it computes no
-geometry and evaluates only the energy, from what its builder passes.
-`path_state` builds the state of a plain path from `segment_geometry`;
-`project_to_N` builds it from the spatial half of that geometry and the
-rate of the t-nodes it computes.  For a static model
-(StationaryModel.static) omega + d is one constant whatever the y-nodes,
-so every projected path of one descent has the t-nodes of its seed: a
-line-search trial (solve._trial) takes the t-nodes, their rate, omega and
-the charge values of the iterate it moves from, and its projection
-evaluates only the spatial half and the energy.  `project_to_N` is the
-one entry of every projection, trials included, and refuses a static
-model whose omega + d varies.  `project_to_N` returns a state, so every
-consumer of a projected path (arrival times, constraint check, tangent
-split, lift) reads these values instead of evaluating the model again.  A
-record's geodesic is evaluated once, and both of its certificates read
-that state (solve.el_residual, solve.conservation_check).  A plain
-`DiscretePath` passed to a consumer is evaluated once on entry
-(`path_state`).  Derivatives of the charge are not part of the state: they
-are computed per gradient and passed explicitly (see
-`linearized_charge_coeffs`).
-
-A `DiscretePath` copies and checks its nodes once, when it is built.  The
-exceptions are a line-search trial (solve._trial), which forms its y-nodes
-in a new array, and a random seed (solve._perturbed_path), which forms
-both; they wrap them with the private `DiscretePath._own`: nothing is
-copied, and only the nodes not already checked are checked.  A state
-shares the y-array (and periods) of the path it evaluates or projects
-instead of copying it again; `project_to_N` checks only the new t-nodes it
-computes, and evaluates only the spatial half of the segment geometry,
-which is all that omega and d need.  The per-iteration kernels call ufuncs
-and array methods directly (np.add.reduce(x) / n for np.mean, a[1:] -
-a[:-1] for np.diff, x.cumsum() for np.cumsum), which are the same
-operations in the same order as the numpy wrappers, and write into their
-own results with `out=` and in-place operators rather than into new
-temporaries; they never write an array a caller passed in.  The same
-operations in the same order, with the operands of a sum or product at
-most swapped, give the same bits, so every value is bitwise what the plain
-expressions give.  `segment_pairing`, which the descent never calls, is
-the plain expression; its row dots are a row-wise kernel of models
-(models._row_dot; see the row-wise kernels section there).
+record.  A `DiscretePath` copies and checks its nodes once, when it is
+built, unless it takes over its arrays (`DiscretePath._own`).  A
+`PathState` is a path with one evaluation of a model on it, which every
+consumer of the path reads.  The kernels follow the rules set out in the
+arrival module.
 
 Paths are stored as plain-text node tables, one row ``s y_1..y_m t`` per
-node with 17 significant digits, so `load_path` reads back the saved bits.
-`save_path` formats the table in fixed blocks of rows, the s and y columns
-once for every path sharing them; its bytes are exactly those of
-formatting every value with ``"%.17g"``, row by row.  The numbers are
-formatted by a numpy kernel, `_format_17g`, without a per-value call of
-Python's formatting.  It is exact on the fixed-notation range of
-``%.17g``, v == 0 and 1e-4 <= |v| < 1e17: Dekker's TwoProduct gives
-|v| * 10**(16 - floor(log10 |v|)) as an exact sum of two doubles, so the
-17-digit significand is that sum rounded half to even, with no error
-bound to trust.  Every other value (exponent notation, non-finite values)
-goes to ``"%.17g" % v`` itself.  `solve._fmt` stays the scalar form for the
-record fields and CSV cells; a test pins it and the kernel equal.
+node with 17 significant digits, so `load_path` reads back the saved bits;
+`save_path` formats them with the exact kernel `_format_17g`.
 """
 from __future__ import annotations
 
@@ -127,7 +75,12 @@ class DiscretePath:
     def _own(cls, y, t, periods) -> "DiscretePath":
         """A path over arrays the caller gives up: float (N+1, m) y-nodes,
         (N+1,) t-nodes already checked finite and `periods` as a path holds
-        them.  Nothing is copied; only the y-nodes are checked finite."""
+        them.  Nothing is copied; only the y-nodes are checked finite.
+
+        A line-search trial (solve._trial) forms its y-nodes in a new array
+        and shares its iterate's t-nodes; a random seed
+        (solve._perturbed_path) forms both.  Every other path copies and
+        checks its nodes in the constructor."""
         if not np.isfinite(y).all():
             raise ValueError("path nodes must be finite")
         path = object.__new__(cls)
@@ -176,17 +129,27 @@ class PathState(DiscretePath):
     t_pm follow from Q_bar and E_val in O(1), so no arrival evaluation is
     stored: it depends on kappa.
 
+    A path is evaluated once per model.  Every consumer (arrival times, the
+    constraint check, the tangent split, the lift, a record's two
+    certificates) reads the state that `path_state` gives it, which is a
+    state of the same model as it is, or else one new evaluation.  So the
+    descent evaluates each iterate and trial once, where `project_to_N`
+    builds its state, and a record's geodesic once.  Derivatives are not
+    part of a state: a gradient evaluates them once, passes them explicitly
+    (arrival._arrival_form, linearized_charge_coeffs) and drops them when it
+    returns, so a state never holds (N, m) partials.
+
     Built by `path_state` and `project_to_N`, which pass every value: the
     t-nodes `t` (those of `path`, or the projected ones), `mid_y` and `vel_y`
     of the y-nodes, `vel_t` of the t-nodes, and `omega` and `d` =
-    d_offset(mid_y) evaluated there.  No geometry is computed here.  The
-    state shares the y-nodes and periods of `path`, which a `DiscretePath`
-    already holds as a private, checked copy; nothing is copied or checked
-    here.  A static model's line-search trial (project_to_N with `_origin`)
-    passes the t-nodes, `vel_t` and `omega` of the state it moves from,
-    that state as `charge_of` and d as None: the trial's charge profile is
-    that state's, so Q_bar, noether_dev and constraint_dev are read from
-    it, and only the energy is evaluated.
+    d_offset(mid_y) evaluated there.  No geometry is computed here; this is
+    the one place the charge profile is formed and reduced, and only the
+    energy is evaluated.  The state shares the y-nodes and periods of
+    `path`, which a `DiscretePath` already holds as a private, checked
+    copy; nothing is copied or checked here.  `charge_of` is a state with
+    this one's charge profile (a static model's trial; see project_to_N):
+    Q_bar, noether_dev and constraint_dev are read from it, and `d` is
+    not used.
     """
 
     def __init__(self, model, path, t, mid_y, vel_y, vel_t, omega, d, charge_of=None):
@@ -299,6 +262,8 @@ def segment_pairing(path: DiscretePath, delta: TangentField, P, V, w) -> np.ndar
     midpoints are never needed.  With per-segment partials (P, V, w) of a
     functional this is the integrand of its directional derivative; with
     the charge coefficients (A, B) and w = -1 it is the linearized charge.
+    The descent never calls it, so it is the plain expression; its row dots
+    are a row-wise kernel (models._row_dot).
     """
     n = path.segments
     dy = delta.y
@@ -368,18 +333,21 @@ def project_to_N(
     projected path: omega and d depend on the y-nodes only, so the values
     computed here serve it as well.  The state shares the y-nodes of `path`
     (already a checked copy); only the new t-nodes are checked, which are
-    non-finite exactly when omega or d is somewhere on the path.
+    non-finite exactly when omega or d is somewhere on the path.  This is
+    the one entry of every projection, line-search trials included.
 
-    For a static model (StationaryModel.static) omega + d takes one value
-    on every segment, whatever the y-nodes are: a full projection raises
-    UnsupportedModelError where it does not, so a model whose flag is
-    wrong fails on its first projection.  `_origin`, which only
-    solve._trial passes, is the projected state of `model` whose t-nodes
-    `path` shares.  For a static model the full projection of `path` would
-    form exactly the t-part of `_origin` (the same constant rate, the same
-    two ends), so the state takes its t-nodes, `vel_t`, omega and charge
-    values from `_origin` and evaluates only the spatial geometry and the
-    energy; omega and d are not called.  Any other model projects in full.
+    A static model (StationaryModel.static: no omega, d constant) has one
+    value of omega + d on every segment, whatever the y-nodes are, so every
+    projected path of one descent has the t-nodes of its seed.  A full
+    projection of a static model raises UnsupportedModelError where omega +
+    d is not one value, so a model whose flag is wrong fails on its first
+    projection.  `_origin`, which only solve._trial passes, is the projected
+    state of `model` whose t-nodes `path` shares.  For a static model the
+    full projection of `path` would form exactly the t-part of `_origin`
+    (the same constant rate, the same two ends), so the state takes its
+    t-nodes, `vel_t`, omega and charge values from `_origin` and evaluates
+    only the spatial geometry and the energy; omega and d are not called.
+    Any other model projects in full.
     """
     mid_y, vel_y = _spatial_geometry(path)
     if _origin is not None and model.static:
@@ -413,10 +381,8 @@ def linearized_charge_coeffs(
     A_i . dy_mid_i + B_i . dy_vel_i - dt_vel_i, with A the position
     sensitivity of omega + d and B the one-form coefficients of omega.
     `domega_dy` and `w` (= omega_coeffs at the midpoints) may be passed when
-    already evaluated at this path; B is then `w` itself.  For a static
-    model (StationaryModel.static: no omega, d constant) A and B are +0.0
-    arrays, the sums and values of zero evaluators, and the lift adjoint of
-    a gradient is skipped (arrival._restricted_gradient).
+    already evaluated at this path; B is then `w` itself.  A static model
+    has +0.0 arrays, whose adjoint arrival._restricted_gradient skips.
     """
     state = path_state(model, path)
     if domega_dy is None:
@@ -456,10 +422,10 @@ class _LiftedField(TangentField):
     `y` is the lift's copy of the spatial variation.  `t` is tangent_split's
     t-part of the field (y, 0), 0.0 - mu, computed once when it is first
     read; the state and the charge coefficients it needs are held until
-    then and dropped after.  The descent reads only `y` (the projection
-    rebuilds every t-node), so its gradients never form the t-part.  Once
-    the benchmark stops tracing the lift, this class gives way to
-    arrival_gradient returning u and its norm.
+    then and dropped after.  The descent reads only `y` and the gradient's
+    norm (the projection rebuilds every t-node), so its gradients never
+    form the t-part.  Once the benchmark stops tracing the lift, this class
+    gives way to arrival_gradient returning u and its norm.
     """
 
     def __init__(self, y, state, coeffs):
@@ -483,10 +449,9 @@ def lift_spatial_variation(
     The constraint manifold is a graph over the spatial nodes, so every
     interior spatial variation lifts to exactly one tangent field.  `coeffs`
     is (A, B) of linearized_charge_coeffs at this path, which the caller
-    has already evaluated.  `dy` is copied once; the lifted field shares
-    that copy.  The field's t-part, that of tangent_split of the field
-    (dy, 0), is formed on its first read (`_LiftedField`); the path is
-    checked on the constraint here.
+    has already evaluated.  `dy` is copied once; the lifted field
+    (`_LiftedField`) shares that copy.  The path is checked on the
+    constraint here.
     """
     y = np.array(dy, dtype=float)
     y[0] = 0.0
@@ -661,7 +626,8 @@ def _format_17g(values: np.ndarray, sep: int) -> tuple[np.ndarray, np.ndarray]:
     runs down whole rows; the digits come from a table of 4-digit groups.
 
     Every other value (exponent notation, non-finite values) is formatted
-    by ``"%.17g" % v`` itself.
+    by ``"%.17g" % v`` itself.  `solve._fmt` stays the scalar form for the
+    record fields and CSV cells; a test pins it and the kernel equal.
     """
     pow10, group_digits, group_zeros, masks = _format_tables()
     n = values.shape[0]
@@ -750,14 +716,11 @@ def save_path(path: DiscretePath, filename: str, *also):
     The columns [i/n, y] are built once and written in blocks of
     `_SAVE_BLOCK_ROWS` rows.  `_format_17g` formats the s and y values of a
     block once and each path's t-values once; each file's block is their
-    rows, joined by one boolean compress.  The kernel is exact for v == 0
-    and 1e-4 <= |v| < 1e17, the fixed notation of ``%.17g``: it rounds
-    the exact two-double product |v| * 10**p (Dekker's TwoProduct) to the
-    17-digit integer significand, half to even.  Other values are
-    formatted by ``"%.17g" % v``.  So the bytes of each file are those of
-    formatting each value of each row with ``"%.17g" % v``:
-    ``np.arange(n + 1) / n`` equals ``i / n`` bitwise, and ``"%.17g"`` of a
-    float64 equals that of the same Python float.
+    rows, joined by one boolean compress.  Its text is that of ``"%.17g"
+    % v``, so the bytes of each file are those of formatting each value of
+    each row with ``"%.17g" % v``: ``np.arange(n + 1) / n`` equals ``i / n``
+    bitwise, and ``"%.17g"`` of a float64 equals that of the same Python
+    float.
     """
     for other, name in also:
         if (

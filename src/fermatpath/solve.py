@@ -5,48 +5,25 @@ Projected gradient descent: iterates live on the constraint manifold
 direction is the H1-preconditioned gradient of the arrival time restricted
 to the constraint tangent space, steps are accepted under an Armijo
 sufficient-decrease rule, and every trial point is re-projected, so the
-constraint holds to machine precision along the whole iteration.
-
-One model evaluation per iterate: `project_to_N` returns a `PathState`
-(the path with its geometry, omega values, charge and energy quadratures
-and constraint deviation), which the Armijo test reads through
-`arrival_times` and the next gradient reads through `arrival_gradient`.
-A candidate the line search rejects is dropped with its state; the
-derivatives of the accepted iterate live only inside one
-`arrival_gradient` call.  Of a gradient the descent holds only the spatial
-representer u and the norm: the projection rebuilds every t-node, so the
-t-part of the lifted field is never formed (paths.lift_spatial_variation
-forms it on first read).  Records keep the plain path, not its state.
-A line-search trial (`_trial`) forms its y-nodes path.y - step * u in one
-new array and checks them finite once.  The trial path owns that array
-and shares the iterate's t-nodes, of which a full projection reads only
-the two ends; the projected state shares the trial's y-nodes.  For a
-static model (models.StationaryModel.static) the charge does not see the
-y-nodes, so every iterate of a descent has its seed's t-nodes: a trial's
-state takes the t-nodes, t-rates, omega values and charge values of the
-iterate, and omega and d are evaluated only for the seed and the
-certification (paths.project_to_N).
+constraint holds to machine precision along the whole iteration.  Each
+iterate and trial is the state of its projection (paths.project_to_N,
+paths.PathState); of a gradient the descent reads only the spatial
+representer u and its norm (paths._LiftedField).
 
 A descent ends in one place, `_stopped`, with its stop reason: "grad_tol"
 when the gradient norm reaches the tolerance, or one of the unconverged
 stops that the table _STOP_WARNINGS names together with its warning.  A
 record's verdict `converged` is its stop reason being "grad_tol", so a new
-stop is one table entry and cannot disagree with the verdict.
-
-The descent minimizes t_plus only.  The minus branch is the plus branch of
-the time-reversed problem (models.time_reversed): `minimize_arrival`
-reflects the endpoints and the seed (t -> 0.0 - t), descends on the
-reversed model, and reflects the result back.
+stop is one table entry and cannot disagree with the verdict.  The descent
+minimizes t_plus only; `minimize_arrival` runs the minus branch as the
+plus branch of the time-reversed problem.
 
 Multi-start wraps the descent with homotopy-class seeding (extra wraps of
 the straight lift on cylinders, smooth random perturbations otherwise),
 deduplicates records by the descent's objective and winding, and sorts by
 that objective.  Each record carries the reconstructed trajectory (the path
 carried by the symmetry flow to the arrival parameter) plus conservation
-and stationarity residuals for certification.  `minimize_arrival`
-evaluates the trajectory once (paths.path_state) and passes that state to
-both `el_residual` and `conservation_check`; the record keeps the plain
-trajectory, so the state ends with the certification.
+and stationarity residuals for certification.
 """
 from __future__ import annotations
 
@@ -321,18 +298,23 @@ def seed_path(
 # ---------------------------------------------------------------------------
 
 def _check_endpoints(model, p, q):
-    """ValueError unless the displacement from p to q is finite and moves
-    the slice position.  It is finite exactly when both endpoints are and
-    no coordinate's difference overflows; that is checked before the
-    periods reduce it, which would warn on inf (inf - inf)."""
+    """What is wrong with the endpoints p and q, as (keys, message) with
+    `keys` the scenario keys of the pair at fault, or None.
+
+    The displacement from p to q must be finite and move the slice
+    position.  It is finite exactly when both endpoints are and no
+    coordinate's difference overflows; that is checked before the periods
+    reduce it, which would warn on inf (inf - inf)."""
     with np.errstate(over="ignore", invalid="ignore"):
         disp = np.subtract((q.t, *q.y), (p.t, *p.y))
     if not np.isfinite(disp).all():
-        raise ValueError("path nodes must be finite")
+        keys = "p_y, q_y" if np.isfinite(disp[0]) else "p_t, q_t"
+        return keys, "path nodes must be finite"
     if np.linalg.norm(unwrap_periodic(disp[1:], model.periods)) < 1e-12:
-        raise ValueError(
+        return "p_y, q_y", (
             "endpoints lie on the same flow line: the slice positions coincide"
         )
+    return None
 
 
 def _check_branch(branch):
@@ -341,24 +323,24 @@ def _check_branch(branch):
 
 
 def _reflected(x):
-    """A point or path under t -> -t, as 0.0 - t, which keeps a +0.0 t-node
-    +0.0 (unary minus would make it -0.0)."""
+    """A point, path or arrival evaluation under t -> -t, as 0.0 - t, which
+    keeps a +0.0 t-node +0.0 (unary minus would make it -0.0).  An arrival
+    evaluation's Q_bar is reflected the same way; S and E_val do not change."""
     if isinstance(x, Point):
         return Point(x.y, 0.0 - x.t)
+    if isinstance(x, ArrivalEvaluation):
+        return replace(x, Q_bar=0.0 - x.Q_bar)
     return DiscretePath(x.y, 0.0 - x.t, x.periods)
 
 
 def _trial(model, path, u, step):
     """The projected line-search trial at path.y - step * u.
 
-    The y-nodes are formed in one new array: step * u, then path.y minus
-    that, written over it.  The trial path owns the array and checks it
-    finite once; it shares the t-nodes of `path`, the iterate's projected
+    The y-nodes are formed in one new array, step * u and then path.y minus
+    that written over it, which the trial path takes over
+    (DiscretePath._own) with the t-nodes of `path`, the iterate's projected
     state, of which a full projection reads only the two ends.  `path` is
-    passed as the projection's origin: for a static model
-    (StationaryModel.static) the trial's t-nodes, t-rates, omega values and
-    charge values are those of `path`, and the projection evaluates only
-    the trial's spatial geometry and energy.
+    the projection's origin (paths.project_to_N).
     """
     y = np.multiply(step, u)
     np.subtract(path.y, y, out=y)
@@ -396,9 +378,9 @@ def _descend(model, path, kappa, opts):
     trial = FIRST_STEP
     stagnant = 0
     for iters in range(1, opts.max_iters + 1):
-        # Only the spatial representer and the norm are read: the field's
-        # t-part is never formed, and dropping the gradient releases what
-        # forming it would need before the line search.
+        # Only the spatial representer and the norm are read; dropping the
+        # gradient releases what its t-part would need (paths._LiftedField)
+        # before the line search.
         grad = arrival_gradient(model, path, kappa)
         u, norm = grad.field.y, grad.norm
         del grad
@@ -449,42 +431,41 @@ def minimize_arrival(
     Armijo-backtracked projected gradient descent of t_plus with the H1
     metric; the accepted objective sequence is nonincreasing by
     construction.  The "plus" branch minimizes the future arrival t_plus.
-    "minus" maximizes t_minus, the latest past arrival: t_minus of a path
-    is -t_plus of its reflection t -> 0.0 - t under
-    models.time_reversed(model), so p, q and a DiscretePath `init` are
-    reflected, the plus descent runs on the reversed model, and its path
-    and charge quadrature Q_bar are reflected back.  Any other branch
-    raises ValueError.  Either way the path is flowed by the branch's
-    arrival time and certified on `model`.  Returns a record with the
-    reconstructed trajectory and certification residuals; non-convergence
-    within max_iters is reported, never clamped.
+    "minus" maximizes t_minus, the latest past arrival, as the plus branch
+    of the reversed problem: t_minus of a path is -t_plus of its reflection
+    t -> 0.0 - t under models.time_reversed(model).  So both branches take
+    one seed and one descent, of `model` with the identity as the
+    reflection, or of the reversed model with `_reflected`: p, q and a
+    DiscretePath `init` are reflected, and the descended path and its
+    arrival evaluation are reflected back.  Any other branch raises
+    ValueError.  Either way the path is flowed by the branch's arrival time
+    and certified on `model`: the trajectory is evaluated once
+    (paths.path_state), both residuals read that state, and the record
+    keeps plain paths, so the states end with this call.  Returns a record
+    with the reconstructed trajectory and certification residuals;
+    non-convergence within max_iters is reported, never clamped.
     """
     _check_branch(branch)
     opts = opts or SolverOptions()
     p = p if isinstance(p, Point) else Point(*p)
     q = q if isinstance(q, Point) else Point(*q)
-    _check_endpoints(model, p, q)
+    fault = _check_endpoints(model, p, q)
+    if fault:
+        raise ValueError(fault[1])
     if rng is None:
         rng = np.random.default_rng(opts.rng_seed)
 
     init = 0 if init is None else init
     seed_label = "path" if isinstance(init, DiscretePath) else str(init)
-    if branch == "plus":
-        path, arr, iters, stop_reason = _descend(
-            model, seed_path(model, p, q, opts.N, init, rng), kappa, opts
-        )
-        t_arrival = arr.t_plus
-    else:
-        reversed_model = time_reversed(model)
-        if isinstance(init, DiscretePath):
-            init = _reflected(init)
-        seed = seed_path(reversed_model, _reflected(p), _reflected(q), opts.N, init, rng)
-        path, arr, iters, stop_reason = _descend(reversed_model, seed, kappa, opts)
-        path = _reflected(path)
-        arr = replace(arr, Q_bar=0.0 - arr.Q_bar)
-        t_arrival = arr.t_minus
+    minus = branch == "minus"
+    reflect = _reflected if minus else (lambda x: x)
+    descended = time_reversed(model) if minus else model
+    init = reflect(init) if isinstance(init, DiscretePath) else init
+    seed = seed_path(descended, reflect(p), reflect(q), opts.N, init, rng)
+    path, arr, iters, stop_reason = _descend(descended, seed, kappa, opts)
+    path, arr = reflect(path), reflect(arr)
 
-    geo = apply_flow(path, t_arrival)
+    geo = apply_flow(path, arr.t_minus if minus else arr.t_plus)
     state = path_state(model, geo)
     energy_dev, noether_dev = conservation_check(model, state, kappa)
     return SolutionRecord(

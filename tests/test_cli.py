@@ -599,7 +599,7 @@ def test_out_of_range_flag_keeps_its_message(tmp_path, capsys, args, message):
 )
 def test_endpoints_on_one_flow_line_exit_2(tmp_path, capsys, spec, p_y, q_y):
     """Endpoints whose slice positions coincide (modulo the periods) are a
-    parse error of [endpoints] q_y, for validate as for solve."""
+    parse error of the pair [endpoints] p_y, q_y, for validate as for solve."""
     f = write_scenario(
         tmp_path,
         f"[model]\nspec = {spec}\n[endpoints]\np_y = {p_y}\nq_y = {q_y}\n"
@@ -609,7 +609,7 @@ def test_endpoints_on_one_flow_line_exit_2(tmp_path, capsys, spec, p_y, q_y):
         out = os.path.join(tmp_path, "o")
         assert main([command, f, "--out", out]) == EXIT_PARSE
         assert capsys.readouterr().err == (
-            f"error: {f}: [endpoints] q_y: endpoints lie on the same flow line: "
+            f"error: {f}: [endpoints] p_y, q_y: endpoints lie on the same flow line: "
             "the slice positions coincide\n"
         )
         assert not os.path.exists(out)
@@ -622,7 +622,9 @@ def test_endpoints_on_one_flow_line_exit_2(tmp_path, capsys, spec, p_y, q_y):
 ])
 def test_endpoints_of_overflowing_displacement_exit_2(tmp_path, capsys, spec, p_y, q_y, p_t, q_t):
     """Finite endpoints whose displacement overflows, in y or in t, are a
-    parse error of [endpoints] q_y, and numpy warns of nothing first."""
+    parse error of the pair of keys that overflows, and numpy warns of
+    nothing first."""
+    keys = "p_y, q_y" if p_t == "0" else "p_t, q_t"
     f = write_scenario(
         tmp_path,
         f"[model]\nspec = {spec}\n[endpoints]\np_y = {p_y}\nq_y = {q_y}\n"
@@ -633,7 +635,7 @@ def test_endpoints_of_overflowing_displacement_exit_2(tmp_path, capsys, spec, p_
         warnings.simplefilter("error")
         assert main(["solve", f, "--out", out]) == EXIT_PARSE
     assert capsys.readouterr().err == (
-        f"error: {f}: [endpoints] q_y: path nodes must be finite\n"
+        f"error: {f}: [endpoints] {keys}: path nodes must be finite\n"
     )
     assert not os.path.exists(out)
 

@@ -13,15 +13,18 @@ import pytest
 import fermatpath as fp
 from fermatpath import paths, solve
 from fermatpath.arrival import arrival_gradient
+from fermatpath.models import time_reversed
 from fermatpath.paths import path_state, winding
 from fermatpath.solve import DUPLICATE_TOL, conservation_check, el_residual, seed_path
 
 from conftest import (
     BENCH_POLYNOMIAL_MODEL,
     BUILTIN_SPECS,
+    DATA,
     OFFSET_FIBER,
     POTENTIAL,
     endpoints_for,
+    reflected,
     smooth_path,
 )
 
@@ -278,6 +281,50 @@ def test_minus_branch_reverses_plus():
     fwd2 = fp.minimize_arrival(FLAT, P0, Q34, -1.0)
     rev2 = fp.minimize_arrival(FLAT, Q34, P0, -1.0, branch="minus")
     assert rev2.arrival.t_minus == pytest.approx(-fwd2.t_plus, abs=1e-8)
+
+
+REFLECTION_CASES = [
+    pytest.param(fp.get_model(spec), -0.5, id=spec)
+    for spec in (
+        "flat", "flat(3)", "cylinder(1)", "randers-rot(0.3)", "randers-const(0.2,-0.1)",
+        "affine(cylinder(1), 0.5)", "affine-field(flat, 0.3 y1)",
+        "affine-field(randers-rot(0.3), 0.1 y1 + 0.05 y2^2)",
+    )
+] + [
+    pytest.param(fp.load_custom_model(str(DATA / "golden" / name)), -0.5, id=name)
+    for name in ("polynomial.model.ini", "static.model.ini")
+] + [pytest.param(POTENTIAL, -3.5, id="potential")]
+
+
+@pytest.mark.parametrize("init", [0, 1, "random"])
+@pytest.mark.parametrize("model, kappa", REFLECTION_CASES)
+def test_minus_record_is_the_reflected_plus_record(model, kappa, init):
+    """A minus record is, bit for bit, the plus record of the reversed
+    problem (the time-reversed model, the reflected endpoints, the same rng)
+    reflected back: the t-nodes of its paths and its Q_bar are 0.0 minus
+    those of the plus record, and every other field, the certificates
+    included, is equal."""
+    def bits(*values):
+        return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+    p, q = endpoints_for(model)
+    opts = fp.SolverOptions(N=40)
+    minus = fp.minimize_arrival(
+        model, p, q, kappa, init, opts, branch="minus", rng=np.random.default_rng(0)
+    )
+    plus = fp.minimize_arrival(
+        time_reversed(model), reflected(p), reflected(q), kappa, init, opts,
+        rng=np.random.default_rng(0),
+    )
+    for mine, theirs in ((minus.z_star, plus.z_star), (minus.geodesic, plus.geodesic)):
+        assert bits(mine.y, mine.t) == bits(theirs.y, 0.0 - theirs.t)
+    a, b = minus.arrival, plus.arrival
+    assert bits(a.Q_bar, a.S, a.E_val, a.kappa) == bits(0.0 - b.Q_bar, b.S, b.E_val, b.kappa)
+    assert a.branch_valid == b.branch_valid
+    fields = ("el_residual", "energy_dev", "noether_dev")
+    assert bits(*(getattr(minus, f) for f in fields)) == bits(*(getattr(plus, f) for f in fields))
+    fields = ("winding", "iters", "stop_reason", "seed")
+    assert [getattr(minus, f) for f in fields] == [getattr(plus, f) for f in fields]
 
 
 @pytest.mark.parametrize("branch", ["Plus", "MINUS", "minus ", ""])
