@@ -26,7 +26,8 @@ principle in a stationary spacetime (Perlick, Class. Quantum Grav. 7
 which is theta = 0 only in that case.
 
 All variational quantities are midpoint-rule discretizations over segments.
-The arrival one-form is assembled in one place, `_arrival_form`.
+The arrival one-form is assembled in one place, `_arrival_form`, except
+for a static model's gradient, whose form is dE0 / S (`_static_form`).
 `arrival_gradient` returns its H1 representer (`_restricted_gradient`),
 `criticality_residual` the dual norm of the representer of theta, and
 `dt_plus` pairs the form with a variation (paths.segment_pairing).  Each
@@ -201,6 +202,15 @@ def _arrival_partials(arr: ArrivalEvaluation, domega_dy, w, E):
     return E
 
 
+def _valid_arrival(model, path, kappa):
+    """(state, arrival) at a path whose plus branch is not degenerate."""
+    state = path_state(model, path)
+    arr = arrival_times(model, state, kappa)
+    if not arr.branch_valid:
+        raise AdmissibilityError("arrival branch degenerate: discriminant at the floor")
+    return state, arr
+
+
 def _arrival_form(model, path, kappa, critical: bool = False):
     """The arrival one-form at a path: (state, (P, V, w), (A, B)).
 
@@ -214,10 +224,7 @@ def _arrival_form(model, path, kappa, critical: bool = False):
     offset functional D are exact zeros, so the defect has the dual norm of
     dt_plus bit for bit.
     """
-    state = path_state(model, path)
-    arr = arrival_times(model, state, kappa)
-    if not arr.branch_valid:
-        raise AdmissibilityError("arrival branch degenerate: discriminant at the floor")
+    state, arr = _valid_arrival(model, path, kappa)
     args = (model, state.mid_y, state.vel_y, state.vel_t)
     given = {
         "omega": state.omega,
@@ -236,6 +243,37 @@ def _arrival_form(model, path, kappa, critical: bool = False):
             part += g_part
             part += cd * d_part
     return state, (P, V, wt), coeffs
+
+
+def _static_form(model, path, kappa):
+    """The arrival one-form of a static model (models.StationaryModel.static)
+    for its gradient: (state, (P, V, None), (A, B)).
+
+    The charge omega + d - tau of a static model has no spatial partials,
+    so t_plus sees the spatial nodes only through the fiber energy and its
+    spatial partials are P = coef_e * dE0_dy and V = coef_e * dE0_dnu, with
+    coef_e = 1 / S: dE0 / S, Fermat's principle in its optical form.  The
+    tau-part is not formed, since `_restricted_gradient` reads it only
+    for the lift adjoint, which a static state skips.  (A, B) are those of
+    paths.linearized_charge_coeffs, which the lifted field needs.
+
+    These are the bits of `_arrival_form`'s gradient.  There P is
+    (tau * domega_dy + dE0_dy) * coef_e + coef_q * domega_dy (V the same
+    with the omega coefficients), and both are arrays of zeros, of either
+    sign (a time reversal of wrapped zero evaluators gives -0.0).  Adding a
+    zero to a nonzero value leaves it, and adding a zero to a zero gives a
+    zero, so each entry of P is that of coef_e * dE0_dy but for the sign
+    of a zero.  A sum or difference of two values that differ so from two
+    others differs from theirs at most in the sign of a zero, and so does
+    its quotient by 2n: so does the spatial assembly.  The `+ 0.0` of a
+    static state in `_restricted_gradient` then turns every zero of the
+    assembly into +0.0, and the reduced gradients agree bit for bit.
+    """
+    state, arr = _valid_arrival(model, path, kappa)
+    coef_e = 1.0 / arr.S
+    P = np.multiply(coef_e, model.dE0_dy(state.mid_y, state.vel_y))
+    V = np.multiply(coef_e, model.dE0_dnu(state.mid_y, state.vel_y))
+    return state, (P, V, None), linearized_charge_coeffs(model, state)
 
 
 def dt_plus(model, path, kappa, delta: TangentField) -> float:
@@ -302,22 +340,31 @@ def _lift_adjoint(path, g_int, coeffs):
     return _assemble_y(path, a, b, G)
 
 
+def _complex_column(x, out=None) -> bool:
+    """Whether x, and `out` of x's shape when given, are C-contiguous
+    (k, 2) float64 arrays of models._COLUMN_LOOP_MIN_ROWS rows or more,
+    which view as one complex128 column.  A complex sum or difference is
+    one IEEE addition or subtraction per component, so an operation on the
+    column gives each float column its own bits, signed zeros included."""
+    return (
+        x.ndim == 2 and x.shape[0] >= _COLUMN_LOOP_MIN_ROWS and x.shape[1] == 2
+        and x.dtype == np.float64 and x.flags.c_contiguous
+        and (out is None or (out.dtype == np.float64 and out.flags.c_contiguous))
+    )
+
+
 def _column_cumsum(x, out) -> np.ndarray:
     """x.cumsum(axis=0, out=out), bit for bit; a row-wise kernel (see the
     section in models).
 
-    A C-contiguous (k, 2) float64 x and `out` of models._COLUMN_LOOP_MIN_ROWS
-    rows or more are viewed as one complex128 column, and that column is
-    scanned.  A complex sum is one IEEE addition per component and a scan
-    adds its rows one by one, so each column gets the bits of its own scan,
-    signed zeros included.  The complex scan takes about half the time
-    (206 against 397 us at k = 5e4), but is the slower at 200 rows (5.4
-    against 4.9 us); the two cross near 400 rows.  Every other shape calls
-    the scan itself.
+    When x and `out` view as complex columns (`_complex_column`), that
+    column is scanned: a scan adds its rows one by one, so each float
+    column gets the bits of its own scan.  The complex scan takes about
+    half the time (206 against 397 us at k = 5e4), but is the slower at
+    200 rows (5.4 against 4.9 us); the two cross near 400 rows.  Every
+    other shape calls the scan itself.
     """
-    if (x.ndim == 2 and x.shape[1] == 2 and x.shape[0] >= _COLUMN_LOOP_MIN_ROWS
-            and x.dtype == out.dtype == np.float64
-            and x.flags.c_contiguous and out.flags.c_contiguous):
+    if _complex_column(x, out):
         x.view(np.complex128).cumsum(axis=0, out=out.view(np.complex128))
         return out
     return x.cumsum(axis=0, out=out)
@@ -351,7 +398,10 @@ def _h1_solve(path, g_red):
     d_i = (mean(G) - G_i) / n and u = cumsum(d): two cumulative sums, O(n).
 
     The two cumulative sums and the column sum of mean(G) are scans down
-    (N, m) arrays, run by `_column_cumsum`.
+    (N, m) arrays, run by `_column_cumsum`.  Where the G_i view as a
+    complex column (`_complex_column`), mean(G) - G_i is one complex
+    subtraction down it: broadcast over (N, 2) rows it would run N inner
+    loops of two elements (268 against 20 us at N = 5e4).
     """
     n = path.segments
     G = np.empty((n,) + g_red.shape[1:])
@@ -366,7 +416,11 @@ def _h1_solve(path, g_red):
     mean /= n
     u[n] = 0.0
     d = G[:-1]
-    np.subtract(mean, d, out=d)
+    if _complex_column(d):
+        column = d.view(np.complex128)[:, 0]
+        np.subtract(mean.view(np.complex128), column, out=column)
+    else:
+        np.subtract(mean, d, out=d)
     d /= n
     _column_cumsum(d, u[1:n])
     return u
@@ -385,10 +439,11 @@ def _restricted_gradient(state, P, V, w, coeffs) -> tuple[np.ndarray, np.ndarray
     state.
 
     For a static model (models.StationaryModel.static: no omega, d
-    constant) the lift adjoint is neither formed nor read.  Its A and B are
-    +0.0 arrays, the sums and values of zero evaluators, and adding its lift
-    adjoint is adding +0.0, bit for bit, for every finite G of
-    `_lift_adjoint`.  The adjoint's endpoint rows are +0.0, and an interior
+    constant) the lift adjoint is neither formed nor read, and neither is
+    w (`_static_form` gives None).  Its A and B are +0.0 arrays, the sums
+    and values of zero evaluators, and adding its lift adjoint is adding
+    +0.0, bit for bit, for every finite G of `_lift_adjoint`.  The
+    adjoint's endpoint rows are +0.0, and an interior
     entry is (G_{i-1} A + G_i A) / (2n) + (G_{i-1} B - G_i B).  A sum of two
     zeros is -0.0 only when both are.  The first term is -0.0 only when
     G_i * 0.0 is -0.0, that is when G_i carries the sign bit (negative or
@@ -417,8 +472,10 @@ def _dual_norm(gu) -> float:
 def arrival_gradient(model, path, kappa) -> FunctionalGradient:
     """Descent gradient of t_plus on the constraint manifold: the H1
     representer of the arrival one-form, lifted to a tangent field
-    (paths.lift_spatial_variation)."""
-    state, partials, coeffs = _arrival_form(model, path, kappa)
+    (paths.lift_spatial_variation).  A static model's form is dE0 / S
+    (`_static_form`)."""
+    form = _static_form if model.static else _arrival_form
+    state, partials, coeffs = form(model, path, kappa)
     u, gu = _restricted_gradient(state, *partials, coeffs)
     # gu is summed after the lift, so its (N, m) block is still held while
     # the lift allocates its copy of u.  Freed before, it lets glibc trim

@@ -92,10 +92,11 @@ class StationaryModel:
     2-homogeneous Lagrangians (causal cone, optical arrival length) require
     both flags.  `static` is true when omega vanishes identically and d is
     constant, so the charge omega + d - tau does not see the spatial nodes:
-    its gradients skip the lift adjoint (arrival._restricted_gradient) and
-    its line-search trials take the t-part of their iterate
-    (paths.project_to_N).  `build_model` sets it when omega and d are both
-    absent, `affine_model` keeps it for an offset with no y-dependent term;
+    its gradients are dE0 / S (arrival._static_form) and skip the lift
+    adjoint (arrival._restricted_gradient), and its line-search trials take
+    the t-part of their iterate (paths.project_to_N).  `build_model` sets it
+    when omega and d are both absent, `affine_model` keeps it for an offset
+    with no y-dependent term;
     like `linear_charge` it is derived from the model, never given, and a
     `replace` that gives a model an omega or a y-dependent d must clear it
     (paths.project_to_N refuses the model otherwise).  `periods` lists
@@ -323,14 +324,15 @@ def time_reversed(model: StationaryModel) -> StationaryModel:
 # ---------------------------------------------------------------------------
 #
 # On an (N, m) C-ordered array, numpy runs a row scaling s[:, None] * X, an
-# einsum row dot and an axis-0 reduce as N inner loops of m elements each.
-# The row-wise kernels run down whole columns instead, with the bits of the
-# plain expressions: `_row_scale`, `_row_dot`, and arrival._column_cumsum
-# and arrival._column_sum (the scans and the column sum of
-# arrival._h1_solve, which scan an (N, 2) array as one complex column; see
-# arrival._column_cumsum).  Two cases keep numpy's own form, because the
-# columns would sum in another order: a row dot of m >= 3 columns is
-# einsum's, and the column sum of m = 1 column is numpy's pairwise reduce.
+# einsum row dot, an axis-0 reduce and a row broadcast as N inner loops of
+# m elements each.  The row-wise kernels run down whole columns instead,
+# with the bits of the plain expressions: `_row_scale`, `_row_dot`, and
+# arrival._column_cumsum and arrival._column_sum (the scans and the column
+# sum of arrival._h1_solve, which, with its mean subtraction, treat an
+# (N, 2) array as one complex column; see arrival._complex_column).  Two
+# cases keep numpy's own form, because the columns would sum in another
+# order: a row dot of m >= 3 columns is einsum's, and the column sum of
+# m = 1 column is numpy's pairwise reduce.
 # On fewer rows than this, one ufunc call per column costs more than
 # numpy's row loops (measured crossover 300-400 rows at m = 2), and the
 # complex scan more than the plain one, so all four evaluate the plain

@@ -10,10 +10,10 @@ intermediate as a new array and copy every input, and the kernels must
 agree with them to the last bit, signed zeros included, also when the
 arrays they allocate with np.empty start as NaN, and a descent whose
 trials own their y-nodes must give the records of one that builds each
-trial as a new path, a static model's gradients, which skip the lift
-adjoint, the bits of those that form it, and a static model's trial
-states, which take the t-part of their iterate, the bits of a full
-projection.  The projection and a line-search trial must still reject
+trial as a new path, a static model's gradients, of dE0 / S without the
+lift adjoint, the bits of the full arrival form's with it, and a static
+model's trial states, which take the t-part of their iterate, the bits
+of a full projection.  The projection and a line-search trial must still reject
 non-finite nodes, a full projection a static flag that omega + d belies,
 a seed a non-finite endpoint or an overflowing displacement before any
 arithmetic, and the in-place kernels must keep the peak allocation of
@@ -470,7 +470,7 @@ def check_kernels_match_references(spec, n, seed):
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS)
-@pytest.mark.parametrize("n", [2, 3, 200])
+@pytest.mark.parametrize("n", [2, 3, 200, _COLUMN_LOOP_MIN_ROWS + 100])
 def test_kernels_match_references_fixed(spec, n):
     check_kernels_match_references(spec, n, 17 * n)
 
@@ -1047,19 +1047,45 @@ def test_descent_matches_the_copying_trial(monkeypatch, spec, n, branch):
 
 
 # ---------------------------------------------------------------------------
-# static models skip the lift adjoint
+# static models: gradients of dE0 / S that skip the lift adjoint
 # ---------------------------------------------------------------------------
 
 # Static models, one of them with a constant offset, on either side of the
 # column-loop threshold.
 STATIC_SPECS = ["flat", "cylinder(1)", "flat(3)", "affine(cylinder(1), 0.5)"]
 STATIC_ROWS = [50, 500]
+STATIC_MODEL_FILE = str(Path(__file__).parent / "data" / "golden" / "static.model.ini")
+
+
+def spec_model(spec):
+    """The model of a spec, or the static golden model file, whose dE0_dy
+    is not zero, for "static.model.ini"."""
+    return fp.load_custom_model(STATIC_MODEL_FILE) if spec.endswith(".ini") else fp.get_model(spec)
 
 
 def general(model):
-    """The model with the static flag cleared: its gradients form and add
-    the lift adjoint."""
+    """The model with the static flag cleared: its gradients form the full
+    arrival form and add the lift adjoint."""
     return dataclasses.replace(model, static=False)
+
+
+def evaluator_wrapped(model):
+    """The model with its charge evaluators wrapped as a tracer wraps them:
+    its time reversal negates the wrapped zeros into -0.0."""
+    fields = ("omega", "domega_dy", "omega_w", "d_offset", "dd_dy")
+    return dataclasses.replace(
+        model, **{k: (lambda f: lambda *args: f(*args))(getattr(model, k)) for k in fields}
+    )
+
+
+def sign_variants(model):
+    """A model, its evaluator-wrapped copy and the time reversals of both:
+    for a static model, charge evaluators of +0.0 and of -0.0."""
+    return [
+        at_model
+        for copy in (model, evaluator_wrapped(model))
+        for at_model in (copy, time_reversed(copy))
+    ]
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
@@ -1084,48 +1110,102 @@ def test_static_lift_adjoint_adds_plus_zero(n, m, zero):
             assert bits(g_red + _assemble_y(path, *coeffs, G[:, 0])) == want
 
 
-@pytest.mark.parametrize("n", STATIC_ROWS)
-@pytest.mark.parametrize("spec", STATIC_SPECS)
-def test_static_restricted_gradient_matches_the_lift_adjoint(spec, n):
-    """A static state's restricted gradient, without the lift adjoint, has
-    the bits of the same state's with it, for random partials and for the
-    arrival form of the state on both branches."""
-    model = fp.get_model(spec)
-    assert model.static
-    rng = np.random.default_rng(n)
+def static_gradient_nodes(model, n, rng):
+    """random_nodes; the same nodes with their last y-column held at its
+    first value, so that its velocities, and with them the dE0_dnu column
+    of each fiber here, are exact zeros; and with their first y-column
+    zeros of random sign (an aperiodic column on every model here), whose
+    velocities and dE0_dnu column are zeros of both signs."""
     y, t = random_nodes(model, n, rng)
-    path = fp.DiscretePath(y, t, model.periods)
-    m = model.dim
-    for at_model in (model, time_reversed(model)):
-        proj = fp.project_to_N(at_model, path)
-        slow = fp.project_to_N(general(at_model), path)
-        coeffs = linearized_charge_coeffs(at_model, proj)
-        assert bits(*coeffs) == bits(np.zeros((n, m)), np.zeros((n, m)))
-        for P, V in zip(row_fields(rng, (n, m)), row_fields(rng, (n, m))):
-            wt = rng.standard_normal(n)
-            assert bits(*_restricted_gradient(proj, P, V, wt, coeffs)) == bits(
-                *_restricted_gradient(slow, P, V, wt, coeffs)
+    constant, signed_zeros = y.copy(), y.copy()
+    constant[:, -1] = y[0, -1]
+    signed_zeros[:, 0] = rng.choice([0.0, -0.0], n + 1)
+    return [(y, t), (constant, t), (signed_zeros, t)]
+
+
+@pytest.mark.parametrize("n", [2] + STATIC_ROWS)
+@pytest.mark.parametrize("spec", STATIC_SPECS + ["static.model.ini"])
+def test_static_restricted_gradient_matches_the_lift_adjoint(spec, n):
+    """A static state's gradient, from dE0 / S without the lift adjoint,
+    has the bits of the same state's full arrival form with the lift
+    adjoint formed: for random partials, and for the arrival gradient (its
+    u, norm and lifted field) and criticality residual of the state on both
+    branches, with charge evaluators of +0.0 and of -0.0.  The two forms'
+    spatial partials are equal, up to the sign of a zero."""
+    rng = np.random.default_rng(n)
+    for at_model in sign_variants(spec_model(spec)):
+        assert at_model.static
+        m = at_model.dim
+        for y, t in static_gradient_nodes(at_model, n, rng):
+            path = fp.DiscretePath(y, t, at_model.periods)
+            proj = fp.project_to_N(at_model, path)
+            slow = fp.project_to_N(general(at_model), path)
+            coeffs = linearized_charge_coeffs(at_model, proj)
+            assert not any(np.any(c) for c in coeffs)
+            for P, V in zip(row_fields(rng, (n, m)), row_fields(rng, (n, m))):
+                wt = rng.standard_normal(n)
+                assert bits(*_restricted_gradient(proj, P, V, wt, coeffs)) == bits(
+                    *_restricted_gradient(slow, P, V, wt, coeffs)
+                )
+            kappa = -1.0 - abs(proj.E_val)
+            state, (P, V, wt), coeffs = arrival._static_form(at_model, proj, kappa)
+            ref_state, (ref_P, ref_V, ref_wt), ref_coeffs = arrival._arrival_form(
+                general(at_model), slow, kappa
             )
+            assert wt is None
+            assert np.array_equal(P, ref_P) and np.array_equal(V, ref_V)
+            assert bits(*coeffs) == bits(*ref_coeffs)
+            assert bits(*_restricted_gradient(state, P, V, wt, coeffs)) == bits(
+                *_restricted_gradient(ref_state, ref_P, ref_V, ref_wt, ref_coeffs)
+            )
+            fast = arrival_gradient(at_model, proj, kappa)
+            ref = arrival_gradient(general(at_model), slow, kappa)
+            assert bits(fast.norm, fast.field.y, fast.field.t) == bits(
+                ref.norm, ref.field.y, ref.field.t
+            )
+            assert bits(criticality_residual(at_model, proj, kappa)) == bits(
+                criticality_residual(general(at_model), slow, kappa)
+            )
+
+
+def test_static_gradient_forms_no_energy_partials(monkeypatch):
+    """A static model's gradient neither evaluates chart_partials nor runs
+    the chain rule of _arrival_partials; the gradient of one that is not
+    static does both."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("E-partial algebra")
+
+    monkeypatch.setattr(arrival, "chart_partials", refuse)
+    monkeypatch.setattr(arrival, "_arrival_partials", refuse)
+    rng = np.random.default_rng(5)
+    statics = [
+        at_model
+        for spec in STATIC_SPECS + ["static.model.ini"]
+        for at_model in sign_variants(spec_model(spec))
+    ]
+    others = [general(spec_model(spec)) for spec in STATIC_SPECS] + [
+        model_for(spec) for spec in ("randers-rot(0.3)", "affine-field(flat, 0.3 y1)", "potential")
+    ]
+    for model in statics + others:
+        y, t = random_nodes(model, 50, rng)
+        proj = fp.project_to_N(model, fp.DiscretePath(y, t, model.periods))
         kappa = -1.0 - abs(proj.E_val)
-        fast, ref = arrival_gradient(at_model, proj, kappa), arrival_gradient(
-            general(at_model), slow, kappa
-        )
-        assert bits(fast.norm, fast.field.y, fast.field.t) == bits(
-            ref.norm, ref.field.y, ref.field.t
-        )
-        assert bits(criticality_residual(at_model, proj, kappa)) == bits(
-            criticality_residual(general(at_model), slow, kappa)
-        )
+        if model.static:
+            assert arrival_gradient(model, proj, kappa).norm > 0.0
+        else:
+            with pytest.raises(AssertionError, match="E-partial algebra"):
+                arrival_gradient(model, proj, kappa)
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 @pytest.mark.parametrize("n", STATIC_ROWS)
-@pytest.mark.parametrize("spec", STATIC_SPECS)
+@pytest.mark.parametrize("spec", STATIC_SPECS + ["static.model.ini"])
 def test_static_descent_matches_the_lift_adjoint(spec, n, branch):
     """Descents from random seeds on a static model give the records of the
-    same model with its lift adjoints formed, bit for bit, iteration counts
-    included."""
-    model = fp.get_model(spec)
+    same model with its full arrival forms and lift adjoints formed, bit for
+    bit, iteration counts included."""
+    model = spec_model(spec)
     p, q = endpoints_for(model)
     opts = fp.SolverOptions(N=n)
     for seed in range(3):
@@ -1144,31 +1224,13 @@ def test_static_descent_matches_the_lift_adjoint(spec, n, branch):
 # a static model's trials take the t-part of their iterate
 # ---------------------------------------------------------------------------
 
-STATIC_MODEL_FILE = str(Path(__file__).parent / "data" / "golden" / "static.model.ini")
-
-
-def evaluator_wrapped(model):
-    """The model with its charge evaluators wrapped as a tracer wraps them:
-    its time reversal negates the wrapped zeros into -0.0."""
-    fields = ("omega", "domega_dy", "omega_w", "d_offset", "dd_dy")
-    return dataclasses.replace(
-        model, **{k: (lambda f: lambda *args: f(*args))(getattr(model, k)) for k in fields}
-    )
-
-
 def trial_models():
     """The static models (STATIC_SPECS and the static golden model file)
     and three that are not, each with its time reversal and the
     evaluator-wrapped copies of both."""
-    bases = [fp.get_model(spec) for spec in STATIC_SPECS]
-    bases.append(fp.load_custom_model(STATIC_MODEL_FILE))
+    bases = [spec_model(spec) for spec in STATIC_SPECS + ["static.model.ini"]]
     bases += [model_for(spec) for spec in ("randers-rot(0.3)", "affine-field(flat, 0.3 y1)", "potential")]
-    return [
-        at_model
-        for base in bases
-        for model in (base, evaluator_wrapped(base))
-        for at_model in (model, time_reversed(model))
-    ]
+    return [at_model for base in bases for at_model in sign_variants(base)]
 
 
 def state_fields(state):
@@ -1227,10 +1289,7 @@ def test_trial_evaluator_counts(monkeypatch, spec, per_trial, branch):
     model that is not static calls each once more per line-search
     trial."""
     counts = Counter()
-    base = (
-        fp.load_custom_model(STATIC_MODEL_FILE) if spec.endswith(".ini") else fp.get_model(spec)
-    )
-    model = counting(base, counts)
+    model = counting(spec_model(spec), counts)
     in_trials = Counter()
     original = solve._trial
 
