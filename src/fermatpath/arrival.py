@@ -342,12 +342,12 @@ def _lift_adjoint(path, g_int, coeffs):
 
 def _complex_column(x, out=None) -> bool:
     """Whether x, and `out` of x's shape when given, are C-contiguous
-    (k, 2) float64 arrays of models._COLUMN_LOOP_MIN_ROWS rows or more,
-    which view as one complex128 column.  A complex sum or difference is
-    one IEEE addition or subtraction per component, so an operation on the
-    column gives each float column its own bits, signed zeros included."""
+    (k, 2) float64 arrays, which view as one complex128 column.  A complex
+    sum or difference is one IEEE addition or subtraction per component,
+    so an operation on the column gives each float column its own bits,
+    signed zeros included."""
     return (
-        x.ndim == 2 and x.shape[0] >= _COLUMN_LOOP_MIN_ROWS and x.shape[1] == 2
+        x.ndim == 2 and x.shape[1] == 2
         and x.dtype == np.float64 and x.flags.c_contiguous
         and (out is None or (out.dtype == np.float64 and out.flags.c_contiguous))
     )
@@ -357,14 +357,14 @@ def _column_cumsum(x, out) -> np.ndarray:
     """x.cumsum(axis=0, out=out), bit for bit; a row-wise kernel (see the
     section in models).
 
-    When x and `out` view as complex columns (`_complex_column`), that
-    column is scanned: a scan adds its rows one by one, so each float
-    column gets the bits of its own scan.  The complex scan takes about
-    half the time (206 against 397 us at k = 5e4), but is the slower at
-    200 rows (5.4 against 4.9 us); the two cross near 400 rows.  Every
-    other shape calls the scan itself.
+    When x and `out` view as complex columns (`_complex_column`) of
+    models._COLUMN_LOOP_MIN_ROWS rows or more, that column is scanned: a
+    scan adds its rows one by one, so each float column gets the bits of
+    its own scan.  The complex scan takes about half the time (206 against
+    397 us at k = 5e4), but is the slower at 200 rows (5.4 against 4.9 us);
+    the two cross near 400 rows.  Every other shape calls the scan itself.
     """
-    if _complex_column(x, out):
+    if _complex_column(x, out) and x.shape[0] >= _COLUMN_LOOP_MIN_ROWS:
         x.view(np.complex128).cumsum(axis=0, out=out.view(np.complex128))
         return out
     return x.cumsum(axis=0, out=out)
@@ -398,10 +398,13 @@ def _h1_solve(path, g_red):
     d_i = (mean(G) - G_i) / n and u = cumsum(d): two cumulative sums, O(n).
 
     The two cumulative sums and the column sum of mean(G) are scans down
-    (N, m) arrays, run by `_column_cumsum`.  Where the G_i view as a
-    complex column (`_complex_column`), mean(G) - G_i is one complex
-    subtraction down it: broadcast over (N, 2) rows it would run N inner
-    loops of two elements (268 against 20 us at N = 5e4).
+    (N, m) arrays, run by `_column_cumsum`.  For m = 2 the G_i view as a
+    complex column (`_complex_column`), and mean(G) - G_i is one complex
+    subtraction down it, at every N: broadcast over the (N, 2) rows it
+    would run N inner loops of two elements.  The complex form is the
+    faster from about 130 rows on (1.5 against 1.9 us at 199 rows, 2.1
+    against 12 at 2000, 21 against 280 at 5e4), and 0.55 us slower at 2
+    rows (timeit, one CPU of a shared 2-vCPU host).
     """
     n = path.segments
     G = np.empty((n,) + g_red.shape[1:])
@@ -417,7 +420,7 @@ def _h1_solve(path, g_red):
     u[n] = 0.0
     d = G[:-1]
     if _complex_column(d):
-        column = d.view(np.complex128)[:, 0]
+        column = d.view(np.complex128)
         np.subtract(mean.view(np.complex128), column, out=column)
     else:
         np.subtract(mean, d, out=d)

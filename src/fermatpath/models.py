@@ -328,11 +328,11 @@ def time_reversed(model: StationaryModel) -> StationaryModel:
 # m elements each.  The row-wise kernels run down whole columns instead,
 # with the bits of the plain expressions: `_row_scale`, `_row_dot`, and
 # arrival._column_cumsum and arrival._column_sum (the scans and the column
-# sum of arrival._h1_solve, which, with its mean subtraction, treat an
-# (N, 2) array as one complex column; see arrival._complex_column).  Two
-# cases keep numpy's own form, because the columns would sum in another
-# order: a row dot of m >= 3 columns is einsum's, and the column sum of
-# m = 1 column is numpy's pairwise reduce.
+# sum of arrival._h1_solve, which treat an (N, 2) array as one complex
+# column, as its mean subtraction does at every N; see
+# arrival._complex_column).  Two cases keep numpy's own form, because the
+# columns would sum in another order: a row dot of m >= 3 columns is
+# einsum's, and the column sum of m = 1 column is numpy's pairwise reduce.
 # On fewer rows than this, one ufunc call per column costs more than
 # numpy's row loops (measured crossover 300-400 rows at m = 2), and the
 # complex scan more than the plain one, so all four evaluate the plain

@@ -1079,13 +1079,20 @@ def evaluator_wrapped(model):
 
 
 def sign_variants(model):
-    """A model, its evaluator-wrapped copy and the time reversals of both:
-    for a static model, charge evaluators of +0.0 and of -0.0."""
+    """A model, its time reversal, its evaluator-wrapped copy and that
+    copy's time reversal: for a static model, charge evaluators of +0.0
+    and of -0.0 (SIGN_VARIANT_ZEROS)."""
     return [
         at_model
         for copy in (model, evaluator_wrapped(model))
         for at_model in (copy, time_reversed(copy))
     ]
+
+
+# The zero of a static model's charge coefficients (A, B), for each of its
+# sign_variants: time_reversed keeps a static model's own zero evaluators
+# and negates wrapped ones.
+SIGN_VARIANT_ZEROS = (0.0, 0.0, 0.0, -0.0)
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
@@ -1130,18 +1137,22 @@ def test_static_restricted_gradient_matches_the_lift_adjoint(spec, n):
     has the bits of the same state's full arrival form with the lift
     adjoint formed: for random partials, and for the arrival gradient (its
     u, norm and lifted field) and criticality residual of the state on both
-    branches, with charge evaluators of +0.0 and of -0.0.  The two forms'
-    spatial partials are equal, up to the sign of a zero."""
+    branches, with charge evaluators of +0.0 and of -0.0.  The charge
+    coefficients A and B are (N, m) arrays of one zero, the one each
+    variant gives, as the `+ 0.0` of _restricted_gradient needs; the two
+    forms' spatial partials are equal, up to the sign of a zero."""
     rng = np.random.default_rng(n)
-    for at_model in sign_variants(spec_model(spec)):
+    for at_model, zero in zip(sign_variants(spec_model(spec)), SIGN_VARIANT_ZEROS):
         assert at_model.static
         m = at_model.dim
+        zeros = np.full((n, m), zero)
         for y, t in static_gradient_nodes(at_model, n, rng):
             path = fp.DiscretePath(y, t, at_model.periods)
             proj = fp.project_to_N(at_model, path)
             slow = fp.project_to_N(general(at_model), path)
             coeffs = linearized_charge_coeffs(at_model, proj)
-            assert not any(np.any(c) for c in coeffs)
+            assert [c.shape for c in coeffs] == [(n, m), (n, m)]
+            assert bits(*coeffs) == bits(zeros, zeros)
             for P, V in zip(row_fields(rng, (n, m)), row_fields(rng, (n, m))):
                 wt = rng.standard_normal(n)
                 assert bits(*_restricted_gradient(proj, P, V, wt, coeffs)) == bits(
