@@ -23,7 +23,9 @@ For a 2-homogeneous L with linear charge the added terms are exact zeros,
 so theta = dt_plus bit for bit and the equation is dt = 0, Fermat's
 principle in a stationary spacetime (Perlick, Class. Quantum Grav. 7
 (1990) 1319).  The descent of solve.minimize_arrival solves dt_plus = 0,
-which is theta = 0 only in that case.
+which is theta = 0 only in that case (models.StationaryModel.fermat); for
+any other model a descent that reaches dt_plus = 0 checks theta there and
+is not converged where theta is not 0 (solve._descend).
 
 All variational quantities are midpoint-rule discretizations over segments.
 The arrival one-form is assembled in one place, `_arrival_form`, except
@@ -212,9 +214,10 @@ def _valid_arrival(model, path, kappa):
 
 
 def _arrival_form(model, path, kappa, critical: bool = False):
-    """The arrival one-form at a path: (state, (P, V, w), (A, B)).
+    """The arrival one-form at a path: (state, [P, V, w], (A, B)).
 
-    (P, V, w) are the per-segment partials of t_plus and (A, B) the
+    [P, V, w] are the per-segment partials of t_plus, in a list that
+    `_restricted_gradient` can take over, and (A, B) the
     linearized-charge coefficients at the state.  domega_dy and the omega
     coefficients are evaluated once and serve both.  With `critical` the
     partials are those of the criticality defect theta instead,
@@ -242,12 +245,12 @@ def _arrival_form(model, path, kappa, critical: bool = False):
             g_part *= cg
             part += g_part
             part += cd * d_part
-    return state, (P, V, wt), coeffs
+    return state, [P, V, wt], coeffs
 
 
 def _static_form(model, path, kappa):
     """The arrival one-form of a static model (models.StationaryModel.static)
-    for its gradient: (state, (P, V, None), (A, B)).
+    for its gradient: (state, [P, V, None], (A, B)).
 
     The charge omega + d - tau of a static model has no spatial partials,
     so t_plus sees the spatial nodes only through the fiber energy and its
@@ -273,7 +276,7 @@ def _static_form(model, path, kappa):
     coef_e = 1.0 / arr.S
     P = np.multiply(coef_e, model.dE0_dy(state.mid_y, state.vel_y))
     V = np.multiply(coef_e, model.dE0_dnu(state.mid_y, state.vel_y))
-    return state, (P, V, None), linearized_charge_coeffs(model, state)
+    return state, [P, V, None], linearized_charge_coeffs(model, state)
 
 
 def dt_plus(model, path, kappa, delta: TangentField) -> float:
@@ -429,7 +432,7 @@ def _h1_solve(path, g_red):
     return u
 
 
-def _restricted_gradient(state, P, V, w, coeffs) -> tuple[np.ndarray, np.ndarray]:
+def _restricted_gradient(state, partials, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """H1 representer of a functional restricted to the constraint tangent space.
 
     Per gradient it does this work and no more: the spatial nodal assembly
@@ -440,6 +443,11 @@ def _restricted_gradient(state, P, V, w, coeffs) -> tuple[np.ndarray, np.ndarray
     u, whose sum is the squared dual norm of the restricted functional
     (`_dual_norm`).  `coeffs` is (A, B) of linearized_charge_coeffs at the
     state.
+
+    `partials` is the list [P, V, w] of per-segment partials that a form
+    returns, and the call takes it over: it empties the list, so the
+    partials end once the spatial assembly and the interior t-difference
+    have read them, before the lift adjoint and the H1 solve allocate.
 
     For a static model (models.StationaryModel.static: no omega, d
     constant) the lift adjoint is neither formed nor read, and neither is
@@ -456,13 +464,18 @@ def _restricted_gradient(state, P, V, w, coeffs) -> tuple[np.ndarray, np.ndarray
     0.0 instead, which turns a -0.0 of the assembly into +0.0 as adding the
     adjoint does.
     """
+    P, V, w = partials
+    partials.clear()
     g_red = _assemble_y(state, P, V)
-    if state.model.static:
+    # The t-part of the nodal gradient, w_{i-1} - w_i, is needed only at
+    # the interior nodes, where the lift adjoint reads it.
+    g_t = None if state.model.static else np.subtract(w[:-1], w[1:])
+    del P, V, w
+    if g_t is None:
         g_red += 0.0
     else:
-        # The t-part of the nodal gradient, w_{i-1} - w_i, is needed only at
-        # the interior nodes, where the lift adjoint reads it.
-        g_red += _lift_adjoint(state, np.subtract(w[:-1], w[1:]), coeffs)
+        g_red += _lift_adjoint(state, g_t, coeffs)
+        del g_t
     u = _h1_solve(state, g_red)
     g_red *= u  # g_red is needed past the solve only for the norm
     return u, g_red
@@ -479,11 +492,15 @@ def arrival_gradient(model, path, kappa) -> FunctionalGradient:
     (`_static_form`)."""
     form = _static_form if model.static else _arrival_form
     state, partials, coeffs = form(model, path, kappa)
-    u, gu = _restricted_gradient(state, *partials, coeffs)
-    # gu is summed after the lift, so its (N, m) block is still held while
-    # the lift allocates its copy of u.  Freed before, it lets glibc trim
-    # the heap top: a warmed in-process solve of the fine-grid problem took
-    # about 32k minor page faults instead of 12k (2-vCPU x86-64 host).
+    u, gu = _restricted_gradient(state, partials, coeffs)
+    # The partials ended inside _restricted_gradient, once assembled, so
+    # the lift allocates its copy of u beside the state, (A, B), u and gu
+    # alone.  gu is summed after the lift, so its (N, m) block is still
+    # held while the lift allocates.  Freed before, it lets glibc trim the
+    # heap top: a warmed in-process multi_start of the fine-grid problem
+    # (glibc defaults) took 17k-42k minor page faults instead of 12k, over
+    # six harnesses that differ only in working directory and bytecode
+    # caching (2-vCPU x86-64 host).
     field = lift_spatial_variation(model, state, u, coeffs)
     return FunctionalGradient(field, _dual_norm(gu))
 
@@ -498,7 +515,7 @@ def criticality_residual(model, path, kappa) -> float:
     t_plus bit for bit.
     """
     state, partials, coeffs = _arrival_form(model, path, kappa, critical=True)
-    return _dual_norm(_restricted_gradient(state, *partials, coeffs)[1])
+    return _dual_norm(_restricted_gradient(state, partials, coeffs)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,14 @@ Exit codes:
        written.  One "error:" line on stderr.
     3  validation failure, including a model that evaluates to a
        non-finite value outside the per-seed descent
-    4  no converged record
+    4  no converged record; a record of a model that is not a Fermat
+       model, whose descent reaches dt = 0 where theta is not 0, is not
+       converged (solve._descend)
 
 Warnings do not change the exit code.  Each is one "warning:" line on
 stderr: a seed that failed, a descent that stopped unconverged (line-search
-stall, stagnation, iteration cap), and a sweep's arrival time that grows
-with kappa.
+stall, stagnation, iteration cap, dt = 0 that is not a trajectory), and a
+sweep's arrival time that grows with kappa.
 
 The process entry point is `run`, used by the `fermatpath` console script
 and by `python -m fermatpath.cli`: it sets the allocator policy of

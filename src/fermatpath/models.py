@@ -99,9 +99,15 @@ class StationaryModel:
     with no y-dependent term;
     like `linear_charge` it is derived from the model, never given, and a
     `replace` that gives a model an omega or a y-dependent d must clear it
-    (paths.project_to_N refuses the model otherwise).  `periods` lists
-    per-coordinate identification periods of the slice (0 = aperiodic);
-    None means a plain euclidean slice.
+    (paths.project_to_N refuses the model otherwise).  `fermat` is true
+    when L0 is 2-homogeneous and the offset d does not depend on y (d absent
+    for `build_model`, an offset with no y-term for `affine_model`): the
+    models whose trajectory equation theta = 0 is dt_plus = 0, Fermat's
+    principle (arrival.criticality_residual).  A descent of any other model
+    checks theta where it stops (solve._descend).  It is derived like
+    `static`, and a `replace` that breaks either condition must clear it.
+    `periods` lists per-coordinate identification periods of the slice
+    (0 = aperiodic); None means a plain euclidean slice.
 
     An evaluator's result may share memory with its input (flat fibers
     return nu itself from dL0_dnu), and no kernel writes it: every caller
@@ -124,6 +130,7 @@ class StationaryModel:
     periods: Optional[tuple[float, ...]] = None
     linear_charge: bool = True
     static: bool = False
+    fermat: bool = False
     name: str = ""
 
     @property
@@ -238,11 +245,11 @@ def build_model(
     the central difference of its function (`_central_diff`).  Absent
     omega coefficients `omega_w` are omega evaluated on the basis vectors
     (`_basis_coeffs`), which is exact for an omega linear in nu.  A model
-    with neither omega nor d is `static`.  The E0
-    partials of a 2-homogeneous fiber are dL0_dy and dL0_dnu themselves,
-    since E0 = L0 there; given `dE0_dy`/`dE0_dnu` are then not used.  A
-    slice dimension below 1, and a period that is negative or not finite,
-    raise ValueError.
+    with neither omega nor d is `static`, and a `homogeneous` one without d
+    is `fermat`.  The E0 partials of a 2-homogeneous fiber are dL0_dy and
+    dL0_dnu themselves, since E0 = L0 there; given `dE0_dy`/`dE0_dnu` are
+    then not used.  A slice dimension below 1, and a period that is
+    negative or not finite, raise ValueError.
     """
     _check_dim(dim)
     for p in () if periods is None else periods:
@@ -289,6 +296,7 @@ def build_model(
         periods=tuple(float(p) for p in periods) if periods is not None else None,
         linear_charge=linear,
         static=static,
+        fermat=bool(homogeneous) and linear,
         name=name,
     )
     return model
@@ -474,16 +482,37 @@ def chart_partials(model, y, nu, tau, kind: str, *, omega=None, domega_dy=None, 
         V = _row_scale(tau, coeffs)
         V += model.dE0_dnu(y, nu)
         return P, V, np.subtract(om, tau)
-    # dL0_dy + tau * (dom + dd), dL0_dnu + tau * coeffs, om + d - tau
-    dL0y = model.dL0_dy(y, nu)
+    P = _dL_dy(model, y, nu, tau, dom)
+    V = _dL_dnu(model, y, nu, tau, coeffs)
+    return P, V, _dL_dtau(model, y, tau, om)
+
+
+# The three partials of L, each a new array: chart_partials of kind "L"
+# forms all three, and solve.el_residual only those it reads.
+
+def _dL_dy(model, y, nu, tau, dom):
+    """dL/dy = dL0_dy + tau * (dom + dd_dy), with dom = domega_dy(y, nu).
+
+    dL0_dy is evaluated last, once dd_dy's result has been added and
+    freed: the sum is the same."""
     P = np.add(dom, model.dd_dy(y))
     _row_scale(tau, P, out=P)
-    P += dL0y
+    P += model.dL0_dy(y, nu)
+    return P
+
+
+def _dL_dnu(model, y, nu, tau, coeffs):
+    """dL/dnu = dL0_dnu + tau * coeffs, with coeffs = omega_coeffs(model, y)."""
     V = _row_scale(tau, coeffs)
     V += model.dL0_dnu(y, nu)
+    return V
+
+
+def _dL_dtau(model, y, tau, om):
+    """dL/dtau = om + d - tau, with om = omega(y, nu)."""
     w_part = np.add(om, model.d_offset(y))
     w_part -= tau
-    return P, V, w_part
+    return w_part
 
 
 def chart_partials_gap(model, y, nu, tau, E, *, omega, domega_dy, w):
@@ -946,15 +975,18 @@ def affine_model(base: StationaryModel, d_poly: Polynomial, name: str) -> Statio
     The charge stays linear when the base's is and d has no terms (a
     Polynomial drops zero coefficients, so a zero offset has none).  The
     model stays static when the base is and no term of d depends on y:
-    dd_dy then has no terms and returns +0.0.
+    dd_dy then has no terms and returns +0.0.  It is `fermat` when the
+    base's L0 is 2-homogeneous and no term of d depends on y.
     """
     _require_nu_degree("d", d_poly, 0)
+    constant = not any(any(t.y_pow) for t in d_poly.terms)
     return replace(
         base,
         d_offset=d_poly,
         dd_dy=lambda y: d_poly.grad_eval("y", y),
         linear_charge=base.linear_charge and not d_poly.terms,
-        static=base.static and not any(any(t.y_pow) for t in d_poly.terms),
+        static=base.static and constant,
+        fermat=base.homogeneous and constant,
         name=name,
     )
 

@@ -136,8 +136,9 @@ class PathState(DiscretePath):
     descent evaluates each iterate and trial once, where `project_to_N`
     builds its state, and a record's geodesic once.  Derivatives are not
     part of a state: a gradient evaluates them once, passes them explicitly
-    (arrival._arrival_form, linearized_charge_coeffs) and drops them when it
-    returns, so a state never holds (N, m) partials.
+    (arrival._arrival_form, linearized_charge_coeffs) and drops the
+    per-segment partials once assembled (arrival._restricted_gradient), so
+    a state never holds (N, m) partials.
 
     Built by `path_state` and `project_to_N`, which pass every value: the
     t-nodes `t` (those of `path`, or the projected ones), `mid_y` and `vel_y`

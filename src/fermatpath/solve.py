@@ -11,10 +11,11 @@ paths.PathState); of a gradient the descent reads only the spatial
 representer u and its norm (paths._LiftedField).
 
 A descent ends in one place, `_stopped`, with its stop reason: "grad_tol"
-when the gradient norm reaches the tolerance, or one of the unconverged
-stops that the table _STOP_WARNINGS names together with its warning.  A
-record's verdict `converged` is its stop reason being "grad_tol", so a new
-stop is one table entry and cannot disagree with the verdict.  The descent
+when the gradient norm reaches the tolerance (and, for a model that is not
+a Fermat model, theta too), or one of the unconverged stops that the table
+_STOP_WARNINGS names together with its warning.  A record's verdict
+`converged` is its stop reason being "grad_tol", so a new stop is one
+table entry and cannot disagree with the verdict.  The descent
 minimizes t_plus only; `minimize_arrival` runs the minus branch as the
 plus branch of the time-reversed problem.
 
@@ -35,9 +36,18 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .arrival import ArrivalEvaluation, arrival_gradient, arrival_times
+from .arrival import ArrivalEvaluation, arrival_gradient, arrival_times, criticality_residual
 from .errors import AdmissibilityError, ModelEvaluationError
-from .models import Point, StationaryModel, chart_E, chart_partials, time_reversed
+from .models import (
+    Point,
+    StationaryModel,
+    _dL_dnu,
+    _dL_dtau,
+    _dL_dy,
+    chart_E,
+    omega_coeffs,
+    time_reversed,
+)
 from .paths import (
     DiscretePath,
     _straight_nodes,
@@ -182,8 +192,12 @@ def el_residual(model: StationaryModel, geodesic: DiscretePath) -> float:
 
     The segment midpoints, velocities and omega values are those of the
     geodesic's state (paths.path_state): a state of `model` is read as it
-    is, a plain path is evaluated once.  dL/dx has no tau component, so it
-    is subtracted from the spatial columns alone.
+    is, a plain path is evaluated once.  Only the partials that the residual
+    reads are formed (models._dL_dnu, _dL_dtau and _dL_dy, the pieces of
+    chart_partials of kind "L"): at the midpoints dL/dnu and the tau-part,
+    each freed once differenced, before the node term; at the nodes dL/dx
+    alone, which has no tau component and is subtracted from the spatial
+    columns.  So omega is evaluated nowhere but in the state.
 
     The residual's spatial columns and its tau column are kept apart.  A
     row of fewer than 8 entries is summed left to right by
@@ -197,16 +211,21 @@ def el_residual(model: StationaryModel, geodesic: DiscretePath) -> float:
     if n == 1:
         return 0.0
     state = path_state(model, geodesic)
-    vel_y, vel_t = state.vel_y, state.vel_t
-    _, V, w = chart_partials(model, state.mid_y, vel_y, vel_t, "L", omega=state.omega)
-    avg_vy = 0.5 * (vel_y[:-1] + vel_y[1:])
-    avg_vt = 0.5 * (vel_t[:-1] + vel_t[1:])
-    P_node, _, _ = chart_partials(model, geodesic.y[1:n], avg_vy, avg_vt, "L")
+    mid_y, vel_y, vel_t = state.mid_y, state.vel_y, state.vel_t
+    V = _dL_dnu(model, mid_y, vel_y, vel_t, omega_coeffs(model, mid_y))
     res = np.subtract(V[1:], V[:-1])
+    del V
     res *= n
-    res -= P_node
+    w = _dL_dtau(model, mid_y, vel_t, state.omega)
     res_t = np.subtract(w[1:], w[:-1])
+    del w
     res_t *= n
+    avg_vy = np.add(vel_y[:-1], vel_y[1:])
+    avg_vy *= 0.5
+    avg_vt = np.add(vel_t[:-1], vel_t[1:])
+    avg_vt *= 0.5
+    node_y = geodesic.y[1:n]
+    res -= _dL_dy(model, node_y, avg_vy, avg_vt, model.domega_dy(node_y, avg_vy))
     if res.shape[1] + 1 >= 8:
         return float(np.max(np.linalg.norm(np.column_stack([res, res_t]), axis=1)))
     sq = np.empty(n - 1)
@@ -348,11 +367,13 @@ def _trial(model, path, u, step):
 
 
 # The stops of `_descend` that leave a descent unconverged, each with its
-# warning, formatted with the iteration count and the last gradient norm.
+# warning, formatted with the iteration count and the last norm: that of
+# the gradient, or of theta for "not_critical".
 _STOP_WARNINGS = {
     "line_search_stall": "line search stalled at iteration %d (|grad|=%.3g)",
     "stagnant": "objective stagnant at double precision after %d iterations (|grad|=%.3g)",
     "max_iters": "iteration cap reached after %d iterations (|grad|=%.3g)",
+    "not_critical": "dt = 0 after %d iterations, but theta is %.3g: not a trajectory",
 }
 
 
@@ -364,32 +385,48 @@ def _stopped(path, arr, iters, reason, norm):
     return DiscretePath(path.y, path.t, path.periods), arr, iters, reason
 
 
-def _descend(model, path, kappa, opts):
-    """Armijo-backtracked projected descent of t_plus from a projected path.
+def _descend(model, p, q, kappa, init, opts, rng):
+    """Armijo-backtracked projected descent of t_plus from the projected
+    seed of `init` (seed_path, with p, q, opts.N and rng).
 
     Returns (path, arrival, iters, stop_reason) through `_stopped`, with the
-    final iterate as a plain DiscretePath: the states of the iterates end
-    with this call.  The stop reason is "grad_tol" (converged) or a key of
-    _STOP_WARNINGS ("line_search_stall", "stagnant", "max_iters"), whose
-    warning `_stopped` logs.
+    final iterate as a plain DiscretePath.  The stop reason is "grad_tol"
+    (converged) or a key of _STOP_WARNINGS ("line_search_stall", "stagnant",
+    "max_iters", "not_critical"), whose warning `_stopped` logs.
+
+    A gradient norm at grad_tol means dt_plus = 0, which is the trajectory
+    equation theta = 0 only for a Fermat model (models.StationaryModel.
+    fermat).  For any other model the final iterate must also have its
+    theta (arrival.criticality_residual, read off the state the descent
+    holds) at grad_tol, and the stop is "not_critical" when it has not.
+
+    Each array ends once nothing reads it.  The seed is built here, so that
+    `path` holds the only reference to each iterate's state: the seed's
+    state ends when the first step is accepted.  (A seed passed in would
+    live through the whole descent on CPython 3.10, which keeps a call's
+    arguments on the caller's stack until the call returns.)  A gradient gives only its spatial representer u
+    and its norm, and u, read by the line-search trials alone, ends before
+    the next gradient is formed.  A rejected trial's state ends before the
+    next trial is built.
     """
+    path = seed_path(model, p, q, opts.N, init, rng)
     arr = arrival_times(model, path, kappa)
     f_val = arr.t_plus
     trial = FIRST_STEP
     stagnant = 0
     for iters in range(1, opts.max_iters + 1):
-        # Only the spatial representer and the norm are read; dropping the
-        # gradient releases what its t-part would need (paths._LiftedField)
-        # before the line search.
+        # Dropping the gradient releases what its t-part would need
+        # (paths._LiftedField) before the line search.
         grad = arrival_gradient(model, path, kappa)
         u, norm = grad.field.y, grad.norm
         del grad
         if norm <= opts.grad_tol:
-            return _stopped(path, arr, iters - 1, "grad_tol", norm)
+            theta = norm if model.fermat else criticality_residual(model, path, kappa)
+            reason = "grad_tol" if theta <= opts.grad_tol else "not_critical"
+            return _stopped(path, arr, iters - 1, reason, theta)
         slope = norm * norm
         step = trial
         for _ in range(60):
-            # A rejected trial's state ends before the next trial is built.
             cand = arr_new = None
             cand = _trial(model, path, u, step)
             try:
@@ -405,6 +442,7 @@ def _descend(model, path, kappa, opts):
             step *= STEP_SHRINK
         else:
             return _stopped(path, arr, iters, "line_search_stall", norm)
+        del u
         # Stop once accepted steps no longer move the objective at double
         # precision; further iterations cannot make progress.
         stagnant = stagnant + 1 if f_val - f_new <= 1e-16 * (1.0 + abs(f_val)) else 0
@@ -434,16 +472,18 @@ def minimize_arrival(
     "minus" maximizes t_minus, the latest past arrival, as the plus branch
     of the reversed problem: t_minus of a path is -t_plus of its reflection
     t -> 0.0 - t under models.time_reversed(model).  So both branches take
-    one seed and one descent, of `model` with the identity as the
-    reflection, or of the reversed model with `_reflected`: p, q and a
-    DiscretePath `init` are reflected, and the descended path and its
-    arrival evaluation are reflected back.  Any other branch raises
-    ValueError.  Either way the path is flowed by the branch's arrival time
-    and certified on `model`: the trajectory is evaluated once
-    (paths.path_state), both residuals read that state, and the record
-    keeps plain paths, so the states end with this call.  Returns a record
-    with the reconstructed trajectory and certification residuals;
-    non-convergence within max_iters is reported, never clamped.
+    one descent, which builds its own seed (`_descend`), of `model` with
+    the identity as the reflection, or of the reversed model with
+    `_reflected`: p, q and a DiscretePath `init` are reflected, and the
+    descended path and its arrival evaluation are reflected back.  Any
+    other branch raises ValueError.  Either way the path is flowed by the
+    branch's arrival time and certified on `model`: the trajectory is
+    evaluated once (paths.path_state), both residuals read that state, and
+    the record keeps plain paths, so no state outlives this call and none
+    of the descent's outlives the descent.  Returns a record with the
+    reconstructed trajectory and certification residuals; a stop short of
+    a trajectory (the iteration cap, a stall, or dt = 0 where theta is not
+    0: `_descend`) is reported, never clamped.
     """
     _check_branch(branch)
     opts = opts or SolverOptions()
@@ -461,8 +501,9 @@ def minimize_arrival(
     reflect = _reflected if minus else (lambda x: x)
     descended = time_reversed(model) if minus else model
     init = reflect(init) if isinstance(init, DiscretePath) else init
-    seed = seed_path(descended, reflect(p), reflect(q), opts.N, init, rng)
-    path, arr, iters, stop_reason = _descend(descended, seed, kappa, opts)
+    path, arr, iters, stop_reason = _descend(
+        descended, reflect(p), reflect(q), kappa, init, opts, rng
+    )
     path, arr = reflect(path), reflect(arr)
 
     geo = apply_flow(path, arr.t_minus if minus else arr.t_plus)

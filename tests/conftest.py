@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,19 @@ def smooth_field(dim, n, rng, amp=0.5):
     for k in range(1, 4):
         dt += amp / k * rng.standard_normal() * np.sin(k * np.pi * s)
     return TangentField(dy, dt)
+
+
+def peak_bytes(fn):
+    """Peak traced allocation of one call of fn beyond what was live before
+    (tracemalloc, which numpy reports its array buffers to)."""
+    fn()  # a first call settles one-time allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def endpoints_for(model, displacement=1.0):

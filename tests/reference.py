@@ -19,7 +19,11 @@ constant w, from p = (0, 0) to q = (1, 0.5):
   (`energy_roots`);
 - `shoot` solves the reduced problem of any such model by RK4 shooting:
   three unknowns, nu(0) and c, and three conditions, y(1) = q_y and
-  E = kappa.
+  E = kappa.  It also returns the trajectory it shot, sampled at its RK4
+  nodes, so that the discrete functionals can be evaluated on an exact
+  trajectory (tests/test_oracle.py).  `shots` shoots both roots, and
+  `POTENTIAL_PARTS`, `AFFINE_FIELD_PARTS` and `curved_affine_parts` are the
+  reference models' parts for it.
 """
 import math
 
@@ -118,8 +122,10 @@ def shoot(kappa, c0, *, w, V0=_zero, dV0=_zero_grad, d=_zero, dd=_zero_grad,
     (q_y - p_y, c0) until y(1) = q_y and E = kappa to `tol` (E is conserved,
     so it is taken at s = 0).  V0, d and their gradients dV0, dd take
     positions of shape (k, 2), as the k shots of one Newton step are
-    integrated together.  Returns (t(1), c, miss), the miss the max-norm of
-    the three conditions at the returned point.
+    integrated together.  Returns (t(1), c, miss, nodes): the miss is the
+    max-norm of the three conditions at the returned point, and `nodes` the
+    (steps + 1, 3) array of (y1, y2, t) of the returned shot at s = i / steps,
+    from (p_y, 0) to (y(1), t(1)).
     """
     w = np.asarray(w, dtype=float)
     m_inv = np.eye(2) - np.outer(w, w) / (1.0 + w @ w)
@@ -131,28 +137,68 @@ def shoot(kappa, c0, *, w, V0=_zero, dV0=_zero_grad, d=_zero, dd=_zero_grad,
         return np.column_stack([nu, dV0(y) + tau[:, None] * dd(y), tau])
 
     def run(x):
-        """The conditions and t(1) of the shots x = (nu(0), c), one a row."""
+        """The conditions, t(1) and the nodes of the first of the shots
+        x = (nu(0), c), one a row."""
         nu, c = x[:, :2], x[:, 2]
         y0 = np.tile(P_Y, (len(x), 1))
         d0 = d(y0) - c
         state = np.column_stack([y0, nu + np.outer(nu @ w + d0, w), np.zeros(len(x))])
+        nodes = np.empty((steps + 1, 3))
+        nodes[0] = state[0, [0, 1, 4]]
         h = 1.0 / steps
-        for _ in range(steps):
+        for i in range(steps):
             k1 = rate(state, c)
             k2 = rate(state + h / 2 * k1, c)
             k3 = rate(state + h / 2 * k2, c)
             k4 = rate(state + h * k3, c)
             state = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            nodes[i + 1] = state[0, [0, 1, 4]]
         energy = 0.5 * (np.sum(nu * nu, axis=1) + (nu @ w) ** 2) - V0(y0) - 0.5 * d0 * d0
-        return np.column_stack([state[:, :2] - Q_Y, energy - kappa]), state[:, 4]
+        return np.column_stack([state[:, :2] - Q_Y, energy - kappa]), state[:, 4], nodes
 
     x = np.concatenate([Q_Y - P_Y, [c0]])
     step = 1e-6 * np.vstack([np.eye(3), -np.eye(3)])
     for _ in range(30):
-        F, t = run(np.vstack([x, x + step]))
+        F, t, nodes = run(np.vstack([x, x + step]))
         miss = float(np.max(np.abs(F[0])))
         if miss <= tol:
             break
         J = (F[1:4] - F[4:7]).T / 2e-6
         x = x - np.linalg.solve(J, F[0])
-    return float(t[0]), float(x[2]), miss
+    return float(t[0]), float(x[2]), miss, nodes
+
+
+def shots(kappa, **parts):
+    """`shoot` from c = 1.5 and c = -1.5, the two roots, t_plus first."""
+    return sorted((shoot(kappa, c0, **parts) for c0 in (1.5, -1.5)),
+                  key=lambda shot: shot[0], reverse=True)
+
+
+# The parts of the reference models for `shoot`.
+# L0 = |nu|^2 / 2 + 3 - 0.3 y1^2, omega = 0.2 nu1 (conftest.POTENTIAL).
+POTENTIAL_PARTS = dict(
+    w=[0.2, 0.0],
+    V0=lambda y: 3.0 - 0.3 * y[:, 0] ** 2,
+    dV0=lambda y: np.column_stack([-0.6 * y[:, 0], np.zeros(len(y))]),
+)
+# affine-field(flat, 0.3 y1): L0 = |nu|^2 / 2, omega = 0, d = 0.3 y1.
+AFFINE_FIELD_PARTS = dict(
+    w=[0.0, 0.0],
+    d=lambda y: 0.3 * y[:, 0],
+    dd=lambda y: np.tile([0.3, 0.0], (len(y), 1)),
+)
+
+
+def curved_affine_parts(sign=1.0):
+    """affine-field(flat, 0.1 y1 + 0.05 y2^2) with d scaled by `sign`:
+    L0 = |nu|^2 / 2, omega = 0; sign = -1 is its time reversal."""
+    return dict(
+        w=[0.0, 0.0],
+        d=lambda y: sign * (0.1 * y[:, 0] + 0.05 * y[:, 1] ** 2),
+        dd=lambda y: sign * np.column_stack([np.full(len(y), 0.1), 0.1 * y[:, 1]]),
+    )
+
+
+# t_plus and t_minus of the curved affine field, to the digits the shooting
+# settles (200 and 400 RK4 steps differ by about 4e-14; test_reference.py).
+CURVED_AFFINE_ARRIVALS = (1.50031453444911, -1.50031526272835)

@@ -28,7 +28,7 @@ from fermatpath.cli import (
 from fermatpath.paths import path_state
 from fermatpath.solve import multi_start
 
-from conftest import OFFSET_FIBER
+from conftest import DATA, OFFSET_FIBER
 
 
 FLAT_SCENARIO = """\
@@ -846,6 +846,24 @@ def test_solve_no_convergence_exit_code(tmp_path):
         main(["solve", f, "--out", os.path.join(tmp_path, "o"), "--quiet"])
         == EXIT_NO_CONVERGENCE
     )
+
+
+def test_solve_of_a_model_that_is_not_fermat_exits_4(tmp_path, capsys):
+    """The committed potential-model scenario: each of its three seeds
+    reaches dt = 0 where theta is 0.108, so no record is a trajectory.  One
+    warning per seed, "no seed converged", a table without rows, exit 4."""
+    out = os.path.join(tmp_path, "o")
+    code = main(["solve", str(DATA / "potential.ini"), "--out", out, "--quiet"])
+    assert code == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "no seed converged"
+    assert len(err) == 4 and all(
+        re.fullmatch(
+            r"warning: dt = 0 after \d+ iterations, but theta is 0\.108: not a trajectory", line
+        )
+        for line in err[:-1]
+    )
+    assert read_file(out, "summary.csv").splitlines()[1:] == []
 
 
 # randers-rot(0.3) with six random seeds, cut short: the random seeds stop

@@ -342,24 +342,28 @@ def test_finite_difference_partials_match_the_polynomial_twin():
 
 def test_finite_difference_model_solves_like_the_polynomial_twin():
     """The differences are noisy at about 1e-7 in the gradient, so the
-    descent stops at a looser tolerance; t_plus agrees all the same."""
+    descent stops at a looser tolerance; t_plus agrees all the same.  The
+    twins are not Fermat models, so both descents reach dt = 0 and stop as
+    "not_critical": their minimizer of t_plus is not a trajectory."""
     exact, bare = twin_models()
+    assert not (exact.fermat or bare.fermat)
     p, q = fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.5], 0.0)
     opts = fp.SolverOptions(N=40, grad_tol=1e-5)
     got, want = (fp.minimize_arrival(m, p, q, -3.5, opts=opts) for m in (bare, exact))
-    assert got.converged and want.converged
+    assert got.stop_reason == want.stop_reason == "not_critical"
     assert got.t_plus == pytest.approx(want.t_plus, abs=1e-6)
 
 
 def test_finite_difference_model_stagnates_at_the_default_tolerance():
     """At the default grad_tol the differenced E0 partials hold the bare
-    twin's gradient at about 9e-7: the record says it stagnated."""
+    twin's gradient at about 9e-7: the record says it stagnated, while the
+    exact twin reaches dt = 0, where theta is not 0 ("not_critical")."""
     exact, bare = twin_models()
     p, q = fp.Point([0.0, 0.0], 0.0), fp.Point([1.0, 0.5], 0.0)
     opts = fp.SolverOptions(N=40)
     got, want = (fp.minimize_arrival(m, p, q, -3.5, opts=opts) for m in (bare, exact))
     assert (got.stop_reason, got.converged) == ("stagnant", False)
-    assert (want.stop_reason, want.converged) == ("grad_tol", True)
+    assert (want.stop_reason, want.converged) == ("not_critical", False)
 
 
 def test_chart_partials_against_finite_differences():
@@ -424,7 +428,7 @@ def test_time_reversed_negates_omega_and_d_exactly(model):
             assert fn_rev(*args).tobytes() == (-fn(*args)).tobytes()
     for name in ("L0", "dL0_dy", "dL0_dnu", "dE0_dy", "dE0_dnu"):
         assert getattr(rev, name) is getattr(model, name)
-    for name in ("dim", "homogeneous", "periods", "linear_charge", "name"):
+    for name in ("dim", "homogeneous", "periods", "linear_charge", "static", "fermat", "name"):
         assert getattr(rev, name) == getattr(model, name)
     assert models.chart_E(rev, y, nu, -tau).tobytes() == models.chart_E(model, y, nu, tau).tobytes()
 
@@ -453,6 +457,36 @@ def test_static_flag_is_read_off_omega_and_d(spec, static):
         for at_model in (model, time_reversed(model)):
             a = at_model.domega_dy(y, nu) + at_model.dd_dy(y)
             assert a.tobytes() == at_model.omega_w(y).tobytes() == np.zeros(y.shape).tobytes()
+
+
+@pytest.mark.parametrize("spec, fermat", [
+    ("flat", True),
+    ("cylinder(1)", True),
+    ("randers-const(0.5,0)", True),
+    ("randers-rot(0.3)", True),
+    ("affine(flat, 2.0)", True),
+    ("affine(randers-rot(0.3), 1.5)", True),
+    ("affine-field(flat, 0.3 y1)", False),
+    ("affine-field(flat, 0.2 + 0.1 y2^2)", False),
+    ("affine-field(randers-rot(0.3), 0.1 y1 + 0.05 y2^2)", False),
+])
+def test_fermat_flag_is_read_off_L0_and_d(spec, fermat):
+    """A model is `fermat` when its L0 is 2-homogeneous and its offset d has
+    no y-dependent term; its time reversal keeps the flag."""
+    model = fp.get_model(spec)
+    assert model.fermat is fermat
+    assert time_reversed(model).fermat is fermat
+
+
+@pytest.mark.parametrize("body, fermat", [
+    ("L0 = 0.5 nu1^2 + 0.5 nu2^2\n", True),
+    ("L0 = 0.5 nu1^2 + 0.5 nu2^2 + 0.1 y1 nu2^2\nomega = 0.2 y2 nu1\n", True),
+    ("L0 = 0.5 nu1^2 + 0.5 nu2^2 + 3 - 0.3 y1^2\nomega = 0.2 nu1\n", False),
+    ("L0 = 0.5 nu1^2 + 0.5 nu2^2\nd = 0.1 y1\n", False),
+])
+def test_fermat_flag_of_model_files(tmp_path, body, fermat):
+    model = fp.load_custom_model(write_model(tmp_path, "[model]\ndim = 2\n" + body))
+    assert model.fermat is fermat
 
 
 @pytest.mark.parametrize("body, static", [

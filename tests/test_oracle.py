@@ -1,5 +1,6 @@
-"""An independent trajectory oracle: records shot with the continuous
-Euler-Lagrange ODE.
+"""An independent trajectory oracle, and its converse.
+
+The oracle: records shot with the continuous Euler-Lagrange ODE.
 
 `conftest.shooting_miss` integrates the ODE of the Lagrangian from the
 geodesic nodes of a record, a fixed number of rows over a fixed share of
@@ -7,13 +8,23 @@ the path each, and measures how far the rows land from the record's nodes.
 A record that is a discrete trajectory misses by O(N^-2); one that is not
 misses by O(1) at every N.  The oracle uses only the L partials of the
 model, none of the solver's arrival-time machinery.
+
+The converse: exact trajectories, shot by the reduced ODE of
+tests/reference.py, sampled on the grid and evaluated by the solver's
+functionals.  A trajectory is a critical point of the arrival on the
+constraint manifold, theta = 0, up to the O(N^-2) of the sampling; for a
+model that is not a Fermat model it is not a critical point of t.
 """
+import functools
+
 import numpy as np
 import pytest
 
 import fermatpath as fp
+import reference as ref
+from fermatpath.arrival import arrival_gradient, arrival_times, criticality_residual
 
-from conftest import BENCH_POLYNOMIAL_MODEL, POTENTIAL, shooting_miss
+from conftest import BENCH_POLYNOMIAL_MODEL, POTENTIAL, on_branch, shooting_miss
 
 GRIDS = (50, 100, 200)
 # A miss of at most C * N^-2, or of the floor that the solver's gradient
@@ -24,11 +35,12 @@ MISS_FLOOR = 1e-6
 MIN_RATIO = 3.5
 
 # The minimizer of t_plus is a trajectory only for a 2-homogeneous fiber
-# with a linear charge (up to a constant offset); ROADMAP item 1 solves the
+# with a linear charge (up to a constant offset); ROADMAP item 3 solves the
 # paper's equation for the rest of the class.  The records of these two
-# models say `converged` although they miss by O(1).
+# models stop where theta is not 0 ("not_critical"), so they are not
+# `converged`, and they miss by O(1).
 NOT_FERMAT = pytest.mark.xfail(
-    strict=True, reason="minimize_arrival solves dt = 0, not theta = 0 (ROADMAP item 1)"
+    strict=True, reason="minimize_arrival solves dt = 0, not theta = 0 (ROADMAP item 3)"
 )
 
 
@@ -69,3 +81,68 @@ def test_converged_record_is_a_trajectory(spec, kappa, curved):
     if curved:
         assert all(coarse >= MIN_RATIO * fine for coarse, fine in zip(misses, misses[1:]))
 
+
+
+# ---------------------------------------------------------------------------
+# the converse: the paper's equation on exact trajectories
+# ---------------------------------------------------------------------------
+
+# The shots have 400 RK4 steps, so every grid samples their nodes.
+CONVERSE_GRIDS = (100, 200, 400)
+SHOT_STEPS = 400
+# name: (model, kappa, shooting parts, exact (t_plus, t_minus), C of theta,
+# C of the t+- error), with theta <= C / N^2 and |t - exact| <= C / N^2.
+# The constants are ROADMAP's measured ones, rounded up: theta * N^2 reads
+# 5.74e-3, 4.67e-4 and 2.98e-4 (2.80e-4 on the minus root), the t error
+# * N^2 2.58e-2, 3.16e-3 and 3.25e-4, at every N here.
+CONVERSE_CASES = {
+    "potential": (
+        POTENTIAL, -3.5, ref.POTENTIAL_PARTS, ref.potential_arrivals(), 6e-3, 2.7e-2,
+    ),
+    "affine-field(flat, 0.3 y1)": (
+        fp.get_model("affine-field(flat, 0.3 y1)"), -0.5, ref.AFFINE_FIELD_PARTS,
+        ref.affine_field_arrivals(), 5e-4, 3.3e-3,
+    ),
+    "affine-field(flat, 0.1 y1 + 0.05 y2^2)": (
+        fp.get_model("affine-field(flat, 0.1 y1 + 0.05 y2^2)"), -0.5,
+        ref.curved_affine_parts(), ref.CURVED_AFFINE_ARRIVALS, 3.2e-4, 3.4e-4,
+    ),
+}
+# The gradient norm of t at a sampled trajectory reads 0.119, 0.0865 and
+# 0.0298 at every N: bounded away from 0.
+MIN_DT_NORM = 0.02
+
+
+@functools.lru_cache(maxsize=None)
+def converse_shots(name):
+    """The nodes of both roots' shots, t_plus first."""
+    _, kappa, parts, *_ = CONVERSE_CASES[name]
+    return [shot[3] for shot in ref.shots(kappa, steps=SHOT_STEPS, **parts)]
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("name", sorted(CONVERSE_CASES))
+def test_sampled_trajectory_solves_theta_not_dt(name, branch):
+    """A trajectory sampled on N segments and projected onto the
+    constraint manifold has theta of O(N^-2), falling at second order, a
+    gradient of t that is not small, and the exact t+- of its root up to
+    O(N^-2).  The plus root's shot gives the plus branch and the minus
+    root's the minus branch, whose theta and dt are those of the reflected
+    path under the time-reversed model (conftest.on_branch)."""
+    model, kappa, _, exact, c_theta, c_t = CONVERSE_CASES[name]
+    nodes = converse_shots(name)[0 if branch == "plus" else 1]
+    thetas = []
+    for n in CONVERSE_GRIDS:
+        sample = nodes[:: SHOT_STEPS // n]
+        # project_to_N reads the t-nodes only at the ends: p_t = q_t = 0.
+        path = fp.project_to_N(model, fp.DiscretePath(sample[:, :2], np.zeros(n + 1)))
+        arr = arrival_times(model, path, kappa)
+        t = arr.t_plus if branch == "plus" else arr.t_minus
+        assert abs(t - exact[0 if branch == "plus" else 1]) <= c_t / n**2, (n, t)
+        at_model, at_path = on_branch(model, path, branch)
+        at_path = fp.project_to_N(at_model, at_path)
+        theta = criticality_residual(at_model, at_path, kappa)
+        assert theta <= c_theta / n**2, (n, theta)
+        assert arrival_gradient(at_model, at_path, kappa).norm >= MIN_DT_NORM
+        thetas.append(theta)
+    assert all(coarse >= MIN_RATIO * fine for coarse, fine in zip(thetas, thetas[1:])), thetas

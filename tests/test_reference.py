@@ -13,23 +13,10 @@ import pytest
 
 import reference as ref
 
-# L0 = |nu|^2 / 2 + 3 - 0.3 y1^2, omega = 0.2 nu1 (conftest.POTENTIAL).
-POTENTIAL_PARTS = dict(
-    w=[0.2, 0.0],
-    V0=lambda y: 3.0 - 0.3 * y[:, 0] ** 2,
-    dV0=lambda y: np.column_stack([-0.6 * y[:, 0], np.zeros(len(y))]),
-)
-# affine-field(flat, 0.3 y1): L0 = |nu|^2 / 2, omega = 0, d = 0.3 y1.
-AFFINE_FIELD_PARTS = dict(
-    w=[0.0, 0.0],
-    d=lambda y: 0.3 * y[:, 0],
-    dd=lambda y: np.tile([0.3, 0.0], (len(y), 1)),
-)
-
 CASES = {
-    "potential": (ref.potential_arrivals, POTENTIAL_PARTS, -3.5, 1.7859932695627778),
+    "potential": (ref.potential_arrivals, ref.POTENTIAL_PARTS, -3.5, 1.7859932695627778),
     "affine-field(flat, 0.3 y1)":
-        (ref.affine_field_arrivals, AFFINE_FIELD_PARTS, -0.5, 1.503131122106826),
+        (ref.affine_field_arrivals, ref.AFFINE_FIELD_PARTS, -0.5, 1.503131122106826),
 }
 
 
@@ -48,8 +35,8 @@ def test_closed_form_matches_reduced_shooting(name):
     """Both roots, shot from c = +-1.5 until y(1) = q_y and E = kappa hold
     to 1e-10, arrive where the closed form says, to the RK4 error."""
     arrivals, parts, kappa, _ = CASES[name]
-    shots = sorted((ref.shoot(kappa, c0, **parts) for c0 in (1.5, -1.5)), reverse=True)
-    for (t, c, miss), closed in zip(shots, arrivals()):
+    shots = ref.shots(kappa, **parts)
+    for (t, c, miss, _), closed in zip(shots, arrivals()):
         assert miss <= 1e-10
         assert t == pytest.approx(closed, abs=1e-10)
     # The two roots are different charges, not one root found twice.
@@ -69,26 +56,9 @@ def test_reversal_identity_in_closed_form():
     assert t_plus == pytest.approx(-rev_minus, rel=tol)
 
 
-def curved_affine_parts(sign):
-    """affine-field(flat, 0.1 y1 + 0.05 y2^2) with d scaled by `sign`:
-    L0 = |nu|^2 / 2, omega = 0; sign = -1 is its time reversal."""
-    return dict(
-        w=[0.0, 0.0],
-        d=lambda y: sign * (0.1 * y[:, 0] + 0.05 * y[:, 1] ** 2),
-        dd=lambda y: sign * np.column_stack([np.full(len(y), 0.1), 0.1 * y[:, 1]]),
-    )
-
-
 def curved_affine_shots(sign=1.0, steps=200):
-    """(t, c, miss) of both roots at kappa = -0.5, t_plus first."""
-    parts = curved_affine_parts(sign)
-    return sorted((ref.shoot(-0.5, c0, steps=steps, **parts) for c0 in (1.5, -1.5)),
-                  reverse=True)
-
-
-# t_plus and t_minus of the curved affine field, to the digits the shooting
-# settles (200 and 400 RK4 steps differ by about 4e-14).
-CURVED_AFFINE_ARRIVALS = (1.50031453444911, -1.50031526272835)
+    """(t, c, miss, nodes) of both roots at kappa = -0.5, t_plus first."""
+    return ref.shots(-0.5, steps=steps, **ref.curved_affine_parts(sign))
 
 
 def test_curved_affine_field_shooting_is_converged_in_steps():
@@ -96,8 +66,8 @@ def test_curved_affine_field_shooting_is_converged_in_steps():
     move by less than 1e-12 when the RK4 steps double, so the shot t+-
     are references to 1e-12 for a model with a y-dependent offset."""
     coarse, fine = curved_affine_shots(steps=200), curved_affine_shots(steps=400)
-    for (t, c, miss), (t_fine, c_fine, miss_fine), expected in zip(
-        coarse, fine, CURVED_AFFINE_ARRIVALS
+    for (t, c, miss, _), (t_fine, c_fine, miss_fine, _), expected in zip(
+        coarse, fine, ref.CURVED_AFFINE_ARRIVALS
     ):
         assert miss <= 1e-10 and miss_fine <= 1e-10
         assert t == pytest.approx(t_fine, abs=1e-12)
@@ -107,7 +77,7 @@ def test_curved_affine_field_shooting_is_converged_in_steps():
 
 def test_reversal_identity_of_the_curved_affine_shooting():
     """t_minus of the curved affine field is -t_plus of its reversal d -> -d."""
-    (t_plus, _, _), (t_minus, _, _) = curved_affine_shots()
-    (rev_plus, _, _), (rev_minus, _, _) = curved_affine_shots(sign=-1.0)
+    (t_plus, *_), (t_minus, *_) = curved_affine_shots()
+    (rev_plus, *_), (rev_minus, *_) = curved_affine_shots(sign=-1.0)
     assert t_minus == pytest.approx(-rev_plus, abs=1e-12)
     assert t_plus == pytest.approx(-rev_minus, abs=1e-12)
